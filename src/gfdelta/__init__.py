@@ -51,6 +51,6 @@ from .attack import (
     preprocess,
 )
 from .reduce_pm import ProjectionContext, project_blackbox, verify_reduction
-from .targets import ToyCipher, ToyCipherParams, make_planted, toy_cipher_blackbox
+from .targets import ToyCipher, ToyCipherParams, make_planted
 
 __version__ = "0.1.0"

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .combinat import binomial_mod
-from .field import FieldElement, FieldSpec, parse_field_spec, prime_field
-from .poly import Monomial, monomial_text
+from .combinat import _positive_compositions
+from .diff import DiffPlan, grid_points
+from .field import FieldElement, FieldSpec, parse_field_spec, row_reduce
+from .poly import Monomial, PolyError, monomial_text, parse_monomial
 
 
 class AttackError(ValueError):
@@ -35,8 +36,8 @@ class BlackBox:
     """Evaluation-only keyed function f(public, secret) over a prime field.
 
     The wrapped function must be pure: identical inputs must give identical
-    outputs, and concurrent invocation must be safe. The counter tracks how
-    many times the function has been consulted.
+    outputs. The counter tracks how many times the function has been
+    consulted.
     """
 
     def __init__(
@@ -92,37 +93,21 @@ class MaxtermRecord:
 
 
 @lru_cache(maxsize=1024)
-def _public_grid(
+def _term_grid(
     spec: FieldSpec, term: Monomial
 ) -> tuple[tuple[tuple[FieldElement, ...], FieldElement], ...]:
-    """Public-side probe points and folded weights for a unit-step term."""
-    p = spec.p
-    n_pub = len(term)
-    cube = [(i, m) for i, m in enumerate(term) if m]
-    for _, m in cube:
-        if m > p - 1:
-            raise AttackError("term multiplicities must stay below p")
-    zero = spec.zero
-    entries = []
-    ranges = [range(m + 1) for _, m in cube]
-    for offsets in itertools.product(*ranges):
-        point = [zero] * n_pub
-        weight = 1
-        parity = 0
-        for (var, m), j in zip(cube, offsets):
-            point[var] = spec.element(j)
-            weight = weight * binomial_mod(m, j, p) % p
-            parity += m - j
-        if parity & 1:
-            weight = -weight % p
-        entries.append((tuple(point), spec.element(weight)))
-    return tuple(entries)
+    """Public probe points and folded weights of a unit-step term, with
+    every public variable outside the term at zero."""
+    if any(m > spec.p - 1 for m in term):
+        raise AttackError("term multiplicities must stay below p")
+    plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
+    return tuple(grid_points(plan, (spec.zero,) * len(term)))
 
 
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
     given secret vector; each call costs prod(m_i + 1) black-box probes."""
-    grid = _public_grid(bb.spec, tuple(term))
+    grid = _term_grid(bb.spec, tuple(term))
     zero = bb.spec.zero
 
     def evaluate(secret: Sequence[FieldElement]) -> FieldElement:
@@ -133,13 +118,6 @@ def superpoly_oracle(bb: BlackBox, term: Monomial):
 
     evaluate.grid_size = len(grid)  # type: ignore[attr-defined]
     return evaluate
-
-
-def grid_cost(term: Monomial) -> int:
-    cost = 1
-    for m in term:
-        cost *= m + 1
-    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +179,25 @@ def linearity_test(
     return _linearity_verdict(oracle, bb.spec, bb.n_sec, trials, rng)
 
 
-def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
-    """Read off the affine form: c_0 at zero, then c_i from unit vectors.
-    Costs (n_sec + 1) grids."""
-    spec = bb.spec
-    oracle = superpoly_oracle(bb, term)
-    before = bb.evaluations
-    zero_vec = (spec.zero,) * bb.n_sec
+def _linear_form(oracle, spec: FieldSpec, n_sec: int):
+    """c_0 at zero, then c_i from unit vectors: (n_sec + 1) oracle calls."""
+    zero_vec = (spec.zero,) * n_sec
     c0 = oracle(zero_vec)
     coeffs = []
-    for i in range(bb.n_sec):
+    for i in range(n_sec):
         unit = list(zero_vec)
         unit[i] = spec.one
         coeffs.append(oracle(tuple(unit)) - c0)
-    return MaxtermRecord(tuple(term), c0, tuple(coeffs), bb.evaluations - before)
+    return c0, tuple(coeffs)
+
+
+def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
+    """Read off the affine form of the differenced function; costs
+    (n_sec + 1) grids."""
+    oracle = superpoly_oracle(bb, term)
+    before = bb.evaluations
+    c0, coeffs = _linear_form(oracle, bb.spec, bb.n_sec)
+    return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +211,16 @@ def candidate_terms(n_pub: int, p: int, max_total_mult: int) -> Iterator[Monomia
     yield (0,) * n_pub
     for total in range(1, max_total_mult + 1):
         for k in range(1, min(n_pub, total) + 1):
+            splits = sorted(
+                (s for s in _positive_compositions(total, k) if max(s) < p),
+                key=lambda s: (math.prod(m + 1 for m in s), s),
+            )
             for variables in itertools.combinations(range(n_pub), k):
-                splits = []
-                for split in _compositions(total, k, p - 1):
-                    splits.append(split)
-                splits.sort(key=lambda s: (grid_cost(s), s))
                 for split in splits:
                     mono = [0] * n_pub
                     for var, mult in zip(variables, split):
                         mono[var] = mult
                     yield tuple(mono)
-
-
-def _compositions(total: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(1, min(cap, total - k + 1) + 1):
-        for rest in _compositions(total - first, k - 1, cap):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +238,6 @@ class PreprocessResult:
     @property
     def rank(self) -> int:
         return len(self.records)
-
-
-class _EchelonBasis:
-    """Incremental row reduction over GF(p) for independence filtering."""
-
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.rows: dict[int, list[int]] = {}
-
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        out = list(row)
-        p = self.p
-        for pivot, basis_row in self.rows.items():
-            c = out[pivot]
-            if c:
-                out = [(a - c * b) % p for a, b in zip(out, basis_row)]
-        return out
-
-    def try_add(self, row: Sequence[int]) -> bool:
-        reduced = self.reduce(row)
-        pivot = next((i for i, v in enumerate(reduced) if v), None)
-        if pivot is None:
-            return False
-        inv = pow(reduced[pivot], -1, self.p)
-        self.rows[pivot] = [v * inv % self.p for v in reduced]
-        return True
 
 
 def _charged_oracle(bb: BlackBox, term: Monomial, budget: int):
@@ -312,82 +258,46 @@ def preprocess(
     max_total_mult: int,
     seed: int,
     trials: int | None = None,
-    jobs: int = 1,
 ) -> PreprocessResult:
     """Search candidate terms until n_sec independent linear forms are found,
     the term schedule ends, or the budget runs out. Deterministic for a
-    fixed seed; with jobs > 1 the record list is unchanged but the counter
-    can overshoot slightly."""
+    fixed seed."""
     if budget <= 0:
         raise AttackError("budget must be positive")
     if trials is None:
         trials = default_trials(bb.spec.p)
+    if trials < 1:
+        raise AttackError("need at least one trial")
     spec = bb.spec
     rng = random.Random(seed)
-    basis = _EchelonBasis(spec.p, bb.n_sec)
+    basis: list[list[int]] = []  # reduced rows of the kept records
     records: list[MaxtermRecord] = []
     dependent: list[MaxtermRecord] = []
     terms_tried = 0
+    if bb.n_sec == 0:
+        return PreprocessResult(records, dependent, "complete", bb.evaluations, 0)
     status = "terms-exhausted"
-    schedule = candidate_terms(bb.n_pub, spec.p, max_total_mult)
-
-    def examine(term: Monomial, term_rng: random.Random) -> MaxtermRecord | None:
-        before = bb.evaluations
-        oracle = _charged_oracle(bb, term, budget)
-        verdict = _linearity_verdict(oracle, spec, bb.n_sec, trials, term_rng)
-        if verdict is not Verdict.LIKELY_LINEAR:
-            return None
-        record = extract_linear_charged(bb, term, budget)
-        return replace(record, evaluations_used=bb.evaluations - before)
-
-    def extract_linear_charged(bb, term, budget):
-        oracle = _charged_oracle(bb, term, budget)
-        zero_vec = (spec.zero,) * bb.n_sec
-        c0 = oracle(zero_vec)
-        coeffs = []
-        for i in range(bb.n_sec):
-            unit = list(zero_vec)
-            unit[i] = spec.one
-            coeffs.append(oracle(tuple(unit)) - c0)
-        return MaxtermRecord(tuple(term), c0, tuple(coeffs), 0)
-
-    def absorb(record: MaxtermRecord | None) -> bool:
-        """Returns True when enough independent records have been found."""
-        if record is None or not record.usable:
-            return False
-        if basis.try_add([int(v) for v in record.c]):
-            records.append(record)
-        else:
-            dependent.append(record)
-        return len(records) >= bb.n_sec
-
     try:
-        if bb.n_sec == 0:
-            status = "complete"
-        elif jobs <= 1:
-            for term in schedule:
-                terms_tried += 1
-                if absorb(examine(term, rng)):
-                    status = "complete"
-                    break
-        else:
-            done = False
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                while not done:
-                    batch = list(itertools.islice(schedule, jobs * 4))
-                    if not batch:
-                        break
-                    seeds = [rng.randrange(1 << 62) for _ in batch]
-                    futures = [
-                        pool.submit(examine, term, random.Random(s))
-                        for term, s in zip(batch, seeds)
-                    ]
-                    for future in futures:
-                        terms_tried += 1
-                        if absorb(future.result()):
-                            status = "complete"
-                            done = True
-                            break
+        for term in candidate_terms(bb.n_pub, spec.p, max_total_mult):
+            terms_tried += 1
+            before = bb.evaluations
+            oracle = _charged_oracle(bb, term, budget)
+            verdict = _linearity_verdict(oracle, spec, bb.n_sec, trials, rng)
+            if verdict is not Verdict.LIKELY_LINEAR:
+                continue
+            c0, coeffs = _linear_form(oracle, spec, bb.n_sec)
+            record = MaxtermRecord(term, c0, coeffs, bb.evaluations - before)
+            if not record.usable:
+                continue
+            rows, pivots = row_reduce(basis + [[int(v) for v in coeffs]], spec.p)
+            if len(pivots) > len(basis):
+                basis = rows[: len(pivots)]
+                records.append(record)
+            else:
+                dependent.append(record)
+            if len(records) >= bb.n_sec:
+                status = "complete"
+                break
     except BudgetExhausted:
         status = "budget-exhausted"
     return PreprocessResult(records, dependent, status, bb.evaluations, terms_tried)
@@ -429,26 +339,13 @@ def gaussian_solve(system: LinearSystem) -> SolveResult:
     every variable, or the particular solution with free variables at zero
     when it does not."""
     spec = system.spec
-    p = spec.p
     width = system.width
-    rows = [[int(v) for v in coeffs] + [int(rhs)] for coeffs, rhs in system.rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = next(
-            (r for r in range(rank, len(rows)) if rows[r][col]), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    rows, pivots = row_reduce(
+        [[int(v) for v in coeffs] + [int(rhs)] for coeffs, rhs in system.rows],
+        spec.p,
+        width,
+    )
+    rank = len(pivots)
     inconsistent = any(
         not any(row[:width]) and row[width] for row in rows[rank:]
     )
@@ -476,15 +373,6 @@ class OnlineResult:
 PublicOracle = Callable[[tuple[FieldElement, ...]], FieldElement]
 
 
-def _online_rhs(
-    oracle: PublicOracle, spec: FieldSpec, record: MaxtermRecord
-) -> FieldElement:
-    total = spec.zero
-    for point, weight in _public_grid(spec, record.term):
-        total = total + weight * oracle(point)
-    return total
-
-
 def online(
     oracle: PublicOracle,
     records: Sequence[MaxtermRecord],
@@ -497,7 +385,9 @@ def online(
         return OnlineResult("empty", None, {}, 0, "no records supplied")
     system = LinearSystem(spec)
     for record in records:
-        rhs = _online_rhs(oracle, spec, record)
+        rhs = spec.zero
+        for point, weight in _term_grid(spec, record.term):
+            rhs = rhs + weight * oracle(point)
         system.add_row(record.c, rhs - record.c0)
     result = gaussian_solve(system)
     if result.status == "inconsistent":
@@ -559,7 +449,6 @@ def _find_suspects(system: LinearSystem, spec) -> list[int]:
 _RECORD_RE = re.compile(
     r"^record term=(\S+) c0=(\S+) c=(\S*) evals=(\d+)$"
 )
-_PLAN_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 def save_records(
@@ -586,20 +475,6 @@ def save_records(
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_term_text(text: str, n_pub: int) -> Monomial:
-    mono = [0] * n_pub
-    if text != "1":
-        for factor in text.split("*"):
-            match = _PLAN_RE.match(factor)
-            if not match:
-                raise AttackError(f"bad term {text!r} in record file")
-            var = int(match.group(1)) - 1
-            if not 0 <= var < n_pub:
-                raise AttackError(f"term variable out of range in {text!r}")
-            mono[var] = int(match.group(2)) if match.group(2) else 1
-    return tuple(mono)
 
 
 def load_records(path):
@@ -630,7 +505,10 @@ def load_records(path):
             spec = meta.get("spec")
             if spec is None or "n_pub" not in meta or "n_sec" not in meta:
                 raise AttackError("record file header incomplete")
-            term = _parse_term_text(match.group(1), meta["n_pub"])
+            try:
+                term = parse_monomial(match.group(1), meta["n_pub"])
+            except PolyError as exc:
+                raise AttackError(f"bad record term: {exc}") from None
             c0 = spec.element(int(match.group(2)))
             cvec = tuple(
                 spec.element(int(v))

@@ -1,8 +1,10 @@
 """Command-line surface for batch use.
 
 Subcommands: diff, degree-bound, attack-pre, attack-online, verify.
-Exit status: 0 success, 2 input error, 3 budget or schedule exhausted
-without full rank, 4 internal invariant violation.
+Exit status: 0 success, 2 input error (including a record file whose
+field, public or secret header does not match the target it is replayed
+against), 3 budget or schedule exhausted without full rank, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import attack, diff, poly, reduce_pm, targets
 from .combinat import ZERO_FUNCTION, degree_after_diff
@@ -21,19 +22,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 EXIT_INVARIANT = 4
-
-
-@dataclass
-class RunConfig:
-    """Flags shared by the randomized commands; the seed is mandatory there
-    so every artifact can be regenerated byte-for-byte."""
-
-    field_text: str | None
-    seed: int | None
-    budget: int | None
-    trials: int | None
-    jobs: int
-    out: str | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--trials", type=int, default=None)
     pre.add_argument("--max-mult", type=int, default=None)
     pre.add_argument("--seed", required=True, type=int)
-    pre.add_argument("--jobs", type=int, default=1)
     pre.add_argument("--out", required=True, help="record file to write")
 
     onl = sub.add_parser("attack-online", help="online phase: solve for the key")
@@ -125,7 +112,6 @@ def cmd_attack_pre(args) -> int:
         max_total_mult=max_mult,
         seed=args.seed,
         trials=args.trials,
-        jobs=args.jobs,
     )
     # dependent rows ride along: they give the online phase redundancy for
     # catching a false maxterm
@@ -150,6 +136,13 @@ def cmd_attack_pre(args) -> int:
 def cmd_attack_online(args) -> int:
     target = targets.load_target(args.target)
     records, meta = attack.load_records(args.records)
+    spec, n_pub, n_sec = meta["spec"], meta.get("n_pub"), meta.get("n_sec")
+    if (spec, n_pub, n_sec) != (target.spec, target.n_pub, target.n_sec):
+        raise attack.AttackError(
+            f"record header (field, public, secret) = ({spec.text}, {n_pub}, "
+            f"{n_sec}) does not match the target's ({target.spec.text}, "
+            f"{target.n_pub}, {target.n_sec})"
+        )
     oracle = target.online_oracle()
     outcome = attack.online(oracle, records, target.spec, target.n_sec)
     print(f"status={outcome.status} rank={outcome.rank}")

@@ -11,7 +11,6 @@ plays the same role over extension fields.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -23,7 +22,7 @@ from .combinat import (
     _nonzero_composition_items,
 )
 from .field import FieldElement, FieldSpec, basis_elements
-from .poly import Monomial, MultiPoly, PolyError
+from .poly import Monomial, MultiPoly, PolyError, parse_monomial
 
 BlackBoxFn = Callable[[tuple[FieldElement, ...]], FieldElement]
 
@@ -105,24 +104,17 @@ class DiffPlan:
         return sum(self.multiplicities)
 
 
-_PLAN_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
 def parse_plan(
     text: str, spec: FieldSpec, steps: Sequence[FieldElement] | None = None
 ) -> DiffPlan:
     """Parse plan text in term syntax, e.g. 'x1^2*x3'."""
-    term: dict[int, int] = {}
-    for factor in text.replace(" ", "").split("*"):
-        match = _PLAN_FACTOR_RE.match(factor)
-        if not match:
-            raise DiffError(f"bad plan factor {factor!r}")
-        var = int(match.group(1)) - 1
-        if var < 0:
-            raise DiffError("plan variables are numbered from x1")
-        exp = int(match.group(2)) if match.group(2) else 1
-        term[var] = term.get(var, 0) + exp
-    return DiffPlan.make(spec, term, steps)
+    try:
+        mono = parse_monomial(text.replace(" ", ""))
+    except PolyError as exc:
+        raise DiffError(f"bad plan: {exc}") from None
+    if not any(mono):
+        raise DiffError("a plan differences at least one variable")
+    return DiffPlan.make(spec, {i: m for i, m in enumerate(mono) if m}, steps)
 
 
 def basis_step_sequence(spec: FieldSpec, count: int) -> tuple[FieldElement, ...]:
@@ -275,39 +267,55 @@ def _step_table(
     return out
 
 
-@lru_cache(maxsize=512)
-def _plan_tables(plan: DiffPlan):
-    return tuple(_step_table(plan.spec, steps) for steps in plan.steps)
+@lru_cache(maxsize=1024)
+def _grid_entries(
+    plan: DiffPlan,
+) -> tuple[tuple[tuple[FieldElement, ...], FieldElement], ...]:
+    """The folded grid of a plan, built once: per probe, the offsets of the
+    plan variables and the product of their table weights."""
+    spec = plan.spec
+    tables = [_step_table(spec, steps) for steps in plan.steps]
+    entries = []
+    for combo in itertools.product(*tables):
+        weight = spec.one
+        for _, w in combo:
+            weight = weight * w
+        entries.append((tuple(off for off, _ in combo), weight))
+    return tuple(entries)
+
+
+def grid_points(
+    plan: DiffPlan, base: Sequence[FieldElement]
+) -> list[tuple[tuple[FieldElement, ...], FieldElement]]:
+    """Probe points of the planned difference at `base`, in a fixed order,
+    each with its folded weight."""
+    spec = plan.spec
+    base = [spec.element(v) for v in base]
+    for var in plan.variables:
+        if var >= len(base):
+            raise DiffError(f"plan variable x{var + 1} outside the base point")
+    points = []
+    for offsets, weight in _grid_entries(plan):
+        point = list(base)
+        for var, off in zip(plan.variables, offsets):
+            point[var] = point[var] + off
+        points.append((tuple(point), weight))
+    return points
 
 
 def blackbox_delta(
     bb: BlackBoxFn, plan: DiffPlan, base: Sequence[FieldElement]
 ) -> FieldElement:
     """Evaluate the planned difference of a black-box function at one point."""
-    spec = plan.spec
-    base = [spec.element(v) for v in base]
-    for var in plan.variables:
-        if var >= len(base):
-            raise DiffError(f"plan variable x{var + 1} outside the base point")
-    tables = _plan_tables(plan)
-    total = spec.zero
-    for combo in itertools.product(*tables):
-        point = list(base)
-        weight = None
-        for var, (off, w) in zip(plan.variables, combo):
-            point[var] = point[var] + off
-            weight = w if weight is None else weight * w
-        value = bb(tuple(point))
-        total = total + (value if weight is None else weight * value)
+    total = plan.spec.zero
+    for point, weight in grid_points(plan, base):
+        total = total + weight * bb(point)
     return total
 
 
 def grid_size(plan: DiffPlan) -> int:
     """Black-box probes needed per evaluation of the planned difference."""
-    size = 1
-    for table in _plan_tables(plan):
-        size *= len(table)
-    return size
+    return len(_grid_entries(plan))
 
 
 def blackbox_delta_pm(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 
 class FieldError(ValueError):
@@ -155,6 +155,39 @@ def _poly_is_irreducible(mod, p):
         if len(g) != 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over GF(p) on plain integer rows
+
+
+def row_reduce(
+    rows: Sequence[Sequence[int]], p: int, width: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows modulo the prime p.
+
+    Pivots are sought only in the first `width` columns (all by default), so
+    augmented columns ride along. Returns the reduced rows, pivot rows first
+    in pivot order, and the pivot columns; the rank is their count.
+    """
+    rows = [[v % p for v in row] for row in rows]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        pivot = rows[rank] = [v * inv % p for v in rows[rank]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != rank:
+                rows[r] = [(a - c * b) % p for a, b in zip(row, pivot)]
+        pivots.append(col)
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -573,5 +606,3 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
         out = out + term if sgn > 0 else out - term
     return out
 
-
-FieldLike = Union[PrimeFieldSpec, ExtFieldSpec]

@@ -438,6 +438,32 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
+_FACTOR_RE = re.compile(r"x([1-9]\d*)(?:\^([1-9]\d*))?")
+
+
+def parse_monomial(text: str, n: int | None = None) -> Monomial:
+    """Parse term text such as 'x1^2*x3', the inverse of `monomial_text`;
+    '1' is the empty term and repeated variables multiply. Without n the
+    term is as wide as its largest variable."""
+    exps: dict[int, int] = {}
+    if text != "1":
+        for factor in text.split("*"):
+            match = _FACTOR_RE.fullmatch(factor)
+            if not match:
+                raise PolyError(f"bad factor {factor!r} in term {text!r}")
+            var = int(match.group(1)) - 1
+            exps[var] = exps.get(var, 0) + int(match.group(2) or 1)
+    needed = max(exps, default=-1) + 1
+    if n is None:
+        n = needed
+    elif needed > n:
+        raise PolyError(f"term {text!r} has a variable beyond x{n}")
+    mono = [0] * n
+    for var, e in exps.items():
+        mono[var] = e
+    return tuple(mono)
+
+
 def format_poly(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"

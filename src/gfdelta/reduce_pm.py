@@ -15,33 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .diff import BlackBoxFn, DiffPlan, blackbox_delta
-from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field
+from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field, row_reduce
 from .poly import MultiPoly
 
 
 class ReductionError(ValueError):
     pass
-
-
-def _identity_matrix(m: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-
-def _invert_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    m = len(matrix)
-    aug = [row[:] + ident for row, ident in zip(matrix, _identity_matrix(m))]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] % p), None)
-        if pivot is None:
-            raise ReductionError("basis is not linearly independent over GF(p)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -64,10 +43,17 @@ class ProjectionContext:
         basis = tuple(spec.element(b) for b in basis)
         if len(basis) != spec.m:
             raise ReductionError(f"basis must have {spec.m} elements")
-        # columns are the basis vectors in the polynomial-basis coordinates
-        matrix = [[basis[j].coeffs[i] for j in range(spec.m)] for i in range(spec.m)]
-        inverse = _invert_mod_p(matrix, spec.p)
-        return cls(spec, basis, tuple(tuple(row) for row in inverse))
+        # columns are the basis vectors in the polynomial-basis coordinates,
+        # augmented by the identity, which row reduction turns into the inverse
+        m = spec.m
+        augmented = [
+            [b.coeffs[i] for b in basis] + [int(i == j) for j in range(m)]
+            for i in range(m)
+        ]
+        rows, pivots = row_reduce(augmented, spec.p, m)
+        if len(pivots) < m:
+            raise ReductionError("basis is not linearly independent over GF(p)")
+        return cls(spec, basis, tuple(tuple(row[m:]) for row in rows))
 
     @property
     def prime(self):

@@ -9,13 +9,13 @@ used for integration testing, not for cryptographic claims.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .attack import BlackBox
-from .field import FieldElement, FieldSpec, parse_field_spec, prime_field
+from .combinat import _nonneg_splits
+from .field import FieldElement, parse_field_spec, prime_field, row_reduce
 from .poly import Monomial, MultiPoly
 
 
@@ -134,11 +134,8 @@ class PlantedTarget:
 
 def _public_monomials(n_pub: int, n: int, degree: int, cap: int):
     """All monomials over the public block with the exact total degree."""
-    out = []
-    for exps in itertools.product(range(cap + 1), repeat=n_pub):
-        if sum(exps) == degree:
-            out.append(tuple(exps) + (0,) * (n - n_pub))
-    return out
+    pad = (0,) * (n - n_pub)
+    return [s + pad for s in _nonneg_splits(degree, n_pub) if max(s) <= cap]
 
 
 def make_planted(
@@ -172,7 +169,7 @@ def make_planted(
     # secret linear forms with an invertible coefficient matrix
     while True:
         matrix = [[rng.randrange(p) for _ in range(n_sec)] for _ in range(n_sec)]
-        if _rank_mod_p(matrix, p) == n_sec:
+        if len(row_reduce(matrix, p)[1]) == n_sec:
             break
     terms: dict[Monomial, FieldElement] = {}
     for anchor, row in zip(chosen, matrix):
@@ -204,25 +201,6 @@ def make_planted(
     poly = MultiPoly(spec, n, terms)
     planted = tuple(m[:n_pub] for m in chosen)
     return PlantedTarget(config, poly, key, planted)
-
-
-def _rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    rows = [row[:] for row in matrix]
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +254,14 @@ class ToyCipher:
                 return matrix
 
     @property
+    def n_pub(self) -> int:
+        return self.params.n_pub
+
+    @property
+    def n_sec(self) -> int:
+        return self.params.n_sec
+
+    @property
     def suggested_max_multiplicity(self) -> int:
         return max(2**self.params.rounds, 1)
 
@@ -307,14 +293,13 @@ class ToyCipher:
 
     def blackbox(self) -> BlackBox:
         spec = self.spec
-        params = self.params
 
         def fn(public, secret):
             return spec.element(
                 self.evaluate_ints([int(v) for v in public], [int(x) for x in secret])
             )
 
-        return BlackBox(spec, params.n_pub, params.n_sec, fn)
+        return BlackBox(spec, self.n_pub, self.n_sec, fn)
 
     def online_oracle(
         self, key: Sequence[FieldElement] | None = None
@@ -328,15 +313,6 @@ class ToyCipher:
             )
 
         return CountingOracle(fn)
-
-
-def toy_cipher_blackbox(params: ToyCipherParams, key: Sequence[FieldElement]):
-    """Black box for the keyed toy cipher; the returned box carries an
-    `online_oracle` bound to the given key for the online phase."""
-    cipher = ToyCipher(params)
-    bb = cipher.blackbox()
-    bb.online_oracle = cipher.online_oracle(key)  # type: ignore[attr-defined]
-    return bb
 
 
 # ---------------------------------------------------------------------------

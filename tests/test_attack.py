@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gfdelta.attack import (
     AttackError,
@@ -12,7 +14,6 @@ from gfdelta.attack import (
     candidate_terms,
     extract_linear,
     gaussian_solve,
-    grid_cost,
     linearity_test,
     load_records,
     online,
@@ -21,8 +22,9 @@ from gfdelta.attack import (
     superpoly_oracle,
 )
 from gfdelta.diff import DiffPlan, delta_plan
-from gfdelta.field import prime_field
+from gfdelta.field import ext_field, prime_field, row_reduce
 from gfdelta.poly import MultiPoly, parse_poly, random_poly
+from gfdelta.reduce_pm import ProjectionContext, ReductionError
 from gfdelta.targets import make_planted
 
 from conftest import GF5, GF9, GF31
@@ -69,7 +71,35 @@ def test_grid_cost_matches_probe_count():
     bb = poly_blackbox(f, 1, 3)
     oracle = superpoly_oracle(bb, (5,))
     oracle((GF31.zero,) * 3)
-    assert bb.evaluations == grid_cost((5,)) == 6
+    assert bb.evaluations == oracle.grid_size == 6
+
+
+@given(st.data())
+def test_attack_grids_match_symbolic_route(data):
+    # preprocessing's oracle and the online right-hand side both equal the
+    # symbolic difference with the publics at zero
+    spec = prime_field(data.draw(st.sampled_from([5, 7, 31])))
+    n_pub = data.draw(st.integers(1, 3))
+    n_sec = data.draw(st.integers(1, 3))
+    f = random_poly(
+        spec,
+        n_pub + n_sec,
+        6,
+        data.draw(st.integers(1, 8)),
+        seed=data.draw(st.integers(0, 10**6)),
+    )
+    mult = st.integers(0, min(3, spec.p - 1))
+    term = tuple(data.draw(mult) for _ in range(n_pub))
+    key = tuple(
+        spec.element(data.draw(st.integers(0, spec.p - 1))) for _ in range(n_sec)
+    )
+    expected = superpoly_symbolic(f, term, n_pub).evaluate((spec.zero,) * n_pub + key)
+    bb = poly_blackbox(f, n_pub, n_sec)
+    assert superpoly_oracle(bb, term)(key) == expected
+    # with c = (1,) and c0 = 0 the online solve returns the right-hand side
+    record = MaxtermRecord(term, spec.zero, (spec.one,), 0)
+    outcome = online(lambda pub: f.evaluate(pub + key), [record], spec, 1)
+    assert outcome.key == (expected,)
 
 
 # -- linearity testing -------------------------------------------------------------
@@ -261,16 +291,6 @@ def test_preprocess_no_secrets_gives_empty_result():
     assert result.records == []
 
 
-def test_preprocess_parallel_matches_sequential():
-    target, bb1 = planted_bb(seed=8, degree=5, extras=6)
-    r1 = preprocess(bb1, budget=10**6, max_total_mult=4, seed=3)
-    _, bb2 = planted_bb(seed=8, degree=5, extras=6)
-    r2 = preprocess(bb2, budget=10**6, max_total_mult=4, seed=3, jobs=3)
-    assert [(r.term, r.c0, r.c) for r in r1.records] == [
-        (r.term, r.c0, r.c) for r in r2.records
-    ]
-
-
 # -- gaussian elimination -----------------------------------------------------------------
 
 
@@ -347,6 +367,48 @@ def test_gaussian_matches_adjugate_oracle():
         assert result.status == "unique"
         assert tuple(int(v) for v in result.solution) == expected
         assert expected == tuple(key)
+
+
+# moduli of GF(p^m) for the kernel test; ext_field rejects a reducible one
+EXT_MODULI = {
+    (5, 2): (1, 0, 2),
+    (5, 3): (1, 0, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 0, 2),
+}
+
+
+def leibniz_det(matrix, p):
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total % p
+
+
+@given(st.sampled_from([5, 7]), st.integers(2, 3), st.data())
+def test_elimination_kernel_rank_and_inverse(p, m, data):
+    row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    matrix = data.draw(st.lists(row, min_size=m, max_size=m))
+    spec = prime_field(p)
+    system = LinearSystem(spec)
+    for values in matrix:
+        system.add_row([spec.element(v) for v in values], spec.zero)
+    rank = gaussian_solve(system).rank
+    # the rank make_planted checks its secret forms with
+    assert rank == len(row_reduce(matrix, p)[1])
+    assert (rank == m) == (leibniz_det(matrix, p) != 0)
+    # the matrix columns as a basis of GF(p^m): the projection inverts it
+    ext = ext_field(p, m, EXT_MODULI[p, m])
+    basis = [ext.element([matrix[i][j] for i in range(m)]) for j in range(m)]
+    if rank == m:
+        ctx = ProjectionContext.for_spec(ext, basis)
+        identity = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        assert [ctx.phi(b) for b in basis] == identity
+    else:
+        with pytest.raises(ReductionError):
+            ProjectionContext.for_spec(ext, basis)
 
 
 # -- online phase ----------------------------------------------------------------------------

@@ -262,6 +262,71 @@ def test_attack_pre_requires_seed(capsys, tmp_path, planted_file):
     assert code == EXIT_INPUT
 
 
+def _pre_records(capsys, tmp_path, target_path):
+    records = tmp_path / "records.txt"
+    code, _, _ = run(
+        capsys,
+        "attack-pre",
+        "--target",
+        str(target_path),
+        "--seed",
+        "9",
+        "--out",
+        str(records),
+    )
+    assert code == EXIT_OK
+    return records
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        make_planted(5, 2, 3, 4, 4, seed=5),  # one more secret variable
+        make_planted(5, 3, 2, 4, 4, seed=5),  # one more public variable
+        make_planted(7, 2, 2, 4, 4, seed=5),  # another field
+    ],
+)
+def test_attack_online_rejects_records_for_another_target(
+    capsys, tmp_path, planted_file, other
+):
+    records = _pre_records(capsys, tmp_path, planted_file[0])
+    other_path = tmp_path / "other.target"
+    save_target(other_path, other)
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(other_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and "status=" not in out
+
+
+def test_attack_online_rejects_malformed_term(capsys, tmp_path, planted_file):
+    target_path, _ = planted_file
+    records = _pre_records(capsys, tmp_path, target_path)
+    text = records.read_text()
+    records.write_text(text.replace("record term=", "record term=y", 1))
+    code, _, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT and err.startswith("error:")
+
+
+def test_attack_pre_rejects_zero_trials(capsys, tmp_path, planted_file):
+    target_path, _ = planted_file
+    code, _, err = run(
+        capsys,
+        "attack-pre",
+        "--target",
+        str(target_path),
+        "--trials",
+        "0",
+        "--seed",
+        "9",
+        "--out",
+        str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_INPUT and err.startswith("error:")
+
+
 def test_toy_cipher_target_through_cli(capsys, tmp_path):
     cipher = ToyCipher(ToyCipherParams(5, 1, 3, 2, 2, 3))
     target_path = tmp_path / "toy.target"

@@ -12,7 +12,6 @@ from gfdelta.targets import (
     load_target,
     make_planted,
     save_target,
-    toy_cipher_blackbox,
 )
 
 GF3 = prime_field(3)
@@ -145,10 +144,12 @@ def test_toy_cipher_pinned_vector():
 def test_toy_cipher_blackbox_helper():
     params = ToyCipherParams(p=5, rounds=1, width=3, n_pub=2, n_sec=2, seed=3)
     cipher = ToyCipher(params)
-    bb = toy_cipher_blackbox(params, cipher.key)
     spec = cipher.spec
-    value = bb.evaluate([spec.one, spec.zero], cipher.key)
-    assert value == bb.online_oracle([spec.one, spec.zero])
+    assert (cipher.n_pub, cipher.n_sec) == (2, 2)
+    for key in [cipher.key, (spec.element(3), spec.one)]:
+        for pub in [(spec.one, spec.zero), (spec.element(4), spec.element(2))]:
+            value = cipher.blackbox().evaluate(pub, key)
+            assert value == cipher.online_oracle(key)(pub)
 
 
 # -- description files ----------------------------------------------------------------
