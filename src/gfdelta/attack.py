@@ -38,6 +38,10 @@ class BlackBox:
     The wrapped function must be pure: identical inputs must give identical
     outputs. The counter tracks how many times the function has been
     consulted.
+
+    A superpoly grid presents one secret, as one tuple object, for all of
+    its probes, so a target may specialise its function on the secret and
+    reuse that work across the grid's public points.
     """
 
     def __init__(
@@ -95,26 +99,31 @@ class MaxtermRecord:
 @lru_cache(maxsize=1024)
 def _term_grid(
     spec: FieldSpec, term: Monomial
-) -> tuple[tuple[tuple[FieldElement, ...], FieldElement], ...]:
-    """Public probe points and folded weights of a unit-step term, with
-    every public variable outside the term at zero."""
+) -> tuple[tuple[tuple[FieldElement, ...], int], ...]:
+    """Public probe points and folded weights (as residues) of a unit-step
+    term, with every public variable outside the term at zero."""
     if any(m > spec.p - 1 for m in term):
         raise AttackError("term multiplicities must stay below p")
     plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
-    return tuple(grid_points(plan, (spec.zero,) * len(term)))
+    return tuple(
+        (point, int(weight))
+        for point, weight in grid_points(plan, (spec.zero,) * len(term))
+    )
 
 
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
-    given secret vector; each call costs prod(m_i + 1) black-box probes."""
+    given secret vector; each call costs prod(m_i + 1) black-box probes,
+    all of them with the same secret object."""
     grid = _term_grid(bb.spec, tuple(term))
-    zero = bb.spec.zero
+    element = bb.spec.element
+    probe = bb.evaluate
 
     def evaluate(secret: Sequence[FieldElement]) -> FieldElement:
-        total = zero
+        total = 0
         for point, weight in grid:
-            total = total + weight * bb.evaluate(point, secret)
-        return total
+            total += weight * int(probe(point, secret))
+        return element(total)
 
     evaluate.grid_size = len(grid)  # type: ignore[attr-defined]
     return evaluate
@@ -136,8 +145,8 @@ def default_trials(p: int) -> int:
     return DEFAULT_TRIALS.get(p, DEFAULT_TRIALS_LARGE)
 
 
-def _random_secret(rng, spec, n_sec):
-    return tuple(spec.random_element(rng) for _ in range(n_sec))
+def _random_vector(rng, spec, n):
+    return tuple(spec.random_element(rng) for _ in range(n))
 
 
 def _linearity_verdict(eval_superpoly, spec, n_sec, trials, rng) -> Verdict:
@@ -147,8 +156,8 @@ def _linearity_verdict(eval_superpoly, spec, n_sec, trials, rng) -> Verdict:
     for _ in range(trials):
         a = spec.random_element(rng)
         b = spec.random_element(rng)
-        y = _random_secret(rng, spec, n_sec)
-        z = _random_secret(rng, spec, n_sec)
+        y = _random_vector(rng, spec, n_sec)
+        z = _random_vector(rng, spec, n_sec)
         fy = eval_superpoly(y)
         fz = eval_superpoly(z)
         combo = tuple(a * yi + b * zi for yi, zi in zip(y, z))
@@ -207,9 +216,11 @@ def candidate_terms(n_pub: int, p: int, max_total_mult: int) -> Iterator[Monomia
     """Deterministic, cost-aware schedule: increasing total multiplicity,
     then increasing variable count, then lexicographic variable choice,
     then cheapest grids first. Starts with the empty term, which leaves the
-    function undifferenced and catches targets already affine in the key."""
+    function undifferenced and catches targets already affine in the key.
+    Totals stop at n_pub * (p - 1): beyond it every composition has a part
+    of p or more."""
     yield (0,) * n_pub
-    for total in range(1, max_total_mult + 1):
+    for total in range(1, min(max_total_mult, n_pub * (p - 1)) + 1):
         for k in range(1, min(n_pub, total) + 1):
             splits = sorted(
                 (s for s in _positive_compositions(total, k) if max(s) < p),
@@ -385,10 +396,10 @@ def online(
         return OnlineResult("empty", None, {}, 0, "no records supplied")
     system = LinearSystem(spec)
     for record in records:
-        rhs = spec.zero
+        rhs = 0
         for point, weight in _term_grid(spec, record.term):
-            rhs = rhs + weight * oracle(point)
-        system.add_row(record.c, rhs - record.c0)
+            rhs += weight * int(oracle(point))
+        system.add_row(record.c, spec.element(rhs) - record.c0)
     result = gaussian_solve(system)
     if result.status == "inconsistent":
         suspects = _find_suspects(system, spec)
@@ -419,6 +430,27 @@ def online(
         f"rank {result.rank} of {n_sec}; exhaustive search needed for "
         f"{missing} more variable(s)",
     )
+
+
+# public points at which a recovered key is checked; a wrong key survives
+# one point with probability about 1/p, if the target depends on the key there
+CONFIRM_POINTS = 8
+
+
+def confirm_key(
+    bb: BlackBox, oracle: PublicOracle, key: Sequence[FieldElement]
+) -> bool:
+    """Checks a candidate key against the online oracle: keyed with the
+    candidate, the black box must answer as the oracle does at
+    CONFIRM_POINTS fixed pseudo-random public points. Costs that many probes
+    of each. A solve trusts every record; this does not."""
+    rng = random.Random(0)
+    key = tuple(key)
+    for _ in range(CONFIRM_POINTS):
+        public = _random_vector(rng, bb.spec, bb.n_pub)
+        if bb.evaluate(public, key) != oracle(public):
+            return False
+    return True
 
 
 def _determined_variables(result: SolveResult, spec) -> dict[int, FieldElement]:

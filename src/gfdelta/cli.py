@@ -4,7 +4,8 @@ Subcommands: diff, degree-bound, attack-pre, attack-online, verify.
 Exit status: 0 success, 2 input error (including a record file whose
 field, public or secret header does not match the target it is replayed
 against), 3 budget or schedule exhausted without full rank, 4 internal
-invariant violation.
+invariant violation (including records that conflict, and a recovered key
+that the target's black box refutes against the online oracle).
 """
 
 from __future__ import annotations
@@ -145,10 +146,18 @@ def cmd_attack_online(args) -> int:
         )
     oracle = target.online_oracle()
     outcome = attack.online(oracle, records, target.spec, target.n_sec)
-    print(f"status={outcome.status} rank={outcome.rank}")
+    print(
+        f"status={outcome.status} rank={outcome.rank} "
+        f"online-probes={oracle.evaluations}"
+    )
     if outcome.status == "recovered":
         print("key: " + ",".join(str(int(v)) for v in outcome.key))
-        return EXIT_OK
+        points = f"{attack.CONFIRM_POINTS} public points"
+        if attack.confirm_key(target.blackbox(), oracle, outcome.key):
+            print(f"confirmed: the key reproduces the oracle at {points}")
+            return EXIT_OK
+        print(f"refuted: the key disagrees with the oracle within {points}")
+        return EXIT_INVARIANT
     if outcome.status == "inconsistent":
         print(outcome.message)
         return EXIT_INVARIANT

@@ -5,6 +5,22 @@ multiplicity deg-1 times an independent secret linear form, so preprocessing
 is guaranteed a full-rank record set. The toy cipher is a deliberately weak
 keyed map (affine layer, key injection, one quadratic mixing step per round)
 used for integration testing, not for cryptographic claims.
+
+Both kinds expose `spec`, `n_pub`, `n_sec`, `key`, `blackbox()`,
+`online_oracle()` and `suggested_max_multiplicity`. Their kernels come in a
+secret stage and a public stage: `blackbox()` redoes the secret stage only
+when the secret changes, and `online_oracle()` does it once for its key.
+
+`load_target` accepts these sizes from a description file and rejects any
+other value with `TargetError` before building anything:
+
+- planted: public 1..8, secret 1..64, total-degree 2..12, extra-terms
+  0..10000 (the anchor search then walks at most C(18, 11) = 31,824 public
+  monomials);
+- toy-cipher: public 1..64, secret 1..64, rounds 0..16, width 1..64.
+
+The field must be a prime below 2^63 (see `field.prime_field`); the seed is
+any integer.
 """
 
 from __future__ import annotations
@@ -35,35 +51,32 @@ class CountingOracle:
         return self._fn(public)
 
 
-def _compile_terms(poly: MultiPoly) -> list[tuple[int, list[tuple[int, int]]]]:
-    return [
-        (int(c), [(i, e) for i, e in enumerate(mono) if e])
-        for mono, c in poly._terms.items()
-    ]
+def _keyed_blackbox(target) -> BlackBox:
+    """Black box over `target._at_secret(secret ints) -> public kernel`,
+    which is called again only when the secret changes: a tuple seen last
+    time is recognised by identity, any other sequence by its values."""
+    element = target.spec.element
+    specialise = target._at_secret
+    last_secret = last_vals = kernel = None
+
+    def fn(public, secret):
+        nonlocal last_secret, last_vals, kernel
+        if secret is not last_secret:
+            vals = tuple(int(x) for x in secret)
+            if vals != last_vals:
+                last_vals, kernel = vals, specialise(vals)
+            # a tuple cannot change under the identity check; a list can
+            last_secret = secret if type(secret) is tuple else None
+        return element(kernel([int(v) for v in public]))
+
+    return BlackBox(target.spec, target.n_pub, target.n_sec, fn)
 
 
-def _int_evaluator(poly: MultiPoly):
-    """Plain-integer evaluation kernel for prime-field polynomials."""
-    p = poly.spec.p
-    compiled = _compile_terms(poly)
-
-    def evaluate(vals: list[int]) -> int:
-        total = 0
-        for c, factors in compiled:
-            term = c
-            for i, e in factors:
-                v = vals[i]
-                if v == 0:
-                    term = 0
-                    break
-                if e == 1:
-                    term = term * v
-                else:
-                    term = term * pow(v, e, p)
-            total += term
-        return total % p
-
-    return evaluate
+def _keyed_oracle(target, key) -> CountingOracle:
+    """Online oracle specialised on its fixed key once, at construction."""
+    element = target.spec.element
+    kernel = target._at_secret(tuple(int(x) for x in key))
+    return CountingOracle(lambda public: element(kernel([int(v) for v in public])))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +109,19 @@ class PlantedTarget:
         self.poly = poly
         self.key = key
         self.planted_terms = planted_terms
-        self._eval = _int_evaluator(poly)
+        # terms grouped by their public monomial: (public factors, [(coeff,
+        # secret factors), ...]), factors as (variable, exponent) pairs
+        n_pub = config.n_pub
+        groups: dict[Monomial, tuple[list, list]] = {}
+        for mono, c in poly._terms.items():
+            pub = mono[:n_pub]
+            group = groups.get(pub)
+            if group is None:
+                group = groups[pub] = ([(i, e) for i, e in enumerate(pub) if e], [])
+            group[1].append(
+                (int(c), [(j, e) for j, e in enumerate(mono[n_pub:]) if e])
+            )
+        self._groups = list(groups.values())
 
     @property
     def n_pub(self) -> int:
@@ -110,26 +135,46 @@ class PlantedTarget:
     def suggested_max_multiplicity(self) -> int:
         return self.config.total_degree - 1
 
+    def _at_secret(self, secret: Sequence[int]):
+        """Fixes the secret: folds each public monomial's terms into one
+        coefficient mod p, drops the zero ones, and returns the integer
+        kernel over the publics."""
+        p = self.spec.p
+        folded = []
+        for pub_factors, parts in self._groups:
+            coeff = 0
+            for c, factors in parts:
+                for j, e in factors:
+                    x = secret[j]
+                    if x == 0:
+                        c = 0
+                        break
+                    c = c * x if e == 1 else c * pow(x, e, p)
+                coeff += c
+            coeff %= p
+            if coeff:
+                folded.append((coeff, pub_factors))
+
+        def evaluate(vals: list[int]) -> int:
+            total = 0
+            for c, factors in folded:
+                term = c
+                for i, e in factors:
+                    v = vals[i]
+                    if v == 0:
+                        term = 0
+                        break
+                    term = term * v if e == 1 else term * pow(v, e, p)
+                total += term
+            return total % p
+
+        return evaluate
+
     def blackbox(self) -> BlackBox:
-        spec = self.spec
-        evaluate = self._eval
-
-        def fn(public, secret):
-            vals = [int(v) for v in public] + [int(x) for x in secret]
-            return spec.element(evaluate(vals))
-
-        return BlackBox(spec, self.n_pub, self.n_sec, fn)
+        return _keyed_blackbox(self)
 
     def online_oracle(self) -> CountingOracle:
-        spec = self.spec
-        evaluate = self._eval
-        key_vals = [int(x) for x in self.key]
-
-        def fn(public):
-            vals = [int(v) for v in public] + key_vals
-            return spec.element(evaluate(vals))
-
-        return CountingOracle(fn)
+        return _keyed_oracle(self, self.key)
 
 
 def _public_monomials(n_pub: int, n: int, degree: int, cap: int):
@@ -265,25 +310,39 @@ class ToyCipher:
     def suggested_max_multiplicity(self) -> int:
         return max(2**self.params.rounds, 1)
 
-    def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
+    def _key_schedule(self, secret: Sequence[int]):
+        """The secret-only part of an encryption: the whitening layer and,
+        per round, the mix matrix with key injection plus constant."""
+        p = self.params.p
+
+        def inject(key_rows, consts):
+            return [
+                (sum(k * x for k, x in zip(row, secret)) + c) % p
+                for row, c in zip(key_rows, consts)
+            ]
+
+        return (
+            inject(self.whiten, self.whiten_const),
+            [
+                (mix, inject(keys, consts))
+                for mix, keys, consts in zip(
+                    self.round_mix, self.round_key, self.round_const
+                )
+            ],
+        )
+
+    def _encrypt(self, public: Sequence[int], schedule) -> int:
         p = self.params.p
         w = self.params.width
-        state = [public[i] % p if i < len(public) else 0 for i in range(w)]
+        whiten, rounds = schedule
         state = [
-            (s + sum(k * x for k, x in zip(row, secret)) + c) % p
-            for s, row, c in zip(state, self.whiten, self.whiten_const)
+            ((public[i] if i < len(public) else 0) + k) % p
+            for i, k in enumerate(whiten)
         ]
-        for mix, keys, consts in zip(
-            self.round_mix, self.round_key, self.round_const
-        ):
+        for mix, inject in rounds:
             affine = [
-                (
-                    sum(a * s for a, s in zip(row, state))
-                    + sum(k * x for k, x in zip(krow, secret))
-                    + c
-                )
-                % p
-                for row, krow, c in zip(mix, keys, consts)
+                (sum(a * s for a, s in zip(row, state)) + k) % p
+                for row, k in zip(mix, inject)
             ]
             state = [
                 (affine[i] + affine[(i + 1) % w] * affine[(i + 2) % w]) % p
@@ -291,28 +350,20 @@ class ToyCipher:
             ]
         return state[0]
 
+    def _at_secret(self, secret: Sequence[int]):
+        schedule = self._key_schedule(secret)
+        return lambda public: self._encrypt(public, schedule)
+
+    def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
+        return self._encrypt(public, self._key_schedule(secret))
+
     def blackbox(self) -> BlackBox:
-        spec = self.spec
-
-        def fn(public, secret):
-            return spec.element(
-                self.evaluate_ints([int(v) for v in public], [int(x) for x in secret])
-            )
-
-        return BlackBox(spec, self.n_pub, self.n_sec, fn)
+        return _keyed_blackbox(self)
 
     def online_oracle(
         self, key: Sequence[FieldElement] | None = None
     ) -> CountingOracle:
-        key_vals = [int(x) for x in (self.key if key is None else key)]
-        spec = self.spec
-
-        def fn(public):
-            return spec.element(
-                self.evaluate_ints([int(v) for v in public], key_vals)
-            )
-
-        return CountingOracle(fn)
+        return _keyed_oracle(self, self.key if key is None else key)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +401,27 @@ def save_target(path, target) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the sizes a target file may give, as inclusive ranges (see the module
+# docstring)
+PLANTED_SIZES = {
+    "public": (1, 8),
+    "secret": (1, 64),
+    "total-degree": (2, 12),
+    "extra-terms": (0, 10_000),
+}
+TOY_SIZES = {"public": (1, 64), "secret": (1, 64), "rounds": (0, 16), "width": (1, 64)}
+
+
+def _sizes(fields: dict[str, str], ranges: dict[str, tuple[int, int]]) -> dict:
+    sizes = {}
+    for name, (lo, hi) in ranges.items():
+        value = int(fields[name])
+        if not lo <= value <= hi:
+            raise TargetError(f"target {name} {value} is outside {lo}..{hi}")
+        sizes[name] = value
+    return sizes
+
+
 def load_target(path):
     """Rebuild a target bit-identically from its description file."""
     fields: dict[str, str] = {}
@@ -368,22 +440,24 @@ def load_target(path):
         if spec.m != 1:
             raise TargetError("targets are defined over prime fields")
         if kind == "planted":
+            n = _sizes(fields, PLANTED_SIZES)
             return make_planted(
                 spec.p,
-                int(fields["public"]),
-                int(fields["secret"]),
-                int(fields["total-degree"]),
-                int(fields["extra-terms"]),
+                n["public"],
+                n["secret"],
+                n["total-degree"],
+                n["extra-terms"],
                 int(fields["seed"]),
             )
         if kind == "toy-cipher":
+            n = _sizes(fields, TOY_SIZES)
             return ToyCipher(
                 ToyCipherParams(
                     spec.p,
-                    int(fields["rounds"]),
-                    int(fields["width"]),
-                    int(fields["public"]),
-                    int(fields["secret"]),
+                    n["rounds"],
+                    n["width"],
+                    n["public"],
+                    n["secret"],
                     int(fields["seed"]),
                 )
             )

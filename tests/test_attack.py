@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,6 +245,14 @@ def test_candidate_terms_prefer_cheap_grids():
     # precede (2,2) cost 9
     assert pairs.index((1, 3)) < pairs.index((2, 2))
     assert pairs.index((3, 1)) < pairs.index((2, 2))
+
+
+def test_candidate_terms_stop_at_the_largest_total():
+    # 4 publics below p=7 carry at most 24 in total; a larger cap adds nothing
+    assert list(candidate_terms(4, 7, 80)) == list(candidate_terms(4, 7, 24))
+    started = time.perf_counter()
+    assert sum(1 for _ in candidate_terms(4, 7, 10**6)) == 7**4
+    assert time.perf_counter() - started < 1.0
 
 
 # -- preprocessing ----------------------------------------------------------------------

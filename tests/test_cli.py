@@ -365,3 +365,66 @@ def test_verify_quick_passes(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "7", "--sizes", "quick")
     assert code == EXIT_OK
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+# -- key confirmation -------------------------------------------------------------
+
+
+@pytest.fixture
+def toy_records(capsys, tmp_path):
+    cipher = ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3))
+    target_path = tmp_path / "toy.target"
+    save_target(target_path, cipher)
+    records = tmp_path / "records.txt"
+    code, _, _ = run(
+        capsys, "attack-pre", "--target", str(target_path), "--seed", "1",
+        "--out", str(records),
+    )
+    assert code == EXIT_OK
+    return target_path, records, cipher
+
+
+def test_attack_online_confirms_recovered_key(capsys, toy_records):
+    target_path, records, cipher = toy_records
+    code, out, _ = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_OK
+    assert "status=recovered rank=4 online-probes=16" in out
+    assert "key: " + ",".join(str(int(v)) for v in cipher.key) in out
+    assert any(line.startswith("confirmed") for line in out.splitlines())
+
+
+def test_attack_online_refutes_key_from_corrupted_c0(capsys, toy_records):
+    # one wrong constant still gives a full-rank, consistent system: the solve
+    # recovers a wrong key that only the check against the oracle catches
+    target_path, records, cipher = toy_records
+    lines = records.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("record "))
+    parts = lines[idx].split(" ")
+    c0 = next(i for i, p in enumerate(parts) if p.startswith("c0="))
+    parts[c0] = f"c0={(int(parts[c0][3:]) + 1) % 7}"
+    lines[idx] = " ".join(parts)
+    records.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INVARIANT
+    assert "status=recovered" in out
+    assert "key: " + ",".join(str(int(v)) for v in cipher.key) not in out
+    assert any(line.startswith("refuted") for line in out.splitlines())
+    assert "confirmed" not in out
+
+
+def test_attack_pre_rejects_oversized_target(capsys, tmp_path):
+    target_path = tmp_path / "wide.target"
+    target_path.write_text(
+        "kind: toy-cipher\nfield: 7\npublic: 4\nsecret: 4\nrounds: 2\n"
+        "width: 65\nseed: 3\n"
+    )
+    code, out, err = run(
+        capsys, "attack-pre", "--target", str(target_path), "--seed", "1",
+        "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_INPUT and err.startswith("error:") and "width" in err
+    assert not (tmp_path / "r.txt").exists()

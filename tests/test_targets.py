@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gfdelta.attack import online, preprocess
 from gfdelta.field import prime_field
 from gfdelta.poly import interpolate, all_points
 from gfdelta.targets import (
+    PLANTED_SIZES,
+    TOY_SIZES,
     TargetError,
     ToyCipher,
     ToyCipherParams,
@@ -74,7 +77,112 @@ def test_forced_anchor_is_found_by_preprocessing():
     assert outcome.status == "recovered" and outcome.key == target.key
 
 
+@given(
+    p=st.sampled_from([5, 7, 31]),
+    n_pub=st.integers(1, 3),
+    data=st.data(),
+)
+def test_planted_kernel_hoisting_matches_symbolic(p, n_pub, data):
+    # the black box specialises on the secret; every way of handing it one
+    # must still give the symbolic value
+    n_sec = data.draw(st.integers(1, n_pub))  # at least n_sec anchors exist
+    target = make_planted(
+        p,
+        n_pub,
+        n_sec,
+        data.draw(st.integers(2, 5)),
+        data.draw(st.integers(0, 10)),
+        seed=data.draw(st.integers(0, 10**6)),
+    )
+    spec = target.spec
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+
+    def vector(n):
+        return tuple(spec.random_element(rng) for _ in range(n))
+
+    bb = target.blackbox()
+
+    def check(secret):
+        public = vector(n_pub)
+        assert bb.evaluate(public, secret) == target.poly.evaluate(
+            public + tuple(secret)
+        )
+
+    first = vector(n_sec)
+    for _ in range(3):
+        check(first)  # one tuple for several probes, as in a grid
+    second = vector(n_sec)
+    check(second)
+    check(tuple(list(first)))  # equal values, new tuple object
+    as_list = list(second)
+    check(as_list)
+    as_list[0] = as_list[0] + spec.one  # mutated in place between calls
+    check(as_list)
+    check(first)
+
+    oracle = target.online_oracle()
+    for _ in range(3):
+        public = vector(n_pub)
+        assert oracle(public) == bb.evaluate(public, target.key)
+    assert oracle.evaluations == 3
+
+
 # -- toy cipher ---------------------------------------------------------------------
+
+
+def reference_encrypt(cipher, public, secret):
+    """The toy cipher's round function as one straight-line evaluation."""
+    p = cipher.params.p
+    w = cipher.params.width
+    state = [public[i] % p if i < len(public) else 0 for i in range(w)]
+    state = [
+        (s + sum(k * x for k, x in zip(row, secret)) + c) % p
+        for s, row, c in zip(state, cipher.whiten, cipher.whiten_const)
+    ]
+    for mix, keys, consts in zip(
+        cipher.round_mix, cipher.round_key, cipher.round_const
+    ):
+        affine = [
+            (
+                sum(a * s for a, s in zip(row, state))
+                + sum(k * x for k, x in zip(krow, secret))
+                + c
+            )
+            % p
+            for row, krow, c in zip(mix, keys, consts)
+        ]
+        state = [
+            (affine[i] + affine[(i + 1) % w] * affine[(i + 2) % w]) % p
+            for i in range(w)
+        ]
+    return state[0]
+
+
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    rounds=st.integers(0, 3),
+    width=st.integers(1, 5),
+    n_pub=st.integers(1, 6),
+    n_sec=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_toy_cipher_schedule_matches_reference(
+    p, rounds, width, n_pub, n_sec, seed, data
+):
+    cipher = ToyCipher(ToyCipherParams(p, rounds, width, n_pub, n_sec, seed))
+    values = st.integers(0, p - 1)
+    secret = tuple(data.draw(values) for _ in range(n_sec))
+    schedule = cipher._key_schedule(secret)
+    bb = cipher.blackbox()
+    key = tuple(cipher.spec.element(x) for x in secret)
+    for _ in range(3):
+        public = tuple(data.draw(values) for _ in range(n_pub))
+        expected = reference_encrypt(cipher, public, secret)
+        assert cipher._encrypt(public, schedule) == expected
+        assert cipher.evaluate_ints(public, secret) == expected
+        point = tuple(cipher.spec.element(v) for v in public)
+        assert int(bb.evaluate(point, key)) == expected
 
 
 def test_toy_cipher_deterministic_and_keyed():
@@ -170,6 +278,37 @@ def test_target_files_round_trip(tmp_path):
     assert again2.evaluate_ints((1, 2), (3, 4)) == cipher.evaluate_ints(
         (1, 2), (3, 4)
     )
+
+
+@pytest.mark.parametrize(
+    "kind, ranges, lines",
+    [
+        (
+            "planted",
+            PLANTED_SIZES,
+            {"public": 2, "secret": 2, "total-degree": 4, "extra-terms": 4},
+        ),
+        (
+            "toy-cipher",
+            TOY_SIZES,
+            {"public": 2, "secret": 2, "rounds": 1, "width": 3},
+        ),
+    ],
+)
+def test_target_file_sizes_are_bounded(tmp_path, kind, ranges, lines):
+    path = tmp_path / "sized.target"
+
+    def write(sizes):
+        body = "".join(f"{k}: {v}\n" for k, v in sizes.items())
+        path.write_text(f"kind: {kind}\nfield: 5\nseed: 1\n{body}")
+
+    write(lines)
+    load_target(path)
+    for name, (lo, hi) in ranges.items():
+        for value in (lo - 1, hi + 1):
+            write({**lines, name: value})
+            with pytest.raises(TargetError, match=name):
+                load_target(path)
 
 
 def test_target_file_errors(tmp_path):
