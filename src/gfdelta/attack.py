@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combinat import _positive_compositions
 from .diff import DiffPlan, grid_points
@@ -32,6 +33,9 @@ class BudgetExhausted(Exception):
     """Raised internally when the evaluation budget cannot fund the next grid."""
 
 
+GridFn = Callable[[Sequence[tuple[int, ...]], Sequence[int]], list[int]]
+
+
 class BlackBox:
     """Evaluation-only keyed function f(public, secret) over a prime field.
 
@@ -39,9 +43,17 @@ class BlackBox:
     outputs. The counter tracks how many times the function has been
     consulted.
 
-    A superpoly grid presents one secret, as one tuple object, for all of
-    its probes, so a target may specialise its function on the secret and
-    reuse that work across the grid's public points.
+    Two entry points reach it. `evaluate` takes one public point and the
+    secret as field elements and returns a field element. `evaluate_grid`
+    takes a batch of public points and one secret, all as residue tuples,
+    and returns one residue per point; it counts one probe per point. The
+    superpoly oracle sends each term's whole grid through `evaluate_grid`
+    in one call, always as the same tuple object, and the attack charges
+    its budget once per grid, before any of the grid's probes.
+
+    A target may supply `grid`, a kernel with the `evaluate_grid` contract
+    that specialises on the points and then on the secret. Without one,
+    `evaluate_grid` boxes the residues and calls `evaluate` per point.
     """
 
     def __init__(
@@ -50,6 +62,7 @@ class BlackBox:
         n_pub: int,
         n_sec: int,
         fn: Callable[[Sequence[FieldElement], Sequence[FieldElement]], FieldElement],
+        grid: GridFn | None = None,
     ):
         if spec.m != 1:
             raise AttackError("the attack operates over prime fields")
@@ -57,6 +70,7 @@ class BlackBox:
         self.n_pub = n_pub
         self.n_sec = n_sec
         self._fn = fn
+        self._grid = grid
         self.evaluations = 0
 
     def evaluate(
@@ -66,6 +80,20 @@ class BlackBox:
             raise AttackError("input width mismatch")
         self.evaluations += 1
         return self._fn(public, secret)
+
+    def evaluate_grid(
+        self, points: Sequence[tuple[int, ...]], secret: Sequence[int]
+    ) -> list[int]:
+        n_pub = self.n_pub
+        if len(secret) != self.n_sec or any(len(pt) != n_pub for pt in points):
+            raise AttackError("input width mismatch")
+        if self._grid is None:
+            element = self.spec.element
+            boxed = tuple(map(element, secret))
+            probe = self.evaluate
+            return [int(probe(tuple(map(element, pt)), boxed)) for pt in points]
+        self.evaluations += len(points)
+        return self._grid(points, secret)
 
     def reset_counter(self):
         self.evaluations = 0
@@ -96,36 +124,45 @@ class MaxtermRecord:
 # superpoly grids
 
 
+class TermGrid(NamedTuple):
+    """The probe points of a unit-step term, as field elements (for online
+    oracles) and as residues (for `BlackBox.evaluate_grid`), with the
+    folded weights as residues."""
+
+    points: tuple[tuple[FieldElement, ...], ...]
+    residues: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+
+
 @lru_cache(maxsize=1024)
-def _term_grid(
-    spec: FieldSpec, term: Monomial
-) -> tuple[tuple[tuple[FieldElement, ...], int], ...]:
-    """Public probe points and folded weights (as residues) of a unit-step
-    term, with every public variable outside the term at zero."""
+def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
+    """The grid of a unit-step term, with every public variable outside the
+    term at zero."""
     if any(m > spec.p - 1 for m in term):
         raise AttackError("term multiplicities must stay below p")
     plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
-    return tuple(
-        (point, int(weight))
-        for point, weight in grid_points(plan, (spec.zero,) * len(term))
+    entries = grid_points(plan, (spec.zero,) * len(term))
+    points = tuple(point for point, _ in entries)
+    return TermGrid(
+        points,
+        tuple(tuple(int(v) for v in point) for point in points),
+        tuple(int(weight) for _, weight in entries),
     )
 
 
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
-    given secret vector; each call costs prod(m_i + 1) black-box probes,
-    all of them with the same secret object."""
+    given secret residue vector, as a residue; each call sends the term's
+    grid of prod(m_i + 1) points through one `bb.evaluate_grid` call."""
     grid = _term_grid(bb.spec, tuple(term))
-    element = bb.spec.element
-    probe = bb.evaluate
+    points, weights = grid.residues, grid.weights
+    p = bb.spec.p
+    probe = bb.evaluate_grid
 
-    def evaluate(secret: Sequence[FieldElement]) -> FieldElement:
-        total = 0
-        for point, weight in grid:
-            total += weight * int(probe(point, secret))
-        return element(total)
+    def evaluate(secret: Sequence[int]) -> int:
+        return sum(map(operator.mul, weights, probe(points, secret))) % p
 
-    evaluate.grid_size = len(grid)  # type: ignore[attr-defined]
+    evaluate.grid_size = len(weights)  # type: ignore[attr-defined]
     return evaluate
 
 
@@ -149,22 +186,23 @@ def _random_vector(rng, spec, n):
     return tuple(spec.random_element(rng) for _ in range(n))
 
 
-def _linearity_verdict(eval_superpoly, spec, n_sec, trials, rng) -> Verdict:
-    zero_vec = (spec.zero,) * n_sec
-    base = eval_superpoly(zero_vec)
+def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
+    """BLR-style test on residues; draws exactly the `rng.randrange(p)`
+    stream that `FieldSpec.random_element` would."""
+    draw = rng.randrange
+    base = eval_superpoly((0,) * n_sec)
     saw_variation = False
     for _ in range(trials):
-        a = spec.random_element(rng)
-        b = spec.random_element(rng)
-        y = _random_vector(rng, spec, n_sec)
-        z = _random_vector(rng, spec, n_sec)
+        a = draw(p)
+        b = draw(p)
+        y = tuple(draw(p) for _ in range(n_sec))
+        z = tuple(draw(p) for _ in range(n_sec))
         fy = eval_superpoly(y)
         fz = eval_superpoly(z)
-        combo = tuple(a * yi + b * zi for yi, zi in zip(y, z))
-        fc = eval_superpoly(combo)
+        fc = eval_superpoly(tuple((a * yi + b * zi) % p for yi, zi in zip(y, z)))
         if fy != base or fz != base or fc != base:
             saw_variation = True
-        if a * (fy - base) + b * (fz - base) != fc - base:
+        if (a * (fy - base) + b * (fz - base) - (fc - base)) % p:
             return Verdict.NONLINEAR
     return Verdict.LIKELY_LINEAR if saw_variation else Verdict.CONSTANT
 
@@ -185,19 +223,25 @@ def linearity_test(
     if rng is None:
         rng = random.Random(seed)
     oracle = superpoly_oracle(bb, term)
-    return _linearity_verdict(oracle, bb.spec, bb.n_sec, trials, rng)
+    return _linearity_verdict(oracle, bb.spec.p, bb.n_sec, trials, rng)
 
 
-def _linear_form(oracle, spec: FieldSpec, n_sec: int):
-    """c_0 at zero, then c_i from unit vectors: (n_sec + 1) oracle calls."""
-    zero_vec = (spec.zero,) * n_sec
+def _linear_form(oracle, p: int, n_sec: int) -> tuple[int, tuple[int, ...]]:
+    """c_0 at zero, then c_i from unit vectors, as residues: (n_sec + 1)
+    oracle calls."""
+    zero_vec = (0,) * n_sec
     c0 = oracle(zero_vec)
     coeffs = []
     for i in range(n_sec):
         unit = list(zero_vec)
-        unit[i] = spec.one
-        coeffs.append(oracle(tuple(unit)) - c0)
+        unit[i] = 1
+        coeffs.append((oracle(tuple(unit)) - c0) % p)
     return c0, tuple(coeffs)
+
+
+def _record(spec: FieldSpec, term, c0: int, coeffs, used: int) -> MaxtermRecord:
+    element = spec.element
+    return MaxtermRecord(tuple(term), element(c0), tuple(map(element, coeffs)), used)
 
 
 def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
@@ -205,8 +249,8 @@ def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
     (n_sec + 1) grids."""
     oracle = superpoly_oracle(bb, term)
     before = bb.evaluations
-    c0, coeffs = _linear_form(oracle, bb.spec, bb.n_sec)
-    return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
+    c0, coeffs = _linear_form(oracle, bb.spec.p, bb.n_sec)
+    return _record(bb.spec, term, c0, coeffs, bb.evaluations - before)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +323,8 @@ def preprocess(
         trials = default_trials(bb.spec.p)
     if trials < 1:
         raise AttackError("need at least one trial")
+    if max_total_mult < 0:
+        raise AttackError("the largest total multiplicity cannot be negative")
     spec = bb.spec
     rng = random.Random(seed)
     basis: list[list[int]] = []  # reduced rows of the kept records
@@ -293,14 +339,14 @@ def preprocess(
             terms_tried += 1
             before = bb.evaluations
             oracle = _charged_oracle(bb, term, budget)
-            verdict = _linearity_verdict(oracle, spec, bb.n_sec, trials, rng)
+            verdict = _linearity_verdict(oracle, spec.p, bb.n_sec, trials, rng)
             if verdict is not Verdict.LIKELY_LINEAR:
                 continue
-            c0, coeffs = _linear_form(oracle, spec, bb.n_sec)
-            record = MaxtermRecord(term, c0, coeffs, bb.evaluations - before)
-            if not record.usable:
+            c0, coeffs = _linear_form(oracle, spec.p, bb.n_sec)
+            if not any(coeffs):
                 continue
-            rows, pivots = row_reduce(basis + [[int(v) for v in coeffs]], spec.p)
+            record = _record(spec, term, c0, coeffs, bb.evaluations - before)
+            rows, pivots = row_reduce(basis + [list(coeffs)], spec.p)
             if len(pivots) > len(basis):
                 basis = rows[: len(pivots)]
                 records.append(record)
@@ -396,8 +442,9 @@ def online(
         return OnlineResult("empty", None, {}, 0, "no records supplied")
     system = LinearSystem(spec)
     for record in records:
+        grid = _term_grid(spec, record.term)
         rhs = 0
-        for point, weight in _term_grid(spec, record.term):
+        for point, weight in zip(grid.points, grid.weights):
             rhs += weight * int(oracle(point))
         system.add_row(record.c, spec.element(rhs) - record.c0)
     result = gaussian_solve(system)
@@ -509,8 +556,29 @@ def save_records(
         fh.write("\n".join(lines) + "\n")
 
 
-def load_records(path):
-    """Returns (records, meta) with meta holding field/public/secret/seed."""
+# header line key -> meta key
+_HEADER = {"field": "spec", "public": "n_pub", "secret": "n_sec"}
+
+
+def _check_header(meta, expected) -> None:
+    found = (meta.get("spec"), meta.get("n_pub"), meta.get("n_sec"))
+    if found != tuple(expected):
+        spec, n_pub, n_sec = found
+        want_spec, want_pub, want_sec = expected
+        raise AttackError(
+            f"record header (field, public, secret) = "
+            f"({spec.text if spec else None}, {n_pub}, {n_sec}) does not match "
+            f"the target's ({want_spec.text}, {want_pub}, {want_sec})"
+        )
+
+
+def load_records(path, expected=None):
+    """Returns (records, meta) with meta holding field/public/secret/seed.
+
+    With `expected` = (spec, n_pub, n_sec) of a target, a header that
+    differs raises AttackError as soon as the header is complete, before
+    any record line is parsed, and so does a file whose header never
+    completes."""
     meta: dict[str, object] = {}
     records: list[MaxtermRecord] = []
     with open(path) as fh:
@@ -522,14 +590,12 @@ def load_records(path):
                 if line.startswith("# seed:"):
                     meta["seed"] = int(line.split(":", 1)[1])
                 continue
-            if line.startswith("field:"):
-                meta["spec"] = parse_field_spec(line.split(":", 1)[1])
-                continue
-            if line.startswith("public:"):
-                meta["n_pub"] = int(line.split(":", 1)[1])
-                continue
-            if line.startswith("secret:"):
-                meta["n_sec"] = int(line.split(":", 1)[1])
+            key, sep, value = line.partition(":")
+            if sep and key in _HEADER:
+                name = _HEADER[key]
+                meta[name] = parse_field_spec(value) if key == "field" else int(value)
+                if expected is not None and all(n in meta for n in _HEADER.values()):
+                    _check_header(meta, expected)
                 continue
             match = _RECORD_RE.match(line)
             if not match:
@@ -551,4 +617,6 @@ def load_records(path):
             records.append(MaxtermRecord(term, c0, cvec, int(match.group(4))))
     if "spec" not in meta:
         raise AttackError("record file missing field header")
+    if expected is not None:
+        _check_header(meta, expected)
     return records, meta

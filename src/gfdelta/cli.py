@@ -136,14 +136,9 @@ def cmd_attack_pre(args) -> int:
 
 def cmd_attack_online(args) -> int:
     target = targets.load_target(args.target)
-    records, meta = attack.load_records(args.records)
-    spec, n_pub, n_sec = meta["spec"], meta.get("n_pub"), meta.get("n_sec")
-    if (spec, n_pub, n_sec) != (target.spec, target.n_pub, target.n_sec):
-        raise attack.AttackError(
-            f"record header (field, public, secret) = ({spec.text}, {n_pub}, "
-            f"{n_sec}) does not match the target's ({target.spec.text}, "
-            f"{target.n_pub}, {target.n_sec})"
-        )
+    records, _meta = attack.load_records(
+        args.records, expected=(target.spec, target.n_pub, target.n_sec)
+    )
     oracle = target.online_oracle()
     outcome = attack.online(oracle, records, target.spec, target.n_sec)
     print(

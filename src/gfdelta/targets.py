@@ -7,9 +7,23 @@ keyed map (affine layer, key injection, one quadratic mixing step per round)
 used for integration testing, not for cryptographic claims.
 
 Both kinds expose `spec`, `n_pub`, `n_sec`, `key`, `blackbox()`,
-`online_oracle()` and `suggested_max_multiplicity`. Their kernels come in a
-secret stage and a public stage: `blackbox()` redoes the secret stage only
-when the secret changes, and `online_oracle()` does it once for its key.
+`online_oracle()` and `suggested_max_multiplicity`. Their kernels run in
+three stages, each fixing one more input:
+
+1. grid (`_on_grid`): a batch of public points, as `BlackBox.evaluate_grid`
+   receives it. The planted kernel keeps only the public monomials that are
+   nonzero at some point of the batch and tabulates their values per point;
+   the toy cipher has nothing to fix here. `blackbox()` redoes this stage
+   only when the batch changes, which a superpoly grid never does across a
+   term's calls.
+2. secret (`_at_secret`, or the function `_on_grid` returns): the planted
+   kernel folds each public monomial's terms into one coefficient mod p,
+   over the live monomials only on the grid path; the toy cipher runs its
+   key schedule. The grid path runs it once per grid, the per-point
+   `evaluate` once per change of secret, and `online_oracle()` once for its
+   key.
+3. public: the planted kernel sums coefficient times monomial value, and
+   the toy cipher encrypts, once per point.
 
 `load_target` accepts these sizes from a description file and rejects any
 other value with `TargetError` before building anything:
@@ -27,6 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .attack import BlackBox
@@ -52,12 +67,20 @@ class CountingOracle:
 
 
 def _keyed_blackbox(target) -> BlackBox:
-    """Black box over `target._at_secret(secret ints) -> public kernel`,
-    which is called again only when the secret changes: a tuple seen last
-    time is recognised by identity, any other sequence by its values."""
+    """Black box over the target's staged kernels.
+
+    Per point: `target._at_secret(secret ints) -> public kernel`, called
+    again only when the secret changes; a tuple seen last time is
+    recognised by identity, any other sequence by its values.
+
+    Per grid: `target._on_grid(points) -> secret stage -> residue per
+    point`, called again only when the points change; a tuple of tuples
+    seen last time is recognised by identity, any other batch is
+    specialised afresh."""
     element = target.spec.element
     specialise = target._at_secret
     last_secret = last_vals = kernel = None
+    last_points = at_secret = None
 
     def fn(public, secret):
         nonlocal last_secret, last_vals, kernel
@@ -69,7 +92,15 @@ def _keyed_blackbox(target) -> BlackBox:
             last_secret = secret if type(secret) is tuple else None
         return element(kernel([int(v) for v in public]))
 
-    return BlackBox(target.spec, target.n_pub, target.n_sec, fn)
+    def grid(points, secret):
+        nonlocal last_points, at_secret
+        if points is not last_points:
+            at_secret = target._on_grid(points)
+            frozen = type(points) is tuple and all(type(pt) is tuple for pt in points)
+            last_points = points if frozen else None
+        return at_secret(secret)
+
+    return BlackBox(target.spec, target.n_pub, target.n_sec, fn, grid)
 
 
 def _keyed_oracle(target, key) -> CountingOracle:
@@ -142,16 +173,7 @@ class PlantedTarget:
         p = self.spec.p
         folded = []
         for pub_factors, parts in self._groups:
-            coeff = 0
-            for c, factors in parts:
-                for j, e in factors:
-                    x = secret[j]
-                    if x == 0:
-                        c = 0
-                        break
-                    c = c * x if e == 1 else c * pow(x, e, p)
-                coeff += c
-            coeff %= p
+            coeff = _fold(parts, secret, p)
             if coeff:
                 folded.append((coeff, pub_factors))
 
@@ -170,11 +192,54 @@ class PlantedTarget:
 
         return evaluate
 
+    def _on_grid(self, points: Sequence[Sequence[int]]):
+        """Fixes a batch of public points: keeps the public monomials that
+        are nonzero at some point, tabulates their values per point, and
+        returns the secret stage, which folds only those monomials' terms
+        and returns one residue per point."""
+        p = self.spec.p
+        live, columns = [], []
+        for pub_factors, parts in self._groups:
+            column = []
+            for point in points:
+                value = 1
+                for i, e in pub_factors:
+                    value = value * pow(point[i], e, p) % p
+                    if not value:
+                        break
+                column.append(value)
+            if any(column):
+                live.append(parts)
+                columns.append(column)
+        # per point, the live monomials' values
+        rows = list(zip(*columns)) if columns else [()] * len(points)
+
+        def at_secret(secret: Sequence[int]) -> list[int]:
+            coeffs = [_fold(parts, secret, p) for parts in live]
+            return [sum(map(mul, coeffs, row)) % p for row in rows]
+
+        return at_secret
+
     def blackbox(self) -> BlackBox:
         return _keyed_blackbox(self)
 
     def online_oracle(self) -> CountingOracle:
         return _keyed_oracle(self, self.key)
+
+
+def _fold(parts, secret: Sequence[int], p: int) -> int:
+    """One public monomial's coefficient at a secret: its terms
+    (coeff, secret factors) summed mod p."""
+    coeff = 0
+    for c, factors in parts:
+        for j, e in factors:
+            x = secret[j]
+            if x == 0:
+                c = 0
+                break
+            c = c * x if e == 1 else c * pow(x, e, p)
+        coeff += c
+    return coeff % p
 
 
 def _public_monomials(n_pub: int, n: int, degree: int, cap: int):
@@ -353,6 +418,17 @@ class ToyCipher:
     def _at_secret(self, secret: Sequence[int]):
         schedule = self._key_schedule(secret)
         return lambda public: self._encrypt(public, schedule)
+
+    def _on_grid(self, points: Sequence[Sequence[int]]):
+        """A batch of public points: the secret stage runs the key schedule
+        once, then encrypts each point."""
+        encrypt = self._encrypt
+
+        def at_secret(secret: Sequence[int]) -> list[int]:
+            schedule = self._key_schedule(secret)
+            return [encrypt(point, schedule) for point in points]
+
+        return at_secret
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
         return self._encrypt(public, self._key_schedule(secret))

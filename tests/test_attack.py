@@ -103,6 +103,28 @@ def test_attack_grids_match_symbolic_route(data):
     assert outcome.key == (expected,)
 
 
+@given(st.data())
+def test_grid_fallback_loops_the_per_point_box(data):
+    # a box built from a per-point function alone answers grids point by point
+    spec = prime_field(data.draw(st.sampled_from([5, 7, 31])))
+    n_pub = data.draw(st.integers(1, 3))
+    n_sec = data.draw(st.integers(1, 3))
+    f = random_poly(spec, n_pub + n_sec, 5, data.draw(st.integers(1, 8)),
+                    seed=data.draw(st.integers(0, 10**6)))
+    bb = poly_blackbox(f, n_pub, n_sec)
+    residue = st.integers(0, spec.p - 1)
+    points = data.draw(
+        st.lists(st.tuples(*[residue] * n_pub), min_size=1, max_size=6).map(tuple)
+    )
+    secret = tuple(data.draw(residue) for _ in range(n_sec))
+    got = bb.evaluate_grid(points, secret)
+    assert bb.evaluations == len(points)
+    assert got == [int(bb.evaluate(pt, secret)) for pt in points]
+    assert got == [int(f.evaluate(pt + secret)) for pt in points]
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(points + ((0,) * (n_pub + 1),), secret)
+
+
 # -- linearity testing -------------------------------------------------------------
 
 
@@ -160,6 +182,50 @@ def test_linearity_never_rejects_affine_superpolys(rng):
                 mono[n_pub + j] = 1
                 assert record.c[j] == sup.coefficient(tuple(mono))
             assert record.c0 == sup.coefficient((0,) * (n_pub + n_sec))
+
+
+def reference_linearity_verdict(eval_superpoly, spec, n_sec, trials, rng):
+    """The linearity test as it ran on field elements, straight-line."""
+    zero_vec = (spec.zero,) * n_sec
+    base = eval_superpoly(zero_vec)
+    saw_variation = False
+    for _ in range(trials):
+        a = spec.random_element(rng)
+        b = spec.random_element(rng)
+        y = tuple(spec.random_element(rng) for _ in range(n_sec))
+        z = tuple(spec.random_element(rng) for _ in range(n_sec))
+        fy = eval_superpoly(y)
+        fz = eval_superpoly(z)
+        combo = tuple(a * yi + b * zi for yi, zi in zip(y, z))
+        fc = eval_superpoly(combo)
+        if fy != base or fz != base or fc != base:
+            saw_variation = True
+        if a * (fy - base) + b * (fz - base) != fc - base:
+            return Verdict.NONLINEAR
+    return Verdict.LIKELY_LINEAR if saw_variation else Verdict.CONSTANT
+
+
+@given(st.data())
+def test_integer_linearity_test_keeps_the_rng_stream(data):
+    # the residue form draws the same stream and reaches the same verdict
+    spec = prime_field(data.draw(st.sampled_from([3, 5, 7, 31])))
+    n_pub = data.draw(st.integers(1, 2))
+    n_sec = data.draw(st.integers(1, 3))
+    f = random_poly(spec, n_pub + n_sec, data.draw(st.integers(1, 5)),
+                    data.draw(st.integers(1, 8)),
+                    seed=data.draw(st.integers(0, 10**6)))
+    term = tuple(data.draw(st.integers(0, min(2, spec.p - 1))) for _ in range(n_pub))
+    trials = data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 10**6))
+    sup = superpoly_symbolic(f, term, n_pub)
+    publics = (spec.zero,) * n_pub
+    ours, theirs = random.Random(seed), random.Random(seed)
+    verdict = linearity_test(poly_blackbox(f, n_pub, n_sec), term, trials, rng=ours)
+    expected = reference_linearity_verdict(
+        lambda s: sup.evaluate(publics + s), spec, n_sec, trials, theirs
+    )
+    assert verdict is expected
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_margin_terms_always_linear_or_constant(rng):

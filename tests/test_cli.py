@@ -428,3 +428,38 @@ def test_attack_pre_rejects_oversized_target(capsys, tmp_path):
     )
     assert code == EXIT_INPUT and err.startswith("error:") and "width" in err
     assert not (tmp_path / "r.txt").exists()
+
+
+# -- input checks before any probe or record line --------------------------------
+
+
+def test_attack_pre_rejects_negative_max_mult(capsys, tmp_path):
+    target_path = tmp_path / "toy.target"
+    save_target(target_path, ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3)))
+    out_path = tmp_path / "r.txt"
+    code, out, err = run(
+        capsys, "attack-pre", "--target", str(target_path), "--max-mult", "-3",
+        "--seed", "1", "--out", str(out_path),
+    )
+    assert code == EXIT_INPUT and err.startswith("error:")
+    assert "status=" not in out
+    assert not out_path.exists()
+
+
+def test_attack_online_checks_the_header_before_record_lines(
+    capsys, tmp_path, planted_file
+):
+    # the header names one more public variable than the target has; the
+    # record line after it cannot be parsed, and must never be reached
+    target_path, target = planted_file
+    records = tmp_path / "records.txt"
+    records.write_text(
+        f"field: {target.spec.text}\npublic: {target.n_pub + 1}\n"
+        f"secret: {target.n_sec}\nrecord term=?? c0=x c=y evals=z\n"
+    )
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT and "status=" not in out
+    assert err.startswith("error:") and "does not match the target's" in err
+    assert "cannot parse" not in err

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.attack import online, preprocess
+from gfdelta.attack import _term_grid, online, preprocess
 from gfdelta.field import prime_field
 from gfdelta.poly import interpolate, all_points
 from gfdelta.targets import (
@@ -258,6 +258,72 @@ def test_toy_cipher_blackbox_helper():
         for pub in [(spec.one, spec.zero), (spec.element(4), spec.element(2))]:
             value = cipher.blackbox().evaluate(pub, key)
             assert value == cipher.online_oracle(key)(pub)
+
+
+# -- the grid path ------------------------------------------------------------------
+
+
+def _grid_target(data):
+    """A small planted target (p in {5, 7, 31}) or toy cipher."""
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from([5, 7, 31]))
+        n_pub = data.draw(st.integers(1, 3))
+        return make_planted(
+            p,
+            n_pub,
+            data.draw(st.integers(1, n_pub)),
+            data.draw(st.integers(2, 5)),
+            data.draw(st.integers(0, 10)),
+            seed=data.draw(st.integers(0, 10**6)),
+        )
+    return ToyCipher(
+        ToyCipherParams(
+            data.draw(st.sampled_from([5, 7])),
+            data.draw(st.integers(0, 2)),
+            data.draw(st.integers(1, 4)),
+            data.draw(st.integers(1, 3)),
+            data.draw(st.integers(1, 3)),
+            data.draw(st.integers(0, 10**6)),
+        )
+    )
+
+
+def check_grid(bb, points, secret):
+    """One grid call equals the per-point route and counts one probe a point."""
+    before = bb.evaluations
+    got = bb.evaluate_grid(points, secret)
+    assert bb.evaluations == before + len(points)
+    assert got == [int(bb.evaluate(pt, secret)) for pt in points]
+
+
+@given(st.data())
+def test_grid_kernel_matches_per_point_evaluation(data):
+    target = _grid_target(data)
+    p, n_pub, n_sec = target.spec.p, target.n_pub, target.n_sec
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+
+    def vector(n, lo=0):
+        return tuple(rng.randrange(lo, p) for _ in range(n))
+
+    bb = target.blackbox()
+    # a superpoly grid: the publics outside the term are zero everywhere
+    term = tuple(data.draw(st.integers(0, min(3, p - 1))) for _ in range(n_pub))
+    term_points = _term_grid(target.spec, term).residues
+    for _ in range(2):
+        check_grid(bb, term_points, vector(n_sec))
+    # every public nonzero somewhere
+    dense = tuple(vector(n_pub) for _ in range(rng.randrange(4))) + (vector(n_pub, 1),)
+    check_grid(bb, dense, vector(n_sec))
+    # one points object with fresh secrets, then an equal new tuple
+    for _ in range(3):
+        check_grid(bb, term_points, vector(n_sec))
+    check_grid(bb, tuple(tuple(pt) for pt in term_points), vector(n_sec))
+    # one tuple of lists, mutated in place between calls
+    batch = tuple(list(pt) for pt in dense)
+    check_grid(bb, batch, vector(n_sec))
+    batch[-1][0] = 0
+    check_grid(bb, batch, vector(n_sec))
+    check_grid(bb, term_points, vector(n_sec))
 
 
 # -- description files ----------------------------------------------------------------
