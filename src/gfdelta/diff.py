@@ -125,8 +125,8 @@ def basis_step_sequence(spec: FieldSpec, count: int) -> tuple[FieldElement, ...]
     basis = basis_elements(spec)
     seq = []
     for b in basis:
-        seq.extend([b] * (spec.p - 1))
-    return tuple(seq[:count])
+        seq.extend([b] * min(spec.p - 1, count - len(seq)))
+    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------

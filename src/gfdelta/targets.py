@@ -13,17 +13,19 @@ three stages, each fixing one more input:
 1. grid (`_on_grid`): a batch of public points, as `BlackBox.evaluate_grid`
    receives it. The planted kernel keeps only the public monomials that are
    nonzero at some point of the batch and tabulates their values per point;
-   the toy cipher has nothing to fix here. `blackbox()` redoes this stage
-   only when the batch changes, which a superpoly grid never does across a
-   term's calls.
+   the toy cipher tabulates its first round's mix of each point's publics,
+   which whitening leaves free of the secret. `blackbox()` redoes this
+   stage only when the batch changes, which a superpoly grid never does
+   across a term's calls.
 2. secret (`_at_secret`, or the function `_on_grid` returns): the planted
    kernel folds each public monomial's terms into one coefficient mod p,
    over the live monomials only on the grid path; the toy cipher runs its
-   key schedule. The grid path runs it once per grid, the per-point
-   `evaluate` once per change of secret, and `online_oracle()` once for its
-   key.
+   key schedule and folds the whitening into the first round's constant.
+   The grid path runs it once per grid, the per-point `evaluate` once per
+   change of secret, and `online_oracle()` once for its key.
 3. public: the planted kernel sums coefficient times monomial value, and
-   the toy cipher encrypts, once per point.
+   the toy cipher runs its round function from the tabulated first round,
+   once per point (the per-point path tabulates that one point first).
 
 `load_target` accepts these sizes from a description file and rejects any
 other value with `TargetError` before building anything:
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
+from operator import add, mul
 from typing import Sequence
 
 from .attack import BlackBox
@@ -356,6 +359,25 @@ class ToyCipher:
             self.spec.element(rng.randrange(p)) for _ in range(params.n_sec)
         )
 
+    # kernel tables, built on first use so that loading a target does not
+    # pay for them
+
+    @cached_property
+    def _quad(self) -> list[tuple[int, int, int]]:
+        """Output i of the quadratic step reads affine taps i, i+1 and i+2."""
+        w = self.params.width
+        return [(i, (i + 1) % w, (i + 2) % w) for i in range(w)]
+
+    @cached_property
+    def _layers(self) -> list:
+        """The rounds as the kernel runs them, (mix, key, const) rows; the
+        last keeps only the taps of output 0, the one output returned."""
+        layers = list(zip(self.round_mix, self.round_key, self.round_const))
+        if layers:
+            taps = self._quad[0]
+            layers[-1] = [[rows[t] for t in taps] for rows in layers[-1]]
+        return layers
+
     def _key_matrix(self, rng, w, n_sec, ensure_row0=False):
         p = self.params.p
         while True:
@@ -376,59 +398,73 @@ class ToyCipher:
         return max(2**self.params.rounds, 1)
 
     def _key_schedule(self, secret: Sequence[int]):
-        """The secret-only part of an encryption: the whitening layer and,
-        per round, the mix matrix with key injection plus constant."""
+        """The secret-only part of an encryption: the first round's constant
+        mix_1 * whiten + inject_1 (the whitening layer itself at zero
+        rounds), and each later round's mix matrix with its key injection
+        plus constant."""
         p = self.params.p
 
         def inject(key_rows, consts):
             return [
-                (sum(k * x for k, x in zip(row, secret)) + c) % p
+                (sum(map(mul, row, secret)) + c) % p
                 for row, c in zip(key_rows, consts)
             ]
 
-        return (
-            inject(self.whiten, self.whiten_const),
-            [
-                (mix, inject(keys, consts))
-                for mix, keys, consts in zip(
-                    self.round_mix, self.round_key, self.round_const
-                )
-            ],
-        )
+        first = inject(self.whiten, self.whiten_const)
+        later = [(mix, inject(keys, consts)) for mix, keys, consts in self._layers]
+        if later:
+            mix, key = later.pop(0)
+            first = [
+                (sum(map(mul, row, first)) + k) % p for row, k in zip(mix, key)
+            ]
+        return first, later
+
+    def _tabulate(self, public: Sequence[int]) -> list[int]:
+        """The secret-free part of the first round at one public point:
+        mix_1 times the publics loaded into the state (zero-padded, cut at
+        the width), or the loaded state itself at zero rounds. Whitening
+        only adds a constant before mix_1, so the secret never enters."""
+        w = self.params.width
+        state = list(public[:w])
+        state += [0] * (w - len(state))
+        if not self._layers:
+            return state
+        return [sum(map(mul, row, state)) for row in self._layers[0][0]]
+
+    def _rounds(self, rows: Sequence[Sequence[int]], schedule) -> list[int]:
+        """The round function, from tabulated first rounds to one output
+        per row: add the first round's constant, then alternate the
+        quadratic step with each later round's affine layer, reducing mod p
+        once per round; the last layer holds output 0's three taps only."""
+        first, later = schedule
+        p = self.params.p
+        if not self._layers:
+            c = first[0]
+            return [(row[0] + c) % p for row in rows]
+        quad = self._quad
+        out = []
+        for row in rows:
+            a = list(map(add, row, first))
+            for mix, inject in later:
+                state = [(a[i] + a[j] * a[k]) % p for i, j, k in quad]
+                a = [sum(map(mul, r, state)) + c for r, c in zip(mix, inject)]
+            out.append((a[0] + a[1] * a[2]) % p)
+        return out
 
     def _encrypt(self, public: Sequence[int], schedule) -> int:
-        p = self.params.p
-        w = self.params.width
-        whiten, rounds = schedule
-        state = [
-            ((public[i] if i < len(public) else 0) + k) % p
-            for i, k in enumerate(whiten)
-        ]
-        for mix, inject in rounds:
-            affine = [
-                (sum(a * s for a, s in zip(row, state)) + k) % p
-                for row, k in zip(mix, inject)
-            ]
-            state = [
-                (affine[i] + affine[(i + 1) % w] * affine[(i + 2) % w]) % p
-                for i in range(w)
-            ]
-        return state[0]
+        return self._rounds([self._tabulate(public)], schedule)[0]
 
     def _at_secret(self, secret: Sequence[int]):
         schedule = self._key_schedule(secret)
         return lambda public: self._encrypt(public, schedule)
 
     def _on_grid(self, points: Sequence[Sequence[int]]):
-        """A batch of public points: the secret stage runs the key schedule
-        once, then encrypts each point."""
-        encrypt = self._encrypt
-
-        def at_secret(secret: Sequence[int]) -> list[int]:
-            schedule = self._key_schedule(secret)
-            return [encrypt(point, schedule) for point in points]
-
-        return at_secret
+        """A batch of public points: tabulates each point's first round
+        once; the secret stage runs the key schedule, then the round
+        function over the tabulated rows."""
+        rows = [self._tabulate(point) for point in points]
+        rounds, schedule = self._rounds, self._key_schedule
+        return lambda secret: rounds(rows, schedule(secret))
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
         return self._encrypt(public, self._key_schedule(secret))

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from gfdelta.cli import (
     EXIT_INCOMPLETE,
@@ -7,7 +12,13 @@ from gfdelta.cli import (
     EXIT_OK,
     main,
 )
-from gfdelta.targets import ToyCipher, ToyCipherParams, make_planted, save_target
+from gfdelta.targets import (
+    TOY_SIZES,
+    ToyCipher,
+    ToyCipherParams,
+    make_planted,
+    save_target,
+)
 
 
 def run(capsys, *argv):
@@ -463,3 +474,78 @@ def test_attack_online_checks_the_header_before_record_lines(
     assert code == EXIT_INPUT and "status=" not in out
     assert err.startswith("error:") and "does not match the target's" in err
     assert "cannot parse" not in err
+
+
+# -- malformed target and record files ----------------------------------------------
+
+# what a mutated value becomes: small, negative, huge, empty and non-numeric
+# tokens (`int` reads "1_0" and the Arabic-Indic digit three)
+TOKENS = (
+    "0", "1", "2", "4", "-1", "-7", str(10**30), str(2**61 - 1),
+    "", "x", "1.5", "0x1f", "nan", "1_0", "\u0663",
+)
+# a size field takes only small in-range values, or values outside its
+# range and garbage, so that no example builds a large target
+SIZE_TOKENS = ("0", "1", "2", "3", "-1", "65", str(10**30), "", "x", "1.5")
+# the separators a line splits into tokens at: "key: value", "term=x1^2*x3",
+# "c=1,2"
+_SEPARATORS = re.compile(r"([\s=:,*^]+)")
+
+
+@pytest.fixture(scope="module")
+def valid_toy_files(tmp_path_factory):
+    """A small toy target file, the record file `attack-pre` writes for it,
+    and a directory for the mutated copies."""
+    work = tmp_path_factory.mktemp("fuzz")
+    target_path = work / "valid.target"
+    save_target(target_path, ToyCipher(ToyCipherParams(5, 1, 3, 2, 2, 3)))
+    records = work / "valid.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(
+            ["attack-pre", "--target", str(target_path), "--seed", "11",
+             "--out", str(records)]
+        )
+    assert code == EXIT_OK
+    return target_path.read_text(), records.read_text(), work
+
+
+def _mutate(data, text):
+    """Drops, duplicates, swaps or retokenises up to three lines."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = _SEPARATORS.split(lines[i])
+            k = data.draw(st.sampled_from(range(0, len(parts), 2)))
+            pool = SIZE_TOKENS if parts[0] in TOY_SIZES else TOKENS
+            parts[k] = data.draw(st.sampled_from(pool))
+            lines[i] = "".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.data())
+def test_malformed_files_map_to_exit_codes(valid_toy_files, data):
+    target_text, records_text, work = valid_toy_files
+    target_path, records = work / "fuzzed.target", work / "fuzzed.txt"
+    target_path.write_text(_mutate(data, target_text))
+    records.write_text(_mutate(data, records_text))
+    runs = [
+        ["attack-pre", "--target", str(target_path), "--budget", "2000",
+         "--seed", "1", "--out", str(work / "pre.txt")],
+        ["attack-online", "--target", str(target_path), "--records", str(records)],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        codes = [main(argv) for argv in runs]
+    assert set(codes) <= {EXIT_OK, EXIT_INPUT, EXIT_INCOMPLETE, EXIT_INVARIANT}

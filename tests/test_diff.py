@@ -305,6 +305,9 @@ def test_basis_step_sequence_examples():
     assert basis_step_sequence(GF9, 4) == (GF9.one, GF9.one, a9, a9)
     assert basis_step_sequence(GF4, 2) == (GF4.one, GF4.generator)
     assert basis_step_sequence(GF31, 7) == (GF31.one,) * 7
+    # only the entries asked for are built, never p - 1 of them
+    big = prime_field(2**61 - 1)
+    assert basis_step_sequence(big, 2) == (big.one, big.one)
     with pytest.raises(DiffError):
         basis_step_sequence(GF9, 5)
 

@@ -32,6 +32,14 @@ DATA = Path(__file__).parent / "data"
             871,
             14,
         ),
+        (
+            # the benchmark's toy shape: two rounds past the tabulated one
+            "records_toy_p7_r3.txt",
+            lambda: ToyCipher(ToyCipherParams(7, 3, 4, 4, 4, 0)),
+            0,
+            17307,
+            214,
+        ),
     ],
 )
 def test_records_match_golden(tmp_path, name, build, seed, evaluations, terms_tried):

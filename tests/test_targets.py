@@ -159,7 +159,8 @@ def reference_encrypt(cipher, public, secret):
 
 
 @given(
-    p=st.sampled_from([3, 5, 7]),
+    # the reference reduces after every step, the kernel once per round
+    p=st.sampled_from([3, 5, 7, 2**61 - 1]),
     rounds=st.integers(0, 3),
     width=st.integers(1, 5),
     n_pub=st.integers(1, 6),
@@ -264,7 +265,9 @@ def test_toy_cipher_blackbox_helper():
 
 
 def _grid_target(data):
-    """A small planted target (p in {5, 7, 31}) or toy cipher."""
+    """A small planted target (p in {5, 7, 31}) or toy cipher (p in {5, 7,
+    2^61 - 1}, up to the benchmark's 3 rounds, widths below and above the
+    public count)."""
     if data.draw(st.booleans()):
         p = data.draw(st.sampled_from([5, 7, 31]))
         n_pub = data.draw(st.integers(1, 3))
@@ -278,9 +281,9 @@ def _grid_target(data):
         )
     return ToyCipher(
         ToyCipherParams(
-            data.draw(st.sampled_from([5, 7])),
-            data.draw(st.integers(0, 2)),
-            data.draw(st.integers(1, 4)),
+            data.draw(st.sampled_from([5, 7, 2**61 - 1])),
+            data.draw(st.integers(0, 3)),
+            data.draw(st.integers(1, 5)),
             data.draw(st.integers(1, 3)),
             data.draw(st.integers(1, 3)),
             data.draw(st.integers(0, 10**6)),
