@@ -144,30 +144,34 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
     return _shift(f, a) - f
 
 
+@lru_cache(maxsize=1024)
+def _binomial_row(e: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (j, C(e, j) mod p) with a nonzero binomial, by Lucas."""
+    return tuple((j, w) for j in range(e + 1) if (w := binomial_mod(e, j, p)))
+
+
 def _shift(f: MultiPoly, a: list[FieldElement]) -> MultiPoly:
     spec = f.spec
     p = spec.p
     moving = [i for i, ai in enumerate(a) if ai]
     out: dict[Monomial, FieldElement] = {}
-    pow_cache: dict[tuple[int, int], FieldElement] = {}
+    # (x_i + a_i)^e = sum over j of C(e, j) a_i^(e-j) x_i^j, one row per (i, e)
+    rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
     for mono, coeff in f._terms.items():
         partial: dict[tuple[int, ...], FieldElement] = {(): coeff}
         active = [i for i in moving if mono[i]]
         for i in active:
             e = mono[i]
-            ai = a[i]
+            row = rows.get((i, e))
+            if row is None:
+                ai = a[i]
+                row = rows[(i, e)] = [
+                    (j, spec.element(w) * ai ** (e - j)) for j, w in _binomial_row(e, p)
+                ]
             expanded: dict[tuple[int, ...], FieldElement] = {}
             for key, c in partial.items():
-                for j in range(e + 1):
-                    w = binomial_mod(e, j, p)
-                    if w == 0:
-                        continue
+                for j, w in row:
                     c2 = c * w
-                    if j < e:
-                        pw = pow_cache.get((i, e - j))
-                        if pw is None:
-                            pw = pow_cache[(i, e - j)] = ai ** (e - j)
-                        c2 = c2 * pw
                     k2 = key + (j,)
                     prev = expanded.get(k2)
                     prev = c2 if prev is None else prev + c2

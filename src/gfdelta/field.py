@@ -2,8 +2,19 @@
 
 Extension elements are length-m coordinate vectors over GF(p) in the basis
 1, a, ..., a^(m-1), where a is a root of a monic irreducible modulus.
+
+An extension field of order at most LOG_TABLE_LIMIT multiplies, raises to
+powers and inverts through discrete-log tables over a primitive element:
+`log` maps coordinates to exponents and `exp` maps exponents back, stored
+twice over so that no lookup reduces an index. The tables are built on the
+first multiply, power or inverse, never at construction. Larger extension
+fields multiply by convolution and invert by extended Euclid; prime fields
+use integer arithmetic throughout.
+
 Specs and elements are immutable after construction and safe to share
-between any number of threads.
+between any number of threads. A spec's tables are built into locals and
+published in one attribute assignment, so a thread sees either no tables or
+complete ones; two threads that race to build them publish equal tables.
 """
 
 from __future__ import annotations
@@ -15,6 +26,10 @@ from typing import Iterator, Sequence
 
 class FieldError(ValueError):
     """Bad field construction, or an operation across mismatched fields."""
+
+
+# Extension fields of at most this order get discrete-log tables.
+LOG_TABLE_LIMIT = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +141,17 @@ def _pxgcd(a, b, p):
         u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
         v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
     return r0, u0, v0
+
+
+def _coords_pow(mul, one: tuple, a: tuple, e: int) -> tuple:
+    """a^e for e >= 0 by square-and-multiply under the coordinate product mul."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        a = mul(a, a)
+        e >>= 1
+    return acc
 
 
 def _small_prime_factors(n: int) -> list[int]:
@@ -255,6 +281,13 @@ class FieldSpec:
     def _inv_coords(self, a: tuple) -> tuple:
         raise NotImplementedError
 
+    def _pow_coords(self, a: tuple, e: int) -> tuple:
+        """a^e for a nonzero a and any integer e."""
+        if e < 0:
+            a = self._inv_coords(a)
+            e = -e
+        return _coords_pow(self._mul_coords, self._one.coeffs, a, e)
+
     def format_element(self, el: "FieldElement") -> str:
         """Render in the basis generator syntax: '2*a+1', 'a^2', '7', '0'."""
         if self.m == 1:
@@ -311,6 +344,13 @@ class ExtFieldSpec(FieldSpec):
 
     The modulus is given most-significant coefficient first, matching the
     textual form 'p^m/c_m,...,c_0' (so (1, 2, 2) over p=3 is x^2+2x+2).
+
+    Up to order LOG_TABLE_LIMIT, products, powers and inverses are lookups
+    in discrete-log tables over a primitive element, found by its order
+    (the basis generator a need not be primitive). The tables are built on
+    the first multiply, power or inverse and published in one assignment.
+    Above the limit, products convolve and reduce by the modulus, and
+    inverses run extended Euclid.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -335,6 +375,7 @@ class ExtFieldSpec(FieldSpec):
         one = [0] * m
         one[0] = 1 % p
         self._one = FieldElement(self, tuple(one))
+        self._tables = None
 
     @property
     def text(self) -> str:
@@ -364,7 +405,64 @@ class ExtFieldSpec(FieldSpec):
     def __hash__(self):
         return hash(("ext", self.p, self.m, self.modulus))
 
+    def _log_tables(self) -> tuple[dict, list] | None:
+        """The (log, exp) tables, built on first use; None above the limit.
+
+        log[0] is 2(q-1), past every sum of two nonzero logs, and exp holds
+        the powers g^0..g^(q-2) twice followed by 2(q-1)+1 zeros, so a sum of
+        two logs indexes exp directly, and any sum involving zero reads zero.
+        """
+        tables = self._tables
+        if tables is None and self.order <= LOG_TABLE_LIMIT:
+            n = self.order - 1
+            g = self._primitive_coords()
+            powers = []
+            x = self._one.coeffs
+            for _ in range(n):
+                powers.append(x)
+                x = self._convolve(x, g)
+            log = {x: i for i, x in enumerate(powers)}
+            zero = self._zero.coeffs
+            log[zero] = 2 * n
+            tables = self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
+        return tables
+
+    def _primitive_coords(self) -> tuple:
+        """The first element in canonical order with multiplicative order q-1."""
+        n = self.order - 1
+        one = self._one.coeffs
+        cofactors = [n // r for r in _small_prime_factors(n)]
+        candidates = (self.from_index(idx).coeffs for idx in range(1, self.order))
+        return next(
+            g
+            for g in candidates
+            if all(_coords_pow(self._convolve, one, g, k) != one for k in cofactors)
+        )
+
     def _mul_coords(self, a, b):
+        tables = self._tables
+        if tables is None:
+            tables = self._log_tables()
+            if tables is None:
+                return self._convolve(a, b)
+        log, exp = tables
+        return exp[log[a] + log[b]]
+
+    def _inv_coords(self, a):
+        tables = self._log_tables()
+        if tables is None:
+            return self._euclid_inverse(a)
+        log, exp = tables
+        return exp[self.order - 1 - log[a]]
+
+    def _pow_coords(self, a, e):
+        tables = self._log_tables()
+        if tables is None:
+            return super()._pow_coords(a, e)
+        log, exp = tables
+        return exp[log[a] * e % (self.order - 1)]
+
+    def _convolve(self, a, b):
         p, m = self.p, self.m
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
@@ -380,7 +478,7 @@ class ExtFieldSpec(FieldSpec):
             conv[i] = 0
         return tuple(c % p for c in conv[:m])
 
-    def _inv_coords(self, a):
+    def _euclid_inverse(self, a):
         g, u, _ = _pxgcd(_ptrim(list(a)), self._mod_asc, self.p)
         if len(g) != 1:
             raise FieldError("element is not invertible")
@@ -460,17 +558,11 @@ class FieldElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        acc = self.spec.one
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        if not any(self.coeffs):
+            if e < 0:
+                raise FieldError("inversion of zero")
+            return self.spec.one if e == 0 else self
+        return FieldElement(self.spec, self.spec._pow_coords(self.coeffs, e))
 
     def inverse(self) -> "FieldElement":
         if not any(self.coeffs):

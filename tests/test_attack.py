@@ -125,6 +125,36 @@ def test_grid_fallback_loops_the_per_point_box(data):
         bb.evaluate_grid(points + ((0,) * (n_pub + 1),), secret)
 
 
+@pytest.mark.parametrize("kernel", [False, True])
+def test_grid_widths_are_checked_for_every_batch(kernel):
+    # the width check is skipped only for a tuple of tuples already checked;
+    # every malformed batch raises, whichever path answers the grid
+    def grid(points, secret):
+        return [sum(pt) % 7 for pt in points]
+
+    bb = BlackBox(GF7, 2, 1, lambda pub, sec: GF7.zero, grid if kernel else None)
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(((1, 2), (3,)), (1,))
+    good = ((1, 2), (3, 4))
+    bb.evaluate_grid(good, (1,))
+    bb.evaluate_grid(good, (1,))
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(((1, 2), (3, 4, 5)), (1,))
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(good, (1, 2))
+    rows = ([1, 2], [3, 4])
+    bb.evaluate_grid(rows, (1,))
+    rows[1].append(5)
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(rows, (1,))
+    batch = [(1, 2)]
+    bb.evaluate_grid(batch, (1,))
+    batch.append((1,))
+    with pytest.raises(AttackError):
+        bb.evaluate_grid(batch, (1,))
+    assert bb.evaluations == 7
+
+
 # -- linearity testing -------------------------------------------------------------
 
 

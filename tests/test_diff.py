@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,15 @@ from gfdelta.diff import (
     parse_plan,
     superpoly_constants,
 )
-from gfdelta.field import basis_elements, prime_field
-from gfdelta.poly import MultiPoly, all_points, parse_poly, random_poly
+from gfdelta.field import basis_elements, ext_field, prime_field
+from gfdelta.poly import (
+    MultiPoly,
+    all_points,
+    format_poly,
+    monomial_text,
+    parse_poly,
+    random_poly,
+)
 
 from conftest import GF3, GF4, GF5, GF8, GF9, GF31
 
@@ -643,3 +651,41 @@ def test_ext_constants_reconstruct_univariate_difference(rng):
             )
             rhs = rhs + g_j.scale(c)
         assert lhs == rhs
+
+
+# -- extension differencing pinned as text --------------------------------------
+
+# the extension-field benchmark's (p, m) and basis-block plan multiplicities
+EXT_GOLDEN_SHAPES = (
+    ((2, 3), (1, 2)),
+    ((2, 3), (2, 2)),
+    ((2, 3), (2, 1)),
+    ((2, 3), (1, 3)),
+    ((3, 3), (2, 3)),
+    ((3, 3), (3, 3)),
+    ((3, 3), (4, 1)),
+    ((3, 3), (3, 2)),
+)
+
+
+def ext_golden_text() -> str:
+    """Per seeded case: the plan, the symbolic difference as text, and the
+    grid difference at a seeded base point."""
+    lines = []
+    for index, ((p, m), mults) in enumerate(EXT_GOLDEN_SHAPES):
+        rng = random.Random(f"ext-golden:{index}")
+        spec = ext_field(p, m)
+        f = random_poly(spec, 4, 2 * (spec.order - 1), 40, rng=rng)
+        plan = DiffPlan.make(spec, dict(zip(rng.sample(range(4), len(mults)), mults)))
+        base = tuple(spec.random_element(rng) for _ in range(4))
+        term = monomial_text(monomial_of_plan(plan, 4))
+        lines.append(f"case {index}: {spec.text} {term} at {', '.join(map(str, base))}")
+        lines.append(format_poly(delta_plan(f, plan)))
+        lines.append(str(blackbox_delta(f.evaluate, plan, base)))
+    return "\n".join(lines) + "\n"
+
+
+def test_ext_differences_match_golden():
+    # written by the convolution arithmetic that preceded the log tables
+    expected = Path(__file__).parent / "data" / "ext_delta_golden.txt"
+    assert ext_golden_text() == expected.read_text()

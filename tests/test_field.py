@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from gfdelta.field import (
+    LOG_TABLE_LIMIT,
     ExtFieldSpec,
     FieldError,
     basis_elements,
@@ -12,7 +15,7 @@ from gfdelta.field import (
     prime_field,
 )
 
-from conftest import ALL_SPECS, GF4, GF8, GF9, GF31
+from conftest import ALL_SPECS, GF4, GF8, GF9, GF27, GF31
 
 
 def spec_and_elements(count):
@@ -138,6 +141,84 @@ def test_element_formatting():
     assert str(GF9.zero) == "0"
     assert str(GF31.element(27)) == "27"
     assert str(GF8.element((1, 0, 2 % 2))) == "1"
+
+
+# -- discrete-log tables against the convolution -----------------------------
+
+
+def reference_powers(spec, a, count):
+    """a^0..a^count by repeated convolution."""
+    out = [spec.one.coeffs]
+    for _ in range(count):
+        out.append(spec._convolve(out[-1], a))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GF4,
+        GF8,
+        GF9,
+        GF27,
+        ExtFieldSpec(3, 2, (1, 0, 1)),  # x^2+1: the basis generator has order 4
+        ExtFieldSpec(5, 1, (1, 3)),
+    ],
+    ids=lambda spec: spec.text,
+)
+def test_log_tables_match_the_convolution(spec):
+    q = spec.order
+    elements = [spec.from_index(i) for i in range(q)]
+    for a in elements:
+        for b in elements:
+            assert (a * b).coeffs == spec._convolve(a.coeffs, b.coeffs)
+    assert spec._tables is not None
+    for a in elements[1:]:
+        inverse = spec._euclid_inverse(a.coeffs)
+        assert a.inverse().coeffs == inverse
+        positive = reference_powers(spec, a.coeffs, 2 * q)
+        negative = reference_powers(spec, inverse, q)
+        for e in range(-q, 2 * q + 1):
+            assert (a**e).coeffs == (positive[e] if e >= 0 else negative[-e])
+    zero = spec.zero
+    assert zero**0 == spec.one
+    for e in range(1, 2 * q + 1):
+        assert zero**e == zero
+    for e in range(-q, 0):
+        with pytest.raises(FieldError):
+            zero**e
+    with pytest.raises(FieldError):
+        zero.inverse()
+
+
+def test_log_tables_are_built_on_first_multiply():
+    spec = ExtFieldSpec(2, 3, (1, 1, 0, 1))
+    a = spec.generator
+    assert a + a == spec.zero and spec._tables is None
+    assert a * a == parse_element("a^2", spec)
+    assert spec._tables is not None
+
+
+def test_fields_above_the_table_limit_keep_the_convolution():
+    # x^13+x^4+x^3+x+1 over GF(2): 8192 elements
+    spec = ExtFieldSpec(2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1))
+    q = spec.order
+    assert q > LOG_TABLE_LIMIT
+    rng = random.Random(13)
+    for _ in range(100):
+        a, b = spec.random_element(rng, nonzero=True), spec.random_element(rng)
+        assert (a * b).coeffs == spec._convolve(a.coeffs, b.coeffs)
+        assert a * a.inverse() == spec.one
+        e = rng.randrange(-q, 2 * q)
+        assert a**e == a ** (e % (q - 1))
+        assert a**e * a ** (-e) == spec.one
+    assert [(a**e).coeffs for e in range(21)] == reference_powers(spec, a.coeffs, 20)
+    assert spec.zero**0 == spec.one
+    with pytest.raises(FieldError):
+        spec.zero**-1
+    with pytest.raises(FieldError):
+        spec.zero.inverse()
+    assert spec._tables is None
 
 
 # -- field axioms as properties ---------------------------------------------
