@@ -43,17 +43,18 @@ class BlackBox:
     outputs. The counter tracks how many times the function has been
     consulted.
 
-    Two entry points reach it. `evaluate` takes one public point and the
-    secret as field elements and returns a field element. `evaluate_grid`
-    takes a batch of public points and one secret, all as residue tuples,
-    and returns one residue per point; it counts one probe per point. The
+    `evaluate_grid` takes a batch of public points and one secret, all as
+    residue tuples, and returns one residue per point; it counts one probe
+    per point. `evaluate` is its one-point case over field elements. The
     superpoly oracle sends each term's whole grid through `evaluate_grid`
     in one call, always as the same tuple object, and the attack charges
     its budget once per grid, before any of the grid's probes.
 
-    A target may supply `grid`, a kernel with the `evaluate_grid` contract
-    that specialises on the points and then on the secret. Without one,
-    `evaluate_grid` boxes the residues and calls `evaluate` per point.
+    Probes run in `grid`, a kernel with the `evaluate_grid` contract; a
+    target supplies one that specialises on the points and then on the
+    secret, and passes no `fn`. Without `grid`, `_pointwise` gives the
+    contract to `fn(public, secret)`, a per-point function over field
+    elements.
 
     `evaluate_grid` checks the width of every point of a batch once per
     batch object: a tuple of tuples seen last time is recognised by
@@ -65,7 +66,8 @@ class BlackBox:
         spec: FieldSpec,
         n_pub: int,
         n_sec: int,
-        fn: Callable[[Sequence[FieldElement], Sequence[FieldElement]], FieldElement],
+        fn: Callable[[Sequence[FieldElement], Sequence[FieldElement]], FieldElement]
+        | None,
         grid: GridFn | None = None,
     ):
         if spec.m != 1:
@@ -73,18 +75,15 @@ class BlackBox:
         self.spec = spec
         self.n_pub = n_pub
         self.n_sec = n_sec
-        self._fn = fn
-        self._grid = grid
+        self._grid = grid or _pointwise(spec, fn)
         self._checked_points = None
         self.evaluations = 0
 
     def evaluate(
         self, public: Sequence[FieldElement], secret: Sequence[FieldElement]
     ) -> FieldElement:
-        if len(public) != self.n_pub or len(secret) != self.n_sec:
-            raise AttackError("input width mismatch")
-        self.evaluations += 1
-        return self._fn(public, secret)
+        point = (tuple(map(int, public)),)
+        return self.spec.element(self.evaluate_grid(point, tuple(map(int, secret)))[0])
 
     def evaluate_grid(
         self, points: Sequence[tuple[int, ...]], secret: Sequence[int]
@@ -98,16 +97,26 @@ class BlackBox:
             # a tuple of tuples cannot change under the identity check
             if type(points) is tuple and all(type(pt) is tuple for pt in points):
                 self._checked_points = points
-        if self._grid is None:
-            element = self.spec.element
-            boxed = tuple(map(element, secret))
-            probe = self.evaluate
-            return [int(probe(tuple(map(element, pt)), boxed)) for pt in points]
         self.evaluations += len(points)
         return self._grid(points, secret)
 
     def reset_counter(self):
         self.evaluations = 0
+
+
+def _pointwise(spec: FieldSpec, fn: Callable) -> Callable:
+    """The grid contract over a per-point function on field elements:
+    `grid(points, *fixed)` boxes each residue point and each fixed input (a
+    black box's secret; an online oracle has none), calls
+    `fn(point, *fixed)` once per point and returns the answers as
+    residues."""
+    element = spec.element
+
+    def grid(points, *fixed):
+        boxed = [tuple(map(element, vector)) for vector in fixed]
+        return [int(fn(tuple(map(element, pt)), *boxed)) for pt in points]
+
+    return grid
 
 
 class Verdict(enum.Enum):
@@ -136,11 +145,9 @@ class MaxtermRecord:
 
 
 class TermGrid(NamedTuple):
-    """The probe points of a unit-step term, as field elements (for online
-    oracles) and as residues (for `BlackBox.evaluate_grid`), with the
-    folded weights as residues."""
+    """The probe points of a unit-step term and their folded weights, all
+    as residues."""
 
-    points: tuple[tuple[FieldElement, ...], ...]
     residues: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
 
@@ -153,10 +160,8 @@ def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
         raise AttackError("term multiplicities must stay below p")
     plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
     entries = grid_points(plan, (spec.zero,) * len(term))
-    points = tuple(point for point, _ in entries)
     return TermGrid(
-        points,
-        tuple(tuple(int(v) for v in point) for point in points),
+        tuple(tuple(int(v) for v in point) for point, _ in entries),
         tuple(int(weight) for _, weight in entries),
     )
 
@@ -191,10 +196,6 @@ DEFAULT_TRIALS_LARGE = 12
 
 def default_trials(p: int) -> int:
     return DEFAULT_TRIALS.get(p, DEFAULT_TRIALS_LARGE)
-
-
-def _random_vector(rng, spec, n):
-    return tuple(spec.random_element(rng) for _ in range(n))
 
 
 def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
@@ -441,6 +442,13 @@ class OnlineResult:
 PublicOracle = Callable[[tuple[FieldElement, ...]], FieldElement]
 
 
+def _oracle_grid(spec: FieldSpec, oracle: PublicOracle) -> Callable:
+    """The oracle's `evaluate_grid(points)` where it has one (a target's
+    `CountingOracle`), else the oracle probed point by point through
+    `_pointwise`."""
+    return getattr(oracle, "evaluate_grid", None) or _pointwise(spec, oracle)
+
+
 def online(
     oracle: PublicOracle,
     records: Sequence[MaxtermRecord],
@@ -448,16 +456,27 @@ def online(
     n_sec: int,
 ) -> OnlineResult:
     """Replay each record's grid against the fixed unknown key and solve
-    c . x = rhs - c_0 over GF(p)."""
+    c . x = rhs - c_0 over GF(p).
+
+    The records' grids go to the oracle as one batch of residue points, one
+    grid after another, so a target's oracle folds or schedules its key once
+    per replay; each right-hand side is summed from its grid's slice of the
+    answers. A plain callable is probed once per point with field
+    elements."""
     if not records:
         return OnlineResult("empty", None, {}, 0, "no records supplied")
+    grids = [_term_grid(spec, record.term) for record in records]
+    batch = tuple(itertools.chain.from_iterable(grid.residues for grid in grids))
+    values = _oracle_grid(spec, oracle)(batch)
+    if len(values) != len(batch):
+        raise AttackError(f"the oracle answered {len(values)} of {len(batch)} points")
     system = LinearSystem(spec)
-    for record in records:
-        grid = _term_grid(spec, record.term)
-        rhs = 0
-        for point, weight in zip(grid.points, grid.weights):
-            rhs += weight * int(oracle(point))
+    start = 0
+    for record, grid in zip(records, grids):
+        end = start + len(grid.weights)
+        rhs = sum(map(operator.mul, grid.weights, values[start:end]))
         system.add_row(record.c, spec.element(rhs) - record.c0)
+        start = end
     result = gaussian_solve(system)
     if result.status == "inconsistent":
         suspects = _find_suspects(system, spec)
@@ -500,15 +519,17 @@ def confirm_key(
 ) -> bool:
     """Checks a candidate key against the online oracle: keyed with the
     candidate, the black box must answer as the oracle does at
-    CONFIRM_POINTS fixed pseudo-random public points. Costs that many probes
-    of each. A solve trusts every record; this does not."""
+    CONFIRM_POINTS fixed pseudo-random public points. Each side gets the
+    points as one batch, so a check costs exactly CONFIRM_POINTS probes of
+    each, also when it refutes. A solve trusts every record; this does
+    not."""
     rng = random.Random(0)
-    key = tuple(key)
-    for _ in range(CONFIRM_POINTS):
-        public = _random_vector(rng, bb.spec, bb.n_pub)
-        if bb.evaluate(public, key) != oracle(public):
-            return False
-    return True
+    p, n_pub = bb.spec.p, bb.n_pub
+    points = tuple(
+        tuple(rng.randrange(p) for _ in range(n_pub)) for _ in range(CONFIRM_POINTS)
+    )
+    keyed = bb.evaluate_grid(points, tuple(map(int, key)))
+    return keyed == _oracle_grid(bb.spec, oracle)(points)
 
 
 def _determined_variables(result: SolveResult, spec) -> dict[int, FieldElement]:

@@ -7,25 +7,26 @@ keyed map (affine layer, key injection, one quadratic mixing step per round)
 used for integration testing, not for cryptographic claims.
 
 Both kinds expose `spec`, `n_pub`, `n_sec`, `key`, `blackbox()`,
-`online_oracle()` and `suggested_max_multiplicity`. Their kernels run in
-three stages, each fixing one more input:
+`online_oracle()` and `suggested_max_multiplicity`. Their one kernel,
+`_on_grid`, runs in two stages, each fixing one more input:
 
-1. grid (`_on_grid`): a batch of public points, as `BlackBox.evaluate_grid`
-   receives it. The planted kernel keeps only the public monomials that are
-   nonzero at some point of the batch and tabulates their values per point;
-   the toy cipher tabulates its first round's mix of each point's publics,
-   which whitening leaves free of the secret. `blackbox()` redoes this
-   stage only when the batch changes, which a superpoly grid never does
-   across a term's calls.
-2. secret (`_at_secret`, or the function `_on_grid` returns): the planted
-   kernel folds each public monomial's terms into one coefficient mod p,
-   over the live monomials only on the grid path; the toy cipher runs its
-   key schedule and folds the whitening into the first round's constant.
-   The grid path runs it once per grid, the per-point `evaluate` once per
-   change of secret, and `online_oracle()` once for its key.
-3. public: the planted kernel sums coefficient times monomial value, and
-   the toy cipher runs its round function from the tabulated first round,
-   once per point (the per-point path tabulates that one point first).
+1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
+   The planted kernel keeps only the public monomials that are nonzero at
+   some point of the batch and tabulates their values per point; the toy
+   cipher tabulates its first round's mix of each point's publics, which
+   whitening leaves free of the secret. `blackbox()` redoes this stage
+   only when the batch changes, which a superpoly grid never does across a
+   term's calls.
+2. secret (the function `_on_grid` returns): the planted kernel folds each
+   live public monomial's terms into one coefficient mod p and sums
+   coefficient times tabulated value per point; the toy cipher runs its
+   key schedule, folds the whitening into the first round's constant and
+   runs its round function from each tabulated first round. It returns one
+   residue per point.
+
+A single probe is the one-point batch. The online oracle fixes the key
+once and answers a whole replay as one batch, so its key is folded or
+scheduled once per replay.
 
 `load_target` accepts these sizes from a description file and rejects any
 other value with `TargetError` before building anything:
@@ -58,42 +59,45 @@ class TargetError(ValueError):
 
 
 class CountingOracle:
-    """Public-input oracle for the online phase; counts its invocations."""
+    """The online phase's oracle: a target keyed with its fixed key.
 
-    def __init__(self, fn):
-        self._fn = fn
+    `evaluate_grid(points)` answers a batch of public points, as residue
+    tuples, with one residue per point; it runs `target._on_grid(points)`
+    at the key, so the key is folded or scheduled once per batch. Calling
+    the oracle on one public point of field elements is the one-point case.
+    Both count one probe per point in `evaluations`."""
+
+    def __init__(self, target, key: tuple[int, ...]):
+        self._on_grid = target._on_grid
+        self._element = target.spec.element
+        self._key = key
         self.evaluations = 0
 
-    def __call__(self, public):
-        self.evaluations += 1
-        return self._fn(public)
+    def evaluate_grid(self, points: Sequence[Sequence[int]]) -> list[int]:
+        self.evaluations += len(points)
+        return self._on_grid(points)(self._key)
+
+    def __call__(self, public: Sequence[FieldElement]) -> FieldElement:
+        return self._element(self.evaluate_grid([tuple(map(int, public))])[0])
+
+
+def _secret_ints(target, secret) -> tuple[int, ...]:
+    """The secret as residues; `TargetError` unless it has n_sec
+    coordinates."""
+    secret = tuple(map(int, secret))
+    if len(secret) != target.n_sec:
+        raise TargetError(
+            f"the key has {len(secret)} coordinates; the target takes {target.n_sec}"
+        )
+    return secret
 
 
 def _keyed_blackbox(target) -> BlackBox:
-    """Black box over the target's staged kernels.
-
-    Per point: `target._at_secret(secret ints) -> public kernel`, called
-    again only when the secret changes; a tuple seen last time is
-    recognised by identity, any other sequence by its values.
-
-    Per grid: `target._on_grid(points) -> secret stage -> residue per
-    point`, called again only when the points change; a tuple of tuples
-    seen last time is recognised by identity, any other batch is
-    specialised afresh."""
-    element = target.spec.element
-    specialise = target._at_secret
-    last_secret = last_vals = kernel = None
+    """Black box over the target's grid kernel: `target._on_grid(points) ->
+    secret stage -> residue per point`, specialised again only when the
+    points change; a tuple of tuples seen last time is recognised by
+    identity, any other batch is specialised afresh."""
     last_points = at_secret = None
-
-    def fn(public, secret):
-        nonlocal last_secret, last_vals, kernel
-        if secret is not last_secret:
-            vals = tuple(int(x) for x in secret)
-            if vals != last_vals:
-                last_vals, kernel = vals, specialise(vals)
-            # a tuple cannot change under the identity check; a list can
-            last_secret = secret if type(secret) is tuple else None
-        return element(kernel([int(v) for v in public]))
 
     def grid(points, secret):
         nonlocal last_points, at_secret
@@ -103,14 +107,11 @@ def _keyed_blackbox(target) -> BlackBox:
             last_points = points if frozen else None
         return at_secret(secret)
 
-    return BlackBox(target.spec, target.n_pub, target.n_sec, fn, grid)
+    return BlackBox(target.spec, target.n_pub, target.n_sec, None, grid)
 
 
 def _keyed_oracle(target, key) -> CountingOracle:
-    """Online oracle specialised on its fixed key once, at construction."""
-    element = target.spec.element
-    kernel = target._at_secret(tuple(int(x) for x in key))
-    return CountingOracle(lambda public: element(kernel([int(v) for v in public])))
+    return CountingOracle(target, _secret_ints(target, key))
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +170,6 @@ class PlantedTarget:
     def suggested_max_multiplicity(self) -> int:
         return self.config.total_degree - 1
 
-    def _at_secret(self, secret: Sequence[int]):
-        """Fixes the secret: folds each public monomial's terms into one
-        coefficient mod p, drops the zero ones, and returns the integer
-        kernel over the publics."""
-        p = self.spec.p
-        folded = []
-        for pub_factors, parts in self._groups:
-            coeff = _fold(parts, secret, p)
-            if coeff:
-                folded.append((coeff, pub_factors))
-
-        def evaluate(vals: list[int]) -> int:
-            total = 0
-            for c, factors in folded:
-                term = c
-                for i, e in factors:
-                    v = vals[i]
-                    if v == 0:
-                        term = 0
-                        break
-                    term = term * v if e == 1 else term * pow(v, e, p)
-                total += term
-            return total % p
-
-        return evaluate
-
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """Fixes a batch of public points: keeps the public monomials that
         are nonzero at some point, tabulates their values per point, and
@@ -207,10 +182,12 @@ class PlantedTarget:
             for point in points:
                 value = 1
                 for i, e in pub_factors:
-                    value = value * pow(point[i], e, p) % p
-                    if not value:
+                    v = point[i]
+                    if not v:
+                        value = 0
                         break
-                column.append(value)
+                    value = value * v if e == 1 else value * pow(v, e, p)
+                column.append(value % p)
             if any(column):
                 live.append(parts)
                 columns.append(column)
@@ -451,13 +428,6 @@ class ToyCipher:
             out.append((a[0] + a[1] * a[2]) % p)
         return out
 
-    def _encrypt(self, public: Sequence[int], schedule) -> int:
-        return self._rounds([self._tabulate(public)], schedule)[0]
-
-    def _at_secret(self, secret: Sequence[int]):
-        schedule = self._key_schedule(secret)
-        return lambda public: self._encrypt(public, schedule)
-
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """A batch of public points: tabulates each point's first round
         once; the secret stage runs the key schedule, then the round
@@ -467,7 +437,7 @@ class ToyCipher:
         return lambda secret: rounds(rows, schedule(secret))
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
-        return self._encrypt(public, self._key_schedule(secret))
+        return self._on_grid([public])(_secret_ints(self, secret))[0]
 
     def blackbox(self) -> BlackBox:
         return _keyed_blackbox(self)

@@ -565,6 +565,16 @@ def test_online_flags_corrupted_record():
     assert 0 in outcome.suspects
 
 
+def test_online_rejects_an_oracle_that_drops_answers():
+    class Short:
+        def evaluate_grid(self, points):
+            return [0] * (len(points) - 1)
+
+    record = MaxtermRecord((1,), GF7.zero, (GF7.one,), 0)
+    with pytest.raises(AttackError, match="answered 1 of 2 points"):
+        online(Short(), [record], GF7, 1)
+
+
 # -- record files ------------------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.attack import _term_grid, online, preprocess
+from gfdelta.attack import CONFIRM_POINTS, _term_grid, confirm_key, online, preprocess
 from gfdelta.field import prime_field
 from gfdelta.poly import interpolate, all_points
 from gfdelta.targets import (
@@ -12,6 +12,7 @@ from gfdelta.targets import (
     TargetError,
     ToyCipher,
     ToyCipherParams,
+    _keyed_oracle,
     load_target,
     make_planted,
     save_target,
@@ -83,8 +84,8 @@ def test_forced_anchor_is_found_by_preprocessing():
     data=st.data(),
 )
 def test_planted_kernel_hoisting_matches_symbolic(p, n_pub, data):
-    # the black box specialises on the secret; every way of handing it one
-    # must still give the symbolic value
+    # every way of handing the black box a secret must still give the
+    # symbolic value
     n_sec = data.draw(st.integers(1, n_pub))  # at least n_sec anchors exist
     target = make_planted(
         p,
@@ -180,7 +181,7 @@ def test_toy_cipher_schedule_matches_reference(
     for _ in range(3):
         public = tuple(data.draw(values) for _ in range(n_pub))
         expected = reference_encrypt(cipher, public, secret)
-        assert cipher._encrypt(public, schedule) == expected
+        assert cipher._rounds([cipher._tabulate(public)], schedule)[0] == expected
         assert cipher.evaluate_ints(public, secret) == expected
         point = tuple(cipher.spec.element(v) for v in public)
         assert int(bb.evaluate(point, key)) == expected
@@ -259,6 +260,37 @@ def test_toy_cipher_blackbox_helper():
         for pub in [(spec.one, spec.zero), (spec.element(4), spec.element(2))]:
             value = cipher.blackbox().evaluate(pub, key)
             assert value == cipher.online_oracle(key)(pub)
+
+
+@pytest.mark.parametrize("extra", [-1, 2])
+def test_key_widths_are_checked(extra):
+    # a short or long key is neither truncated nor padded into an answer
+    toy = ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3))
+    planted = make_planted(31, 3, 4, 5, 12, seed=3)
+    key = tuple(range(1, 5 + extra))
+    for target in (toy, planted):
+        with pytest.raises(TargetError, match="coordinates"):
+            _keyed_oracle(target, key)
+    with pytest.raises(TargetError, match="coordinates"):
+        toy.online_oracle(key)
+    with pytest.raises(TargetError, match="coordinates"):
+        toy.evaluate_ints((1, 2, 3, 4), key)
+
+
+@pytest.mark.parametrize("kind", ["planted", "toy"])
+def test_confirm_key_costs_the_same_when_it_refutes(kind):
+    if kind == "planted":
+        target = make_planted(31, 3, 4, 5, 12, seed=3)
+    else:
+        target = ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3))
+    wrong = (target.key[0] + target.spec.one,) + target.key[1:]
+    for key, verdict in [(target.key, True), (wrong, False)]:
+        bb, oracle = target.blackbox(), target.online_oracle()
+        assert confirm_key(bb, oracle, key) is verdict
+        assert bb.evaluations == oracle.evaluations == CONFIRM_POINTS
+        # a per-point callable over the oracle gives the same verdict
+        assert confirm_key(bb, lambda public: oracle(public), key) is verdict
+        assert bb.evaluations == oracle.evaluations == 2 * CONFIRM_POINTS
 
 
 # -- the grid path ------------------------------------------------------------------
