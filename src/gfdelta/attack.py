@@ -33,7 +33,8 @@ class BudgetExhausted(Exception):
     """Raised internally when the evaluation budget cannot fund the next grid."""
 
 
-GridFn = Callable[[Sequence[tuple[int, ...]], Sequence[int]], list[int]]
+# grid(points) -> at_secret(secret) -> one residue per point (see BlackBox)
+StagedGrid = Callable[[Sequence[tuple[int, ...]]], Callable[[Sequence[int]], list[int]]]
 
 
 class BlackBox:
@@ -50,15 +51,17 @@ class BlackBox:
     in one call, always as the same tuple object, and the attack charges
     its budget once per grid, before any of the grid's probes.
 
-    Probes run in `grid`, a kernel with the `evaluate_grid` contract; a
-    target supplies one that specialises on the points and then on the
-    secret, and passes no `fn`. Without `grid`, `_pointwise` gives the
-    contract to `fn(public, secret)`, a per-point function over field
-    elements.
+    Probes run in `grid`, a staged kernel: `grid(points)` fixes a batch and
+    returns the secret stage `at_secret(secret)`. A target passes its
+    `_on_grid` and no `fn`. Without `grid`, `_pointwise` stages
+    `fn(public, secret)`, a per-point function over field elements.
 
-    `evaluate_grid` checks the width of every point of a batch once per
-    batch object: a tuple of tuples seen last time is recognised by
-    identity, and any other batch is checked afresh on every call.
+    `evaluate_grid` keeps one cache, the last batch with its secret stage.
+    A tuple of tuples seen last time is recognised by identity and goes
+    straight to its secret stage; any other batch has every point's width
+    checked and is staged afresh. The secret's width is checked on every
+    call. The online oracle (`targets.CountingOracle`) is this box at a
+    fixed key, so online probes get the same checks and counter.
     """
 
     def __init__(
@@ -68,7 +71,7 @@ class BlackBox:
         n_sec: int,
         fn: Callable[[Sequence[FieldElement], Sequence[FieldElement]], FieldElement]
         | None,
-        grid: GridFn | None = None,
+        grid: StagedGrid | None = None,
     ):
         if spec.m != 1:
             raise AttackError("the attack operates over prime fields")
@@ -76,7 +79,7 @@ class BlackBox:
         self.n_pub = n_pub
         self.n_sec = n_sec
         self._grid = grid or _pointwise(spec, fn)
-        self._checked_points = None
+        self._points = self._at_secret = None
         self.evaluations = 0
 
     def evaluate(
@@ -90,31 +93,36 @@ class BlackBox:
     ) -> list[int]:
         if len(secret) != self.n_sec:
             raise AttackError("input width mismatch")
-        if points is not self._checked_points:
-            n_pub = self.n_pub
-            if any(len(pt) != n_pub for pt in points):
+        if points is not self._points:
+            if not set(map(len, points)) <= {self.n_pub}:
                 raise AttackError("input width mismatch")
+            self._at_secret = self._grid(points)
             # a tuple of tuples cannot change under the identity check
-            if type(points) is tuple and all(type(pt) is tuple for pt in points):
-                self._checked_points = points
+            frozen = type(points) is tuple and set(map(type, points)) <= {tuple}
+            self._points = points if frozen else None
         self.evaluations += len(points)
-        return self._grid(points, secret)
+        return self._at_secret(secret)
 
     def reset_counter(self):
         self.evaluations = 0
 
 
-def _pointwise(spec: FieldSpec, fn: Callable) -> Callable:
-    """The grid contract over a per-point function on field elements:
-    `grid(points, *fixed)` boxes each residue point and each fixed input (a
-    black box's secret; an online oracle has none), calls
-    `fn(point, *fixed)` once per point and returns the answers as
+def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
+    """A staged kernel over a per-point function on field elements:
+    `grid(points)` boxes each residue point and returns a stage that boxes
+    each fixed input (a black box's secret; an online oracle has none),
+    calls `fn(point, *fixed)` once per point and returns the answers as
     residues."""
     element = spec.element
 
-    def grid(points, *fixed):
-        boxed = [tuple(map(element, vector)) for vector in fixed]
-        return [int(fn(tuple(map(element, pt)), *boxed)) for pt in points]
+    def grid(points):
+        boxed = [tuple(map(element, pt)) for pt in points]
+
+        def at_fixed(*fixed):
+            inputs = [tuple(map(element, vector)) for vector in fixed]
+            return [int(fn(pt, *inputs)) for pt in boxed]
+
+        return at_fixed
 
     return grid
 
@@ -446,7 +454,10 @@ def _oracle_grid(spec: FieldSpec, oracle: PublicOracle) -> Callable:
     """The oracle's `evaluate_grid(points)` where it has one (a target's
     `CountingOracle`), else the oracle probed point by point through
     `_pointwise`."""
-    return getattr(oracle, "evaluate_grid", None) or _pointwise(spec, oracle)
+    if hasattr(oracle, "evaluate_grid"):
+        return oracle.evaluate_grid
+    stage = _pointwise(spec, oracle)
+    return lambda points: stage(points)()
 
 
 def online(

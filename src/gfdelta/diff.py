@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinat import (
     binomial_mod,
-    digit_sum,
     diff_coefficient,
     _nonzero_composition_items,
 )

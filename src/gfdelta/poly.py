@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
 from .field import FieldElement, FieldSpec, FieldError, parse_element

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .diff import BlackBoxFn, DiffPlan, blackbox_delta
 from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field, row_reduce

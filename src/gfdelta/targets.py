@@ -6,17 +6,18 @@ is guaranteed a full-rank record set. The toy cipher is a deliberately weak
 keyed map (affine layer, key injection, one quadratic mixing step per round)
 used for integration testing, not for cryptographic claims.
 
-Both kinds expose `spec`, `n_pub`, `n_sec`, `key`, `blackbox()`,
-`online_oracle()` and `suggested_max_multiplicity`. Their one kernel,
+Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
+`suggested_max_multiplicity`, and share `blackbox()` and
+`online_oracle(key=None)` through one base class. Their one kernel,
 `_on_grid`, runs in two stages, each fixing one more input:
 
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
    The planted kernel keeps only the public monomials that are nonzero at
    some point of the batch and tabulates their values per point; the toy
    cipher tabulates its first round's mix of each point's publics, which
-   whitening leaves free of the secret. `blackbox()` redoes this stage
-   only when the batch changes, which a superpoly grid never does across a
-   term's calls.
+   whitening leaves free of the secret. The `BlackBox` that `blackbox()`
+   returns redoes this stage only for a new batch, which a superpoly grid
+   never is across a term's calls.
 2. secret (the function `_on_grid` returns): the planted kernel folds each
    live public monomial's terms into one coefficient mod p and sums
    coefficient times tabulated value per point; the toy cipher runs its
@@ -24,9 +25,10 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key`, `blackbox()`,
    runs its round function from each tabulated first round. It returns one
    residue per point.
 
-A single probe is the one-point batch. The online oracle fixes the key
-once and answers a whole replay as one batch, so its key is folded or
-scheduled once per replay.
+A single probe is the one-point batch. The online oracle is a fresh box
+viewed at a fixed key: it answers a whole replay as one batch, so its key
+is folded or scheduled once per replay, and every point's width is checked
+as in preprocessing.
 
 `load_target` accepts these sizes from a description file and rejects any
 other value with `TargetError` before building anything:
@@ -59,26 +61,29 @@ class TargetError(ValueError):
 
 
 class CountingOracle:
-    """The online phase's oracle: a target keyed with its fixed key.
+    """The online phase's oracle: a view of a `BlackBox` at a fixed key.
 
-    `evaluate_grid(points)` answers a batch of public points, as residue
-    tuples, with one residue per point; it runs `target._on_grid(points)`
-    at the key, so the key is folded or scheduled once per batch. Calling
-    the oracle on one public point of field elements is the one-point case.
-    Both count one probe per point in `evaluations`."""
+    `evaluate_grid(points)` is `box.evaluate_grid(points, key)`: it answers
+    a batch of public points, as residue tuples, with one residue per
+    point, under the box's width checks and counter, so the key is folded
+    or scheduled once per batch. Calling the oracle on one public point of
+    field elements is the one-point case. `evaluations` is the box's
+    counter."""
 
-    def __init__(self, target, key: tuple[int, ...]):
-        self._on_grid = target._on_grid
-        self._element = target.spec.element
+    def __init__(self, box: BlackBox, key: tuple[int, ...]):
+        self._box = box
         self._key = key
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        return self._box.evaluations
 
     def evaluate_grid(self, points: Sequence[Sequence[int]]) -> list[int]:
-        self.evaluations += len(points)
-        return self._on_grid(points)(self._key)
+        return self._box.evaluate_grid(points, self._key)
 
     def __call__(self, public: Sequence[FieldElement]) -> FieldElement:
-        return self._element(self.evaluate_grid([tuple(map(int, public))])[0])
+        value = self.evaluate_grid([tuple(map(int, public))])[0]
+        return self._box.spec.element(value)
 
 
 def _secret_ints(target, secret) -> tuple[int, ...]:
@@ -92,26 +97,19 @@ def _secret_ints(target, secret) -> tuple[int, ...]:
     return secret
 
 
-def _keyed_blackbox(target) -> BlackBox:
-    """Black box over the target's grid kernel: `target._on_grid(points) ->
-    secret stage -> residue per point`, specialised again only when the
-    points change; a tuple of tuples seen last time is recognised by
-    identity, any other batch is specialised afresh."""
-    last_points = at_secret = None
+class _Target:
+    """What both target kinds share: a black box over the kind's staged
+    kernel `_on_grid`, and an online oracle that is a fresh box at a key
+    (the target's own by default)."""
 
-    def grid(points, secret):
-        nonlocal last_points, at_secret
-        if points is not last_points:
-            at_secret = target._on_grid(points)
-            frozen = type(points) is tuple and all(type(pt) is tuple for pt in points)
-            last_points = points if frozen else None
-        return at_secret(secret)
+    def blackbox(self) -> BlackBox:
+        return BlackBox(self.spec, self.n_pub, self.n_sec, None, self._on_grid)
 
-    return BlackBox(target.spec, target.n_pub, target.n_sec, None, grid)
-
-
-def _keyed_oracle(target, key) -> CountingOracle:
-    return CountingOracle(target, _secret_ints(target, key))
+    def online_oracle(
+        self, key: Sequence[FieldElement] | None = None
+    ) -> CountingOracle:
+        key = _secret_ints(self, self.key if key is None else key)
+        return CountingOracle(self.blackbox(), key)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ class PlantedConfig:
     seed: int
 
 
-class PlantedTarget:
+class PlantedTarget(_Target):
     """A known polynomial f(public, secret) plus the key the online phase
     must recover. Black-box answers equal symbolic evaluation everywhere."""
 
@@ -199,12 +197,6 @@ class PlantedTarget:
             return [sum(map(mul, coeffs, row)) % p for row in rows]
 
         return at_secret
-
-    def blackbox(self) -> BlackBox:
-        return _keyed_blackbox(self)
-
-    def online_oracle(self) -> CountingOracle:
-        return _keyed_oracle(self, self.key)
 
 
 def _fold(parts, secret: Sequence[int], p: int) -> int:
@@ -307,7 +299,7 @@ class ToyCipherParams:
     seed: int
 
 
-class ToyCipher:
+class ToyCipher(_Target):
     """Keyed toy map over GF(p): load publics, add a whitening key layer,
     then per round an affine mix with key injection followed by one
     quadratic step. Output degree stays below 2^rounds + 1."""
@@ -437,15 +429,7 @@ class ToyCipher:
         return lambda secret: rounds(rows, schedule(secret))
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
-        return self._on_grid([public])(_secret_ints(self, secret))[0]
-
-    def blackbox(self) -> BlackBox:
-        return _keyed_blackbox(self)
-
-    def online_oracle(
-        self, key: Sequence[FieldElement] | None = None
-    ) -> CountingOracle:
-        return _keyed_oracle(self, self.key if key is None else key)
+        return self.online_oracle(secret).evaluate_grid([tuple(public)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def test_grid_fallback_loops_the_per_point_box(data):
 def test_grid_widths_are_checked_for_every_batch(kernel):
     # the width check is skipped only for a tuple of tuples already checked;
     # every malformed batch raises, whichever path answers the grid
-    def grid(points, secret):
-        return [sum(pt) % 7 for pt in points]
+    def grid(points):
+        return lambda secret: [sum(pt) % 7 for pt in points]
 
     bb = BlackBox(GF7, 2, 1, lambda pub, sec: GF7.zero, grid if kernel else None)
     with pytest.raises(AttackError):

@@ -78,3 +78,27 @@ def test_golden_records_replay_online(name, probes):
     assert online(lambda public: oracle(public), records, spec, n_sec) == outcome
     assert oracle.evaluations == 2 * probes
     assert batches == [probes] + [1] * probes
+
+
+@pytest.mark.parametrize(
+    "name, seed, terms_tried",
+    [("records_planted_p31.txt", 6, 18), ("records_toy_p7.txt", 8, 14)],
+)
+def test_each_grid_is_staged_once(name, seed, terms_tried):
+    # the box keeps one staged batch: a term's grid is staged once for all
+    # of its calls, and an online replay once
+    target = BUILD[name]()
+    staged = []
+    kernel = target._on_grid
+    target._on_grid = lambda points: staged.append(len(points)) or kernel(points)
+    result = preprocess(
+        target.blackbox(),
+        budget=10**6,
+        max_total_mult=target.suggested_max_multiplicity,
+        seed=seed,
+    )
+    assert len(staged) == result.terms_tried == terms_tried
+    records, _ = load_records(DATA / name)
+    del staged[:]
+    online(target.online_oracle(), records, target.spec, target.n_sec)
+    assert len(staged) == 1

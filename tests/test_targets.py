@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.attack import CONFIRM_POINTS, _term_grid, confirm_key, online, preprocess
+from gfdelta.attack import (
+    CONFIRM_POINTS,
+    AttackError,
+    _term_grid,
+    confirm_key,
+    online,
+    preprocess,
+)
 from gfdelta.field import prime_field
 from gfdelta.poly import interpolate, all_points
 from gfdelta.targets import (
@@ -12,7 +19,6 @@ from gfdelta.targets import (
     TargetError,
     ToyCipher,
     ToyCipherParams,
-    _keyed_oracle,
     load_target,
     make_planted,
     save_target,
@@ -270,11 +276,30 @@ def test_key_widths_are_checked(extra):
     key = tuple(range(1, 5 + extra))
     for target in (toy, planted):
         with pytest.raises(TargetError, match="coordinates"):
-            _keyed_oracle(target, key)
-    with pytest.raises(TargetError, match="coordinates"):
-        toy.online_oracle(key)
+            target.online_oracle(key)
     with pytest.raises(TargetError, match="coordinates"):
         toy.evaluate_ints((1, 2, 3, 4), key)
+
+
+@pytest.mark.parametrize("kind", ["planted", "toy"])
+def test_online_public_widths_are_checked(kind):
+    # a short or long public point is neither padded nor cut into an answer,
+    # nor counted as a probe
+    if kind == "planted":
+        target = make_planted(31, 3, 4, 5, 12, seed=3)
+    else:
+        target = ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3))
+    oracle = target.online_oracle()
+    with pytest.raises(AttackError):
+        oracle((target.spec.one,))
+    with pytest.raises(AttackError):
+        oracle.evaluate_grid([(1, 2, 3, 4, 5)])
+    if kind == "toy":
+        for public in [(1,), (1, 2, 3, 4, 5)]:
+            with pytest.raises(AttackError):
+                target.evaluate_ints(public, target.key)
+    assert oracle.evaluations == 0
+    assert len(oracle.evaluate_grid([(1,) * target.n_pub])) == 1
 
 
 @pytest.mark.parametrize("kind", ["planted", "toy"])
