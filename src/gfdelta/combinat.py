@@ -1,15 +1,18 @@
 """Exact combinatorics modulo p: digit sums, carry counting, multinomials,
 and the coefficients produced by repeated unit-step differencing.
 
-Multinomial residues are computed digit-wise in base p (generalised Lucas),
-never through big factorials; the carry count of the parts equals the p-adic
-valuation of the integer multinomial, so a coefficient survives mod p exactly
-when the parts add without carries.
+Multinomial residues are computed digit-wise in base p (generalised Lucas)
+by one kernel, `_digit_multinomial`: the multinomial of one digit column is a
+product of binomials whose arguments are digits, so each is an exact
+`math.comb` below p and no table is sized by p. The carry count of the parts
+equals the p-adic valuation of the integer multinomial, so a coefficient
+survives mod p exactly when the parts add without carries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -71,31 +74,17 @@ def carry_count(parts: Sequence[int], p: int) -> int:
     return total
 
 
-def _factorials_mod(p: int) -> list[int]:
-    out = [1] * p
-    for i in range(2, p):
-        out[i] = out[i - 1] * i % p
-    return out
-
-
-_FACT_CACHE: dict[int, list[int]] = {}
-
-
-def _fact(p: int) -> list[int]:
-    table = _FACT_CACHE.get(p)
-    if table is None:
-        table = _FACT_CACHE[p] = _factorials_mod(p)
-    return table
-
-
 def _digit_multinomial(total: int, parts: Sequence[int], p: int) -> int:
-    """Multinomial of single base-p digits (no carries by construction)."""
-    fact = _fact(p)
-    num = fact[total]
-    den = 1
+    """(total; parts) mod p for one digit column: total < p, no carries.
+
+    The product of C(remaining, k) over the parts is the exact multinomial,
+    and p divides none of its factors because every argument is below p.
+    """
+    result = 1
     for k in parts:
-        den = den * fact[k] % p
-    return num * pow(den, -1, p) % p
+        result = result * math.comb(total, k) % p
+        total -= k
+    return result
 
 
 def binomial_mod(n: int, k: int, p: int) -> int:
@@ -160,41 +149,21 @@ def _nonzero_composition_items(
     k positive parts whose multinomial (d; parts..., d-j) is nonzero mod p."""
     if k < 1 or j < k or j > d:
         return
-    if d < p:
-        # single digit: no carries can occur, every composition survives
-        fact = _fact(p)
-        base = fact[d] * pow(fact[d - j], -1, p) % p
-        for parts in _positive_compositions(j, k):
-            den = 1
-            for i in parts:
-                den = den * fact[i] % p
-            yield parts, base * pow(den, -1, p) % p
-        return
-    rest = d - j
     d_digits = digits(d, p)
-    r_digits = digits(rest, p)
-    width = len(d_digits)
-    need = []
-    for pos in range(width):
-        rd = r_digits[pos] if pos < len(r_digits) else 0
-        e = d_digits[pos] - rd
-        if e < 0:
-            return  # the fixed part d-j already forces a carry
-        need.append(e)
+    r_digits = digits(d - j, p)
+    r_digits += [0] * (len(d_digits) - len(r_digits))
+    need = [dd - rd for dd, rd in zip(d_digits, r_digits)]
+    if min(need) < 0:
+        return  # the fixed part d-j already forces a carry
     per_pos = [list(_nonneg_splits(e, k)) for e in need]
-    fact = _fact(p)
     for combo in itertools.product(*per_pos):
         parts = [0] * k
         residue = 1
         for pos, split in enumerate(combo):
             for idx, a in enumerate(split):
                 parts[idx] += a * p**pos
-            den = 1
-            for a in split:
-                den = den * fact[a] % p
-            rd = r_digits[pos] if pos < len(r_digits) else 0
-            den = den * fact[rd] % p
-            residue = residue * fact[d_digits[pos]] * pow(den, -1, p) % p
+            column = split + (r_digits[pos],)
+            residue = residue * _digit_multinomial(d_digits[pos], column, p) % p
         if all(parts):
             yield tuple(parts), residue
 

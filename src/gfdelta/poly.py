@@ -520,21 +520,17 @@ def all_points(spec: FieldSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:
 
 @lru_cache(maxsize=32)
 def _inverse_vandermonde(spec: FieldSpec) -> list[list[FieldElement]]:
+    """Inverse of the Vandermonde matrix (a^j) over all q field elements a.
+
+    The indicator of a is 1 - (x - a)^(q-1), and (x - a)^(q-1) is
+    sum_j a^(q-1-j) x^j because C(q-1, j) = (-1)^j mod p and
+    (-1)^(q-1) = 1 in the field. So row 0 reads f(0), and row j >= 1 is
+    -a^(q-1-j), with 0^0 = 1.
+    """
     pts = list(spec.elements())
     q = len(pts)
-    rows = [[pt**j for j in range(q)] + [spec.one if i == j else spec.zero for j in range(q)]
-            for i, pt in enumerate(pts)]
-    # Gauss-Jordan over the field
-    for col in range(q):
-        pivot = next(r for r in range(col, q) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(q):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    return [row[q:] for row in rows]
+    first = [spec.zero if a else spec.one for a in pts]
+    return [first] + [[-(a ** (q - 1 - j)) for a in pts] for j in range(1, q)]
 
 
 def interpolate(spec: FieldSpec, n: int, values) -> MultiPoly:

@@ -145,11 +145,11 @@ def verify_reduction(
     for b, ri in zip(ctx.basis, r):
         steps.extend([b] * ri)
     total = len(steps)
-    lhs_plan = DiffPlan.make(spec, {0: total}, steps) if total else None
+    lhs_plan = DiffPlan.make(spec, {0: total} if total else {}, steps)
 
     components = project_blackbox(bb, n, ctx)
     rhs_term = {i: ri for i, ri in enumerate(r) if ri}
-    rhs_plan = DiffPlan.make(prime, rhs_term) if rhs_term else None
+    rhs_plan = DiffPlan.make(prime, rhs_term)
 
     domain = p ** (m * n)
     if domain <= exhaustive_limit:
@@ -170,16 +170,9 @@ def verify_reduction(
     for coords in points:
         checked += 1
         ext_point = ctx.phi_inv_point(coords, n)
-        lhs_value = (
-            blackbox_delta(bb, lhs_plan, ext_point) if lhs_plan else bb(ext_point)
-        )
-        lhs_coords = ctx.phi(lhs_value)
+        lhs_coords = ctx.phi(blackbox_delta(bb, lhs_plan, ext_point))
         for j in range(m):
-            rhs_value = (
-                blackbox_delta(components[j], rhs_plan, coords)
-                if rhs_plan
-                else components[j](coords)
-            )
+            rhs_value = blackbox_delta(components[j], rhs_plan, coords)
             if int(rhs_value) != lhs_coords[j]:
                 mismatches.append((coords, j, lhs_coords[j], int(rhs_value)))
                 if len(mismatches) >= max_mismatches:

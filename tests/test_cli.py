@@ -31,18 +31,16 @@ def run(capsys, *argv):
 
 
 def test_diff_worked_example(capsys):
-    code, out, _ = run(
-        capsys,
-        "diff",
-        "--field",
-        "31",
-        "--poly",
-        "x1^5*x2 + x1^4*x3*x4 + x4^6",
-        "--plan",
-        "x1^5",
-    )
-    assert code == EXIT_OK
-    assert out.strip() == "27*x2"
+    for field, poly, plan, expected in [
+        ("31", "x1^5*x2 + x1^4*x3*x4 + x4^6", "x1^5", "27*x2"),
+        # 2^61 - 1: no table may be sized by the prime
+        ("2305843009213693951", "x1^3*x2 + 5*x2^2", "x1*x2", "3*x1^2 + 3*x1 + 1"),
+    ]:
+        code, out, _ = run(
+            capsys, "diff", "--field", field, "--poly", poly, "--plan", plan
+        )
+        assert code == EXIT_OK
+        assert out.strip() == expected
 
 
 def test_diff_beyond_degree_prints_zero(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from gfdelta.combinat import (
     ZERO_FUNCTION,
     Composition,
+    _nonzero_composition_items,
     carry_count,
     degree_after_diff,
     diff_coefficient,
@@ -15,6 +16,9 @@ from gfdelta.combinat import (
     multinomial_mod,
     nonzero_compositions,
 )
+
+# the Mersenne prime 2^61 - 1: far too large for any table indexed by p
+BIG_P = 2**61 - 1
 
 # -- big-integer oracles ------------------------------------------------------
 
@@ -32,6 +36,15 @@ def oracle_valuation(x, p):
         x //= p
         v += 1
     return v
+
+
+def digits_of(x, p):
+    """Base-p digits of x, least significant first; [] for 0."""
+    out = []
+    while x:
+        out.append(x % p)
+        x //= p
+    return out
 
 
 def all_splits(d, count):
@@ -91,6 +104,7 @@ def test_multinomial_examples():
     assert multinomial_mod(5, (1, 1, 1, 1, 1, 0), 31) == 27  # 5! mod 31
     assert multinomial_mod(9, (9,), 13) == 1
     assert multinomial_mod(6, (3, 3), 3) == 2  # 20 mod 3
+    assert multinomial_mod(40, (20, 20), BIG_P) == oracle_multinomial(40, (20, 20))
 
 
 def test_multinomial_rejects_bad_parts():
@@ -132,19 +146,12 @@ def test_zero_iff_carries_exhaustive():
 def test_digit_criterion_matches_nonzeroness():
     # nonzero multinomial exactly when every digit of d is the digit sum of
     # the parts in that position
-    def digits(x, p):
-        out = []
-        while x:
-            out.append(x % p)
-            x //= p
-        return out
-
     for p in (2, 3, 5):
         for d in range(0, 61):
             for k in range(d + 1):
                 parts = (k, d - k)
-                cols = [digits(v, p) for v in parts]
-                dd = digits(d, p)
+                cols = [digits_of(v, p) for v in parts]
+                dd = digits_of(d, p)
                 width = len(dd)
                 digitwise = all(
                     dd[pos] == sum(c[pos] if pos < len(c) else 0 for c in cols)
@@ -196,7 +203,7 @@ def test_diff_coefficient_leading_and_full():
 def test_diff_coefficient_matches_oracle():
     rng = random.Random(5)
     for _ in range(150):
-        p = rng.choice([2, 3, 5, 31])
+        p = rng.choice([2, 3, 5, 31, BIG_P])
         d = rng.randint(1, 14)
         j = rng.randint(1, d)
         m = rng.randint(1, j)
@@ -213,12 +220,22 @@ def test_diff_coefficient_rejects_bad_ranges():
 # -- carry-free composition sets ----------------------------------------------
 
 
-def oracle_composition_set(d, j, k, p):
-    out = set()
+def oracle_composition_items(d, j, k, p):
+    """(parts, residue) for every composition with a nonzero residue, in the
+    order of the digit-wise enumeration: the parts' digit columns compared
+    lexicographically, lowest position first."""
+    items = []
     for parts in itertools.product(range(1, j - k + 2), repeat=k):
-        if sum(parts) == j and oracle_multinomial(d, parts + (d - j,)) % p:
-            out.add(parts)
-    return out
+        if sum(parts) == j:
+            residue = oracle_multinomial(d, parts + (d - j,)) % p
+            if residue:
+                items.append((parts, residue))
+    width = len(digits_of(d, p))
+
+    def columns(item):
+        return [tuple(a // p**pos % p for a in item[0]) for pos in range(width)]
+
+    return sorted(items, key=columns)
 
 
 def test_composition_set_examples():
@@ -235,14 +252,17 @@ def test_composition_set_examples():
 
 
 def test_composition_set_matches_brute_force():
+    # p = 31 and 2^61 - 1 keep d below p (one digit); 2, 3 and 5 mostly not
     rng = random.Random(11)
     for _ in range(120):
-        p = rng.choice([2, 3, 5])
+        p = rng.choice([2, 3, 5, 31, BIG_P])
         d = rng.randint(1, 18)
         j = rng.randint(1, d)
         k = rng.randint(1, min(j, 5))
-        mine = {c.parts for c in nonzero_compositions(d, j, k, p)}
-        assert mine == oracle_composition_set(d, j, k, p)
+        expected = oracle_composition_items(d, j, k, p)
+        assert list(_nonzero_composition_items(d, j, k, p)) == expected
+        mine = [c.parts for c in nonzero_compositions(d, j, k, p)]
+        assert mine == [parts for parts, _ in expected]
 
 
 def test_composition_type_validates():
