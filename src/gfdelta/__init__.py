@@ -41,7 +41,6 @@ from .poly import (
 )
 from .attack import (
     BlackBox,
-    LinearSystem,
     MaxtermRecord,
     Verdict,
     extract_linear,

@@ -4,7 +4,8 @@ Preprocessing differences the target w.r.t. public-variable terms, keeps the
 terms whose differenced function looks linear in the secret variables, and
 extracts each linear form by probing unit vectors. The online phase replays
 the same grids against the fixed unknown key and solves the collected linear
-system by Gaussian elimination over GF(p).
+system by Gaussian elimination over GF(p). Every value from a record's linear
+form to the recovered key is a residue mod p.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class MaxtermRecord:
     """One discovered relation: differencing by `term` leaves the affine
-    secret form c_0 + sum(c_i * x_i)."""
+    secret form c_0 + sum(c_i * x_i), with c_0 and c residues mod p."""
 
     term: Monomial
-    c0: FieldElement
-    c: tuple[FieldElement, ...]
+    c0: int
+    c: tuple[int, ...]
     evaluations_used: int
 
     @property
@@ -259,18 +260,13 @@ def _linear_form(oracle, p: int, n_sec: int) -> tuple[int, tuple[int, ...]]:
     return c0, tuple(coeffs)
 
 
-def _record(spec: FieldSpec, term, c0: int, coeffs, used: int) -> MaxtermRecord:
-    element = spec.element
-    return MaxtermRecord(tuple(term), element(c0), tuple(map(element, coeffs)), used)
-
-
 def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
     """Read off the affine form of the differenced function; costs
     (n_sec + 1) grids."""
     oracle = superpoly_oracle(bb, term)
     before = bb.evaluations
     c0, coeffs = _linear_form(oracle, bb.spec.p, bb.n_sec)
-    return _record(bb.spec, term, c0, coeffs, bb.evaluations - before)
+    return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +296,9 @@ def candidate_terms(n_pub: int, p: int, max_total_mult: int) -> Iterator[Monomia
 
 # ---------------------------------------------------------------------------
 # preprocessing
+
+# probes that `attack-pre` spends by default; `online` replays no more points
+DEFAULT_BUDGET = 10**6
 
 
 @dataclass
@@ -365,7 +364,7 @@ def preprocess(
             c0, coeffs = _linear_form(oracle, spec.p, bb.n_sec)
             if not any(coeffs):
                 continue
-            record = _record(spec, term, c0, coeffs, bb.evaluations - before)
+            record = MaxtermRecord(term, c0, coeffs, bb.evaluations - before)
             rows, pivots = row_reduce(basis + [list(coeffs)], spec.p)
             if len(pivots) > len(basis):
                 basis = rows[: len(pivots)]
@@ -385,63 +384,46 @@ def preprocess(
 
 
 @dataclass
-class LinearSystem:
-    spec: FieldSpec
-    rows: list[tuple[tuple[FieldElement, ...], FieldElement]] = field(
-        default_factory=list
-    )
-
-    def add_row(self, coeffs: Sequence[FieldElement], rhs: FieldElement):
-        self.rows.append((tuple(coeffs), rhs))
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0][0]) if self.rows else 0
-
-
-@dataclass
 class SolveResult:
     status: str  # 'unique', 'parametrized', or 'inconsistent'
     rank: int
     pivots: tuple[int, ...]
     free: tuple[int, ...]
-    solution: tuple[FieldElement, ...] | None
-    rref: list[tuple[tuple[int, ...], int]]
+    solution: tuple[int, ...] | None
+    pinned: dict[int, int]  # variable -> the one value every solution gives it
 
 
-def gaussian_solve(system: LinearSystem) -> SolveResult:
+def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
     """Reduced row echelon form over GF(p) with full rank reporting.
 
-    The solution slot holds the unique solution when the system determines
-    every variable, or the particular solution with free variables at zero
-    when it does not."""
-    spec = system.spec
-    width = system.width
-    rows, pivots = row_reduce(
-        [[int(v) for v in coeffs] + [int(rhs)] for coeffs, rhs in system.rows],
-        spec.p,
-        width,
-    )
+    Each row holds residues mod p: its coefficients, then its right-hand
+    side. The solution slot holds the unique solution when the system
+    determines every variable, or the particular solution with free
+    variables at zero when it does not. A pivot variable whose row touches
+    no free column is pinned."""
+    width = len(rows[0]) - 1 if rows else 0
+    reduced, pivots = row_reduce(rows, p, width)
     rank = len(pivots)
-    inconsistent = any(
-        not any(row[:width]) and row[width] for row in rows[rank:]
-    )
     free = tuple(i for i in range(width) if i not in pivots)
-    rref = [(tuple(row[:width]), row[width]) for row in rows if any(row)]
-    if inconsistent:
-        return SolveResult("inconsistent", rank, tuple(pivots), free, None, rref)
-    values = [spec.zero] * width
-    for row_idx, col in enumerate(pivots):
-        values[col] = spec.element(rows[row_idx][width])
+    # past the rank a row has no coefficient left: a nonzero right-hand side
+    # there reads 0 = b
+    if any(row[width] for row in reduced[rank:]):
+        return SolveResult("inconsistent", rank, tuple(pivots), free, None, {})
+    values = [0] * width
+    pinned = {}
+    for row, col in zip(reduced, pivots):
+        values[col] = row[width]
+        if not any(row[i] for i in free):
+            pinned[col] = row[width]
     status = "unique" if rank == width else "parametrized"
-    return SolveResult(status, rank, tuple(pivots), free, tuple(values), rref)
+    return SolveResult(status, rank, tuple(pivots), free, tuple(values), pinned)
 
 
 @dataclass
 class OnlineResult:
     status: str  # 'recovered', 'partial', 'inconsistent', or 'empty'
-    key: tuple[FieldElement, ...] | None
-    assignment: dict[int, FieldElement]
+    key: tuple[int, ...] | None
+    assignment: dict[int, int]
     rank: int
     message: str
     suspects: list[int] = field(default_factory=list)
@@ -467,30 +449,42 @@ def online(
     n_sec: int,
 ) -> OnlineResult:
     """Replay each record's grid against the fixed unknown key and solve
-    c . x = rhs - c_0 over GF(p).
+    c . x = rhs - c_0 over GF(p), all in residues mod p.
 
     The records' grids go to the oracle as one batch of residue points, one
     grid after another, so a target's oracle folds or schedules its key once
     per replay; each right-hand side is summed from its grid's slice of the
     answers. A plain callable is probed once per point with field
-    elements."""
+    elements. Records whose grids hold more than DEFAULT_BUDGET points in
+    all are refused before any grid is built."""
     if not records:
         return OnlineResult("empty", None, {}, 0, "no records supplied")
+    size = sum(math.prod(m + 1 for m in record.term) for record in records)
+    if size > DEFAULT_BUDGET:
+        raise AttackError(
+            f"the records' grids hold {size} points, over the replay cap of "
+            f"{DEFAULT_BUDGET}"
+        )
     grids = [_term_grid(spec, record.term) for record in records]
     batch = tuple(itertools.chain.from_iterable(grid.residues for grid in grids))
     values = _oracle_grid(spec, oracle)(batch)
     if len(values) != len(batch):
         raise AttackError(f"the oracle answered {len(values)} of {len(batch)} points")
-    system = LinearSystem(spec)
+    p = spec.p
+    rows = []
     start = 0
     for record, grid in zip(records, grids):
         end = start + len(grid.weights)
         rhs = sum(map(operator.mul, grid.weights, values[start:end]))
-        system.add_row(record.c, spec.element(rhs) - record.c0)
+        rows.append([*record.c, (rhs - record.c0) % p])
         start = end
-    result = gaussian_solve(system)
+    result = gaussian_solve(rows, p)
     if result.status == "inconsistent":
-        suspects = _find_suspects(system, spec)
+        suspects = [
+            i
+            for i in range(len(rows))
+            if gaussian_solve(rows[:i] + rows[i + 1 :], p).status != "inconsistent"
+        ]
         names = ", ".join(monomial_text(records[i].term) for i in suspects)
         return OnlineResult(
             "inconsistent",
@@ -501,23 +495,14 @@ def online(
             suspects,
         )
     if result.status == "unique":
-        return OnlineResult(
-            "recovered",
-            result.solution,
-            {i: v for i, v in enumerate(result.solution)},
-            result.rank,
-            "full key recovered",
+        key, status, message = result.solution, "recovered", "full key recovered"
+    else:
+        key, status = None, "partial"
+        message = (
+            f"rank {result.rank} of {n_sec}; exhaustive search needed for "
+            f"{n_sec - result.rank} more variable(s)"
         )
-    assignment = _determined_variables(result, spec)
-    missing = n_sec - result.rank
-    return OnlineResult(
-        "partial",
-        None,
-        assignment,
-        result.rank,
-        f"rank {result.rank} of {n_sec}; exhaustive search needed for "
-        f"{missing} more variable(s)",
-    )
+    return OnlineResult(status, key, result.pinned, result.rank, message)
 
 
 # public points at which a recovered key is checked; a wrong key survives
@@ -525,9 +510,7 @@ def online(
 CONFIRM_POINTS = 8
 
 
-def confirm_key(
-    bb: BlackBox, oracle: PublicOracle, key: Sequence[FieldElement]
-) -> bool:
+def confirm_key(bb: BlackBox, oracle: PublicOracle, key: Sequence[int]) -> bool:
     """Checks a candidate key against the online oracle: keyed with the
     candidate, the black box must answer as the oracle does at
     CONFIRM_POINTS fixed pseudo-random public points. Each side gets the
@@ -541,28 +524,6 @@ def confirm_key(
     )
     keyed = bb.evaluate_grid(points, tuple(map(int, key)))
     return keyed == _oracle_grid(bb.spec, oracle)(points)
-
-
-def _determined_variables(result: SolveResult, spec) -> dict[int, FieldElement]:
-    """Pivot variables whose row touches no free column are pinned."""
-    out: dict[int, FieldElement] = {}
-    free = set(result.free)
-    for coeffs, rhs in result.rref:
-        nz = [i for i, v in enumerate(coeffs) if v]
-        if len(nz) == 1 and nz[0] not in free:
-            out[nz[0]] = spec.element(rhs)
-    return out
-
-
-def _find_suspects(system: LinearSystem, spec) -> list[int]:
-    suspects = []
-    for skip in range(len(system.rows)):
-        trimmed = LinearSystem(
-            spec, [row for i, row in enumerate(system.rows) if i != skip]
-        )
-        if gaussian_solve(trimmed).status != "inconsistent":
-            suspects.append(skip)
-    return suspects
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +551,9 @@ def save_records(
     ]
     for record in records:
         term = monomial_text(record.term)
-        cvec = ",".join(str(int(v)) for v in record.c)
+        cvec = ",".join(map(str, record.c))
         lines.append(
-            f"record term={term} c0={int(record.c0)} c={cvec} "
+            f"record term={term} c0={record.c0} c={cvec} "
             f"evals={record.evaluations_used}"
         )
     with open(path, "w") as fh:
@@ -650,9 +611,9 @@ def load_records(path, expected=None):
                 term = parse_monomial(match.group(1), meta["n_pub"])
             except PolyError as exc:
                 raise AttackError(f"bad record term: {exc}") from None
-            c0 = spec.element(int(match.group(2)))
+            c0 = int(match.group(2)) % spec.p
             cvec = tuple(
-                spec.element(int(v))
+                int(v) % spec.p
                 for v in (match.group(3).split(",") if match.group(3) else [])
             )
             if len(cvec) != meta["n_sec"]:

@@ -3,9 +3,11 @@
 Subcommands: diff, degree-bound, attack-pre, attack-online, verify.
 Exit status: 0 success, 2 input error (including a record file whose
 field, public or secret header does not match the target it is replayed
-against), 3 budget or schedule exhausted without full rank, 4 internal
-invariant violation (including records that conflict, and a recovered key
-that the target's black box refutes against the online oracle).
+against, and records whose grids hold more points in all than the
+`attack-pre --budget` default), 3 budget or schedule exhausted without full
+rank, 4 internal invariant violation (including records that conflict, and
+a recovered key that the target's black box refutes against the online
+oracle).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("attack-pre", help="preprocessing: hunt for maxterms")
     pre.add_argument("--target", required=True, help="target description file")
-    pre.add_argument("--budget", type=int, default=10**6)
+    pre.add_argument("--budget", type=int, default=attack.DEFAULT_BUDGET)
     pre.add_argument("--trials", type=int, default=None)
     pre.add_argument("--max-mult", type=int, default=None)
     pre.add_argument("--seed", required=True, type=int)
@@ -146,7 +148,7 @@ def cmd_attack_online(args) -> int:
         f"online-probes={oracle.evaluations}"
     )
     if outcome.status == "recovered":
-        print("key: " + ",".join(str(int(v)) for v in outcome.key))
+        print("key: " + ",".join(map(str, outcome.key)))
         points = f"{attack.CONFIRM_POINTS} public points"
         if attack.confirm_key(target.blackbox(), oracle, outcome.key):
             print(f"confirmed: the key reproduces the oracle at {points}")
@@ -158,7 +160,7 @@ def cmd_attack_online(args) -> int:
         return EXIT_INVARIANT
     if outcome.assignment:
         solved = " ".join(
-            f"x{i + 1}={int(v)}" for i, v in sorted(outcome.assignment.items())
+            f"x{i + 1}={v}" for i, v in sorted(outcome.assignment.items())
         )
         print(f"solved: {solved}")
     print(outcome.message)

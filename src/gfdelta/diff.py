@@ -98,10 +98,6 @@ class DiffPlan:
                 pos += m
         return cls(spec, variables, mults, tuple(per_var))
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
 
 def parse_plan(
     text: str, spec: FieldSpec, steps: Sequence[FieldElement] | None = None

@@ -67,12 +67,15 @@ class ProjectionContext:
         )
 
     def phi_inv(self, coords: Sequence[int]) -> FieldElement:
+        """The element with these coordinates in this basis."""
         if len(coords) != self.spec.m:
             raise ReductionError("coordinate width mismatch")
-        acc = self.spec.zero
-        for c, b in zip(coords, self.basis):
-            acc = acc + self.spec.element(int(c)) * b
-        return acc
+        coords = [int(c) for c in coords]
+        # row i of the matrix whose columns are the basis vectors
+        rows = zip(*(b.coeffs for b in self.basis))
+        return self.spec.element(
+            sum(r * c for r, c in zip(row, coords)) for row in rows
+        )
 
     def phi_point(self, point: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Flatten an extension point into m*n prime-field coordinates."""

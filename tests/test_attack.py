@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -9,7 +10,6 @@ from hypothesis import given, strategies as st
 from gfdelta.attack import (
     AttackError,
     BlackBox,
-    LinearSystem,
     MaxtermRecord,
     Verdict,
     candidate_terms,
@@ -98,9 +98,9 @@ def test_attack_grids_match_symbolic_route(data):
     bb = poly_blackbox(f, n_pub, n_sec)
     assert superpoly_oracle(bb, term)(key) == expected
     # with c = (1,) and c0 = 0 the online solve returns the right-hand side
-    record = MaxtermRecord(term, spec.zero, (spec.one,), 0)
+    record = MaxtermRecord(term, 0, (1,), 0)
     outcome = online(lambda pub: f.evaluate(pub + key), [record], spec, 1)
-    assert outcome.key == (expected,)
+    assert outcome.key == (int(expected),)
 
 
 @given(st.data())
@@ -419,33 +419,22 @@ def adjugate_solve_3x3(matrix, rhs, p):
 
 
 def test_gaussian_identity_system():
-    system = LinearSystem(GF7)
     values = [3, 1, 4]
-    for i in range(3):
-        row = [GF7.one if j == i else GF7.zero for j in range(3)]
-        system.add_row(row, GF7.element(values[i]))
-    result = gaussian_solve(system)
+    rows = [[int(j == i) for j in range(3)] + [values[i]] for i in range(3)]
+    result = gaussian_solve(rows, 7)
     assert result.status == "unique"
-    assert result.solution == tuple(GF7.element(v) for v in values)
+    assert result.solution == tuple(values)
     assert result.pivots == (0, 1, 2) and result.free == ()
 
 
 def test_gaussian_duplicate_row_is_parametrized():
-    system = LinearSystem(GF7)
-    row = [GF7.element(2), GF7.element(3)]
-    system.add_row(row, GF7.element(1))
-    system.add_row(row, GF7.element(1))
-    result = gaussian_solve(system)
+    result = gaussian_solve([[2, 3, 1], [2, 3, 1]], 7)
     assert result.status == "parametrized"
     assert result.rank == 1 and len(result.free) == 1
 
 
 def test_gaussian_inconsistent_detected():
-    system = LinearSystem(GF7)
-    row = [GF7.element(2), GF7.element(3)]
-    system.add_row(row, GF7.element(1))
-    system.add_row(row, GF7.element(2))
-    assert gaussian_solve(system).status == "inconsistent"
+    assert gaussian_solve([[2, 3, 1], [2, 3, 2]], 7).status == "inconsistent"
 
 
 def test_gaussian_matches_adjugate_oracle():
@@ -460,18 +449,41 @@ def test_gaussian_matches_adjugate_oracle():
             expected = adjugate_solve_3x3(matrix, rhs, p)
         except ValueError:
             det_zero = True
-        system = LinearSystem(GF31)
-        for r in range(3):
-            system.add_row(
-                [GF31.element(v) for v in matrix[r]], GF31.element(rhs[r])
-            )
-        result = gaussian_solve(system)
+        result = gaussian_solve([matrix[r] + [rhs[r]] for r in range(3)], p)
         if det_zero:
             assert result.status != "unique"
             continue
         assert result.status == "unique"
-        assert tuple(int(v) for v in result.solution) == expected
+        assert result.solution == expected
         assert expected == tuple(key)
+
+
+@given(st.sampled_from([5, 7]), st.integers(1, 3), st.data())
+def test_gaussian_pins_what_every_solution_agrees_on(p, width, data):
+    # brute force over GF(p)^width: the status counts the solutions, and a
+    # variable is pinned when every solution gives it the same value
+    key = data.draw(st.tuples(*[st.integers(0, p - 1)] * width))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    # a right-hand side read at a planted key, or any residue
+    rhs = st.one_of(st.none(), st.integers(0, p - 1))
+    rows = [
+        c + [sum(map(operator.mul, c, key)) % p if b is None else b]
+        for c, b in data.draw(st.lists(st.tuples(coeffs, rhs), min_size=1, max_size=4))
+    ]
+    solutions = [
+        x
+        for x in itertools.product(range(p), repeat=width)
+        if all(sum(map(operator.mul, row, x)) % p == row[width] for row in rows)
+    ]
+    result = gaussian_solve(rows, p)
+    if not solutions:
+        assert result.status == "inconsistent" and result.pinned == {}
+        return
+    assert result.status == ("unique" if len(solutions) == 1 else "parametrized")
+    assert result.solution in solutions
+    assert result.pinned == {
+        i: solutions[0][i] for i in range(width) if len({x[i] for x in solutions}) == 1
+    }
 
 
 # moduli of GF(p^m) for the kernel test; ext_field rejects a reducible one
@@ -496,11 +508,7 @@ def leibniz_det(matrix, p):
 def test_elimination_kernel_rank_and_inverse(p, m, data):
     row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
     matrix = data.draw(st.lists(row, min_size=m, max_size=m))
-    spec = prime_field(p)
-    system = LinearSystem(spec)
-    for values in matrix:
-        system.add_row([spec.element(v) for v in values], spec.zero)
-    rank = gaussian_solve(system).rank
+    rank = gaussian_solve([values + [0] for values in matrix], p).rank
     # the rank make_planted checks its secret forms with
     assert rank == len(row_reduce(matrix, p)[1])
     assert (rank == m) == (leibniz_det(matrix, p) != 0)
@@ -556,7 +564,7 @@ def test_online_flags_corrupted_record():
         records.append(result.records[0])  # force redundancy
     spoiled = records[0]
     bad_c = list(spoiled.c)
-    bad_c[0] = bad_c[0] + target.spec.one
+    bad_c[0] = (bad_c[0] + 1) % target.spec.p
     records[0] = MaxtermRecord(
         spoiled.term, spoiled.c0, tuple(bad_c), spoiled.evaluations_used
     )
@@ -570,7 +578,7 @@ def test_online_rejects_an_oracle_that_drops_answers():
         def evaluate_grid(self, points):
             return [0] * (len(points) - 1)
 
-    record = MaxtermRecord((1,), GF7.zero, (GF7.one,), 0)
+    record = MaxtermRecord((1,), 0, (1,), 0)
     with pytest.raises(AttackError, match="answered 1 of 2 points"):
         online(Short(), [record], GF7, 1)
 

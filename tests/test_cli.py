@@ -1,10 +1,12 @@
 import contextlib
 import io
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gfdelta.attack import DEFAULT_BUDGET, superpoly_oracle
 from gfdelta.cli import (
     EXIT_INCOMPLETE,
     EXIT_INPUT,
@@ -472,6 +474,42 @@ def test_attack_online_checks_the_header_before_record_lines(
     assert code == EXIT_INPUT and "status=" not in out
     assert err.startswith("error:") and "does not match the target's" in err
     assert "cannot parse" not in err
+
+
+def test_attack_online_refuses_an_oversized_replay(capsys, tmp_path):
+    # one record whose grid holds 7^12 points, over the replay cap: refused
+    # before any grid is built
+    target_path = tmp_path / "toy.target"
+    save_target(target_path, ToyCipher(ToyCipherParams(7, 1, 4, 12, 2, 3)))
+    term = "*".join(f"x{i}^6" for i in range(1, 13))
+    records = tmp_path / "records.txt"
+    records.write_text(
+        f"field: 7\npublic: 12\nsecret: 2\nrecord term={term} c0=0 c=1,0 evals=0\n"
+    )
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_INPUT and "status=" not in out
+    assert err.startswith("error:") and str(DEFAULT_BUDGET) in err
+
+
+def test_attack_online_prints_the_pinned_variables(capsys, tmp_path, planted_file):
+    # one record pins x1 and leaves x2 free: rank 1 of 2
+    target_path, target = planted_file
+    records = tmp_path / "records.txt"
+    records.write_text(
+        f"field: {target.spec.text}\npublic: {target.n_pub}\n"
+        f"secret: {target.n_sec}\nrecord term=x1 c0=3 c=1,0 evals=0\n"
+    )
+    code, out, _ = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    rhs = superpoly_oracle(target.blackbox(), (1, 0))(tuple(map(int, target.key)))
+    assert code == EXIT_INCOMPLETE
+    assert "status=partial rank=1 online-probes=2" in out
+    assert f"solved: x1={(rhs - 3) % target.spec.p}\n" in out
 
 
 # -- malformed target and record files ----------------------------------------------
