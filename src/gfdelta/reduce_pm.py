@@ -5,6 +5,10 @@ f over GF(p^m) in n variables into m component functions over GF(p) in
 m*n variables. Differencing f with step b_i matches differencing every
 component once w.r.t. the i-th coordinate variable, which this module
 verifies pointwise against opaque functions.
+
+One GF(p^m) answer carries all m component answers, so in query terms the
+reduction is the paper's equivalence: differencing the components costs no
+black-box probes beyond those of the extension-field difference.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ class ReductionReport:
     points_checked: int
     exhaustive: bool
     mismatches: list[tuple]
+    probes: int
 
     def __bool__(self):
         return self.ok
@@ -137,7 +142,15 @@ def verify_reduction(
 ) -> ReductionReport:
     """Check, pointwise, that differencing r_i times with step b_i on the
     first variable projects to differencing each component r_i times w.r.t.
-    the i-th coordinate of that variable."""
+    the i-th coordinate of that variable.
+
+    `bb` must be a function: identical points give identical answers. The
+    extension-side difference and all m component differences read one
+    table of answers, so each distinct point is asked once per call, or
+    once per sample point when sampling. The table holds at most the
+    domain (at most `exhaustive_limit` points) in exhaustive mode, and at
+    most one grid in sampled mode, where it is cleared at each sample
+    point. `probes` in the report counts the calls made to `bb`."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
@@ -150,7 +163,18 @@ def verify_reduction(
     total = len(steps)
     lhs_plan = DiffPlan.make(spec, {0: total} if total else {}, steps)
 
-    components = project_blackbox(bb, n, ctx)
+    answers: dict[tuple[FieldElement, ...], FieldElement] = {}
+    probes = 0
+
+    def ask(point: tuple[FieldElement, ...]) -> FieldElement:
+        nonlocal probes
+        value = answers.get(point)
+        if value is None:
+            value = answers[point] = bb(point)
+            probes += 1
+        return value
+
+    components = project_blackbox(ask, n, ctx)
     rhs_term = {i: ri for i, ri in enumerate(r) if ri}
     rhs_plan = DiffPlan.make(prime, rhs_term)
 
@@ -172,16 +196,20 @@ def verify_reduction(
     checked = 0
     for coords in points:
         checked += 1
+        if not exhaustive:
+            answers.clear()
         ext_point = ctx.phi_inv_point(coords, n)
-        lhs_coords = ctx.phi(blackbox_delta(bb, lhs_plan, ext_point))
+        lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
         for j in range(m):
             rhs_value = blackbox_delta(components[j], rhs_plan, coords)
             if int(rhs_value) != lhs_coords[j]:
                 mismatches.append((coords, j, lhs_coords[j], int(rhs_value)))
                 if len(mismatches) >= max_mismatches:
-                    return ReductionReport(False, checked, exhaustive, mismatches)
+                    return ReductionReport(
+                        False, checked, exhaustive, mismatches, probes
+                    )
     assert checked == count
-    return ReductionReport(not mismatches, checked, exhaustive, mismatches)
+    return ReductionReport(not mismatches, checked, exhaustive, mismatches, probes)
 
 
 def component_degree_bound(f: MultiPoly, i: int) -> int:

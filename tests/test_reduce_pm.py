@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gfdelta.combinat import digit_sum
+from gfdelta.diff import DiffPlan, blackbox_delta, grid_points
 from gfdelta.field import basis_elements, prime_field
 from gfdelta.poly import MultiPoly, all_points, interpolate, parse_poly, random_poly
 from gfdelta.reduce_pm import (
@@ -148,8 +149,6 @@ def test_reduction_full_blocks_on_witness():
         ctx = ProjectionContext.for_spec(spec)
         r = (spec.p - 1,) * spec.m
         assert verify_reduction(wrap(f), 1, r, ctx).ok
-        from gfdelta.diff import DiffPlan, blackbox_delta
-
         steps = []
         for b, ri in zip(ctx.basis, r):
             steps.extend([b] * ri)
@@ -158,18 +157,83 @@ def test_reduction_full_blocks_on_witness():
         assert value != spec.zero
 
 
+class SwappedContext(ProjectionContext):
+    """GF(9) coordinates with from_index(1) and from_index(4) swapped in
+    phi_inv: a bijection that is not additive."""
+
+    def phi_inv(self, coords):
+        el = super().phi_inv(coords)
+        a, b = self.spec.from_index(1), self.spec.from_index(4)
+        return b if el == a else a if el == b else el
+
+
 def test_reduction_detects_wrong_pairings():
-    # swapping the component functions must break the pointwise equality
     ctx = ProjectionContext.for_spec(GF4)
     f = parse_poly("x1^2 + (a)*x1", GF4)
     good = verify_reduction(wrap(f), 1, (1, 0), ctx)
     assert good.ok
 
-    swapped = lambda pt: GF4.element(tuple(reversed(ctx.phi(f.evaluate(pt)))))
-    bad = verify_reduction(swapped, 1, (1, 0), ctx)
-    # either it still matches (symmetric function) or mismatches are reported
-    if not bad.ok:
-        assert bad.mismatches
+    # the reduction holds for every function, so only a non-additive
+    # coordinate map can break it
+    bad = verify_reduction(
+        wrap(parse_poly("x1^2", GF9)), 1, (1, 0), SwappedContext.for_spec(GF9)
+    )
+    assert bad.ok is False
+    assert bad.points_checked == 5
+    assert len(bad.mismatches) == 5
+    as_ints = [
+        (tuple(int(c) for c in coords), j, lhs, rhs)
+        for coords, j, lhs, rhs in bad.mismatches[:2]
+    ]
+    assert as_ints == [((0, 0), 0, 1, 2), ((0, 1), 0, 1, 0)]
+
+
+def counting_box(f):
+    probed = []
+
+    def bb(point):
+        probed.append(point)
+        return f.evaluate(point)
+
+    return bb, probed
+
+
+def test_reduction_asks_each_point_once_exhaustive():
+    # with r = (p-1, ..., p-1) every grid covers the whole field, so one
+    # table answers the whole domain
+    for spec in (GF4, GF8, GF9):
+        ctx = ProjectionContext.for_spec(spec)
+        bb, probed = counting_box(parse_poly("x1^3 + x1", spec))
+        report = verify_reduction(bb, 1, (spec.p - 1,) * spec.m, ctx)
+        assert report.ok and report.exhaustive
+        assert report.points_checked == spec.order
+        assert len(probed) == len(set(probed)) == spec.order
+        assert report.probes == len(probed)
+
+
+def test_reduction_asks_each_grid_point_once_per_sample():
+    f = parse_poly("x1^2*x2 + x2^3", GF9)
+    ctx = ProjectionContext.for_spec(GF9)
+    bb, probed = counting_box(f)
+    report = verify_reduction(
+        bb, 2, (2, 1), ctx, seed=3, samples=50, exhaustive_limit=64
+    )
+    assert report.ok and not report.exhaustive and report.points_checked == 50
+    assert len(probed) == 300
+    assert report.probes == len(probed)
+
+    # the same sample stream and the same extension-side grids as before
+    steps = [ctx.basis[0]] * 2 + [ctx.basis[1]]
+    plan = DiffPlan.make(GF9, {0: 3}, steps)
+    prime = prime_field(3)
+    rng = random.Random(3)
+    expected = set()
+    for _ in range(50):
+        coords = tuple(prime.random_element(rng) for _ in range(4))
+        grid = [pt for pt, _ in grid_points(plan, ctx.phi_inv_point(coords, 2))]
+        assert len(set(grid)) == 6
+        expected.update(grid)
+    assert set(probed) == expected
 
 
 def test_reduction_rejects_bad_r():
