@@ -14,11 +14,9 @@ from .diff import (
     DiffPlan,
     basis_step_sequence,
     blackbox_delta,
-    blackbox_delta_pm,
     delta,
     delta_plan,
     ext_diff_constant,
-    grid_weights,
     inclusion_exclusion,
     superpoly_constants,
 )

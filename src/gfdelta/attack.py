@@ -104,9 +104,6 @@ class BlackBox:
         self.evaluations += len(points)
         return self._at_secret(secret)
 
-    def reset_counter(self):
-        self.evaluations = 0
-
 
 def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
     """A staged kernel over a per-point function on field elements:
@@ -143,10 +140,6 @@ class MaxtermRecord:
     c0: int
     c: tuple[int, ...]
     evaluations_used: int
-
-    @property
-    def usable(self) -> bool:
-        return any(self.c)
 
 
 # ---------------------------------------------------------------------------

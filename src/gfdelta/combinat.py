@@ -146,7 +146,11 @@ def _nonzero_composition_items(
     d: int, j: int, k: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (parts, multinomial residue) over ordered compositions of j into
-    k positive parts whose multinomial (d; parts..., d-j) is nonzero mod p."""
+    k positive parts whose multinomial (d; parts..., d-j) is nonzero mod p.
+
+    The digit columns split independently; the top column with nonzero need
+    gives 1 to every part the lower columns left at zero, so no split with
+    a zero part is ever built."""
     if k < 1 or j < k or j > d:
         return
     d_digits = digits(d, p)
@@ -155,7 +159,9 @@ def _nonzero_composition_items(
     need = [dd - rd for dd, rd in zip(d_digits, r_digits)]
     if min(need) < 0:
         return  # the fixed part d-j already forces a carry
-    per_pos = [list(_nonneg_splits(e, k)) for e in need]
+    top = max(pos for pos, e in enumerate(need) if e)
+    scale = p**top
+    per_pos = [list(_nonneg_splits(e, k)) for e in need[:top]]
     for combo in itertools.product(*per_pos):
         parts = [0] * k
         residue = 1
@@ -164,8 +170,16 @@ def _nonzero_composition_items(
                 parts[idx] += a * p**pos
             column = split + (r_digits[pos],)
             residue = residue * _digit_multinomial(d_digits[pos], column, p) % p
-        if all(parts):
-            yield tuple(parts), residue
+        zeros = [idx for idx, a in enumerate(parts) if not a]
+        if len(zeros) > need[top]:
+            continue
+        for split in _nonneg_splits(need[top] - len(zeros), k):
+            split = list(split)
+            for idx in zeros:
+                split[idx] += 1
+            column = tuple(split) + (r_digits[top],)
+            w = _digit_multinomial(d_digits[top], column, p)
+            yield tuple(a + s * scale for a, s in zip(parts, split)), residue * w % p
 
 
 def nonzero_compositions(d: int, j: int, k: int, p: int) -> Iterator[Composition]:

@@ -2,11 +2,12 @@
 
 Two routes to the same object: `delta` / `delta_plan` rewrite a symbolic
 polynomial, while `blackbox_delta` evaluates the difference of an opaque
-function as a weighted sum over a small grid of shifted points. Differencing
-w.r.t. one variable with equal steps h needs only m+1 probes at offsets
-0, h, ..., m*h with signed binomial weights; the basis-block step sequence
-plays the same role over extension fields.
-"""
+function as a weighted sum over a small grid of shifted points. One grid
+engine, `_step_table`, builds every grid. Shift operators commute, so the
+steps on one variable group into runs of equal steps, in any order. A run
+of r steps h needs at most r+1 probes, at offsets 0, h, ..., r*h with signed
+binomial weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps, such as
+the basis-block sequence over extension fields, convolve."""
 
 from __future__ import annotations
 
@@ -207,61 +208,29 @@ def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
 # grid (black-box) differencing
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """One probe of the unit-step grid: offsets, sign, and binomial weight."""
-
-    offsets: tuple[int, ...]
-    sign: int
-    weight: int
-
-
-def grid_weights(plan: DiffPlan) -> list[GridPoint]:
-    """The signed binomial grid for a unit-step plan over GF(p)."""
-    spec = plan.spec
-    p = spec.p
-    one = spec.one
-    for mult, steps in zip(plan.multiplicities, plan.steps):
-        if mult >= p:
-            raise DiffError("unit-step grids need every multiplicity below p")
-        if any(h != one for h in steps):
-            raise DiffError("grid weights are defined for unit steps")
-    points = []
-    ranges = [range(m + 1) for m in plan.multiplicities]
-    for offsets in itertools.product(*ranges):
-        weight = 1
-        for m, j in zip(plan.multiplicities, offsets):
-            weight = weight * binomial_mod(m, j, p) % p
-        sign = -1 if (sum(plan.multiplicities) - sum(offsets)) & 1 else 1
-        points.append(GridPoint(tuple(offsets), sign, weight))
-    return points
-
-
 def _step_table(
     spec: FieldSpec, steps: tuple[FieldElement, ...]
 ) -> list[tuple[FieldElement, FieldElement]]:
     """Offsets and folded signed weights for differencing one variable.
 
-    Convolves {h: +1, 0: -1} across the steps; offsets that collide in the
+    Differences commute, so equal steps group into runs. A run of r steps h
+    is the signed binomial grid: offsets j*h with weights (-1)^(r-j) C(r, j)
+    mod p. Runs of distinct steps are convolved; offsets that collide in the
     field merge, and weights that vanish mod p drop out, so differencing p
     times with equal steps yields an empty table (the zero functional).
     """
+    p = spec.p
     table: dict[FieldElement, int] = {spec.zero: 1}
-    for h in steps:
+    for h in dict.fromkeys(steps):
+        r = steps.count(h)
+        run = [(h * j, -w if (r - j) & 1 else w) for j, w in _binomial_row(r, p)]
         new: dict[FieldElement, int] = {}
-        for off, w in table.items():
-            for delta_off, sgn in ((off + h, w), (off, -w)):
-                acc = new.get(delta_off, 0) + sgn
-                if acc:
-                    new[delta_off] = acc
-                else:
-                    new.pop(delta_off, None)
-        table = new
-    out = []
-    for off, w in table.items():
-        w %= spec.p
-        if w:
-            out.append((off, spec.element(w)))
+        for off, v in table.items():
+            for shift, w in run:
+                key = off + shift
+                new[key] = (new.get(key, 0) + v * w) % p
+        table = {off: w for off, w in new.items() if w}
+    out = [(off, spec.element(w)) for off, w in table.items()]
     out.sort(key=lambda item: spec.index_of(item[0]))
     return out
 
@@ -313,18 +282,13 @@ def blackbox_delta(
 
 
 def grid_size(plan: DiffPlan) -> int:
-    """Black-box probes needed per evaluation of the planned difference."""
+    """Black-box probes needed per evaluation of the planned difference.
+
+    Over GF(p^m), q(p-1)+r basis-block steps on one variable cost
+    p^q * (r+1) probes: each full block of p-1 steps b_i spans all of
+    GF(p)*b_i, and the last, partial block r+1 offsets.
+    """
     return len(_grid_entries(plan))
-
-
-def blackbox_delta_pm(
-    bb: BlackBoxFn, var: int, times: int, base: Sequence[FieldElement]
-) -> FieldElement:
-    """Difference `times` times w.r.t. one variable over GF(p^m) with the
-    basis-block step sequence; costs p^q * (r+1) probes for times = q(p-1)+r."""
-    spec = base[var].spec
-    plan = DiffPlan.make(spec, {var: times})
-    return blackbox_delta(bb, plan, base)
 
 
 def inclusion_exclusion(
@@ -413,13 +377,3 @@ def ext_diff_constant(
             term = term * h**e
         total = total + term
     return total
-
-
-def monomial_of_plan(plan: DiffPlan, n: int) -> Monomial:
-    """The plan as an exponent tuple over n variables."""
-    mono = [0] * n
-    for var, mult in zip(plan.variables, plan.multiplicities):
-        if var >= n:
-            raise DiffError("plan variable outside the requested width")
-        mono[var] = mult
-    return tuple(mono)

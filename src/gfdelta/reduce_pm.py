@@ -81,14 +81,6 @@ class ProjectionContext:
             sum(r * c for r, c in zip(row, coords)) for row in rows
         )
 
-    def phi_point(self, point: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-        """Flatten an extension point into m*n prime-field coordinates."""
-        prime = self.prime
-        out = []
-        for v in point:
-            out.extend(prime.element(c) for c in self.phi(v))
-        return tuple(out)
-
     def phi_inv_point(
         self, coords: Sequence[FieldElement], n: int
     ) -> tuple[FieldElement, ...]:

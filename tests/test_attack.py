@@ -58,8 +58,6 @@ def test_blackbox_counts_and_validates():
     assert bb.evaluations == 1
     with pytest.raises(AttackError):
         bb.evaluate([GF31.one, GF31.one], [GF31.zero])
-    bb.reset_counter()
-    assert bb.evaluations == 0
 
 
 def test_blackbox_requires_prime_field():
@@ -290,7 +288,7 @@ def test_extract_linear_on_the_worked_example():
     record = extract_linear(bb, (5,))
     assert record.c0 == GF31.zero
     assert record.c == (GF31.element(27), GF31.zero, GF31.zero)
-    assert record.usable
+    assert any(record.c)
     assert record.evaluations_used == (3 + 1) * 6  # (n_sec+1) grids of 6
 
 
@@ -300,7 +298,7 @@ def test_extract_linear_flags_vanishing_superpoly():
     record = extract_linear(bb, (3,))
     assert record.c0 == GF31.zero
     assert record.c == (GF31.zero,)
-    assert not record.usable
+    assert not any(record.c)
 
 
 def test_extract_linear_planted_affine_form():
@@ -364,7 +362,7 @@ def test_preprocess_reaches_full_rank():
     result = preprocess(bb, budget=10**6, max_total_mult=3, seed=9)
     assert result.status == "complete"
     assert result.rank == 2
-    assert all(r.usable for r in result.records)
+    assert all(any(r.c) for r in result.records)
     assert result.evaluations <= 10**6
     assert result.terms_tried > 0
 

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gfdelta.combinat import ZERO_FUNCTION, degree_after_diff, digit_sum
 from gfdelta.diff import (
@@ -11,14 +12,12 @@ from gfdelta.diff import (
     DiffPlan,
     basis_step_sequence,
     blackbox_delta,
-    blackbox_delta_pm,
     delta,
     delta_plan,
     ext_diff_constant,
+    grid_points,
     grid_size,
-    grid_weights,
     inclusion_exclusion,
-    monomial_of_plan,
     parse_plan,
     superpoly_constants,
 )
@@ -32,7 +31,9 @@ from gfdelta.poly import (
     random_poly,
 )
 
-from conftest import GF3, GF4, GF5, GF8, GF9, GF31
+from conftest import GF3, GF4, GF5, GF7, GF8, GF9, GF27, GF31
+
+GF2 = prime_field(2)
 
 PAPER_F = "x1^5*x2 + x1^4*x3*x4 + x4^6"
 
@@ -165,44 +166,34 @@ def test_degree_bounded_by_quotient_degree(rng):
 # -- grids --------------------------------------------------------------------
 
 
-def test_grid_weights_first_difference():
+def test_grid_points_first_difference():
     plan = DiffPlan.make(GF31, {0: 1})
-    pts = grid_weights(plan)
-    assert [(g.offsets, g.sign, g.weight) for g in pts] == [
-        ((0,), -1, 1),
-        ((1,), 1, 1),
+    assert grid_points(plan, (GF31.zero,)) == [
+        ((GF31.zero,), GF31.element(-1)),
+        ((GF31.one,), GF31.one),
     ]
 
 
-def test_grid_weights_second_difference():
+def test_grid_points_second_difference():
     plan = DiffPlan.make(GF31, {0: 2})
-    pts = grid_weights(plan)
-    assert [(g.offsets, g.sign, g.weight) for g in pts] == [
-        ((0,), 1, 1),
-        ((1,), -1, 2),
-        ((2,), 1, 1),
+    assert grid_points(plan, (GF31.zero,)) == [
+        ((GF31.zero,), GF31.one),
+        ((GF31.one,), GF31.element(-2)),
+        ((GF31.element(2),), GF31.one),
     ]
 
 
-def test_grid_weights_two_variables_is_signed_cube():
+def test_grid_points_two_variables_is_signed_cube():
     plan = DiffPlan.make(GF5, {0: 1, 1: 1})
-    pts = grid_weights(plan)
+    pts = grid_points(plan, (GF5.zero, GF5.zero))
     assert len(pts) == 4
-    signs = {g.offsets: g.sign for g in pts}
-    assert signs == {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}
-    assert all(g.weight == 1 for g in pts)
+    signs = {tuple(map(int, pt)): w for pt, w in pts}
+    plus, minus = GF5.one, GF5.element(-1)
+    assert signs == {(0, 0): plus, (0, 1): minus, (1, 0): minus, (1, 1): plus}
 
 
-def test_grid_weights_reject_unit_violations():
-    plan = DiffPlan.make(GF9, {0: 3})
-    with pytest.raises(DiffError):
-        grid_weights(plan)  # basis-block steps are not unit steps
-    with pytest.raises(DiffError):
-        grid_weights(DiffPlan.make(GF9, {0: 3}, steps=[GF9.one] * 3))
-
-
-def test_grid_weights_agree_with_internal_tables(rng):
-    # dual route: the explicit binomial grid versus the convolution tables
+def test_grid_points_match_the_binomial_closed_form(rng):
+    # dual route: offsets 0..m with weights (-1)^(m-j) C(m, j), per variable
     for spec in (GF5, GF31):
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -211,16 +202,41 @@ def test_grid_weights_agree_with_internal_tables(rng):
                 for i in sorted(rng.sample(range(n), rng.randint(1, n)))
             }
             plan = DiffPlan.make(spec, term)
+            closed = {}
+            for offsets in itertools.product(*(range(m + 1) for m in term.values())):
+                point = [spec.zero] * n
+                weight = spec.one
+                for (var, m), j in zip(term.items(), offsets):
+                    point[var] = spec.element(j)
+                    weight = weight * spec.element((-1) ** (m - j) * math.comb(m, j))
+                closed[tuple(point)] = weight
+            assert dict(grid_points(plan, (spec.zero,) * n)) == closed
             f = random_poly(spec, n, 5, 5, rng=rng)
             base = tuple(spec.random_element(rng) for _ in range(n))
             total = spec.zero
-            for g in grid_weights(plan):
-                point = list(base)
-                for var, off in zip(plan.variables, g.offsets):
-                    point[var] = point[var] + spec.element(off)
-                w = spec.element(g.weight * g.sign)
-                total = total + w * f.evaluate(point)
+            for offsets, w in closed.items():
+                total = total + w * f.evaluate([b + o for b, o in zip(base, offsets)])
             assert total == blackbox_delta(wrap(f), plan, base)
+
+
+@given(st.data())
+def test_step_table_matches_unmerged_inclusion_exclusion(data):
+    # the closed-form runs, convolved and merged, against all 2^k subsets
+    spec = data.draw(st.sampled_from([GF2, GF3, GF5, GF7, GF31, GF4, GF8, GF9, GF27]))
+    nonzero = st.integers(1, spec.order - 1)
+    pool = data.draw(st.lists(nonzero, min_size=1, max_size=3, unique=True))
+    cap = min(12, spec.m * (spec.p - 1))
+    k = data.draw(st.integers(1, cap))
+    steps = [spec.from_index(i) for i in data.draw(
+        st.lists(st.sampled_from(pool), min_size=k, max_size=k)
+    )]
+    table_rng = random.Random(data.draw(st.integers(0, 2**32)))
+    table = {pt: spec.random_element(table_rng) for pt in all_points(spec, 1)}
+    bb = lambda pt: table[pt]
+    base = (spec.from_index(data.draw(st.integers(0, spec.order - 1))),)
+    plan = DiffPlan.make(spec, {0: k}, steps)
+    oracle = inclusion_exclusion(bb, [(h,) for h in steps], base)
+    assert blackbox_delta(bb, plan, base) == oracle
 
 
 def test_blackbox_examples_from_worked_polynomial():
@@ -302,7 +318,8 @@ def test_plan_parsing():
     plan = parse_plan("x1^2*x3", GF31)
     assert plan.variables == (0, 2)
     assert plan.multiplicities == (2, 1)
-    assert monomial_of_plan(plan, 4) == (2, 0, 1, 0)
+    mults = dict(zip(plan.variables, plan.multiplicities))
+    assert tuple(mults.get(i, 0) for i in range(4)) == (2, 0, 1, 0)
     with pytest.raises(DiffError):
         parse_plan("x1^2*y3", GF31)
 
@@ -355,7 +372,7 @@ def oracle_pm_diff(bb, var, times, base, spec):
 def test_pm_blackbox_matches_worked_example():
     x5 = parse_poly("x1^5", GF9)
     a = GF9.generator
-    got = blackbox_delta_pm(wrap(x5), 0, 3, (GF9.zero,))
+    got = blackbox_delta(wrap(x5), DiffPlan.make(GF9, {0: 3}), (GF9.zero,))
     paper_value = GF9.element(2) * a**3 + a
     assert got == paper_value
     assert paper_value == GF9.element(2) * a * (a + 1) * (a + 2)
@@ -365,7 +382,7 @@ def test_pm_blackbox_matches_worked_example():
 
 def test_pm_blackbox_first_difference_of_identity():
     x = parse_poly("x1", GF9)
-    assert blackbox_delta_pm(wrap(x), 0, 1, (GF9.zero,)) == GF9.one
+    assert blackbox_delta(wrap(x), DiffPlan.make(GF9, {0: 1}), (GF9.zero,)) == GF9.one
 
 
 def test_pm_blackbox_matches_direct_formula(rng):
@@ -375,7 +392,8 @@ def test_pm_blackbox_matches_direct_formula(rng):
             times = rng.randint(1, spec.m * (spec.p - 1))
             base = tuple(spec.random_element(rng) for _ in range(2))
             var = rng.randrange(2)
-            assert blackbox_delta_pm(wrap(f), var, times, base) == oracle_pm_diff(
+            plan = DiffPlan.make(spec, {var: times})
+            assert blackbox_delta(wrap(f), plan, base) == oracle_pm_diff(
                 wrap(f), var, times, base, spec
             )
 
@@ -389,7 +407,7 @@ def test_pm_probe_count():
         calls += 1
         return f.evaluate(pt)
 
-    blackbox_delta_pm(counting, 0, 3, (GF9.zero,))
+    blackbox_delta(counting, DiffPlan.make(GF9, {0: 3}), (GF9.zero,))
     assert calls == 6  # q=1, r=1 over GF(9): 3^1 * 2
 
 
@@ -466,7 +484,7 @@ def test_non_collapsing_witness_survives_max_differences():
         out = delta_plan(f, plan)
         assert not out.is_zero()
         assert out.degrees().total == 0  # a nonzero constant
-        assert blackbox_delta_pm(wrap(f), 0, cap, (spec.zero,)) != spec.zero
+        assert blackbox_delta(wrap(f), plan, (spec.zero,)) != spec.zero
 
 
 # -- inclusion-exclusion --------------------------------------------------------
@@ -678,7 +696,8 @@ def ext_golden_text() -> str:
         f = random_poly(spec, 4, 2 * (spec.order - 1), 40, rng=rng)
         plan = DiffPlan.make(spec, dict(zip(rng.sample(range(4), len(mults)), mults)))
         base = tuple(spec.random_element(rng) for _ in range(4))
-        term = monomial_text(monomial_of_plan(plan, 4))
+        mults = dict(zip(plan.variables, plan.multiplicities))
+        term = monomial_text(tuple(mults.get(i, 0) for i in range(4)))
         lines.append(f"case {index}: {spec.text} {term} at {', '.join(map(str, base))}")
         lines.append(format_poly(delta_plan(f, plan)))
         lines.append(str(blackbox_delta(f.evaluate, plan, base)))
