@@ -179,16 +179,18 @@ def cmd_verify(args) -> int:
     cases = 40 if args.sizes == "quick" else 200
     all_ok = True
 
-    # duality: grid evaluation equals symbolic differencing
+    # duality: grid evaluation equals symbolic differencing, for any steps
+    specs = [prime_field(p) for p in (3, 5, 31)]
+    specs += [ext_field(p, m) for p, m in ((2, 2), (2, 3), (3, 2), (3, 3))]
     failures = 0
     for _ in range(cases):
-        p = rng.choice([3, 5, 31])
-        spec = prime_field(p)
+        spec = rng.choice(specs)
         n = rng.randint(1, 4)
         f = poly.random_poly(spec, n, 6, rng.randint(1, 6), rng=rng)
         var = rng.randrange(n)
-        mult = rng.randint(1, min(p - 1, 4))
-        plan = diff.DiffPlan.make(spec, {var: mult})
+        mult = rng.randint(1, min(spec.m * (spec.p - 1), 4))
+        steps = [spec.random_element(rng, nonzero=True) for _ in range(mult)]
+        plan = diff.DiffPlan.make(spec, {var: mult}, rng.choice([None, steps]))
         base = tuple(spec.random_element(rng) for _ in range(n))
         lhs = diff.blackbox_delta(lambda pt: f.evaluate(pt), plan, base)
         rhs = diff.delta_plan(f, plan).evaluate(base)

@@ -7,9 +7,11 @@ An extension field of order at most LOG_TABLE_LIMIT multiplies, raises to
 powers and inverts through discrete-log tables over a primitive element:
 `log` maps coordinates to exponents and `exp` maps exponents back, stored
 twice over so that no lookup reduces an index. The tables are built on the
-first multiply, power or inverse, never at construction. Larger extension
-fields multiply by convolution and invert by extended Euclid; prime fields
-use integer arithmetic throughout.
+first multiply, power or inverse, never at construction. Each `exp` entry,
+the coordinates of a power g^i, is also a code that sums: rows added column
+by column in plain ints are exact for any number of summands and reduce mod
+p once. Larger extension fields multiply by convolution and invert by
+extended Euclid; prime fields use integer arithmetic throughout.
 
 Specs and elements are immutable after construction and safe to share
 between any number of threads. A spec's tables are built into locals and
@@ -349,6 +351,8 @@ class ExtFieldSpec(FieldSpec):
     in discrete-log tables over a primitive element, found by its order
     (the basis generator a need not be primitive). The tables are built on
     the first multiply, power or inverse and published in one assignment.
+    The `exp` rows sum exactly in plain ints, so a sum of products costs
+    one lookup per product and one reduction mod p per coordinate.
     Above the limit, products convolve and reduce by the modulus, and
     inverses run extended Euclid.
     """
@@ -517,7 +521,7 @@ class FieldElement:
             return NotImplemented
         p = self.spec.p
         return FieldElement(
-            self.spec, tuple((x + y) % p for x, y in zip(self.coeffs, o.coeffs))
+            self.spec, tuple([(x + y) % p for x, y in zip(self.coeffs, o.coeffs)])
         )
 
     __radd__ = __add__
@@ -528,7 +532,7 @@ class FieldElement:
             return NotImplemented
         p = self.spec.p
         return FieldElement(
-            self.spec, tuple((x - y) % p for x, y in zip(self.coeffs, o.coeffs))
+            self.spec, tuple([(x - y) % p for x, y in zip(self.coeffs, o.coeffs)])
         )
 
     def __rsub__(self, other):
@@ -539,7 +543,7 @@ class FieldElement:
 
     def __neg__(self):
         p = self.spec.p
-        return FieldElement(self.spec, tuple((-x) % p for x in self.coeffs))
+        return FieldElement(self.spec, tuple([(-x) % p for x in self.coeffs]))
 
     def __mul__(self, other):
         o = self._coerce(other)

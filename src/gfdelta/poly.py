@@ -15,10 +15,11 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
-from .field import FieldElement, FieldSpec, FieldError, parse_element
+from .field import ExtFieldSpec, FieldElement, FieldSpec, FieldError, parse_element
 
 Monomial = tuple[int, ...]
 
@@ -205,9 +206,27 @@ class MultiPoly:
     # evaluation -----------------------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
+        """The value at a point of elements or ints. With log tables a term
+        is g^e, e = log(coeff) + sum of e_i * log(x_i), and a zero x_i that
+        a term needs drops it; the terms' `exp` rows sum in plain ints and
+        reduce mod p once. Other fields multiply and add term by term."""
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
-        point = [self.spec.element(v) for v in point]
+        spec = self.spec
+        point = [spec.element(v) for v in point]
+        tables = spec._log_tables() if isinstance(spec, ExtFieldSpec) else None
+        if tables is not None:
+            log, exp = tables
+            n1 = spec.order - 1
+            # e_i <= q-1 and logs < q-1: only a term needing a zero reaches dead
+            dead = (self.n * n1 + 1) * n1
+            logs = [log[v.coeffs] if v else dead for v in point]
+            rows = [spec.zero.coeffs]
+            for mono, coeff in self._terms.items():
+                e = log[coeff.coeffs] + sum(map(mul, mono, logs))
+                if e < dead:
+                    rows.append(exp[e % n1])
+            return FieldElement(spec, tuple([sum(c) % spec.p for c in zip(*rows)]))
         powers: list[dict[int, FieldElement]] = [{} for _ in range(self.n)]
         total = self.spec.zero
         for mono, coeff in self._terms.items():

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .diff import BlackBoxFn, DiffPlan, blackbox_delta
+from .diff import BlackBoxFn, DiffPlan, blackbox_delta, grid_points
 from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field, row_reduce
 from .poly import MultiPoly
 
@@ -142,7 +142,10 @@ def verify_reduction(
     once per sample point when sampling. The table holds at most the
     domain (at most `exhaustive_limit` points) in exhaustive mode, and at
     most one grid in sampled mode, where it is cleared at each sample
-    point. `probes` in the report counts the calls made to `bb`."""
+    point. `probes` in the report counts the calls made to `bb`. The m
+    component differences share one coordinate grid, walked once per
+    checked point: each grid point's answer is projected by `phi` once and
+    kept as long as the answer, and the m sums run in plain ints."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
@@ -166,9 +169,12 @@ def verify_reduction(
             probes += 1
         return value
 
-    components = project_blackbox(ask, n, ctx)
     rhs_term = {i: ri for i, ri in enumerate(r) if ri}
     rhs_plan = DiffPlan.make(prime, rhs_term)
+    # the component grid at the zero base, as residue offsets and weights
+    zero = (0,) * (m * n)
+    grid = [(tuple(map(int, pt)), int(w)) for pt, w in grid_points(rhs_plan, zero)]
+    projected: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     domain = p ** (m * n)
     if domain <= exhaustive_limit:
@@ -190,12 +196,21 @@ def verify_reduction(
         checked += 1
         if not exhaustive:
             answers.clear()
+            projected.clear()
         ext_point = ctx.phi_inv_point(coords, n)
         lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
+        base = [int(c) for c in coords]
+        sums = [0] * m
+        for offsets, w in grid:
+            key = tuple([(c + o) % p for c, o in zip(base, offsets)])
+            vec = projected.get(key)
+            if vec is None:
+                vec = projected[key] = ctx.phi(ask(ctx.phi_inv_point(key, n)))
+            sums = [s + w * v for s, v in zip(sums, vec)]
         for j in range(m):
-            rhs_value = blackbox_delta(components[j], rhs_plan, coords)
-            if int(rhs_value) != lhs_coords[j]:
-                mismatches.append((coords, j, lhs_coords[j], int(rhs_value)))
+            rhs_value = sums[j] % p
+            if rhs_value != lhs_coords[j]:
+                mismatches.append((coords, j, lhs_coords[j], rhs_value))
                 if len(mismatches) >= max_mismatches:
                     return ReductionReport(
                         False, checked, exhaustive, mismatches, probes

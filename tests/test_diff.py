@@ -273,25 +273,25 @@ def test_grid_size_counts_probes():
 
 
 def test_duality_symbolic_vs_grid(rng):
-    for _ in range(60):
-        spec = [GF3, GF5, GF31][rng.randrange(3)]
+    # basis-block plans (unit steps over GF(p)) or random nonzero steps; over
+    # the extension fields this ties the table route of `evaluate` to
+    # `delta_plan`
+    specs = [GF3, GF5, GF31, GF4, GF8, GF9, GF27]
+    for _ in range(120):
+        spec = specs[rng.randrange(len(specs))]
         n = rng.randint(1, 4)
         f = random_poly(spec, n, 6, rng.randint(1, 6), rng=rng)
         k = rng.randint(1, n)
         variables = sorted(rng.sample(range(n), k))
         term = {}
-        unit_steps = rng.random() < 0.5
+        basis_block = rng.random() < 0.5
         steps = []
         for v in variables:
-            mult = rng.randint(1, min(3, spec.p - 1))
+            mult = rng.randint(1, min(3, spec.m * (spec.p - 1)))
             term[v] = mult
-            for _ in range(mult):
-                steps.append(
-                    spec.one
-                    if unit_steps
-                    else spec.random_element(rng, nonzero=True)
-                )
-        plan = DiffPlan.make(spec, term, steps)
+            if not basis_block:
+                steps += [spec.random_element(rng, nonzero=True) for _ in range(mult)]
+        plan = DiffPlan.make(spec, term, None if basis_block else steps)
         base = tuple(spec.random_element(rng) for _ in range(n))
         assert blackbox_delta(wrap(f), plan, base) == delta_plan(f, plan).evaluate(
             base

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.field import prime_field
+from gfdelta.field import ExtFieldSpec, ext_field, prime_field
 from gfdelta.poly import (
     MultiPoly,
     ParseError,
@@ -17,7 +17,7 @@ from gfdelta.poly import (
     random_poly,
 )
 
-from conftest import ALL_SPECS, GF3, GF4, GF9, GF31
+from conftest import ALL_SPECS, GF3, GF4, GF8, GF9, GF27, GF31
 
 
 def small_polys():
@@ -160,6 +160,58 @@ def test_reduction_preserves_function_exhaustively():
 
             for point in all_points(spec, n):
                 assert f.evaluate(point) == naive(point)
+
+
+# the table route (order <= LOG_TABLE_LIMIT, m = 1 included) and the loop
+# (a prime field, and GF(2^13) above the limit)
+EVAL_SPECS = [
+    GF4,
+    GF8,
+    GF9,
+    GF27,
+    ExtFieldSpec(5, 1, (1, 3)),
+    GF31,
+    ext_field(2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+]
+
+
+@st.composite
+def evaluation_cases(draw):
+    spec = draw(st.sampled_from(EVAL_SPECS))
+    q = spec.order
+    n = draw(st.integers(0, 3))
+    # small exponents, exponents at and past q-1 that fold, and anything
+    exponent = st.one_of(
+        st.integers(0, 3), st.sampled_from([q - 1, q, 2 * (q - 1)]), st.integers(0, 2 * q)
+    )
+    terms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[exponent] * n), st.integers(0, q - 1)), max_size=8
+        )
+    )
+    coordinate = st.one_of(
+        st.just(spec.zero),
+        st.integers(0, q - 1).map(spec.from_index),
+        st.integers(-2 * q, 2 * q),
+    )
+    point = draw(st.tuples(*[coordinate] * n))
+    return spec, n, terms, point
+
+
+@given(evaluation_cases())
+def test_evaluate_matches_boxed_reference(case):
+    spec, n, terms, point = case
+    f = MultiPoly(spec, n, [(mono, spec.from_index(c)) for mono, c in terms])
+    expected = spec.zero
+    for mono, c in terms:
+        term = spec.from_index(c)
+        for x, e in zip(point, mono):
+            term = term * spec.element(x) ** e
+        expected = expected + term
+    assert f.evaluate(point) == expected
+    assert MultiPoly.zero(spec, n).evaluate(point) == spec.zero
+    constant = spec.from_index(spec.order - 1)
+    assert MultiPoly.constant(spec, n, constant).evaluate(point) == constant
 
 
 def test_exponents_stay_canonical():

@@ -158,8 +158,8 @@ def test_reduction_full_blocks_on_witness():
 
 
 class SwappedContext(ProjectionContext):
-    """GF(9) coordinates with from_index(1) and from_index(4) swapped in
-    phi_inv: a bijection that is not additive."""
+    """Coordinates with from_index(1) and from_index(4) swapped in phi_inv
+    (GF(8) and GF(9) here): a bijection that is not additive."""
 
     def phi_inv(self, coords):
         el = super().phi_inv(coords)
@@ -234,6 +234,48 @@ def test_reduction_asks_each_grid_point_once_per_sample():
         assert len(set(grid)) == 6
         expected.update(grid)
     assert set(probed) == expected
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_sums_equal_projected_component_differences(spec, n):
+    # project_blackbox's components, differenced one at a time, are the
+    # reference for the check's one-pass sums: a reported mismatch carries
+    # the sum, and every unreported component equals the extension side
+    rng = random.Random(10 * spec.order + n)
+    prime = prime_field(spec.p)
+    contexts = [ProjectionContext.for_spec(spec)]
+    if spec.order > 4:
+        contexts.append(SwappedContext.for_spec(spec))
+    for ctx in contexts:
+        mismatched = 0
+        for _ in range(4):
+            bb = wrap(random_poly(spec, n, spec.order - 1, 5, rng=rng))
+            r = tuple(rng.randint(0, spec.p - 1) for _ in range(spec.m))
+            seed = rng.randrange(1 << 20)
+            report = verify_reduction(
+                bb, n, r, ctx, seed=seed, samples=20, exhaustive_limit=0,
+                max_mismatches=10**6,
+            )
+            steps = [b for b, ri in zip(ctx.basis, r) for _ in range(ri)]
+            ext_plan = DiffPlan.make(spec, {0: len(steps)} if steps else {}, steps)
+            plan = DiffPlan.make(prime, {i: ri for i, ri in enumerate(r) if ri})
+            components = project_blackbox(bb, n, ctx)
+            sample = random.Random(seed)
+            expected = []
+            for _ in range(20):
+                coords = tuple(prime.random_element(sample) for _ in range(spec.m * n))
+                ext_point = ctx.phi_inv_point(coords, n)
+                lhs = ctx.phi(blackbox_delta(bb, ext_plan, ext_point))
+                for j, component in enumerate(components):
+                    rhs = int(blackbox_delta(component, plan, coords))
+                    if rhs != lhs[j]:
+                        expected.append((coords, j, lhs[j], rhs))
+            assert report.points_checked == 20 and not report.exhaustive
+            assert report.mismatches == expected
+            assert report.ok == (not expected)
+            mismatched += len(expected)
+        assert (mismatched > 0) == isinstance(ctx, SwappedContext)
 
 
 def test_reduction_rejects_bad_r():
