@@ -89,10 +89,10 @@ def cmd_diff(args) -> int:
     if f.n < needed:
         f = poly.parse_poly(text, spec, n=needed)
     result = poly.format_poly(diff.delta_plan(f, plan))
-    print(result)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(result + "\n")
+    print(result)
     return EXIT_OK
 
 

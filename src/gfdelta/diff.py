@@ -2,12 +2,14 @@
 
 Two routes to the same object: `delta` / `delta_plan` rewrite a symbolic
 polynomial, while `blackbox_delta` evaluates the difference of an opaque
-function as a weighted sum over a small grid of shifted points. One grid
-engine, `_step_table`, builds every grid. Shift operators commute, so the
-steps on one variable group into runs of equal steps, in any order. A run
-of r steps h needs at most r+1 probes, at offsets 0, h, ..., r*h with signed
-binomial weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps, such as
-the basis-block sequence over extension fields, convolve."""
+function as a weighted sum over a small grid of shifted points. One table
+engine, `_step_table`, serves both: the grid sums each variable's table of
+offsets and weights, and `delta_plan` turns the same table into moments and
+rewrites every term in one pass. Shift operators commute, so the steps on
+one variable group into runs of equal steps, in any order. A run of r steps
+h needs at most r+1 probes, at offsets 0, h, ..., r*h with signed binomial
+weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps, such as the
+basis-block sequence over extension fields, convolve."""
 
 from __future__ import annotations
 
@@ -56,14 +58,8 @@ class DiffPlan:
             self.variables
         ):
             raise DiffError("plan fields must align")
-        cap = self.spec.m * (self.spec.p - 1)
         for mult, steps in zip(self.multiplicities, self.steps):
-            if mult < 1:
-                raise DiffError("multiplicities must be >= 1")
-            if mult > cap:
-                raise DiffError(
-                    f"multiplicity {mult} exceeds the field bound {cap}"
-                )
+            _check_multiplicity(self.spec, mult)
             if len(steps) != mult:
                 raise DiffError("each application needs one step")
             for h in steps:
@@ -83,6 +79,8 @@ class DiffPlan:
         pairs = sorted(term.items()) if isinstance(term, Mapping) else sorted(term)
         variables = tuple(v for v, _ in pairs)
         mults = tuple(m for _, m in pairs)
+        for m in mults:
+            _check_multiplicity(spec, m)
         per_var: list[tuple[FieldElement, ...]] = []
         if steps is None:
             for m in mults:
@@ -98,6 +96,14 @@ class DiffPlan:
                 per_var.append(tuple(flat[pos : pos + m]))
                 pos += m
         return cls(spec, variables, mults, tuple(per_var))
+
+
+def _check_multiplicity(spec: FieldSpec, mult: int) -> None:
+    cap = spec.m * (spec.p - 1)
+    if mult < 1:
+        raise DiffError("multiplicities must be >= 1")
+    if mult > cap:
+        raise DiffError(f"multiplicity {mult} exceeds the field bound {cap}")
 
 
 def parse_plan(
@@ -137,7 +143,8 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
         raise DiffError("difference vector width mismatch")
     if not any(a):
         raise DiffError("difference vector must be nonzero")
-    return _shift(f, a) - f
+    shift = {i: ([(ai, spec.one)], 0) for i, ai in enumerate(a) if ai}
+    return _apply_tables(f, shift) - f
 
 
 @lru_cache(maxsize=1024)
@@ -146,41 +153,45 @@ def _binomial_row(e: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, w) for j in range(e + 1) if (w := binomial_mod(e, j, p)))
 
 
-def _shift(f: MultiPoly, a: list[FieldElement]) -> MultiPoly:
+def _apply_tables(
+    f: MultiPoly,
+    tables: Mapping[int, tuple[list[tuple[FieldElement, FieldElement]], int]],
+) -> MultiPoly:
+    """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
+    at once; a table from r steps has zero moments below r."""
     spec = f.spec
     p = spec.p
-    moving = [i for i, ai in enumerate(a) if ai]
-    out: dict[Monomial, FieldElement] = {}
-    # (x_i + a_i)^e = sum over j of C(e, j) a_i^(e-j) x_i^j, one row per (i, e)
     rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
+    moments: dict[tuple[int, int], FieldElement] = {}
+
+    def row(i: int, e: int) -> list[tuple[int, FieldElement]]:
+        table, low = tables[i]
+        entries = []
+        for k, c in _binomial_row(e, p):
+            if e - k >= low:
+                m = moments.get((i, e - k))
+                if m is None:
+                    m = moments[(i, e - k)] = sum(
+                        (w * o ** (e - k) for o, w in table), spec.zero
+                    )
+                if m:
+                    entries.append((k, spec.element(c) * m))
+        return entries
+
+    out: dict[Monomial, FieldElement] = {}
     for mono, coeff in f._terms.items():
-        partial: dict[tuple[int, ...], FieldElement] = {(): coeff}
-        active = [i for i in moving if mono[i]]
-        for i in active:
+        # x_i^e -> sum over k of C(e, k) M_i(e - k) x_i^k; the monomials of
+        # one term are distinct, so only sums across terms can cancel
+        partial = [(mono, coeff)]
+        for i in tables:
             e = mono[i]
-            row = rows.get((i, e))
-            if row is None:
-                ai = a[i]
-                row = rows[(i, e)] = [
-                    (j, spec.element(w) * ai ** (e - j)) for j, w in _binomial_row(e, p)
-                ]
-            expanded: dict[tuple[int, ...], FieldElement] = {}
-            for key, c in partial.items():
-                for j, w in row:
-                    c2 = c * w
-                    k2 = key + (j,)
-                    prev = expanded.get(k2)
-                    prev = c2 if prev is None else prev + c2
-                    if prev:
-                        expanded[k2] = prev
-                    else:
-                        expanded.pop(k2, None)
-            partial = expanded
-        for key, c in partial.items():
-            new_mono = list(mono)
-            for i, j in zip(active, key):
-                new_mono[i] = j
-            t = tuple(new_mono)
+            r = rows.get((i, e))
+            if r is None:
+                r = rows[(i, e)] = row(i, e)
+            partial = [
+                (m[:i] + (k,) + m[i + 1 :], c * w) for m, c in partial for k, w in r
+            ]
+        for t, c in partial:
             prev = out.get(t)
             prev = c if prev is None else prev + c
             if prev:
@@ -191,17 +202,23 @@ def _shift(f: MultiPoly, a: list[FieldElement]) -> MultiPoly:
 
 
 def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
-    """Repeated differences per the plan; the outcome is order-independent."""
+    """Repeated differences per the plan, in one pass over f.
+
+    Each plan variable's `_step_table` is the list of pairs (o, w) that
+    `blackbox_delta` sums, so x_i^e maps to sum over k of
+    C(e, k) M(e - k) x_i^k with moments M(d) = sum of w * o^d (0^0 = 1),
+    and M(d) = 0 for d below the variable's step count.
+    """
     if plan.spec != f.spec:
         raise DiffError("plan and polynomial fields differ")
-    for var, steps in zip(plan.variables, plan.steps):
+    for var in plan.variables:
         if var >= f.n:
             raise DiffError(f"plan variable x{var + 1} outside the polynomial")
-        for h in steps:
-            direction = [f.spec.zero] * f.n
-            direction[var] = h
-            f = delta(f, direction)
-    return f
+    tables = {
+        var: (_step_table(f.spec, steps), len(steps))
+        for var, steps in zip(plan.variables, plan.steps)
+    }
+    return _apply_tables(f, tables)
 
 
 # ---------------------------------------------------------------------------

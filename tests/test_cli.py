@@ -124,6 +124,30 @@ def test_diff_writes_output_file(capsys, tmp_path):
     assert out_path.read_text() == "27*x2\n"
 
 
+def test_diff_unwritable_output_prints_nothing(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "diff",
+        "--field",
+        "31",
+        "--poly",
+        "x1^5*x2",
+        "--plan",
+        "x1^5",
+        "--out",
+        str(tmp_path / "missing" / "result.txt"),
+    )
+    assert code == EXIT_INPUT and out == "" and err.startswith("error:")
+
+
+def test_diff_over_cap_multiplicity_names_the_bound(capsys):
+    code, out, err = run(
+        capsys, "diff", "--field", "31", "--poly", "x1^5", "--plan", "x1^31"
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert "multiplicity 31 exceeds the field bound 30" in err
+
+
 # -- degree-bound -------------------------------------------------------------
 
 

@@ -298,6 +298,44 @@ def test_duality_symbolic_vs_grid(rng):
         )
 
 
+GF_BIG = prime_field(10**9 + 7)
+
+
+@given(st.data())
+def test_delta_plan_matches_step_by_step_and_inclusion_exclusion(data):
+    # `delta_plan` and `blackbox_delta` both read the step tables, so check
+    # the symbolic route against two references that do not: one `delta` per
+    # step, and the signed sum over all subsets of the steps
+    spec = data.draw(
+        st.sampled_from([GF2, GF3, GF5, GF7, GF31, GF4, GF8, GF9, GF27, GF_BIG])
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(1, 3))
+    variables = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    # a small pool of steps, so that both repeated and distinct steps occur
+    pool = data.draw(
+        st.lists(st.integers(1, spec.order - 1), min_size=1, max_size=3, unique=True)
+    )
+    cap = min(4, spec.m * (spec.p - 1))
+    term = {v: data.draw(st.integers(1, cap)) for v in variables}
+    flat = [
+        (v, spec.from_index(data.draw(st.sampled_from(pool))))
+        for v in variables
+        for _ in range(term[v])
+    ]
+    plan = DiffPlan.make(spec, term, [h for _, h in flat])
+    f = random_poly(spec, n, data.draw(st.integers(0, 9)), 8, rng=rng)
+    got = delta_plan(f, plan)
+    expected = f
+    for v, h in flat:
+        expected = delta(expected, unit_direction(spec, n, v, h))
+    assert got == expected
+    diffs = [unit_direction(spec, n, v, h) for v, h in flat]
+    for _ in range(2):
+        base = tuple(spec.random_element(rng) for _ in range(n))
+        assert got.evaluate(base) == inclusion_exclusion(wrap(f), diffs, base)
+
+
 # -- plans: validation and parsing --------------------------------------------
 
 
