@@ -18,11 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .combinat import (
-    binomial_mod,
-    diff_coefficient,
-    _nonzero_composition_items,
-)
+from .combinat import diff_coefficient, digits, _nonzero_composition_items
 from .field import FieldElement, FieldSpec, basis_elements
 from .poly import Monomial, MultiPoly, PolyError, parse_monomial
 
@@ -149,8 +145,17 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
 
 @lru_cache(maxsize=1024)
 def _binomial_row(e: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (j, C(e, j) mod p) with a nonzero binomial, by Lucas."""
-    return tuple((j, w) for j in range(e + 1) if (w := binomial_mod(e, j, p)))
+    """The pairs (j, C(e, j) mod p) with a nonzero binomial, by Lucas: the
+    product of one row per base-p digit d of e, each built as
+    C(d, j+1) = C(d, j) * (d - j) / (j + 1) mod p, in O(d) steps."""
+    row, place = [(0, 1)], 1
+    for d in digits(e, p):
+        digit = [1]
+        for j in range(d):
+            digit.append(digit[-1] * (d - j) * pow(j + 1, -1, p) % p)
+        row = [(k + j * place, c * w % p) for j, w in enumerate(digit) for k, c in row]
+        place *= p
+    return tuple(row)
 
 
 def _apply_tables(

@@ -14,20 +14,22 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
    The planted kernel keeps only the public monomials that are nonzero at
    some point of the batch and tabulates their values per point; the toy
-   cipher tabulates its first round's mix of each point's publics, which
-   whitening leaves free of the secret. The `BlackBox` that `blackbox()`
-   returns redoes this stage only for a new batch, which a superpoly grid
-   never is across a term's calls.
+   cipher tabulates its first round's mix of the publics as columns, one
+   list per state coordinate, which whitening leaves free of the secret.
+   The `BlackBox` that `blackbox()` returns redoes this stage only for a
+   new batch, which a superpoly grid never is across a term's calls.
 2. secret (the function `_on_grid` returns): the planted kernel folds each
    live public monomial's terms into one coefficient mod p and sums
-   coefficient times tabulated value per point; the toy cipher runs its
-   key schedule, folds the whitening into the first round's constant and
-   runs its round function from each tabulated first round. It returns one
-   residue per point.
+   coefficient times tabulated value per point; the toy cipher gets every
+   secret-only constant (the first round's, with the whitening folded in,
+   and each later round's key injection) from one affine key map of the
+   secret, then runs its rounds over the columns: each quadratic step,
+   reduced mod p once, and each affine layer is one list per output
+   column. It returns one residue per point.
 
 A single probe is the one-point batch. The online oracle is a fresh box
 viewed at a fixed key: it answers a whole replay as one batch, so its key
-is folded or scheduled once per replay, and every point's width is checked
+is folded or mapped once per replay, and every point's width is checked
 as in preprocessing.
 
 `load_target` accepts these sizes from a description file and rejects any
@@ -47,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .attack import BlackBox
@@ -66,7 +68,7 @@ class CountingOracle:
     `evaluate_grid(points)` is `box.evaluate_grid(points, key)`: it answers
     a batch of public points, as residue tuples, with one residue per
     point, under the box's width checks and counter, so the key is folded
-    or scheduled once per batch. Calling the oracle on one public point of
+    or mapped once per batch. Calling the oracle on one public point of
     field elements is the one-point case. `evaluations` is the box's
     counter."""
 
@@ -302,7 +304,11 @@ class ToyCipherParams:
 class ToyCipher(_Target):
     """Keyed toy map over GF(p): load publics, add a whitening key layer,
     then per round an affine mix with key injection followed by one
-    quadratic step. Output degree stays below 2^rounds + 1."""
+    quadratic step. Output degree stays below 2^rounds + 1.
+
+    The secret enters only through affine layers, so the kernel reads all
+    of it through one matrix, `_key_map`, composed once per cipher, and
+    runs the rest over grid columns."""
 
     def __init__(self, params: ToyCipherParams):
         if params.width < 1 or params.rounds < 0:
@@ -347,6 +353,27 @@ class ToyCipher(_Target):
             layers[-1] = [[rows[t] for t in taps] for rows in layers[-1]]
         return layers
 
+    @cached_property
+    def _key_map(self) -> list[list[int]]:
+        """Every secret-only constant of an encryption as one affine map of
+        (secret, 1) mod p, one row per constant: first the first round's
+        mix_1 * (whiten * secret + whiten_const) + inject_1 (output 0's
+        whitening row at zero rounds), then each later round's key
+        injection plus constant."""
+        p = self.params.p
+        whiten = [row + [c] for row, c in zip(self.whiten, self.whiten_const)]
+        if not self._layers:
+            return whiten[:1]
+        (mix, keys, consts), *later = self._layers
+        columns = list(zip(*whiten))
+        first = [
+            [(sum(map(mul, row, col)) + k) % p for col, k in zip(columns, krow + [c])]
+            for row, krow, c in zip(mix, keys, consts)
+        ]
+        return first + [
+            krow + [c] for _, keys, consts in later for krow, c in zip(keys, consts)
+        ]
+
     def _key_matrix(self, rng, w, n_sec, ensure_row0=False):
         p = self.params.p
         while True:
@@ -366,67 +393,44 @@ class ToyCipher(_Target):
     def suggested_max_multiplicity(self) -> int:
         return max(2**self.params.rounds, 1)
 
-    def _key_schedule(self, secret: Sequence[int]):
-        """The secret-only part of an encryption: the first round's constant
-        mix_1 * whiten + inject_1 (the whitening layer itself at zero
-        rounds), and each later round's mix matrix with its key injection
-        plus constant."""
-        p = self.params.p
-
-        def inject(key_rows, consts):
-            return [
-                (sum(map(mul, row, secret)) + c) % p
-                for row, c in zip(key_rows, consts)
-            ]
-
-        first = inject(self.whiten, self.whiten_const)
-        later = [(mix, inject(keys, consts)) for mix, keys, consts in self._layers]
-        if later:
-            mix, key = later.pop(0)
-            first = [
-                (sum(map(mul, row, first)) + k) % p for row, k in zip(mix, key)
-            ]
-        return first, later
-
-    def _tabulate(self, public: Sequence[int]) -> list[int]:
-        """The secret-free part of the first round at one public point:
-        mix_1 times the publics loaded into the state (zero-padded, cut at
-        the width), or the loaded state itself at zero rounds. Whitening
-        only adds a constant before mix_1, so the secret never enters."""
-        w = self.params.width
-        state = list(public[:w])
-        state += [0] * (w - len(state))
-        if not self._layers:
-            return state
-        return [sum(map(mul, row, state)) for row in self._layers[0][0]]
-
-    def _rounds(self, rows: Sequence[Sequence[int]], schedule) -> list[int]:
-        """The round function, from tabulated first rounds to one output
-        per row: add the first round's constant, then alternate the
-        quadratic step with each later round's affine layer, reducing mod p
-        once per round; the last layer holds output 0's three taps only."""
-        first, later = schedule
-        p = self.params.p
-        if not self._layers:
-            c = first[0]
-            return [(row[0] + c) % p for row in rows]
-        quad = self._quad
-        out = []
-        for row in rows:
-            a = list(map(add, row, first))
-            for mix, inject in later:
-                state = [(a[i] + a[j] * a[k]) % p for i, j, k in quad]
-                a = [sum(map(mul, r, state)) + c for r, c in zip(mix, inject)]
-            out.append((a[0] + a[1] * a[2]) % p)
-        return out
-
     def _on_grid(self, points: Sequence[Sequence[int]]):
-        """A batch of public points: tabulates each point's first round
-        once; the secret stage runs the key schedule, then the round
-        function over the tabulated rows."""
-        rows = [self._tabulate(point) for point in points]
-        rounds, schedule = self._rounds, self._key_schedule
-        return lambda secret: rounds(rows, schedule(secret))
+        """A batch of public points, kept as columns: one list per state
+        coordinate, one entry per point. The grid stage tabulates the first
+        round's mix of the loaded publics (the loaded coordinate 0 at zero
+        rounds); whitening only adds a constant before mix_1, so the secret
+        never enters. The secret stage applies the key map once, adds the
+        first round's constants, then alternates the quadratic step,
+        reduced mod p, with each later round's affine layer, one list per
+        output column; the last layer holds output 0's three taps only."""
+        p = self.params.p
+        layers, quad, key_map = self._layers, self._quad, self._key_map
+        # map stops at the shorter of row and point, which loads the publics
+        # zero-padded or cut at the width
+        first = layers[0][0] if layers else [[1]]
+        columns = [[sum(map(mul, row, pt)) for pt in points] for row in first]
+
+        def at_secret(secret: Sequence[int]) -> list[int]:
+            x = (*secret, 1)
+            consts = [sum(map(mul, row, x)) % p for row in key_map]
+            a = [[v + c for v in col] for col, c in zip(columns, consts)]
+            start = len(a)
+            for mix, _, _ in layers[1:]:
+                state = [
+                    [(s + t * u) % p for s, t, u in zip(a[i], a[j], a[k])]
+                    for i, j, k in quad
+                ]
+                rows = list(zip(*state))
+                stop = start + len(mix)
+                a = [
+                    [sum(map(mul, r, s), c) for s in rows]
+                    for r, c in zip(mix, consts[start:stop])
+                ]
+                start = stop
+            if not layers:
+                return [v % p for v in a[0]]
+            return [(s + t * u) % p for s, t, u in zip(*a)]
+
+        return at_secret
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
         return self.online_oracle(secret).evaluate_grid([tuple(public)])[0]

@@ -6,10 +6,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.combinat import ZERO_FUNCTION, degree_after_diff, digit_sum
+from gfdelta.combinat import (
+    ZERO_FUNCTION,
+    binomial_mod,
+    degree_after_diff,
+    digit_sum,
+)
 from gfdelta.diff import (
     DiffError,
     DiffPlan,
+    _binomial_row,
     basis_step_sequence,
     blackbox_delta,
     delta,
@@ -217,6 +223,19 @@ def test_grid_points_match_the_binomial_closed_form(rng):
             for offsets, w in closed.items():
                 total = total + w * f.evaluate([b + o for b, o in zip(base, offsets)])
             assert total == blackbox_delta(wrap(f), plan, base)
+
+
+def test_binomial_rows_match_lucas_residues():
+    # rows are built digit by digit, single residues by the multinomial kernel
+    def lucas(e, p):
+        return tuple((j, w) for j in range(e + 1) if (w := binomial_mod(e, j, p)))
+
+    for p in (2, 3, 5, 7, 31):
+        for e in range(300):
+            assert _binomial_row(e, p) == lucas(e, p)
+    rng = random.Random(3)
+    for e in [0, 1] + [rng.randrange(3000) for _ in range(3)]:
+        assert _binomial_row(e, 10**9 + 7) == lucas(e, 10**9 + 7)
 
 
 @given(st.data())

@@ -166,7 +166,7 @@ def reference_encrypt(cipher, public, secret):
 
 
 @given(
-    # the reference reduces after every step, the kernel once per round
+    # the reference reduces after every step, the kernel once per quadratic step
     p=st.sampled_from([3, 5, 7, 2**61 - 1]),
     rounds=st.integers(0, 3),
     width=st.integers(1, 5),
@@ -181,16 +181,40 @@ def test_toy_cipher_schedule_matches_reference(
     cipher = ToyCipher(ToyCipherParams(p, rounds, width, n_pub, n_sec, seed))
     values = st.integers(0, p - 1)
     secret = tuple(data.draw(values) for _ in range(n_sec))
-    schedule = cipher._key_schedule(secret)
     bb = cipher.blackbox()
     key = tuple(cipher.spec.element(x) for x in secret)
     for _ in range(3):
         public = tuple(data.draw(values) for _ in range(n_pub))
         expected = reference_encrypt(cipher, public, secret)
-        assert cipher._rounds([cipher._tabulate(public)], schedule)[0] == expected
+        assert cipher._on_grid([public])(secret) == [expected]
         assert cipher.evaluate_ints(public, secret) == expected
         point = tuple(cipher.spec.element(v) for v in public)
         assert int(bb.evaluate(point, key)) == expected
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 2**61 - 1]),
+    rounds=st.integers(0, 4),
+    width=st.integers(1, 5),
+    n_pub=st.integers(1, 6),
+    n_sec=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_toy_cipher_grid_matches_reference(
+    p, rounds, width, n_pub, n_sec, seed, data
+):
+    # one grid stage answers a whole batch, repeated points included, at
+    # every secret it is handed
+    cipher = ToyCipher(ToyCipherParams(p, rounds, width, n_pub, n_sec, seed))
+    values = st.integers(0, p - 1)
+    pool = data.draw(st.lists(st.tuples(*[values] * n_pub), min_size=1, max_size=8))
+    points = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    at_secret = cipher._on_grid(points)
+    for _ in range(2):
+        secret = tuple(data.draw(values) for _ in range(n_sec))
+        expected = [reference_encrypt(cipher, pt, secret) for pt in points]
+        assert at_secret(secret) == expected
 
 
 def test_toy_cipher_deterministic_and_keyed():
