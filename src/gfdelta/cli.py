@@ -76,18 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_diff(args) -> int:
     spec = parse_field_spec(args.field)
-    text = args.poly
-    if text is None:
-        with open(args.poly_file) as fh:
-            text = fh.read()
-    f = poly.parse_poly(text, spec)
     steps = None
     if args.steps:
         steps = [parse_element(chunk, spec) for chunk in args.steps.split(",")]
     plan = diff.parse_plan(args.plan, spec, steps)
-    needed = max(plan.variables) + 1
-    if f.n < needed:
-        f = poly.parse_poly(text, spec, n=needed)
+    text = args.poly
+    if text is None:
+        with open(args.poly_file) as fh:
+            text = fh.read()
+    f = poly.parse_poly(text, spec).widen(max(plan.variables) + 1)
     result = poly.format_poly(diff.delta_plan(f, plan))
     if args.out:
         with open(args.out, "w") as fh:

@@ -664,8 +664,9 @@ _ATERM_RE = re.compile(r"^(?:(\d+)\*?)?(a)?(?:\^(\d+))?$")
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Parse an element literal: an integer, or a polynomial in 'a' like '2*a^3+a+1'."""
-    s = text.replace(" ", "")
+    """Parse an element literal: an integer, or a polynomial in 'a' like
+    '2*a^3+a+1'. Whitespace is ignored."""
+    s = "".join(text.split())
     if not s:
         raise FieldError("empty element literal")
     # split into signed summands
@@ -687,7 +688,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     for sgn, chunk in chunks:
         m = _ATERM_RE.match(chunk)
         if not m or (m.group(3) and not m.group(2)) or not chunk:
-            raise FieldError(f"bad element literal {text!r}")
+            raise FieldError(f"bad element literal {s!r}")
         coeff = int(m.group(1)) if m.group(1) else 1
         if m.group(2):
             if spec.m == 1:

@@ -100,6 +100,15 @@ class MultiPoly:
         mono[index] = 1
         return cls._raw(spec, n, {tuple(mono): spec.one})
 
+    def widen(self, n: int) -> "MultiPoly":
+        """The same polynomial over max(n, self.n) variables."""
+        if n <= self.n:
+            return self
+        pad = (0,) * (n - self.n)
+        return MultiPoly._raw(
+            self.spec, n, {mono + pad: c for mono, c in self._terms.items()}
+        )
+
     # inspection -----------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, FieldElement]]:
@@ -321,123 +330,169 @@ class TermFactorization:
 # ---------------------------------------------------------------------------
 # parsing and formatting
 #
-# grammar: terms joined by + or -; a term is *-joined factors, each factor an
-# integer, a parenthesised element in the basis symbol 'a', or a power xK^E.
+# grammar: a polynomial is terms joined by runs of signs. A run is any mix of
+# '+' and '-', and it negates the term after it when it holds an odd number
+# of '-'; the first term may carry one too. A term is factors joined by '*':
+# an integer, an element literal in parentheses (`field.parse_element`, in
+# the basis symbol 'a', e.g. '(2*a+1)'), or a variable xK with an optional
+# power ^E. Coefficients multiply, and a repeated variable adds its powers.
+# Variables run from x1 to x{MAX_VARIABLE}. Whitespace (any character that
+# str.isspace admits) may stand between any two tokens and inside a literal,
+# but not inside a number or an xK.
+#
+# The scanner reads a factor with the whitespace and '*' after it in one
+# match, and a run of signs in one match. Only a failed scan looks for the
+# error: a character that starts no token comes first wherever it stands,
+# then the grammar error where the scan stopped.
 
-_TOKEN_RE = re.compile(r"\s*(\d+|x\d+|\(|\)|\^|\*|\+|-|a)")
+# the largest variable index term syntax admits; a monomial is as wide as its
+# largest index, and planted targets use at most 72
+MAX_VARIABLE = 1024
 
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    end = len(text)
-    while pos < end:
-        while pos < end and text[pos].isspace():
-            pos += 1
-        if pos >= end:
-            break
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((match.group(1), match.start(1)))
-        pos = match.end()
-    return tokens
+_SIGNS_RE = re.compile(r"[\s+-]*")
+# a factor and what follows it: group 1 an integer or a literal with its
+# parentheses, groups 2 and 3 the K and E of xK^E, group 4 a '*' that joins
+# the next factor
+_POLY_FACTOR_RE = re.compile(
+    r"(?:(\d+|\([^()]*\))|x(\d+)(?:\s*\^\s*(\d+))?)\s*(\*\s*)?"
+)
+_BAD_CHAR_RE = re.compile(r"x(?!\d)|[^\s\dx()^*+\-a]")
+_TOKEN_RE = re.compile(r"\d+|x\d+|\S")
+_VARIABLE_RE = re.compile(r"x(\d+)")
 
 
 def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
-    """Parse polynomial text like 'x1^5*x2 + (2*a+1)*x3 - 7'."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial", 0)
-    terms: list[tuple[dict[int, int], FieldElement]] = []
-    idx = 0
+    """Parse polynomial text like 'x1^5*x2 + (2*a+1)*x3 - 7' over n
+    variables, by default as many as its largest index. Malformed text
+    raises ParseError at the position of its first fault."""
+    signs = _SIGNS_RE.match
+    factor = _POLY_FACTOR_RE.match
+    values: dict[str, FieldElement] = {}  # coefficient text -> element
+    terms = []
     max_var = 0
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    while idx < len(tokens):
-        sign = 1
-        while peek() in ("+", "-"):
-            tok, _ = take()
-            if tok == "-":
-                sign = -sign
-        if peek() is None:
-            raise ParseError("dangling sign", tokens[-1][1])
-        coeff = spec.one if sign > 0 else -spec.one
+    pos = 0
+    end = len(text)
+    while True:
+        run = signs(text, pos)
+        pos = run.end()
+        coeff = None
         exps: dict[int, int] = {}
         while True:
-            tok, at = take()
-            if tok.isdigit():
-                coeff = coeff * spec.element(int(tok))
-            elif tok == "(":
-                depth = 1
-                inner = []
-                start = at
-                while depth:
-                    if idx >= len(tokens):
-                        raise ParseError("unbalanced parenthesis", start)
-                    t2, _ = take()
-                    if t2 == "(":
-                        depth += 1
-                    elif t2 == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    if depth:
-                        inner.append(t2)
-                try:
-                    value = parse_element("".join(inner), spec)
-                except FieldError as exc:
-                    raise ParseError(str(exc), start) from None
-                coeff = coeff * value
-            elif tok.startswith("x"):
-                var = int(tok[1:])
-                if var < 1:
-                    raise ParseError("variables are numbered from x1", at)
-                exp = 1
-                if peek() == "^":
-                    take()
-                    etok, eat = take() if idx <= len(tokens) - 1 else (None, at)
-                    if etok is None or not etok.isdigit():
-                        raise ParseError("expected integer exponent after ^", eat)
-                    exp = int(etok)
-                exps[var - 1] = exps.get(var - 1, 0) + exp
-                max_var = max(max_var, var)
-            elif tok == "a":
-                raise ParseError(
-                    "basis symbol must appear inside parentheses", at
-                )
+            m = factor(text, pos)
+            if m is None:
+                raise _scan_error(text, pos, spec)
+            lit, var, exp, star = m.groups()
+            if lit is not None:
+                value = values.get(lit)
+                if value is None:
+                    value = values[lit] = _coefficient(text, pos, lit, spec)
+                coeff = value if coeff is None else coeff * value
             else:
-                raise ParseError(f"unexpected token {tok!r}", at)
-            if peek() == "*":
-                take()
-                if peek() is None:
-                    raise ParseError("dangling '*'", tokens[-1][1])
-                continue
+                k = int(var)
+                if not k:
+                    raise _scan_error(text, pos, spec, "variables are numbered from x1")
+                exps[k] = exps.get(k, 0) + (int(exp) if exp else 1)
+                if k > max_var:
+                    max_var = k
+            pos = m.end()
+            if star is None:
+                break
+        terms.append((exps, coeff, run.group().count("-") & 1))
+        if pos == end:
             break
-        terms.append((exps, coeff))
-        if peek() not in (None, "+", "-"):
-            tok, at = tokens[idx]
-            raise ParseError(f"expected '+' or '-' before {tok!r}", at)
+        if text[pos] not in "+-":
+            raise _scan_error(text, pos, spec, after=m)
 
     if n is None:
         n = max_var
     elif max_var > n:
         raise ParseError(f"variable x{max_var} exceeds declared count {n}", 0)
-    built: list[tuple[Monomial, FieldElement]] = []
-    for exps, coeff in terms:
+    if max_var > MAX_VARIABLE:
+        big = next(
+            v for v in _VARIABLE_RE.finditer(text) if int(v.group(1)) > MAX_VARIABLE
+        )
+        raise ParseError(
+            f"variable x{int(big.group(1))} is past x{MAX_VARIABLE}", big.start()
+        )
+    order = spec.order
+    one = spec.one
+    minus_one = -one
+    canon: dict[Monomial, FieldElement] = {}
+    for exps, coeff, negative in terms:
         mono = [0] * n
-        for var, e in exps.items():
-            mono[var] = e
-        built.append((tuple(mono), coeff))
-    return MultiPoly(spec, n, built)
+        for k, e in exps.items():
+            mono[k - 1] = e if e < order else _fold(e, order)
+        mono = tuple(mono)
+        if coeff is None:
+            coeff = one
+        if negative:
+            coeff = minus_one * coeff  # a product, as in _coefficient
+        prev = canon.get(mono)
+        if prev is not None:
+            coeff = prev + coeff
+        if coeff:
+            canon[mono] = coeff
+        else:
+            canon.pop(mono, None)
+    return MultiPoly._raw(spec, n, canon)
+
+
+def _coefficient(text: str, at: int, lit: str, spec: FieldSpec) -> FieldElement:
+    """The element a coefficient factor names, returned as a product: over a
+    field with log tables a product's coordinates are the tables' own rows,
+    which `MultiPoly.evaluate` then finds in its log table by identity."""
+    if lit[0] != "(":
+        value = spec.element(int(lit))
+    else:
+        try:
+            value = parse_element(lit[1:-1], spec)
+        except FieldError as exc:
+            raise _scan_error(text, at, spec, str(exc)) from None
+    return spec.one * value
+
+
+def _scan_error(
+    text: str, pos: int, spec: FieldSpec, message: str | None = None, after=None
+) -> ParseError:
+    """The error for a scan that stopped at pos: a character that starts no
+    token, wherever it stands, else `message`, else what the grammar wants
+    at pos, a factor or, after a term whose last factor matched as `after`,
+    a sign."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        return ParseError(f"unexpected character {bad.group()[0]!r}", bad.start())
+    if message is not None:
+        return ParseError(message, pos)
+    if after is not None:
+        if text[pos] == "^" and after.group(2) and not after.group(3):
+            exponent = _TOKEN_RE.search(text, pos + 1)
+            at = exponent.start() if exponent else after.start()
+            return ParseError("expected integer exponent after ^", at)
+        tok = _TOKEN_RE.match(text, pos).group()
+        return ParseError(f"expected '+' or '-' before {tok!r}", pos)
+    rest = text.rstrip()
+    if not rest:
+        return ParseError("empty polynomial", 0)
+    if pos == len(text):
+        dangling = "'*'" if rest[-1] == "*" else "sign"
+        return ParseError(f"dangling {dangling}", len(rest) - 1)
+    char = text[pos]
+    if char == "(":
+        # a nested literal, which parse_element rejects, or an unclosed one
+        depth = 0
+        for close in range(pos, len(text)):
+            depth += (text[close] == "(") - (text[close] == ")")
+            if not depth:
+                try:
+                    parse_element(text[pos + 1 : close], spec)
+                except FieldError as exc:
+                    return ParseError(str(exc), pos)
+                break
+        else:
+            return ParseError("unbalanced parenthesis", pos)
+    if char == "a":
+        return ParseError("basis symbol must appear inside parentheses", pos)
+    return ParseError(f"unexpected token {char!r}", pos)
 
 
 def _format_coefficient(c: FieldElement) -> tuple[str, bool]:
@@ -473,6 +528,8 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
             var = int(match.group(1)) - 1
             exps[var] = exps.get(var, 0) + int(match.group(2) or 1)
     needed = max(exps, default=-1) + 1
+    if needed > MAX_VARIABLE:
+        raise PolyError(f"term {text!r} has a variable past x{MAX_VARIABLE}")
     if n is None:
         n = needed
     elif needed > n:

@@ -83,6 +83,65 @@ def test_diff_with_explicit_steps(capsys):
     assert code == EXIT_OK and out.strip() == "(2*a+2)"
 
 
+def test_diff_steps_admit_whitespace(capsys):
+    code, out, _ = run(
+        capsys,
+        "diff",
+        "--field",
+        "3^2/1,2,2",
+        "--poly",
+        "x1^5",
+        "--plan",
+        "x1^3",
+        "--steps",
+        "1,\n1, \ta",
+    )
+    assert code == EXIT_OK and out.strip() == "(2*a+2)"
+
+
+def test_diff_parses_the_polynomial_once(capsys, monkeypatch):
+    import gfdelta.poly as poly
+
+    calls = []
+    parse = poly.parse_poly
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "parse_poly", counting)
+    code, out, _ = run(
+        capsys, "diff", "--field", "31", "--poly", "x1^2", "--plan", "x3"
+    )
+    assert code == EXIT_OK and out == "0\n"
+    assert len(calls) == 1
+    # a plan past the polynomial's variables still differences it there
+    code, out, _ = run(
+        capsys, "diff", "--field", "31", "--poly", "x1^2*x2", "--plan", "x1*x3"
+    )
+    assert code == EXIT_OK and out == "0\n"
+    code, out, _ = run(
+        capsys, "diff", "--field", "31", "--poly", "x1^2*x3", "--plan", "x3"
+    )
+    assert code == EXIT_OK and out == "x1^2\n"
+    assert len(calls) == 3
+
+
+def test_diff_variable_past_the_cap_is_input_error(capsys):
+    from gfdelta.poly import MAX_VARIABLE
+
+    for poly_text, plan in [
+        (f"x{MAX_VARIABLE + 1}", "x1"),
+        ("x1", "x" + "9" * 30),
+        ("x1 + x" + "9" * 30, "x1"),
+        ("x1", f"x1*x{MAX_VARIABLE + 1}"),
+    ]:
+        code, out, err = run(
+            capsys, "diff", "--field", "31", "--poly", poly_text, "--plan", plan
+        )
+        assert code == EXIT_INPUT and out == "" and err.startswith("error:")
+
+
 def test_diff_step_count_mismatch_is_input_error(capsys):
     code, _, err = run(
         capsys,

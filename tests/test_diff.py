@@ -379,6 +379,8 @@ def test_plan_parsing():
     assert tuple(mults.get(i, 0) for i in range(4)) == (2, 0, 1, 0)
     with pytest.raises(DiffError):
         parse_plan("x1^2*y3", GF31)
+    with pytest.raises(DiffError, match="past x"):
+        parse_plan("x1*x" + "9" * 30, GF31)
 
 
 def test_basis_step_sequence_examples():

@@ -135,6 +135,15 @@ def test_element_literals():
         parse_element("b+1", GF9)
 
 
+def test_element_literals_ignore_whitespace():
+    assert parse_element("2\t* a\n+ 1", GF9) == GF9.element((1, 2))
+    assert parse_element("\ta", GF9) == GF9.generator
+    assert parse_element(" 1\n2 ", GF31) == GF31.element(12)
+    for text in ("\t", " \n "):
+        with pytest.raises(FieldError, match="empty element literal"):
+            parse_element(text, GF9)
+
+
 def test_element_formatting():
     assert str(GF9.element((2, 2))) == "2*a+2"
     assert str(GF9.element((0, 1))) == "a"

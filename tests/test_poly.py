@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gfdelta.field import ExtFieldSpec, ext_field, prime_field
 from gfdelta.poly import (
+    MAX_VARIABLE,
     MultiPoly,
     ParseError,
     PolyError,
@@ -13,6 +15,7 @@ from gfdelta.poly import (
     format_poly,
     interpolate,
     monomial_text,
+    parse_monomial,
     parse_poly,
     random_poly,
 )
@@ -79,6 +82,113 @@ def test_parse_errors_carry_positions():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 5
+
+
+# (text, field, declared n, position, message), positions and messages as
+# the token-at-a-time parser reported them
+MALFORMED = [
+    ("$", GF31, None, 0, "unexpected character '$'"),
+    ("x1 + $", GF31, None, 5, "unexpected character '$'"),
+    ("x0", GF31, None, 0, "variables are numbered from x1"),
+    ("x0 + $", GF31, None, 5, "unexpected character '$'"),
+    ("x1 +", GF31, None, 3, "dangling sign"),
+    ("x1 + + - ", GF31, None, 7, "dangling sign"),
+    ("- ", GF31, None, 0, "dangling sign"),
+    ("", GF31, None, 0, "empty polynomial"),
+    (" \t\n", GF31, None, 0, "empty polynomial"),
+    ("x1^", GF31, None, 0, "expected integer exponent after ^"),
+    ("x1 ^ ", GF31, None, 0, "expected integer exponent after ^"),
+    ("x1 ^ + 2", GF31, None, 5, "expected integer exponent after ^"),
+    ("x1^a", GF9, None, 3, "expected integer exponent after ^"),
+    ("x1^2^3", GF31, None, 4, "expected '+' or '-' before '^'"),
+    ("x1 x2", GF31, None, 3, "expected '+' or '-' before 'x2'"),
+    ("x1 2", GF31, None, 3, "expected '+' or '-' before '2'"),
+    ("2 (a)", GF9, None, 2, "expected '+' or '-' before '('"),
+    ("(2*a+1)(a)", GF9, None, 7, "expected '+' or '-' before '('"),
+    ("(a))", GF9, None, 3, "expected '+' or '-' before ')'"),
+    ("x1*", GF31, None, 2, "dangling '*'"),
+    ("x1 * ", GF31, None, 3, "dangling '*'"),
+    ("*x1", GF31, None, 0, "unexpected token '*'"),
+    ("x1 * + x2", GF31, None, 5, "unexpected token '+'"),
+    (")", GF31, None, 0, "unexpected token ')'"),
+    ("(a)*x1", GF31, None, 0, "basis symbol 'a' is not a GF(31) coefficient"),
+    ("a", GF9, None, 0, "basis symbol must appear inside parentheses"),
+    ("x1*a", GF9, None, 3, "basis symbol must appear inside parentheses"),
+    ("((a))", GF9, None, 0, "bad element literal '(a)'"),
+    ("(x1)", GF9, None, 0, "bad element literal 'x1'"),
+    ("(1 2 ^ 3)", GF9, None, 0, "bad element literal '12^3'"),
+    ("(a", GF9, None, 0, "unbalanced parenthesis"),
+    ("()", GF9, None, 0, "empty element literal"),
+    ("(a$)", GF9, None, 2, "unexpected character '$'"),
+    ("(b)", GF9, None, 1, "unexpected character 'b'"),
+    ("x1 + y2", GF31, None, 5, "unexpected character 'y'"),
+    ("x 1", GF31, None, 0, "unexpected character 'x'"),
+    ("x5", GF31, 4, 0, "variable x5 exceeds declared count 4"),
+    ("x1 + x5", GF31, 4, 0, "variable x5 exceeds declared count 4"),
+]
+
+
+@pytest.mark.parametrize("text,spec,n,position,message", MALFORMED)
+def test_malformed_text_positions(text, spec, n, position, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, spec, n=n)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+def test_variable_index_is_capped():
+    assert parse_poly(f"x{MAX_VARIABLE}", GF31).n == MAX_VARIABLE
+    for text, position in [
+        (f"x{MAX_VARIABLE + 1} + x1", 0),
+        ("x1 + x" + "9" * 30, 5),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, GF31)
+        assert info.value.position == position
+        with pytest.raises(ParseError):
+            parse_poly(text, GF31, n=MAX_VARIABLE + 1)
+    assert len(parse_monomial(f"x{MAX_VARIABLE}")) == MAX_VARIABLE
+    for text in (f"x{MAX_VARIABLE + 1}", "x1*x" + "9" * 30):
+        with pytest.raises(PolyError):
+            parse_monomial(text)
+
+
+def test_parse_literal_whitespace():
+    f = parse_poly("(2 * a\t+ 1)*x1 + (\na ^ 2\n)", GF9)
+    assert f == parse_poly("(2*a+1)*x1 + (a^2)", GF9)
+    # tokens inside a literal join, as between any two tokens
+    assert parse_poly("(1 2)*x1", GF31) == parse_poly("12*x1", GF31)
+
+
+_TOKEN = re.compile(r"\d+|x\d+|\S")
+
+
+@given(small_polys(), st.data())
+def test_parse_admits_whitespace_and_sign_runs(f, data):
+    gap = st.text(alphabet=" \t\n", max_size=2)
+    sign = st.sampled_from([["+"], ["-", "-"], ["+", "-", "-"], ["-", "+", "-"]])
+    pieces = data.draw(st.sampled_from([[], ["-", "-"], ["+"]]))
+    for index, term in enumerate(format_poly(f).split(" + ")):
+        if index:
+            pieces += data.draw(sign)
+        pieces += _TOKEN.findall(term)
+    text = "".join(data.draw(gap) + piece for piece in pieces) + data.draw(gap)
+    assert parse_poly(text, f.spec, n=f.n) == f
+
+
+def test_parsed_coefficients_are_table_rows():
+    # evaluate looks each coefficient up in the log table; the table's own
+    # tuples are found by identity, without comparing coordinates
+    f = parse_poly("(2*a^2+1)*x1 - (a)*x2 - 2 + x1^2 - -(a^2)*x2^2*2", GF27)
+    log, _ = GF27._log_tables()
+    rows = {id(row) for row in log}
+    assert len(f) == 5 and all(id(c.coeffs) in rows for c in f._terms.values())
+
+
+def test_widen_pads_every_term():
+    f = parse_poly("x1^2 + 3*x2", GF31)
+    assert f.widen(4) == parse_poly("x1^2 + 3*x2", GF31, n=4)
+    assert f.widen(1) is f
 
 
 def test_format_examples():
