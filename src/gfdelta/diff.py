@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinat import diff_coefficient, digits, _nonzero_composition_items
 from .field import FieldElement, FieldSpec, basis_elements
-from .poly import Monomial, MultiPoly, PolyError, parse_monomial
+from .poly import Monomial, MultiPoly, PolyError, _merge, parse_monomial
 
 BlackBoxFn = Callable[[tuple[FieldElement, ...]], FieldElement]
 
@@ -107,7 +107,7 @@ def parse_plan(
 ) -> DiffPlan:
     """Parse plan text in term syntax, e.g. 'x1^2*x3'."""
     try:
-        mono = parse_monomial(text.replace(" ", ""))
+        mono = parse_monomial(text)
     except PolyError as exc:
         raise DiffError(f"bad plan: {exc}") from None
     if not any(mono):
@@ -196,13 +196,7 @@ def _apply_tables(
             partial = [
                 (m[:i] + (k,) + m[i + 1 :], c * w) for m, c in partial for k, w in r
             ]
-        for t, c in partial:
-            prev = out.get(t)
-            prev = c if prev is None else prev + c
-            if prev:
-                out[t] = prev
-            else:
-                out.pop(t, None)
+        _merge(out, partial)
     return MultiPoly._raw(spec, f.n, out)
 
 

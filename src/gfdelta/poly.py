@@ -4,8 +4,10 @@ function form.
 Exponents are kept canonical under x^q = x (q the field order): every
 positive exponent e is folded to ((e-1) mod (q-1)) + 1, so two polynomials
 are equal exactly when they define the same function. Terms are stored in a
-map from exponent tuples to nonzero coefficients; iteration and formatting
-use a graded lexicographic order for determinism.
+map from exponent tuples to nonzero coefficients, and only `_merge` writes
+terms into such a map: equal monomials sum, and a sum that vanishes drops
+its monomial. Iteration and formatting use a graded lexicographic order for
+determinism.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
 from .field import ExtFieldSpec, FieldElement, FieldSpec, FieldError, parse_element
@@ -40,6 +42,23 @@ def _fold(e: int, order: int) -> int:
     return (e - 1) % (order - 1) + 1
 
 
+def _merge(
+    out: dict[Monomial, FieldElement], terms: Iterable[tuple[Monomial, FieldElement]]
+) -> dict[Monomial, FieldElement]:
+    """Add each (monomial, coefficient) pair into the canonical map `out`
+    and return it: equal monomials sum, and a zero sum drops its monomial."""
+    get = out.get
+    for mono, coeff in terms:
+        prev = get(mono)
+        if prev is not None:
+            coeff = prev + coeff
+        if coeff:
+            out[mono] = coeff
+        else:
+            out.pop(mono, None)
+    return out
+
+
 class MultiPoly:
     """Immutable sparse polynomial; arithmetic allocates fresh results."""
 
@@ -48,24 +67,20 @@ class MultiPoly:
     def __init__(self, spec: FieldSpec, n: int, terms):
         if n < 0:
             raise PolyError("variable count must be >= 0")
-        canon: dict[Monomial, FieldElement] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            coeff = spec.element(coeff)
-            if len(mono) != n:
-                raise PolyError(f"monomial {mono} does not have {n} exponents")
-            if any(e < 0 for e in mono):
-                raise PolyError(f"negative exponent in {mono}")
-            mono = tuple(_fold(e, spec.order) for e in mono)
-            if mono in canon:
-                coeff = canon[mono] + coeff
-            if coeff:
-                canon[mono] = coeff
-            else:
-                canon.pop(mono, None)
+
+        def folded():
+            for mono, coeff in items:
+                coeff = spec.element(coeff)
+                if len(mono) != n:
+                    raise PolyError(f"monomial {mono} does not have {n} exponents")
+                if any(e < 0 for e in mono):
+                    raise PolyError(f"negative exponent in {mono}")
+                yield tuple(_fold(e, spec.order) for e in mono), coeff
+
         self.spec = spec
         self.n = n
-        self._terms = canon
+        self._terms = _merge({}, folded())
         self._hash = None
 
     @classmethod
@@ -85,8 +100,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, spec, n, value) -> "MultiPoly":
-        c = spec.element(value)
-        return cls._raw(spec, n, {(0,) * n: c} if c else {})
+        return cls(spec, n, [((0,) * n, value)])
 
     @classmethod
     def term(cls, spec, n, coeff, exponents: Sequence[int]) -> "MultiPoly":
@@ -160,14 +174,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+        out = _merge(dict(self._terms), other._terms.items())
         return MultiPoly._raw(self.spec, self.n, out)
 
     def __neg__(self):
@@ -197,18 +204,12 @@ class MultiPoly:
             return NotImplemented
         self._check_compatible(other)
         order = self.spec.order
-        out: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(_fold(a + b, order) for a, b in zip(m1, m2))
-                c = c1 * c2
-                acc = out.get(mono)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return MultiPoly._raw(self.spec, self.n, out)
+        products = (
+            (tuple(_fold(a + b, order) for a, b in zip(m1, m2)), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
+        return MultiPoly._raw(self.spec, self.n, _merge({}, products))
 
     __rmul__ = __mul__
 
@@ -253,28 +254,16 @@ class MultiPoly:
 
     def substitute(self, assignment: Mapping[int, FieldElement]) -> "MultiPoly":
         """Fix some variables to constants; the result keeps all n slots."""
-        assignment = {i: self.spec.element(v) for i, v in assignment.items()}
-        out: dict[Monomial, FieldElement] = {}
-        for mono, coeff in self._terms.items():
-            acc = coeff
-            new_mono = list(mono)
-            for i, value in assignment.items():
-                e = mono[i]
-                if e:
-                    acc = acc * value**e
-                    new_mono[i] = 0
-                if not acc:
-                    break
-            if not acc:
-                continue
-            key = tuple(new_mono)
-            prev = out.get(key)
-            prev = acc if prev is None else prev + acc
-            if prev:
-                out[key] = prev
-            else:
-                out.pop(key, None)
-        return MultiPoly._raw(self.spec, self.n, out)
+        fixed = {i: self.spec.element(v) for i, v in assignment.items()}
+
+        def terms():
+            for mono, coeff in self._terms.items():
+                for i, value in fixed.items():
+                    if mono[i]:
+                        coeff = coeff * value ** mono[i]
+                yield tuple(0 if i in fixed else e for i, e in enumerate(mono)), coeff
+
+        return MultiPoly._raw(self.spec, self.n, _merge({}, terms()))
 
     # structure ------------------------------------------------------------
 
@@ -417,24 +406,19 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
     order = spec.order
     one = spec.one
     minus_one = -one
-    canon: dict[Monomial, FieldElement] = {}
-    for exps, coeff, negative in terms:
-        mono = [0] * n
-        for k, e in exps.items():
-            mono[k - 1] = e if e < order else _fold(e, order)
-        mono = tuple(mono)
-        if coeff is None:
-            coeff = one
-        if negative:
-            coeff = minus_one * coeff  # a product, as in _coefficient
-        prev = canon.get(mono)
-        if prev is not None:
-            coeff = prev + coeff
-        if coeff:
-            canon[mono] = coeff
-        else:
-            canon.pop(mono, None)
-    return MultiPoly._raw(spec, n, canon)
+
+    def folded():
+        for exps, coeff, negative in terms:
+            mono = [0] * n
+            for k, e in exps.items():
+                mono[k - 1] = e if e < order else _fold(e, order)
+            if coeff is None:
+                coeff = one
+            if negative:
+                coeff = minus_one * coeff  # a product, as in _coefficient
+            yield tuple(mono), coeff
+
+    return MultiPoly._raw(spec, n, _merge({}, folded()))
 
 
 def _coefficient(text: str, at: int, lit: str, spec: FieldSpec) -> FieldElement:
@@ -512,21 +496,26 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-_FACTOR_RE = re.compile(r"x([1-9]\d*)(?:\^([1-9]\d*))?")
-
-
 def parse_monomial(text: str, n: int | None = None) -> Monomial:
-    """Parse term text such as 'x1^2*x3', the inverse of `monomial_text`;
+    """Parse term text such as 'x1^2*x3', the inverse of `monomial_text`,
+    with the factors and whitespace of polynomial text but no coefficient;
     '1' is the empty term and repeated variables multiply. Without n the
     term is as wide as its largest variable."""
     exps: dict[int, int] = {}
-    if text != "1":
-        for factor in text.split("*"):
-            match = _FACTOR_RE.fullmatch(factor)
-            if not match:
-                raise PolyError(f"bad factor {factor!r} in term {text!r}")
-            var = int(match.group(1)) - 1
-            exps[var] = exps.get(var, 0) + int(match.group(2) or 1)
+    if text.strip() != "1":
+        pos = len(text) - len(text.lstrip())
+        star = "*"
+        while star:
+            # a coefficient or x0 ends the scan with star still set
+            match = _POLY_FACTOR_RE.match(text, pos)
+            if match is None or not int(match.group(2) or 0):
+                break
+            _, var, exp, star = match.groups()
+            var = int(var) - 1
+            exps[var] = exps.get(var, 0) + int(exp or 1)
+            pos = match.end()
+        if star or pos != len(text):
+            raise PolyError(f"bad factor {text[pos:]!r} in term {text!r}")
     needed = max(exps, default=-1) + 1
     if needed > MAX_VARIABLE:
         raise PolyError(f"term {text!r} has a variable past x{MAX_VARIABLE}")
@@ -576,18 +565,25 @@ def random_poly(
         raise PolyError("bounds must be positive")
     if rng is None:
         rng = random.Random(seed)
-    cap = spec.order - 1
     terms: dict[Monomial, FieldElement] = {}
     for _ in range(term_count):
-        total = rng.randint(0, max_total_degree)
-        mono = [0] * n
-        for _ in range(total):
-            choices = [i for i in range(n) if mono[i] < cap]
-            if not choices:
-                break
-            mono[rng.choice(choices)] += 1
-        terms[tuple(mono)] = spec.random_element(rng, nonzero=True)
+        mono = _random_monomial(rng, n, max_total_degree, spec.order - 1)
+        terms[mono] = spec.random_element(rng, nonzero=True)
     return MultiPoly(spec, n, terms)
+
+
+def _random_monomial(
+    rng: random.Random, n: int, max_total_degree: int, cap: int
+) -> Monomial:
+    """A seeded monomial: a total degree up to the bound, then one variable
+    per unit among those whose exponent is still below cap."""
+    mono = [0] * n
+    for _ in range(rng.randint(0, max_total_degree)):
+        choices = [i for i in range(n) if mono[i] < cap]
+        if not choices:
+            break
+        mono[rng.choice(choices)] += 1
+    return tuple(mono)
 
 
 def all_points(spec: FieldSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:

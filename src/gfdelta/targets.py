@@ -55,7 +55,7 @@ from typing import Sequence
 from .attack import BlackBox
 from .combinat import _nonneg_splits
 from .field import FieldElement, parse_field_spec, prime_field, row_reduce
-from .poly import Monomial, MultiPoly
+from .poly import Monomial, MultiPoly, _random_monomial
 
 
 class TargetError(ValueError):
@@ -266,14 +266,7 @@ def make_planted(
             terms[key] = terms.get(key, spec.zero) + spec.element(coeff)
     placed = 0
     while placed < extra_terms:
-        mono = [0] * n
-        budget = rng.randint(0, total_degree)
-        for _ in range(budget):
-            slots = [i for i in range(n) if mono[i] < cap]
-            if not slots:
-                break
-            mono[rng.choice(slots)] += 1
-        key = tuple(mono)
+        key = _random_monomial(rng, n, total_degree, cap)
         if any(
             all(e >= a for e, a in zip(key, anchor)) for anchor in chosen
         ):

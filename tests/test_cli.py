@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.attack import DEFAULT_BUDGET, superpoly_oracle
+from gfdelta.attack import DEFAULT_BUDGET, AttackError, superpoly_oracle
 from gfdelta.cli import (
     EXIT_INCOMPLETE,
     EXIT_INPUT,
@@ -14,8 +14,13 @@ from gfdelta.cli import (
     EXIT_OK,
     main,
 )
+from gfdelta.diff import DiffError
+from gfdelta.field import FieldError
+from gfdelta.poly import ParseError, PolyError
+from gfdelta.reduce_pm import ReductionError
 from gfdelta.targets import (
     TOY_SIZES,
+    TargetError,
     ToyCipher,
     ToyCipherParams,
     make_planted,
@@ -97,6 +102,17 @@ def test_diff_steps_admit_whitespace(capsys):
         "1,\n1, \ta",
     )
     assert code == EXIT_OK and out.strip() == "(2*a+2)"
+
+
+def test_diff_plan_admits_whitespace(capsys):
+    # plan text admits whitespace where polynomial text does
+    results = [
+        run(
+            capsys, "diff", "--field", "31", "--poly", "x1^2*x3 + 5*x3", "--plan", plan
+        )
+        for plan in ("x1 *\tx3", " x1\n* x3 ", "x1*x3")
+    ]
+    assert results[0] == results[1] == results[2] == (EXIT_OK, "2*x1 + 1\n", "")
 
 
 def test_diff_parses_the_polynomial_once(capsys, monkeypatch):
@@ -593,6 +609,68 @@ def test_attack_online_prints_the_pinned_variables(capsys, tmp_path, planted_fil
     assert code == EXIT_INCOMPLETE
     assert "status=partial rank=1 online-probes=2" in out
     assert f"solved: x1={(rhs - 3) % target.spec.p}\n" in out
+
+
+def test_attack_pre_rejects_an_extension_field_target(capsys, tmp_path):
+    target_path = tmp_path / "gf9.target"
+    target_path.write_text(
+        "kind: planted\nfield: 3^2/1,2,2\npublic: 2\nsecret: 2\n"
+        "total-degree: 3\nextra-terms: 2\nseed: 1\n"
+    )
+    code, out, err = run(
+        capsys, "attack-pre", "--target", str(target_path), "--seed", "1",
+        "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_INPUT and "status=" not in out
+    assert err.startswith("error:") and "prime fields" in err
+
+
+def test_attack_pre_rejects_a_zero_budget(capsys, tmp_path, planted_file):
+    code, out, err = run(
+        capsys, "attack-pre", "--target", str(planted_file[0]), "--budget", "0",
+        "--seed", "1", "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_INPUT and "status=" not in out
+    assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "records_text,message",
+    [
+        # c= holds three of the four secret coefficients
+        (
+            "field: 7\npublic: 4\nsecret: 4\n"
+            "record term=x1 c0=0 c=1,0,0 evals=0\n",
+            "record width",
+        ),
+        ("public: 4\nsecret: 4\n", "missing field header"),
+        # a multiplicity of p differences every function to zero
+        (
+            "field: 7\npublic: 4\nsecret: 4\n"
+            "record term=x1^7 c0=0 c=1,0,0,0 evals=0\n",
+            "below p",
+        ),
+    ],
+)
+def test_attack_online_rejects_bad_records(capsys, tmp_path, records_text, message):
+    target_path = tmp_path / "toy.target"
+    save_target(target_path, ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3)))
+    records = tmp_path / "records.txt"
+    records.write_text(records_text)
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT and "status=" not in out
+    assert err.startswith("error:") and message in err
+
+
+def test_package_errors_map_to_the_input_exit():
+    # main catches ValueError for exit 2, so each package error must be one
+    for error in (
+        FieldError, ParseError, PolyError, DiffError, AttackError, TargetError,
+        ReductionError,
+    ):
+        assert issubclass(error, ValueError)
 
 
 # -- malformed target and record files ----------------------------------------------

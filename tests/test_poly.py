@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from gfdelta.diff import DiffPlan, delta_plan
 from gfdelta.field import ExtFieldSpec, ext_field, prime_field
 from gfdelta.poly import (
     MAX_VARIABLE,
@@ -20,7 +21,7 @@ from gfdelta.poly import (
     random_poly,
 )
 
-from conftest import ALL_SPECS, GF3, GF4, GF8, GF9, GF27, GF31
+from conftest import ALL_SPECS, GF3, GF4, GF5, GF8, GF9, GF27, GF31
 
 
 def small_polys():
@@ -176,6 +177,33 @@ def test_parse_admits_whitespace_and_sign_runs(f, data):
     assert parse_poly(text, f.spec, n=f.n) == f
 
 
+def test_parse_merges_repeated_monomials():
+    assert parse_poly("x1 + x1 - 2*x1", GF31).is_zero()
+    assert parse_poly("x1 + 2*x1", GF31) == parse_poly("3*x1", GF31)
+
+
+def test_term_text_forms():
+    # term text reads the factors of polynomial text, without coefficients
+    assert parse_monomial("x01*x2") == (1, 1)
+    assert parse_monomial("x1^0*x2") == (0, 1)
+    assert parse_monomial("\t1 ", 2) == (0, 0)
+    for text in ("", "2*x1", "1*x1", "-x1", "+x1", "x0", "x1*x0", "x1*", "x1 x2"):
+        with pytest.raises(PolyError):
+            parse_monomial(text)
+
+
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=5), st.data())
+def test_term_text_admits_whitespace(exponents, data):
+    mono = tuple(exponents)
+    gap = st.text(alphabet=" \t\n", max_size=2)
+    text = re.sub(
+        r"[*^]",
+        lambda m: data.draw(gap) + m.group() + data.draw(gap),
+        monomial_text(mono),
+    )
+    assert parse_monomial(data.draw(gap) + text + data.draw(gap), len(mono)) == mono
+
+
 def test_parsed_coefficients_are_table_rows():
     # evaluate looks each coefficient up in the log table; the table's own
     # tuples are found by identity, without comparing coordinates
@@ -322,6 +350,30 @@ def test_evaluate_matches_boxed_reference(case):
     assert MultiPoly.zero(spec, n).evaluate(point) == spec.zero
     constant = spec.from_index(spec.order - 1)
     assert MultiPoly.constant(spec, n, constant).evaluate(point) == constant
+
+
+@given(st.sampled_from([GF5, GF31, GF9, GF27]), st.integers(0, 2**32 - 1))
+def test_results_stay_canonical(spec, seed):
+    rng = random.Random(seed)
+    f = random_poly(spec, 3, 4, rng.randint(1, 6), rng=rng)
+    g = random_poly(spec, 3, 4, rng.randint(1, 6), rng=rng)
+    # cancels every other term of f, so sums, products and differences of
+    # f + half meet monomials whose coefficients vanish
+    half = MultiPoly(spec, 3, [(m, -c) for m, c in f.terms()[::2]])
+    fixed = {i: spec.random_element(rng) for i in rng.sample(range(3), 2)}
+    plan = DiffPlan.make(spec, {rng.randrange(3): rng.randint(1, 3)})
+    results = [
+        f + g, f - g, f * g, f - f, f + (-f), f + half, (f + half) * g,
+        f.substitute(fixed), (f + half).substitute(fixed),
+        delta_plan(f, plan), delta_plan(f + half, plan),
+        parse_poly(format_poly(f), spec, n=3),
+    ]
+    for result in results:
+        assert all(c for _, c in result.terms())
+        assert result == MultiPoly(spec, 3, result.terms())
+    assert (f - f).is_zero() and (f + (-f)).is_zero()
+    assert f + half == MultiPoly(spec, 3, f.terms()[1::2])
+    assert f + g - g == f
 
 
 def test_exponents_stay_canonical():
