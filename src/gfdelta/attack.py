@@ -34,8 +34,11 @@ class BudgetExhausted(Exception):
     """Raised internally when the evaluation budget cannot fund the next grid."""
 
 
-# grid(points) -> at_secret(secret) -> one residue per point (see BlackBox)
-StagedGrid = Callable[[Sequence[tuple[int, ...]]], Callable[[Sequence[int]], list[int]]]
+# grid(points) -> at_secrets(secrets) -> per secret, one residue per point
+# (see BlackBox)
+StagedGrid = Callable[
+    [Sequence[tuple[int, ...]]], Callable[[Sequence[Sequence[int]]], list[list[int]]]
+]
 
 
 class BlackBox:
@@ -45,24 +48,27 @@ class BlackBox:
     outputs. The counter tracks how many times the function has been
     consulted.
 
-    `evaluate_grid` takes a batch of public points and one secret, all as
-    residue tuples, and returns one residue per point; it counts one probe
-    per point. `evaluate` is its one-point case over field elements. The
-    superpoly oracle sends each term's whole grid through `evaluate_grid`
-    in one call, always as the same tuple object, and the attack charges
-    its budget once per grid, before any of the grid's probes.
+    `evaluate_grid` takes a grid, then a batch of secrets: a batch of
+    public points and a batch of secret vectors, all as residue tuples. It
+    returns one residue list per secret, one residue per point, and counts
+    one probe per point and secret. `evaluate` is its one-point, one-secret
+    case over field elements. The superpoly oracle sends each term's grid,
+    always as the same tuple object, with a batch of secrets through one
+    `evaluate_grid` call, and the attack charges its budget grid by grid,
+    before any of a grid's probes.
 
     Probes run in `grid`, a staged kernel: `grid(points)` fixes a batch and
-    returns the secret stage `at_secret(secret)`. A target passes its
+    returns the secret stage `at_secrets(secrets)`. A target passes its
     `_on_grid` and no `fn`. Without `grid`, `_pointwise` stages
     `fn(public, secret)`, a per-point function over field elements.
 
     `evaluate_grid` keeps one cache, the last batch with its secret stage.
     A tuple of tuples seen last time is recognised by identity and goes
     straight to its secret stage; any other batch has every point's width
-    checked and is staged afresh. The secret's width is checked on every
+    checked and is staged afresh. Every secret's width is checked on every
     call. The online oracle (`targets.CountingOracle`) is this box at a
-    fixed key, so online probes get the same checks and counter.
+    fixed key, a one-secret batch, so online probes get the same checks and
+    counter.
     """
 
     def __init__(
@@ -80,47 +86,48 @@ class BlackBox:
         self.n_pub = n_pub
         self.n_sec = n_sec
         self._grid = grid or _pointwise(spec, fn)
-        self._points = self._at_secret = None
+        self._points = self._at_secrets = None
         self.evaluations = 0
 
     def evaluate(
         self, public: Sequence[FieldElement], secret: Sequence[FieldElement]
     ) -> FieldElement:
         point = (tuple(map(int, public)),)
-        return self.spec.element(self.evaluate_grid(point, tuple(map(int, secret)))[0])
+        [[value]] = self.evaluate_grid(point, (tuple(map(int, secret)),))
+        return self.spec.element(value)
 
     def evaluate_grid(
-        self, points: Sequence[tuple[int, ...]], secret: Sequence[int]
-    ) -> list[int]:
-        if len(secret) != self.n_sec:
+        self, points: Sequence[tuple[int, ...]], secrets: Sequence[Sequence[int]]
+    ) -> list[list[int]]:
+        if not set(map(len, secrets)) <= {self.n_sec}:
             raise AttackError("input width mismatch")
         if points is not self._points:
             if not set(map(len, points)) <= {self.n_pub}:
                 raise AttackError("input width mismatch")
-            self._at_secret = self._grid(points)
+            self._at_secrets = self._grid(points)
             # a tuple of tuples cannot change under the identity check
             frozen = type(points) is tuple and set(map(type, points)) <= {tuple}
             self._points = points if frozen else None
-        self.evaluations += len(points)
-        return self._at_secret(secret)
+        self.evaluations += len(points) * len(secrets)
+        return self._at_secrets(secrets)
 
 
 def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
     """A staged kernel over a per-point function on field elements:
-    `grid(points)` boxes each residue point and returns a stage that boxes
-    each fixed input (a black box's secret; an online oracle has none),
-    calls `fn(point, *fixed)` once per point and returns the answers as
-    residues."""
+    `grid(points)` boxes each residue point and returns the secret stage,
+    which boxes each secret of its batch, calls `fn(point, secret)` once per
+    point and secret and returns the answers as residues, one list per
+    secret."""
     element = spec.element
 
     def grid(points):
         boxed = [tuple(map(element, pt)) for pt in points]
 
-        def at_fixed(*fixed):
-            inputs = [tuple(map(element, vector)) for vector in fixed]
-            return [int(fn(pt, *inputs)) for pt in boxed]
+        def at_secrets(secrets):
+            keys = [tuple(map(element, secret)) for secret in secrets]
+            return [[int(fn(pt, key)) for pt in boxed] for key in keys]
 
-        return at_fixed
+        return at_secrets
 
     return grid
 
@@ -170,15 +177,19 @@ def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
 
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
-    given secret residue vector, as a residue; each call sends the term's
-    grid of prod(m_i + 1) points through one `bb.evaluate_grid` call."""
+    batch of secret residue vectors, one residue per secret; each call
+    sends a grid, the term's prod(m_i + 1) points, then the call's batch of
+    secrets through one `bb.evaluate_grid` call."""
     grid = _term_grid(bb.spec, tuple(term))
     points, weights = grid.residues, grid.weights
     p = bb.spec.p
     probe = bb.evaluate_grid
 
-    def evaluate(secret: Sequence[int]) -> int:
-        return sum(map(operator.mul, weights, probe(points, secret))) % p
+    def evaluate(secrets: Sequence[Sequence[int]]) -> list[int]:
+        return [
+            sum(map(operator.mul, weights, values)) % p
+            for values in probe(points, secrets)
+        ]
 
     evaluate.grid_size = len(weights)  # type: ignore[attr-defined]
     return evaluate
@@ -202,18 +213,23 @@ def default_trials(p: int) -> int:
 
 def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
     """BLR-style test on residues; draws exactly the `rng.randrange(p)`
-    stream that `FieldSpec.random_element` would."""
+    stream that `FieldSpec.random_element` would.
+
+    `eval_superpoly` probes a grid, then a batch of secrets: the zero
+    secret with the first trial's y, z and ay + bz, then each later trial's
+    three as one batch, in the order the test reads them."""
     draw = rng.randrange
-    base = eval_superpoly((0,) * n_sec)
     saw_variation = False
-    for _ in range(trials):
+    for trial in range(trials):
         a = draw(p)
         b = draw(p)
         y = tuple(draw(p) for _ in range(n_sec))
         z = tuple(draw(p) for _ in range(n_sec))
-        fy = eval_superpoly(y)
-        fz = eval_superpoly(z)
-        fc = eval_superpoly(tuple((a * yi + b * zi) % p for yi, zi in zip(y, z)))
+        c = tuple((a * yi + b * zi) % p for yi, zi in zip(y, z))
+        if trial == 0:
+            base, fy, fz, fc = eval_superpoly([(0,) * n_sec, y, z, c])
+        else:
+            fy, fz, fc = eval_superpoly([y, z, c])
         if fy != base or fz != base or fc != base:
             saw_variation = True
         if (a * (fy - base) + b * (fz - base) - (fc - base)) % p:
@@ -241,16 +257,12 @@ def linearity_test(
 
 
 def _linear_form(oracle, p: int, n_sec: int) -> tuple[int, tuple[int, ...]]:
-    """c_0 at zero, then c_i from unit vectors, as residues: (n_sec + 1)
-    oracle calls."""
-    zero_vec = (0,) * n_sec
-    c0 = oracle(zero_vec)
-    coeffs = []
-    for i in range(n_sec):
-        unit = list(zero_vec)
-        unit[i] = 1
-        coeffs.append((oracle(tuple(unit)) - c0) % p)
-    return c0, tuple(coeffs)
+    """c_0 at zero, then c_i from unit vectors, as residues: one oracle call
+    probes a grid, then a batch of (n_sec + 1) secrets, zero first."""
+    zero = (0,) * n_sec
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n_sec)]
+    c0, *values = oracle([zero, *units])
+    return c0, tuple((v - c0) % p for v in values)
 
 
 def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
@@ -308,13 +320,19 @@ class PreprocessResult:
 
 
 def _charged_oracle(bb: BlackBox, term: Monomial, budget: int):
+    """The term's superpoly oracle charged grid by grid, in batch order: a
+    batch that the budget funds only in part has its funded secrets
+    evaluated, then `BudgetExhausted` is raised."""
     oracle = superpoly_oracle(bb, term)
     cost = oracle.grid_size
 
-    def evaluate(secret):
-        if bb.evaluations + cost > budget:
+    def evaluate(secrets):
+        funded = (budget - bb.evaluations) // cost
+        if funded < len(secrets):
+            if funded > 0:
+                oracle(secrets[:funded])
             raise BudgetExhausted
-        return oracle(secret)
+        return oracle(secrets)
 
     return evaluate
 
@@ -428,11 +446,11 @@ PublicOracle = Callable[[tuple[FieldElement, ...]], FieldElement]
 def _oracle_grid(spec: FieldSpec, oracle: PublicOracle) -> Callable:
     """The oracle's `evaluate_grid(points)` where it has one (a target's
     `CountingOracle`), else the oracle probed point by point through
-    `_pointwise`."""
+    `_pointwise`, at a one-secret batch holding the empty secret."""
     if hasattr(oracle, "evaluate_grid"):
         return oracle.evaluate_grid
-    stage = _pointwise(spec, oracle)
-    return lambda points: stage(points)()
+    stage = _pointwise(spec, lambda public, _: oracle(public))
+    return lambda points: stage(points)([()])[0]
 
 
 def online(
@@ -515,7 +533,7 @@ def confirm_key(bb: BlackBox, oracle: PublicOracle, key: Sequence[int]) -> bool:
     points = tuple(
         tuple(rng.randrange(p) for _ in range(n_pub)) for _ in range(CONFIRM_POINTS)
     )
-    keyed = bb.evaluate_grid(points, tuple(map(int, key)))
+    [keyed] = bb.evaluate_grid(points, [tuple(map(int, key))])
     return keyed == _oracle_grid(bb.spec, oracle)(points)
 
 

@@ -9,7 +9,7 @@ used for integration testing, not for cryptographic claims.
 Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
 `suggested_max_multiplicity`, and share `blackbox()` and
 `online_oracle(key=None)` through one base class. Their one kernel,
-`_on_grid`, runs in two stages, each fixing one more input:
+`_on_grid`, takes a grid, then a batch of secrets:
 
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
    The planted kernel keeps only the public monomials that are nonzero at
@@ -18,19 +18,21 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
    list per state coordinate, which whitening leaves free of the secret.
    The `BlackBox` that `blackbox()` returns redoes this stage only for a
    new batch, which a superpoly grid never is across a term's calls.
-2. secret (the function `_on_grid` returns): the planted kernel folds each
-   live public monomial's terms into one coefficient mod p and sums
-   coefficient times tabulated value per point; the toy cipher gets every
-   secret-only constant (the first round's, with the whitening folded in,
-   and each later round's key injection) from one affine key map of the
-   secret, then runs its rounds over the columns: each quadratic step,
-   reduced mod p once, and each affine layer is one list per output
-   column. It returns one residue per point.
+2. secrets (the function `_on_grid` returns, called on a batch of secret
+   residue vectors): the planted kernel folds each live public monomial's
+   terms into one coefficient mod p once per secret and sums coefficient
+   times tabulated value per point; the toy cipher gets every secret-only
+   constant (the first round's, with the whitening folded in, and each
+   later round's key injection) from one affine key map of each secret,
+   then runs its rounds once over columns that hold every point at every
+   secret: each quadratic step, reduced mod p once, and each affine layer,
+   built column by column. It returns one residue list per secret, one
+   residue per point.
 
-A single probe is the one-point batch. The online oracle is a fresh box
-viewed at a fixed key: it answers a whole replay as one batch, so its key
-is folded or mapped once per replay, and every point's width is checked
-as in preprocessing.
+A single probe is the one-point, one-secret batch. The online oracle is a
+fresh box viewed at a fixed key, a one-secret batch: it answers a whole
+replay as one grid, so its key is folded or mapped once per replay, and
+every point's width is checked as in preprocessing.
 
 `load_target` accepts these sizes from a description file and rejects any
 other value with `TargetError` before building anything:
@@ -65,12 +67,12 @@ class TargetError(ValueError):
 class CountingOracle:
     """The online phase's oracle: a view of a `BlackBox` at a fixed key.
 
-    `evaluate_grid(points)` is `box.evaluate_grid(points, key)`: it answers
-    a batch of public points, as residue tuples, with one residue per
-    point, under the box's width checks and counter, so the key is folded
-    or mapped once per batch. Calling the oracle on one public point of
-    field elements is the one-point case. `evaluations` is the box's
-    counter."""
+    `evaluate_grid(points)` is `box.evaluate_grid(points, [key])`, one
+    grid at a one-key batch: it answers a batch of public points, as
+    residue tuples, with one residue per point, under the box's width
+    checks and counter, so the key is folded or mapped once per batch.
+    Calling the oracle on one public point of field elements is the
+    one-point case. `evaluations` is the box's counter."""
 
     def __init__(self, box: BlackBox, key: tuple[int, ...]):
         self._box = box
@@ -81,7 +83,8 @@ class CountingOracle:
         return self._box.evaluations
 
     def evaluate_grid(self, points: Sequence[Sequence[int]]) -> list[int]:
-        return self._box.evaluate_grid(points, self._key)
+        [values] = self._box.evaluate_grid(points, [self._key])
+        return values
 
     def __call__(self, public: Sequence[FieldElement]) -> FieldElement:
         value = self.evaluate_grid([tuple(map(int, public))])[0]
@@ -173,8 +176,9 @@ class PlantedTarget(_Target):
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """Fixes a batch of public points: keeps the public monomials that
         are nonzero at some point, tabulates their values per point, and
-        returns the secret stage, which folds only those monomials' terms
-        and returns one residue per point."""
+        returns the secret stage, which folds only those monomials' terms,
+        once per secret of its batch, and returns one residue list per
+        secret, one residue per point."""
         p = self.spec.p
         live, columns = [], []
         for pub_factors, parts in self._groups:
@@ -194,11 +198,11 @@ class PlantedTarget(_Target):
         # per point, the live monomials' values
         rows = list(zip(*columns)) if columns else [()] * len(points)
 
-        def at_secret(secret: Sequence[int]) -> list[int]:
-            coeffs = [_fold(parts, secret, p) for parts in live]
-            return [sum(map(mul, coeffs, row)) % p for row in rows]
+        def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
+            folds = ([_fold(parts, secret, p) for parts in live] for secret in secrets)
+            return [[sum(map(mul, c, row)) % p for row in rows] for c in folds]
 
-        return at_secret
+        return at_secrets
 
 
 def _fold(parts, secret: Sequence[int], p: int) -> int:
@@ -262,8 +266,7 @@ def make_planted(
                 continue
             mono = list(anchor)
             mono[n_pub + j] = 1
-            key = tuple(mono)
-            terms[key] = terms.get(key, spec.zero) + spec.element(coeff)
+            terms[tuple(mono)] = spec.element(coeff)
     placed = 0
     while placed < extra_terms:
         key = _random_monomial(rng, n, total_degree, cap)
@@ -391,39 +394,48 @@ class ToyCipher(_Target):
         coordinate, one entry per point. The grid stage tabulates the first
         round's mix of the loaded publics (the loaded coordinate 0 at zero
         rounds); whitening only adds a constant before mix_1, so the secret
-        never enters. The secret stage applies the key map once, adds the
-        first round's constants, then alternates the quadratic step,
-        reduced mod p, with each later round's affine layer, one list per
-        output column; the last layer holds output 0's three taps only."""
+        never enters. The secret stage applies the key map to each secret
+        of its batch and adds the first round's constants to every point,
+        which gives columns over points x secrets, secret by secret. It then
+        alternates the quadratic step, reduced mod p, with each later
+        round's affine layer, built column by column: the constants, plus m
+        times an input column for each nonzero mix entry m. The last layer
+        holds output 0's three taps only."""
         p = self.params.p
         layers, quad, key_map = self._layers, self._quad, self._key_map
         # map stops at the shorter of row and point, which loads the publics
         # zero-padded or cut at the width
         first = layers[0][0] if layers else [[1]]
         columns = [[sum(map(mul, row, pt)) for pt in points] for row in first]
+        n = len(points)
 
-        def at_secret(secret: Sequence[int]) -> list[int]:
-            x = (*secret, 1)
-            consts = [sum(map(mul, row, x)) % p for row in key_map]
-            a = [[v + c for v in col] for col, c in zip(columns, consts)]
+        def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
+            # per key-map row, its constant at each secret of the batch
+            xs = [(*secret, 1) for secret in secrets]
+            consts = [[sum(map(mul, row, x)) % p for x in xs] for row in key_map]
+            a = [[v + c for c in cs for v in col] for col, cs in zip(columns, consts)]
             start = len(a)
             for mix, _, _ in layers[1:]:
                 state = [
                     [(s + t * u) % p for s, t, u in zip(a[i], a[j], a[k])]
                     for i, j, k in quad
                 ]
-                rows = list(zip(*state))
                 stop = start + len(mix)
-                a = [
-                    [sum(map(mul, r, s), c) for s in rows]
-                    for r, c in zip(mix, consts[start:stop])
-                ]
+                a = []
+                for row, cs in zip(mix, consts[start:stop]):
+                    out = [c for c in cs for _ in range(n)]
+                    for m, col in zip(row, state):
+                        if m:
+                            out = [o + m * v for o, v in zip(out, col)]
+                    a.append(out)
                 start = stop
-            if not layers:
-                return [v % p for v in a[0]]
-            return [(s + t * u) % p for s, t, u in zip(*a)]
+            if layers:
+                out = [(s + t * u) % p for s, t, u in zip(*a)]
+            else:
+                out = [v % p for v in a[0]]
+            return [out[i * n : (i + 1) * n] for i in range(len(secrets))]
 
-        return at_secret
+        return at_secrets
 
     def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
         return self.online_oracle(secret).evaluate_grid([tuple(public)])[0]

@@ -26,7 +26,7 @@ from gfdelta.diff import DiffPlan, delta_plan
 from gfdelta.field import ext_field, prime_field, row_reduce
 from gfdelta.poly import MultiPoly, parse_poly, random_poly
 from gfdelta.reduce_pm import ProjectionContext, ReductionError
-from gfdelta.targets import make_planted
+from gfdelta.targets import load_target, make_planted
 
 from conftest import GF5, GF9, GF31
 
@@ -69,7 +69,7 @@ def test_grid_cost_matches_probe_count():
     f = parse_poly("x1^5*x2 + x1^4*x3*x4 + x4^6", GF31)
     bb = poly_blackbox(f, 1, 3)
     oracle = superpoly_oracle(bb, (5,))
-    oracle((GF31.zero,) * 3)
+    oracle([(GF31.zero,) * 3])
     assert bb.evaluations == oracle.grid_size == 6
 
 
@@ -94,7 +94,7 @@ def test_attack_grids_match_symbolic_route(data):
     )
     expected = superpoly_symbolic(f, term, n_pub).evaluate((spec.zero,) * n_pub + key)
     bb = poly_blackbox(f, n_pub, n_sec)
-    assert superpoly_oracle(bb, term)(key) == expected
+    assert superpoly_oracle(bb, term)([key]) == [expected]
     # with c = (1,) and c0 = 0 the online solve returns the right-hand side
     record = MaxtermRecord(term, 0, (1,), 0)
     outcome = online(lambda pub: f.evaluate(pub + key), [record], spec, 1)
@@ -115,12 +115,12 @@ def test_grid_fallback_loops_the_per_point_box(data):
         st.lists(st.tuples(*[residue] * n_pub), min_size=1, max_size=6).map(tuple)
     )
     secret = tuple(data.draw(residue) for _ in range(n_sec))
-    got = bb.evaluate_grid(points, secret)
+    [got] = bb.evaluate_grid(points, [secret])
     assert bb.evaluations == len(points)
     assert got == [int(bb.evaluate(pt, secret)) for pt in points]
     assert got == [int(f.evaluate(pt + secret)) for pt in points]
     with pytest.raises(AttackError):
-        bb.evaluate_grid(points + ((0,) * (n_pub + 1),), secret)
+        bb.evaluate_grid(points + ((0,) * (n_pub + 1),), [secret])
 
 
 @pytest.mark.parametrize("kernel", [False, True])
@@ -128,28 +128,28 @@ def test_grid_widths_are_checked_for_every_batch(kernel):
     # the width check is skipped only for a tuple of tuples already checked;
     # every malformed batch raises, whichever path answers the grid
     def grid(points):
-        return lambda secret: [sum(pt) % 7 for pt in points]
+        return lambda secrets: [[sum(pt) % 7 for pt in points] for _ in secrets]
 
     bb = BlackBox(GF7, 2, 1, lambda pub, sec: GF7.zero, grid if kernel else None)
     with pytest.raises(AttackError):
-        bb.evaluate_grid(((1, 2), (3,)), (1,))
+        bb.evaluate_grid(((1, 2), (3,)), [(1,)])
     good = ((1, 2), (3, 4))
-    bb.evaluate_grid(good, (1,))
-    bb.evaluate_grid(good, (1,))
+    bb.evaluate_grid(good, [(1,)])
+    bb.evaluate_grid(good, [(1,)])
     with pytest.raises(AttackError):
-        bb.evaluate_grid(((1, 2), (3, 4, 5)), (1,))
+        bb.evaluate_grid(((1, 2), (3, 4, 5)), [(1,)])
     with pytest.raises(AttackError):
-        bb.evaluate_grid(good, (1, 2))
+        bb.evaluate_grid(good, [(1, 2)])
     rows = ([1, 2], [3, 4])
-    bb.evaluate_grid(rows, (1,))
+    bb.evaluate_grid(rows, [(1,)])
     rows[1].append(5)
     with pytest.raises(AttackError):
-        bb.evaluate_grid(rows, (1,))
+        bb.evaluate_grid(rows, [(1,)])
     batch = [(1, 2)]
-    bb.evaluate_grid(batch, (1,))
+    bb.evaluate_grid(batch, [(1,)])
     batch.append((1,))
     with pytest.raises(AttackError):
-        bb.evaluate_grid(batch, (1,))
+        bb.evaluate_grid(batch, [(1,)])
     assert bb.evaluations == 7
 
 
@@ -384,6 +384,63 @@ def test_preprocess_budget_exhaustion():
     assert result.status == "budget-exhausted"
     assert result.records == []
     assert result.evaluations <= 2
+
+
+TOY_TARGET = (
+    "kind: toy-cipher\nfield: 7\npublic: 4\nsecret: 4\nrounds: 3\nwidth: 4\nseed: 0\n"
+)
+# the records a full search finds on the toy target at preprocess seed 0
+TOY_FIRST_RECORD = ((1, 6, 0, 0), 4, (6, 0, 5, 5), 588)
+TOY_RECORDS = [
+    TOY_FIRST_RECORD,
+    ((6, 1, 0, 0), 6, (3, 4, 1, 1), 588),
+    ((2, 5, 0, 0), 1, (6, 3, 1, 6), 756),
+    ((5, 2, 0, 0), 4, (6, 1, 6, 5), 756),
+]
+
+
+@pytest.mark.parametrize(
+    "budget, outcome, records",
+    [
+        # inside the empty term's first batch: its zero secret, not trial 1
+        (1, ("budget-exhausted", 1, 1, 0), []),
+        # before the first grid of term 2 (the empty term took 7 grids of 1)
+        (7, ("budget-exhausted", 2, 7, 0), []),
+        # term 10's zero secret and trial 1's y and z, not its ay + bz
+        (100, ("budget-exhausted", 10, 99, 0), []),
+        # term 41: its first batch, then two of trial 2's three grids
+        (1000, ("budget-exhausted", 41, 997, 0), []),
+        # term 109 (grids of 18): two grids of its first batch
+        (4984, ("budget-exhausted", 109, 4983, 0), []),
+        (5000, ("budget-exhausted", 109, 4983, 0), []),
+        # term 211 (grids of 14): inside trial 7 of 12
+        (14902, ("budget-exhausted", 211, 14899, 0), []),
+        # term 211: all 12 trials, then two of its five extraction grids
+        (15170, ("budget-exhausted", 211, 15165, 0), []),
+        # just past term 211's record, before term 212's first grid
+        (15212, ("budget-exhausted", 212, 15207, 1), [TOY_FIRST_RECORD]),
+        (15300, ("budget-exhausted", 212, 15291, 1), [TOY_FIRST_RECORD]),
+        (10**6, ("complete", 214, 17307, 4), TOY_RECORDS),
+    ],
+)
+def test_budget_cuts_match_the_grid_by_grid_charge(
+    tmp_path, budget, outcome, records
+):
+    # a budget stops the search where charging one grid at a time stops it,
+    # wherever the cut falls in a batch of secrets
+    path = tmp_path / "toy.target"
+    path.write_text(TOY_TARGET)
+    target = load_target(path)
+    result = preprocess(
+        target.blackbox(),
+        budget=budget,
+        max_total_mult=target.suggested_max_multiplicity,
+        seed=0,
+    )
+    counts = (result.status, result.terms_tried, result.evaluations, result.rank)
+    assert counts == outcome
+    found = result.records + result.dependent
+    assert [(r.term, r.c0, r.c, r.evaluations_used) for r in found] == records
 
 
 def test_preprocess_no_secrets_gives_empty_result():

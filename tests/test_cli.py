@@ -605,7 +605,7 @@ def test_attack_online_prints_the_pinned_variables(capsys, tmp_path, planted_fil
     code, out, _ = run(
         capsys, "attack-online", "--target", str(target_path), "--records", str(records)
     )
-    rhs = superpoly_oracle(target.blackbox(), (1, 0))(tuple(map(int, target.key)))
+    [rhs] = superpoly_oracle(target.blackbox(), (1, 0))([tuple(map(int, target.key))])
     assert code == EXIT_INCOMPLETE
     assert "status=partial rank=1 online-probes=2" in out
     assert f"solved: x1={(rhs - 3) % target.spec.p}\n" in out

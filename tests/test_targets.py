@@ -186,7 +186,7 @@ def test_toy_cipher_schedule_matches_reference(
     for _ in range(3):
         public = tuple(data.draw(values) for _ in range(n_pub))
         expected = reference_encrypt(cipher, public, secret)
-        assert cipher._on_grid([public])(secret) == [expected]
+        assert cipher._on_grid([public])([secret]) == [[expected]]
         assert cipher.evaluate_ints(public, secret) == expected
         point = tuple(cipher.spec.element(v) for v in public)
         assert int(bb.evaluate(point, key)) == expected
@@ -210,11 +210,11 @@ def test_toy_cipher_grid_matches_reference(
     values = st.integers(0, p - 1)
     pool = data.draw(st.lists(st.tuples(*[values] * n_pub), min_size=1, max_size=8))
     points = data.draw(st.lists(st.sampled_from(pool), max_size=20))
-    at_secret = cipher._on_grid(points)
+    at_secrets = cipher._on_grid(points)
     for _ in range(2):
         secret = tuple(data.draw(values) for _ in range(n_sec))
         expected = [reference_encrypt(cipher, pt, secret) for pt in points]
-        assert at_secret(secret) == expected
+        assert at_secrets([secret]) == [expected]
 
 
 def test_toy_cipher_deterministic_and_keyed():
@@ -375,7 +375,7 @@ def _grid_target(data):
 def check_grid(bb, points, secret):
     """One grid call equals the per-point route and counts one probe a point."""
     before = bb.evaluations
-    got = bb.evaluate_grid(points, secret)
+    [got] = bb.evaluate_grid(points, [secret])
     assert bb.evaluations == before + len(points)
     assert got == [int(bb.evaluate(pt, secret)) for pt in points]
 
@@ -408,6 +408,39 @@ def test_grid_kernel_matches_per_point_evaluation(data):
     batch[-1][0] = 0
     check_grid(bb, batch, vector(n_sec))
     check_grid(bb, term_points, vector(n_sec))
+
+
+@given(st.data())
+def test_batch_kernel_answers_each_secret_alone(data):
+    # one grid at a batch of 0-5 secrets gives each secret's answers, also
+    # for an empty grid and for repeated points; the box counts a probe per
+    # point and secret and refuses a batch with any one secret of the
+    # wrong width
+    target = _grid_target(data)
+    spec, n_pub, n_sec = target.spec, target.n_pub, target.n_sec
+    values = st.integers(0, spec.p - 1)
+    pool = data.draw(st.lists(st.tuples(*[values] * n_pub), min_size=1, max_size=6))
+    points = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=12)))
+    secrets = data.draw(st.lists(st.tuples(*[values] * n_sec), max_size=5))
+
+    def answer(point, secret):
+        if isinstance(target, ToyCipher):
+            return reference_encrypt(target, point, secret)
+        return int(target.poly.evaluate([spec.element(v) for v in point + secret]))
+
+    expected = [[answer(pt, secret) for pt in points] for secret in secrets]
+    assert target._on_grid(points)(secrets) == expected
+    assert target._on_grid(())(secrets) == [[] for _ in secrets]
+    bb = target.blackbox()
+    assert bb.evaluate_grid(points, secrets) == expected
+    assert bb.evaluations == len(points) * len(secrets)
+    if secrets:
+        bad = list(secrets)
+        index = data.draw(st.integers(0, len(bad) - 1))
+        bad[index] = data.draw(st.sampled_from([bad[index][1:], bad[index] + (0,)]))
+        with pytest.raises(AttackError):
+            bb.evaluate_grid(points, bad)
+        assert bb.evaluations == len(points) * len(secrets)
 
 
 # -- description files ----------------------------------------------------------------
