@@ -211,20 +211,32 @@ def default_trials(p: int) -> int:
     return DEFAULT_TRIALS.get(p, DEFAULT_TRIALS_LARGE)
 
 
+def _residues(rng: random.Random, p: int, count: int) -> list[int]:
+    """`[rng.randrange(p) for _ in range(count)]`, drawn as `randrange`
+    draws: words of `p.bit_length()` random bits, each one >= p dropped.
+    Drawing only as many words as residues are still missing never draws
+    past the last residue kept, so the values and the generator's end state
+    are the same as `randrange`'s."""
+    k = p.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        words = map(rng.getrandbits, itertools.repeat(k, count - len(out)))
+        out += [r for r in words if r < p]
+    return out
+
+
 def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
     """BLR-style test on residues; draws exactly the `rng.randrange(p)`
-    stream that `FieldSpec.random_element` would.
+    stream that `FieldSpec.random_element` would, one `_residues` call per
+    trial: a, b, then y and z.
 
     `eval_superpoly` probes a grid, then a batch of secrets: the zero
     secret with the first trial's y, z and ay + bz, then each later trial's
     three as one batch, in the order the test reads them."""
-    draw = rng.randrange
     saw_variation = False
     for trial in range(trials):
-        a = draw(p)
-        b = draw(p)
-        y = tuple(draw(p) for _ in range(n_sec))
-        z = tuple(draw(p) for _ in range(n_sec))
+        a, b, *yz = _residues(rng, p, 2 + 2 * n_sec)
+        y, z = tuple(yz[:n_sec]), tuple(yz[n_sec:])
         c = tuple((a * yi + b * zi) % p for yi, zi in zip(y, z))
         if trial == 0:
             base, fy, fz, fc = eval_superpoly([(0,) * n_sec, y, z, c])

@@ -19,15 +19,15 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
    The `BlackBox` that `blackbox()` returns redoes this stage only for a
    new batch, which a superpoly grid never is across a term's calls.
 2. secrets (the function `_on_grid` returns, called on a batch of secret
-   residue vectors): the planted kernel folds each live public monomial's
-   terms into one coefficient mod p once per secret and sums coefficient
-   times tabulated value per point; the toy cipher gets every secret-only
-   constant (the first round's, with the whitening folded in, and each
-   later round's key injection) from one affine key map of each secret,
-   then runs its rounds once over columns that hold every point at every
-   secret: each quadratic step, reduced mod p once, and each affine layer,
-   built column by column. It returns one residue list per secret, one
-   residue per point.
+   residue vectors): the planted kernel calls each live public monomial's
+   compiled coefficient (`PlantedTarget._coefficients`) once per secret
+   and sums coefficient times tabulated value per point; the toy cipher
+   gets every secret-only constant (the first round's, with the whitening
+   folded in, and each later round's key injection) from one affine key
+   map of each secret, then runs its rounds once over columns that hold
+   every point at every secret: each quadratic step, reduced mod p once,
+   and each affine layer, built column by column. It returns one residue
+   list per secret, one residue per point.
 
 A single probe is the one-point, one-secret batch. The online oracle is a
 fresh box viewed at a fixed key, a one-secret batch: it answers a whole
@@ -173,15 +173,47 @@ class PlantedTarget(_Target):
     def suggested_max_multiplicity(self) -> int:
         return self.config.total_degree - 1
 
+    @cached_property
+    def _coefficients(self) -> list:
+        """One function per public-monomial group, in `_groups` order: the
+        group's coefficient mod p at a secret residue vector `s`.
+
+        Each is one compiled expression, `sum((c*s[j]*pow(s[k], e, p),
+        ...)) % p`, whose source holds only the target's own ints (its
+        coefficients, secret indices, exponents and p), so nothing outside
+        the target reaches `eval`. The terms are a tuple display, not a
+        chain of `+`: the compiler recurses once per `+`, and a chain of
+        about 3,000 terms raises `RecursionError`, while the largest
+        loadable target has a group of 3,964 terms. Built on first use so
+        that loading a target does not pay the compile."""
+        p = self.spec.p
+
+        def term(c: int, factors) -> str:
+            return "*".join(
+                [str(c)]
+                + [
+                    f"s[{j}]" if e == 1 else f"pow(s[{j}], {e}, {p})"
+                    for j, e in factors
+                ]
+            )
+
+        return [
+            eval(
+                f"lambda s: sum(({', '.join(term(c, f) for c, f in parts)},)) % {p}",
+                {"pow": pow, "sum": sum},
+            )
+            for _, parts in self._groups
+        ]
+
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """Fixes a batch of public points: keeps the public monomials that
         are nonzero at some point, tabulates their values per point, and
-        returns the secret stage, which folds only those monomials' terms,
-        once per secret of its batch, and returns one residue list per
-        secret, one residue per point."""
+        returns the secret stage, which calls only those monomials' compiled
+        coefficients, once per secret of its batch, and returns one residue
+        list per secret, one residue per point."""
         p = self.spec.p
         live, columns = [], []
-        for pub_factors, parts in self._groups:
+        for (pub_factors, _), fold in zip(self._groups, self._coefficients):
             column = []
             for point in points:
                 value = 1
@@ -193,31 +225,16 @@ class PlantedTarget(_Target):
                     value = value * v if e == 1 else value * pow(v, e, p)
                 column.append(value % p)
             if any(column):
-                live.append(parts)
+                live.append(fold)
                 columns.append(column)
         # per point, the live monomials' values
         rows = list(zip(*columns)) if columns else [()] * len(points)
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
-            folds = ([_fold(parts, secret, p) for parts in live] for secret in secrets)
+            folds = ([fold(secret) for fold in live] for secret in secrets)
             return [[sum(map(mul, c, row)) % p for row in rows] for c in folds]
 
         return at_secrets
-
-
-def _fold(parts, secret: Sequence[int], p: int) -> int:
-    """One public monomial's coefficient at a secret: its terms
-    (coeff, secret factors) summed mod p."""
-    coeff = 0
-    for c, factors in parts:
-        for j, e in factors:
-            x = secret[j]
-            if x == 0:
-                c = 0
-                break
-            c = c * x if e == 1 else c * pow(x, e, p)
-        coeff += c
-    return coeff % p
 
 
 def _public_monomials(n_pub: int, n: int, degree: int, cap: int):

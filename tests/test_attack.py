@@ -12,6 +12,7 @@ from gfdelta.attack import (
     BlackBox,
     MaxtermRecord,
     Verdict,
+    _residues,
     candidate_terms,
     extract_linear,
     gaussian_solve,
@@ -256,6 +257,19 @@ def test_integer_linearity_test_keeps_the_rng_stream(data):
     assert ours.getstate() == theirs.getstate()
 
 
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 31, 2**31 - 1, 10**9 + 7, 2**61 - 1]),
+    count=st.integers(0, 60),
+    seed=st.integers(0, 2**64),
+)
+def test_residues_are_the_randrange_stream(p, count, seed):
+    # the batched draw yields randrange's values and leaves its state, also
+    # where words >= p are dropped (p = 2, 3, 5, 10^9 + 7)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _residues(ours, p, count) == [theirs.randrange(p) for _ in range(count)]
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_margin_terms_always_linear_or_constant(rng):
     # a public term one below the total degree forces the superpoly down
     # to degree at most one
@@ -376,6 +390,20 @@ def test_preprocess_is_deterministic():
         (r.term, r.c0, r.c, r.evaluations_used) for r in r2.records
     ]
     assert r1.evaluations == r2.evaluations
+
+
+def test_preprocess_pins_the_benchmark_planted_target():
+    # the planted-p31 workload's target at its seed-0 preprocess seed
+    target = make_planted(31, 5, 12, 6, 60, seed=2)
+    result = preprocess(
+        target.blackbox(),
+        budget=10**6,
+        max_total_mult=target.suggested_max_multiplicity,
+        seed=2,
+    )
+    assert result.status == "complete"
+    assert (result.evaluations, result.terms_tried) == (23328, 95)
+    assert (len(result.records), len(result.dependent)) == (12, 16)
 
 
 def test_preprocess_budget_exhaustion():

@@ -19,6 +19,7 @@ from gfdelta.targets import (
     TargetError,
     ToyCipher,
     ToyCipherParams,
+    _public_monomials,
     load_target,
     make_planted,
     save_target,
@@ -132,6 +133,63 @@ def test_planted_kernel_hoisting_matches_symbolic(p, n_pub, data):
         public = vector(n_pub)
         assert oracle(public) == bb.evaluate(public, target.key)
     assert oracle.evaluations == 3
+
+
+def reference_fold(parts, secret, p):
+    """One public monomial's coefficient at a secret, as a loop: its terms
+    (coeff, secret factors) summed mod p."""
+    coeff = 0
+    for c, factors in parts:
+        for j, e in factors:
+            x = secret[j]
+            if x == 0:
+                c = 0
+                break
+            c = c * x if e == 1 else c * pow(x, e, p)
+        coeff += c
+    return coeff % p
+
+
+@given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
+def test_compiled_coefficients_match_the_loop_fold(p, data):
+    n_pub = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(2, min(5, n_pub * (p - 1) + 1)))
+    anchors = len(_public_monomials(n_pub, n_pub, degree - 1, p - 1))
+    n_sec = data.draw(st.integers(1, min(4, anchors)))
+    target = make_planted(
+        p,
+        n_pub,
+        n_sec,
+        degree,
+        data.draw(st.integers(0, 12)),
+        seed=data.draw(st.integers(0, 10**6)),
+    )
+    residue = st.one_of(st.just(0), st.integers(0, p - 1))
+    secrets = data.draw(
+        st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=4)
+    )
+    assert len(target._coefficients) == len(target._groups)
+    for secret in secrets:
+        assert [fold(secret) for fold in target._coefficients] == [
+            reference_fold(parts, secret, p) for _, parts in target._groups
+        ]
+
+
+def test_largest_planted_target_compiles_and_agrees_with_symbolic():
+    # the largest shape a target file admits has a public-monomial group of
+    # 3,964 terms, which a compiled chain of '+' could not take
+    target = make_planted(31, 8, 64, 12, 10_000, seed=1)
+    assert max(len(parts) for _, parts in target._groups) == 3964
+    spec, rng = target.spec, random.Random(0)
+    points = [tuple(rng.randrange(1, 31) for _ in range(8)) for _ in range(3)]
+    secrets = [tuple(rng.randrange(31) for _ in range(64)) for _ in range(2)]
+    secrets.append(tuple(0 if j % 3 else v for j, v in enumerate(secrets[0])))
+
+    def symbolic(point, secret):
+        return int(target.poly.evaluate([spec.element(v) for v in point + secret]))
+
+    got = target.blackbox().evaluate_grid(points, secrets)
+    assert got == [[symbolic(pt, s) for pt in points] for s in secrets]
 
 
 # -- toy cipher ---------------------------------------------------------------------
