@@ -14,20 +14,25 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
    The planted kernel keeps only the public monomials that are nonzero at
    some point of the batch and tabulates their values per point; the toy
-   cipher tabulates its first round's mix of the publics as columns, one
-   list per state coordinate, which whitening leaves free of the secret.
+   cipher tabulates its first round's mix of the publics, one row per
+   point, which whitening leaves free of the secret.
    The `BlackBox` that `blackbox()` returns redoes this stage only for a
    new batch, which a superpoly grid never is across a term's calls.
 2. secrets (the function `_on_grid` returns, called on a batch of secret
    residue vectors): the planted kernel calls each live public monomial's
-   compiled coefficient (`PlantedTarget._coefficients`) once per secret
-   and sums coefficient times tabulated value per point; the toy cipher
-   gets every secret-only constant (the first round's, with the whitening
-   folded in, and each later round's key injection) from one affine key
-   map of each secret, then runs its rounds once over columns that hold
-   every point at every secret: each quadratic step, reduced mod p once,
-   and each affine layer, built column by column. It returns one residue
-   list per secret, one residue per point.
+   compiled coefficient (`PlantedTarget._fold`, compiled when a grid first
+   makes the monomial live) once per secret and sums coefficient times
+   tabulated value per point; the toy cipher gets every secret-only
+   constant (the first round's, with the whitening folded in, and each
+   later round's key injection) from one affine key map of each secret,
+   then hands the grid rows and the constants through its rounds compiled
+   into a few functions (`ToyCipher._chunks`), each one loop over the
+   points that runs its rounds in local variables: each quadratic step,
+   reduced mod p, and each affine layer, one sum over the nonzero mix
+   entries. It returns one residue list per secret, one residue per point.
+
+Generated code goes through one helper, `_compile`: its source holds only
+the target's own ints, and it runs with no builtins but the ones it calls.
 
 A single probe is the one-point, one-secret batch. The online oracle is a
 fresh box viewed at a fixed key, a one-secret batch: it answers a whole
@@ -52,7 +57,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .attack import BlackBox
 from .combinat import _nonneg_splits
@@ -89,6 +94,18 @@ class CountingOracle:
     def __call__(self, public: Sequence[FieldElement]) -> FieldElement:
         value = self.evaluate_grid([tuple(map(int, public))])[0]
         return self._box.spec.element(value)
+
+
+def _compile(source: str, names: dict[str, Callable]) -> Callable:
+    """The function `f` that generated `source` defines. The source runs
+    with no builtins: its globals are `names`, the builtins it calls, and
+    nothing else, so any other name it reads raises `NameError`. `f` is
+    taken out of its own globals, so that it and they form no reference
+    cycle and are freed with the target, not at the next garbage
+    collection."""
+    scope = {"__builtins__": {}, **names}
+    exec(source, scope)
+    return scope.pop("f")
 
 
 def _secret_ints(target, secret) -> tuple[int, ...]:
@@ -160,6 +177,8 @@ class PlantedTarget(_Target):
                 (int(c), [(j, e) for j, e in enumerate(mono[n_pub:]) if e])
             )
         self._groups = list(groups.values())
+        # each group's compiled coefficient, once a grid has made it live
+        self._folds: list[Callable | None] = [None] * len(self._groups)
 
     @property
     def n_pub(self) -> int:
@@ -173,19 +192,20 @@ class PlantedTarget(_Target):
     def suggested_max_multiplicity(self) -> int:
         return self.config.total_degree - 1
 
-    @cached_property
-    def _coefficients(self) -> list:
-        """One function per public-monomial group, in `_groups` order: the
-        group's coefficient mod p at a secret residue vector `s`.
+    def _fold(self, group: int) -> Callable:
+        """Group `group`'s coefficient mod p at a secret residue vector `s`,
+        compiled the first time a grid makes the group live and kept in
+        `_folds`.
 
-        Each is one compiled expression, `sum((c*s[j]*pow(s[k], e, p),
-        ...)) % p`, whose source holds only the target's own ints (its
-        coefficients, secret indices, exponents and p), so nothing outside
-        the target reaches `eval`. The terms are a tuple display, not a
-        chain of `+`: the compiler recurses once per `+`, and a chain of
-        about 3,000 terms raises `RecursionError`, while the largest
-        loadable target has a group of 3,964 terms. Built on first use so
-        that loading a target does not pay the compile."""
+        It is one compiled function, `f(s)` returning `sum((c*s[j]*pow(s[k],
+        e, p), ...)) % p`, whose source holds only the target's own ints
+        (its coefficients, secret indices, exponents and p) and which sees
+        no builtins but `pow` and `sum`, so nothing outside the target
+        reaches the compiler. The terms are a tuple display, not a chain of
+        `+`: the compiler recurses once per `+`, and a chain of about 3,000
+        terms raises `RecursionError`, while the largest loadable target
+        has a group of 3,964 terms. Loading a target compiles nothing, and
+        a group no grid makes live is never compiled."""
         p = self.spec.p
 
         def term(c: int, factors) -> str:
@@ -197,23 +217,24 @@ class PlantedTarget(_Target):
                 ]
             )
 
-        return [
-            eval(
-                f"lambda s: sum(({', '.join(term(c, f) for c, f in parts)},)) % {p}",
-                {"pow": pow, "sum": sum},
-            )
-            for _, parts in self._groups
-        ]
+        _, parts = self._groups[group]
+        terms = ", ".join(term(c, f) for c, f in parts)
+        fold = _compile(
+            f"def f(s):\n    return sum(({terms},)) % {p}\n",
+            {"pow": pow, "sum": sum},
+        )
+        self._folds[group] = fold
+        return fold
 
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """Fixes a batch of public points: keeps the public monomials that
         are nonzero at some point, tabulates their values per point, and
         returns the secret stage, which calls only those monomials' compiled
-        coefficients, once per secret of its batch, and returns one residue
-        list per secret, one residue per point."""
+        coefficients (`_fold`), once per secret of its batch, and returns
+        one residue list per secret, one residue per point."""
         p = self.spec.p
         live, columns = [], []
-        for (pub_factors, _), fold in zip(self._groups, self._coefficients):
+        for group, (pub_factors, _) in enumerate(self._groups):
             column = []
             for point in points:
                 value = 1
@@ -225,7 +246,7 @@ class PlantedTarget(_Target):
                     value = value * v if e == 1 else value * pow(v, e, p)
                 column.append(value % p)
             if any(column):
-                live.append(fold)
+                live.append(self._folds[group] or self._fold(group))
                 columns.append(column)
         # per point, the live monomials' values
         rows = list(zip(*columns)) if columns else [()] * len(points)
@@ -303,6 +324,13 @@ def make_planted(
 # ---------------------------------------------------------------------------
 # toy cipher
 
+# the most nonzero mix entries one compiled chunk of toy-cipher rounds holds:
+# compiling builds a syntax tree that grows with the chunk, and a whole
+# 16-round, width-64 cipher as one function peaked near 72 MB under
+# `attack-pre`; a round has at most 64 x 64 = 4,096 entries, so none
+# exceeds it
+CHUNK_TERMS = 4096
+
 
 @dataclass(frozen=True)
 class ToyCipherParams:
@@ -321,7 +349,8 @@ class ToyCipher(_Target):
 
     The secret enters only through affine layers, so the kernel reads all
     of it through one matrix, `_key_map`, composed once per cipher, and
-    runs the rest over grid columns."""
+    runs the rounds after the first as code compiled once per cipher
+    (`_chunks`), straight-line loops over the grid's points."""
 
     def __init__(self, params: ToyCipherParams):
         if params.width < 1 or params.rounds < 0:
@@ -406,51 +435,105 @@ class ToyCipher(_Target):
     def suggested_max_multiplicity(self) -> int:
         return max(2**self.params.rounds, 1)
 
+    @cached_property
+    def _chunks(self) -> list[tuple[Callable, int, int]]:
+        """The secret stage as compiled functions, each with the slice of
+        `_key_map` rows whose constants it takes, `(chunk, start, stop)`.
+
+        The rounds after the first are grouped in order into chunks of at
+        most `CHUNK_TERMS` nonzero mix entries (at least one round each).
+        Chunk `f(rows, k...)` loops over per-point states and runs its
+        rounds in local variables: the quadratic step, reduced mod p, then
+        the affine layer, the key constant plus, for each distinct nonzero
+        mix entry m of the row, m times the sum of the states it
+        multiplies. The first chunk takes the grid rows and first adds the
+        first round's constants; each chunk but the last returns the states
+        it reached, as tuples, and the last returns output 0 mod p (at zero
+        rounds, the whitened coordinate 0). The source holds only the
+        cipher's ints (mix entries, tap indices, p) and sees no builtins.
+        Built on first use so that loading a target does not pay the
+        compile."""
+        p, quad = self.params.p, self._quad
+        first, *later = [mix for mix, _, _ in self._layers] or [[[1]]]
+        groups, terms = [[]], 0
+        for mix in later:
+            n = sum(len(row) - row.count(0) for row in mix)
+            if groups[-1] and terms + n > CHUNK_TERMS:
+                groups.append([])
+                terms = 0
+            groups[-1].append(mix)
+            terms += n
+
+        def state(n: int) -> str:
+            # a trailing comma makes a tuple target or display of any width
+            return "".join(f"a{i}, " for i in range(n))
+
+        output = f"(a0 + a1 * a2) % {p}" if self._layers else f"a0 % {p}"
+        chunks, width, key = [], len(first), 0
+        for index, mixes in enumerate(groups):
+            start = key
+            head = f"for {state(width)}in rows:"
+            loop = []
+            if not index:
+                loop += [f"a{i} += k{i}" for i in range(width)]
+                key = width
+            for mix in mixes:
+                loop += [f"s{i} = (a{i} + a{j} * a{k}) % {p}" for i, j, k in quad]
+                for r, row in enumerate(mix):
+                    # one product per distinct entry, over the sum of the
+                    # states it multiplies
+                    reads: dict[int, list[str]] = {}
+                    for i, m in enumerate(row):
+                        if m:
+                            reads.setdefault(m, []).append(f"s{i}")
+                    sums = [f"k{key + r}"] + [
+                        " + ".join(v) if m == 1 else f"{m} * ({' + '.join(v)})"
+                        for m, v in reads.items()
+                    ]
+                    loop.append(f"a{r} = {' + '.join(sums)}")
+                key += len(mix)
+                width = len(mix)
+            last = index == len(groups) - 1
+            loop.append(f"append({output})" if last else f"append(({state(width)}))")
+            params = "".join(f", k{k}" for k in range(start, key))
+            source = "\n".join(
+                [f"def f(rows{params}):", "    out = []", "    append = out.append"]
+                + [f"    {head}"]
+                + [f"        {line}" for line in loop]
+                + ["    return out", ""]
+            )
+            chunks.append((_compile(source, {}), start, key))
+        return chunks
+
     def _on_grid(self, points: Sequence[Sequence[int]]):
-        """A batch of public points, kept as columns: one list per state
-        coordinate, one entry per point. The grid stage tabulates the first
+        """A batch of public points. The grid stage tabulates the first
         round's mix of the loaded publics (the loaded coordinate 0 at zero
-        rounds); whitening only adds a constant before mix_1, so the secret
-        never enters. The secret stage applies the key map to each secret
-        of its batch and adds the first round's constants to every point,
-        which gives columns over points x secrets, secret by secret. It then
-        alternates the quadratic step, reduced mod p, with each later
-        round's affine layer, built column by column: the constants, plus m
-        times an input column for each nonzero mix entry m. The last layer
-        holds output 0's three taps only."""
-        p = self.params.p
-        layers, quad, key_map = self._layers, self._quad, self._key_map
+        rounds), one column per state coordinate, and turns the columns
+        into one row per point; whitening only adds a constant before
+        mix_1, so the secret never enters. The secret stage applies the key
+        map to each secret of its batch and hands the rows with the
+        constants through the compiled chunks (`_chunks`), which run every
+        later round per point in local variables and give one residue list
+        per secret, one residue per point. The last round holds output 0's
+        three taps only."""
+        p, layers = self.params.p, self._layers
+        key_map, chunks = self._key_map, self._chunks
         # map stops at the shorter of row and point, which loads the publics
         # zero-padded or cut at the width
         first = layers[0][0] if layers else [[1]]
         columns = [[sum(map(mul, row, pt)) for pt in points] for row in first]
-        n = len(points)
+        rows = list(zip(*columns))
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
-            # per key-map row, its constant at each secret of the batch
-            xs = [(*secret, 1) for secret in secrets]
-            consts = [[sum(map(mul, row, x)) % p for x in xs] for row in key_map]
-            a = [[v + c for c in cs for v in col] for col, cs in zip(columns, consts)]
-            start = len(a)
-            for mix, _, _ in layers[1:]:
-                state = [
-                    [(s + t * u) % p for s, t, u in zip(a[i], a[j], a[k])]
-                    for i, j, k in quad
-                ]
-                stop = start + len(mix)
-                a = []
-                for row, cs in zip(mix, consts[start:stop]):
-                    out = [c for c in cs for _ in range(n)]
-                    for m, col in zip(row, state):
-                        if m:
-                            out = [o + m * v for o, v in zip(out, col)]
-                    a.append(out)
-                start = stop
-            if layers:
-                out = [(s + t * u) % p for s, t, u in zip(*a)]
-            else:
-                out = [v % p for v in a[0]]
-            return [out[i * n : (i + 1) * n] for i in range(len(secrets))]
+            answers = []
+            for secret in secrets:
+                x = (*secret, 1)
+                consts = [sum(map(mul, row, x)) % p for row in key_map]
+                states = rows
+                for chunk, start, stop in chunks:
+                    states = chunk(states, *consts[start:stop])
+                answers.append(states)
+            return answers
 
         return at_secrets
 

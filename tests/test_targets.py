@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from gfdelta.targets import (
     TargetError,
     ToyCipher,
     ToyCipherParams,
+    _compile,
     _public_monomials,
     load_target,
     make_planted,
@@ -168,11 +171,47 @@ def test_compiled_coefficients_match_the_loop_fold(p, data):
     secrets = data.draw(
         st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=4)
     )
-    assert len(target._coefficients) == len(target._groups)
     for secret in secrets:
-        assert [fold(secret) for fold in target._coefficients] == [
+        assert [target._fold(g)(secret) for g in range(len(target._groups))] == [
             reference_fold(parts, secret, p) for _, parts in target._groups
         ]
+
+
+@given(p=st.sampled_from([2, 5, 31]), data=st.data())
+def test_a_group_is_compiled_when_a_grid_first_makes_it_live(p, data):
+    n_pub = data.draw(st.integers(1, 3))
+    target = make_planted(
+        p,
+        n_pub,
+        1,
+        data.draw(st.integers(2, min(5, n_pub * (p - 1) + 1))),
+        data.draw(st.integers(0, 12)),
+        seed=data.draw(st.integers(0, 10**6)),
+    )
+    assert target._folds == [None] * len(target._groups)
+    residues = st.tuples(*[st.integers(0, p - 1)] * n_pub)
+    live = set()
+    for _ in range(3):
+        points = data.draw(st.lists(residues, max_size=4))
+        target._on_grid(points)
+        live |= {
+            g
+            for g, (factors, _) in enumerate(target._groups)
+            if any(all(pt[i] for i, _ in factors) for pt in points)
+        }
+        assert {g for g, f in enumerate(target._folds) if f} == live
+
+
+def test_generated_code_sees_no_other_builtins():
+    # the helper both target kinds compile through hands the source only
+    # the names it is given
+    names = {"pow": pow, "sum": sum}
+    assert _compile("def f(s):\n    return sum(s) % pow(2, 3)\n", names)((5, 6)) == 3
+    for name in ["open", "len", "print", "__import__", "getattr"]:
+        with pytest.raises(NameError, match=name):
+            _compile(f"def f(s):\n    return {name}(s)\n", names)(())
+    with pytest.raises(ImportError):
+        _compile("def f():\n    import os\n", {})()
 
 
 def test_largest_planted_target_compiles_and_agrees_with_symbolic():
@@ -190,6 +229,24 @@ def test_largest_planted_target_compiles_and_agrees_with_symbolic():
 
     got = target.blackbox().evaluate_grid(points, secrets)
     assert got == [[symbolic(pt, s) for pt in points] for s in secrets]
+
+
+def test_compiled_code_is_freed_with_its_target():
+    # generated functions hold no reference cycle through their globals, so
+    # a target rebuilt for every run frees the old one's code at once, not
+    # at the next garbage collection
+    gc.disable()
+    try:
+        planted = make_planted(31, 3, 4, 5, 12, seed=3)
+        planted._on_grid([(1, 2, 3)])
+        toy = ToyCipher(ToyCipherParams(7, 4, 40, 4, 4, 1))
+        refs = [weakref.ref(f) for f in planted._folds if f]
+        refs += [weakref.ref(f) for f, _, _ in toy._chunks]
+        assert len(refs) > 2
+        del planted, toy
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 # -- toy cipher ---------------------------------------------------------------------
@@ -224,9 +281,11 @@ def reference_encrypt(cipher, public, secret):
 
 
 @given(
-    # the reference reduces after every step, the kernel once per quadratic step
-    p=st.sampled_from([3, 5, 7, 2**61 - 1]),
-    rounds=st.integers(0, 3),
+    # the reference reduces after every step, the kernel once per quadratic
+    # step; at p = 2 about half the mix entries are zero and the compiled
+    # rounds drop them
+    p=st.sampled_from([2, 3, 5, 7, 2**61 - 1]),
+    rounds=st.integers(0, 5),
     width=st.integers(1, 5),
     n_pub=st.integers(1, 6),
     n_sec=st.integers(1, 4),
@@ -251,8 +310,8 @@ def test_toy_cipher_schedule_matches_reference(
 
 
 @given(
-    p=st.sampled_from([3, 5, 7, 2**61 - 1]),
-    rounds=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5, 7, 2**61 - 1]),
+    rounds=st.integers(0, 5),
     width=st.integers(1, 5),
     n_pub=st.integers(1, 6),
     n_sec=st.integers(1, 4),
@@ -263,16 +322,48 @@ def test_toy_cipher_grid_matches_reference(
     p, rounds, width, n_pub, n_sec, seed, data
 ):
     # one grid stage answers a whole batch, repeated points included, at
-    # every secret it is handed
+    # every batch of 0-5 secrets it is handed
     cipher = ToyCipher(ToyCipherParams(p, rounds, width, n_pub, n_sec, seed))
     values = st.integers(0, p - 1)
     pool = data.draw(st.lists(st.tuples(*[values] * n_pub), min_size=1, max_size=8))
     points = data.draw(st.lists(st.sampled_from(pool), max_size=20))
     at_secrets = cipher._on_grid(points)
     for _ in range(2):
-        secret = tuple(data.draw(values) for _ in range(n_sec))
-        expected = [reference_encrypt(cipher, pt, secret) for pt in points]
-        assert at_secrets([secret]) == [expected]
+        secrets = data.draw(st.lists(st.tuples(*[values] * n_sec), max_size=5))
+        expected = [
+            [reference_encrypt(cipher, pt, secret) for pt in points]
+            for secret in secrets
+        ]
+        assert at_secrets(secrets) == expected
+
+
+@pytest.mark.parametrize(
+    "p, rounds, width, chunks",
+    [
+        (2**61 - 1, 0, 3, 1),
+        (2**61 - 1, 1, 3, 1),
+        (2**61 - 1, 4, 50, 2),  # two 2,500-entry rounds cannot share a chunk
+        (7, 16, 64, 14),  # the largest shape a target file admits
+    ],
+)
+def test_toy_cipher_chunks_match_reference(p, rounds, width, chunks):
+    # zero and one rounds have no round after the grid stage, so their one
+    # chunk takes no state but the grid's; wider ciphers hand states from
+    # chunk to chunk
+    cipher = ToyCipher(ToyCipherParams(p, rounds, width, 64, 64, 1))
+    assert len(cipher._chunks) == chunks
+    assert [stop for _, _, stop in cipher._chunks][-1] == len(cipher._key_map)
+    for (_, _, stop), (_, start, _) in zip(cipher._chunks, cipher._chunks[1:]):
+        assert stop == start
+    rng = random.Random(width)
+    points = [tuple(rng.randrange(p) for _ in range(64)) for _ in range(4)]
+    secrets = [tuple(rng.randrange(p) for _ in range(64)) for _ in range(2)]
+    secrets.append(tuple(0 if j % 3 else v for j, v in enumerate(secrets[0])))
+    expected = [[reference_encrypt(cipher, pt, s) for pt in points] for s in secrets]
+    assert cipher._on_grid(points)(secrets) == expected
+    for i, pt in enumerate(points[:2]):
+        assert cipher._on_grid([pt])([secrets[i]]) == [[expected[i][i]]]
+        assert cipher.evaluate_ints(pt, secrets[i]) == expected[i][i]
 
 
 def test_toy_cipher_deterministic_and_keyed():
