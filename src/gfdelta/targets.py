@@ -11,11 +11,13 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
 `online_oracle(key=None)` through one base class. Their one kernel,
 `_on_grid`, takes a grid, then a batch of secrets:
 
-1. grid (`_on_grid(points)`): a batch of public points as residue tuples.
-   The planted kernel keeps only the public monomials that are nonzero at
-   some point of the batch and tabulates their values per point; the toy
+1. grid (`_on_grid(points)`): a batch of public points as residue tuples,
+   tabulated by code compiled once per target, one comprehension over the
+   points. The planted kernel tabulates every public monomial per point
+   (`PlantedTarget._tabulate`, short-circuit products mod p) and keeps
+   only the monomials that are nonzero at some point of the batch; the toy
    cipher tabulates its first round's mix of the publics, one row per
-   point, which whitening leaves free of the secret.
+   point (`ToyCipher._load`), which whitening leaves free of the secret.
    The `BlackBox` that `blackbox()` returns redoes this stage only for a
    new batch, which a superpoly grid never is across a term's calls.
 2. secrets (the function `_on_grid` returns, called on a batch of secret
@@ -108,6 +110,18 @@ def _compile(source: str, names: dict[str, Callable]) -> Callable:
     return scope.pop("f")
 
 
+def _tabulator(n_pub: int, values: list[str]) -> Callable:
+    """A grid stage's table: `f(points)` gives, per point of n_pub
+    coordinates x0, x1, ..., the tuple of `values`, expressions in them,
+    compiled with no builtins. A trailing comma makes a tuple target or
+    display of any width."""
+    publics = "".join(f"x{i}, " for i in range(n_pub))
+    cells = "".join(f"{v}, " for v in values)
+    return _compile(
+        f"def f(points):\n    return [({cells}) for {publics}in points]\n", {}
+    )
+
+
 def _secret_ints(target, secret) -> tuple[int, ...]:
     """The secret as residues; `TargetError` unless it has n_sec
     coordinates."""
@@ -146,6 +160,13 @@ class PlantedConfig:
     total_degree: int
     extra_terms: int
     seed: int
+
+
+# the most terms one compiled slice of a planted coefficient holds: compiling
+# builds a syntax tree that grows with the source, and the largest loadable
+# target's 3,964-term group compiled whole raised peak RSS by about 9 MB;
+# every group of the benchmark's target fits in one slice
+FOLD_TERMS = 256
 
 
 class PlantedTarget(_Target):
@@ -197,15 +218,17 @@ class PlantedTarget(_Target):
         compiled the first time a grid makes the group live and kept in
         `_folds`.
 
-        It is one compiled function, `f(s)` returning `sum((c*s[j]*pow(s[k],
-        e, p), ...)) % p`, whose source holds only the target's own ints
-        (its coefficients, secret indices, exponents and p) and which sees
-        no builtins but `pow` and `sum`, so nothing outside the target
-        reaches the compiler. The terms are a tuple display, not a chain of
-        `+`: the compiler recurses once per `+`, and a chain of about 3,000
-        terms raises `RecursionError`, while the largest loadable target
-        has a group of 3,964 terms. Loading a target compiles nothing, and
-        a group no grid makes live is never compiled."""
+        Each slice of at most `FOLD_TERMS` terms is one compiled function,
+        `f(s)` returning `sum((c*s[j]*pow(s[k], e, p), ...)) % p`, whose
+        source holds only the target's own ints (its coefficients, secret
+        indices, exponents and p) and which sees no builtins but `pow` and
+        `sum`, so nothing outside the target reaches the compiler. The terms
+        are a tuple display, not a chain of `+`: the compiler recurses once
+        per `+`, and a chain of about 3,000 terms raises `RecursionError`. A
+        group of one slice is that function; a larger one, such as the
+        3,964-term group of the largest loadable target, is a compiled sum
+        of its slices' functions mod p. Loading a target compiles nothing,
+        and a group no grid makes live is never compiled."""
         p = self.spec.p
 
         def term(c: int, factors) -> str:
@@ -218,33 +241,54 @@ class PlantedTarget(_Target):
             )
 
         _, parts = self._groups[group]
-        terms = ", ".join(term(c, f) for c, f in parts)
-        fold = _compile(
-            f"def f(s):\n    return sum(({terms},)) % {p}\n",
-            {"pow": pow, "sum": sum},
-        )
+        slices = []
+        for start in range(0, len(parts), FOLD_TERMS):
+            terms = ", ".join(term(c, f) for c, f in parts[start : start + FOLD_TERMS])
+            slices.append(
+                _compile(
+                    f"def f(s):\n    return sum(({terms},)) % {p}\n",
+                    {"pow": pow, "sum": sum},
+                )
+            )
+        if len(slices) == 1:
+            [fold] = slices
+        else:
+            calls = " + ".join(f"f{k}(s)" for k in range(len(slices)))
+            fold = _compile(
+                f"def f(s):\n    return ({calls}) % {p}\n",
+                {f"f{k}": f for k, f in enumerate(slices)},
+            )
         self._folds[group] = fold
         return fold
 
+    @cached_property
+    def _tabulate(self) -> Callable:
+        """The grid stage's table, compiled once per target: `f(points)`
+        gives, per point, a tuple of every group's public monomial mod p, in
+        `_groups` order. Each value is a short-circuit product, such as
+        `x0 and x2 and x0*x2*x2 % 31`, so a monomial with a zero coordinate
+        costs no multiplication; a group with no public factor is `1`. The
+        source holds only the target's ints (variable indices, repeated by
+        exponent, and p) and sees no builtins. Built on first use so that
+        loading a target does not pay the compile."""
+        p = self.spec.p
+        values = []
+        for factors, _ in self._groups:
+            product = "*".join(f"x{i}" for i, e in factors for _ in range(e))
+            guard = "".join(f"x{i} and " for i, _ in factors)
+            values.append(f"{guard}{product} % {p}" if factors else "1")
+        return _tabulator(self.n_pub, values)
+
     def _on_grid(self, points: Sequence[Sequence[int]]):
-        """Fixes a batch of public points: keeps the public monomials that
-        are nonzero at some point, tabulates their values per point, and
-        returns the secret stage, which calls only those monomials' compiled
-        coefficients (`_fold`), once per secret of its batch, and returns
-        one residue list per secret, one residue per point."""
+        """Fixes a batch of public points: tabulates every public monomial
+        per point with compiled code (`_tabulate`), keeps the monomials that
+        are nonzero at some point, and returns the secret stage, which calls
+        only those monomials' compiled coefficients (`_fold`), once per
+        secret of its batch, and returns one residue list per secret, one
+        residue per point."""
         p = self.spec.p
         live, columns = [], []
-        for group, (pub_factors, _) in enumerate(self._groups):
-            column = []
-            for point in points:
-                value = 1
-                for i, e in pub_factors:
-                    v = point[i]
-                    if not v:
-                        value = 0
-                        break
-                    value = value * v if e == 1 else value * pow(v, e, p)
-                column.append(value % p)
+        for group, column in enumerate(zip(*self._tabulate(points))):
             if any(column):
                 live.append(self._folds[group] or self._fold(group))
                 columns.append(column)
@@ -348,9 +392,10 @@ class ToyCipher(_Target):
     quadratic step. Output degree stays below 2^rounds + 1.
 
     The secret enters only through affine layers, so the kernel reads all
-    of it through one matrix, `_key_map`, composed once per cipher, and
-    runs the rounds after the first as code compiled once per cipher
-    (`_chunks`), straight-line loops over the grid's points."""
+    of it through one matrix, `_key_map`, composed once per cipher. It
+    loads a grid's publics (`_load`) and runs the rounds after the first
+    (`_chunks`) as code compiled once per cipher, straight-line loops over
+    the grid's points."""
 
     def __init__(self, params: ToyCipherParams):
         if params.width < 1 or params.rounds < 0:
@@ -505,24 +550,41 @@ class ToyCipher(_Target):
             chunks.append((_compile(source, {}), start, key))
         return chunks
 
+    @cached_property
+    def _load(self) -> Callable:
+        """The grid stage, compiled once per cipher: `f(points)` gives, per
+        point, the first round's mix of the loaded publics as an unreduced
+        tuple, such as `(6 * x0 + 4 * x2 + 6 * x3, ...)`, one entry per mix
+        row (the loaded coordinate 0 at zero rounds). The publics load
+        zero-padded or cut at the width, so a row reads only columns j <
+        min(n_pub, width) with a nonzero entry, and a row with none is `0`.
+        The source holds only the cipher's ints (mix entries and public
+        indices) and sees no builtins. Built on first use so that loading a
+        target does not pay the compile."""
+        first = self._layers[0][0] if self._layers else [[1]]
+
+        def entry(row) -> str:
+            sums = [
+                f"x{j}" if m == 1 else f"{m} * x{j}"
+                for j, m in enumerate(row[: self.n_pub])
+                if m
+            ]
+            return " + ".join(sums) or "0"
+
+        return _tabulator(self.n_pub, [entry(row) for row in first])
+
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """A batch of public points. The grid stage tabulates the first
         round's mix of the loaded publics (the loaded coordinate 0 at zero
-        rounds), one column per state coordinate, and turns the columns
-        into one row per point; whitening only adds a constant before
-        mix_1, so the secret never enters. The secret stage applies the key
-        map to each secret of its batch and hands the rows with the
-        constants through the compiled chunks (`_chunks`), which run every
-        later round per point in local variables and give one residue list
-        per secret, one residue per point. The last round holds output 0's
-        three taps only."""
-        p, layers = self.params.p, self._layers
-        key_map, chunks = self._key_map, self._chunks
-        # map stops at the shorter of row and point, which loads the publics
-        # zero-padded or cut at the width
-        first = layers[0][0] if layers else [[1]]
-        columns = [[sum(map(mul, row, pt)) for pt in points] for row in first]
-        rows = list(zip(*columns))
+        rounds) with compiled code (`_load`), one row per point; whitening
+        only adds a constant before mix_1, so the secret never enters. The
+        secret stage applies the key map to each secret of its batch and
+        hands the rows with the constants through the compiled chunks
+        (`_chunks`), which run every later round per point in local
+        variables and give one residue list per secret, one residue per
+        point. The last round holds output 0's three taps only."""
+        p, key_map, chunks = self.params.p, self._key_map, self._chunks
+        rows = self._load(points)
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
             answers = []

@@ -1,6 +1,8 @@
 import gc
 import random
 import weakref
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,9 @@ from gfdelta.attack import (
 )
 from gfdelta.field import prime_field
 from gfdelta.poly import interpolate, all_points
+import gfdelta.targets as targets
 from gfdelta.targets import (
+    FOLD_TERMS,
     PLANTED_SIZES,
     TOY_SIZES,
     TargetError,
@@ -153,13 +157,14 @@ def reference_fold(parts, secret, p):
     return coeff % p
 
 
-@given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
-def test_compiled_coefficients_match_the_loop_fold(p, data):
+def _small_planted(p, data):
+    """A planted target over GF(p) with 1-3 publics, 1-4 secrets, degree
+    2-5 and 0-12 extra terms, as far as p admits."""
     n_pub = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(2, min(5, n_pub * (p - 1) + 1)))
     anchors = len(_public_monomials(n_pub, n_pub, degree - 1, p - 1))
     n_sec = data.draw(st.integers(1, min(4, anchors)))
-    target = make_planted(
+    return make_planted(
         p,
         n_pub,
         n_sec,
@@ -167,6 +172,12 @@ def test_compiled_coefficients_match_the_loop_fold(p, data):
         data.draw(st.integers(0, 12)),
         seed=data.draw(st.integers(0, 10**6)),
     )
+
+
+@given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
+def test_compiled_coefficients_match_the_loop_fold(p, data):
+    target = _small_planted(p, data)
+    n_sec = target.n_sec
     residue = st.one_of(st.just(0), st.integers(0, p - 1))
     secrets = data.draw(
         st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=4)
@@ -175,6 +186,117 @@ def test_compiled_coefficients_match_the_loop_fold(p, data):
         assert [target._fold(g)(secret) for g in range(len(target._groups))] == [
             reference_fold(parts, secret, p) for _, parts in target._groups
         ]
+
+
+@pytest.mark.parametrize("slice_terms", [1, 2, 5])
+def test_a_group_larger_than_one_slice_matches_the_loop_fold(monkeypatch, slice_terms):
+    # a group of more than FOLD_TERMS terms compiles as a sum of slices
+    monkeypatch.setattr(targets, "FOLD_TERMS", slice_terms)
+    target = make_planted(31, 3, 4, 5, 40, seed=3)
+    assert max(len(parts) for _, parts in target._groups) > 2 * slice_terms
+    rng = random.Random(slice_terms)
+    secrets = [tuple(rng.randrange(31) for _ in range(4)) for _ in range(3)]
+    secrets += [(0, 1, 0, 30), (0, 0, 0, 0)]
+    for secret in secrets:
+        assert [target._fold(g)(secret) for g in range(len(target._groups))] == [
+            reference_fold(parts, secret, 31) for _, parts in target._groups
+        ]
+
+
+def reference_table(target, points):
+    """The planted grid stage as a loop: per point, each group's public
+    monomial mod p, zero as soon as a factor is."""
+    p = target.spec.p
+    table = []
+    for point in points:
+        row = []
+        for factors, _ in target._groups:
+            value = 1
+            for i, e in factors:
+                v = point[i]
+                if not v:
+                    value = 0
+                    break
+                value = value * v if e == 1 else value * pow(v, e, p)
+            row.append(value % p)
+        table.append(tuple(row))
+    return table
+
+
+class _Zero(int):
+    """A zero coordinate that refuses arithmetic: a table that multiplies
+    it spends a product on a monomial its guard already knows is zero."""
+
+    def _refuse(self, *args):
+        raise AssertionError("arithmetic on a zero coordinate")
+
+    __mul__ = __rmul__ = __mod__ = __pow__ = __rpow__ = _refuse
+
+
+@given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
+def test_planted_grid_stage_matches_symbolic_on_zero_heavy_batches(p, data):
+    # superpoly grids hold the publics outside their term at zero; the
+    # table, the live groups and the answers must match the symbolic
+    # polynomial on each grid, a replay of several, repeated points and
+    # the empty batch
+    target = _small_planted(p, data)
+    spec, n_pub, n_sec = target.spec, target.n_pub, target.n_sec
+    multiplicity = st.integers(0, min(2, p - 1))
+    terms = data.draw(
+        st.lists(st.tuples(*[multiplicity] * n_pub), min_size=1, max_size=3)
+    )
+    grids = [_term_grid(spec, term).residues for term in terms]
+    replay = tuple(pt for grid in grids for pt in grid)
+    repeated = data.draw(st.lists(st.sampled_from(replay), max_size=8))
+    residue = st.one_of(st.just(0), st.integers(0, p - 1))
+    secrets = data.draw(
+        st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=3)
+    )
+
+    def symbolic(point, secret):
+        return int(target.poly.evaluate([spec.element(v) for v in point + secret]))
+
+    for points in grids + [replay, repeated, ()]:
+        table = reference_table(target, points)
+        assert target._tabulate(points) == table
+        poisoned = [tuple(v or _Zero() for v in pt) for pt in points]
+        assert target._tabulate(poisoned) == table
+        expected = [[symbolic(pt, secret) for pt in points] for secret in secrets]
+        assert target._on_grid(points)(secrets) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 2**61 - 1])
+def test_out_of_range_publics_give_the_loop_residues(p):
+    # ints outside 0..p-1 reach a kernel only when called directly; each
+    # tabulator gives what the loops it replaced gave, so the answers are
+    # those at the reduced points
+    values = [0, 1, p - 1, p, 2 * p + 1, -1]
+    points = list(product(values, repeat=3))
+    reduced = [tuple(v % p for v in pt) for pt in points]
+    rng = random.Random(p)
+    secrets = [tuple(rng.randrange(p) for _ in range(2)) for _ in range(2)]
+    planted = make_planted(p, 3, 2, 3, 8, seed=5)
+    assert planted._tabulate(points) == reference_table(planted, points)
+    assert planted._on_grid(points)(secrets) == planted._on_grid(reduced)(secrets)
+    for rounds, width in [(0, 2), (1, 3), (2, 2), (3, 5)]:
+        cipher = ToyCipher(ToyCipherParams(p, rounds, width, 3, 2, 5))
+        assert cipher._load(points) == reference_load(cipher, points)
+        assert cipher._on_grid(points)(secrets) == [
+            [reference_encrypt(cipher, pt, secret) for pt in points]
+            for secret in secrets
+        ]
+
+
+def test_tabulators_are_compiled_with_no_names():
+    # built on first use, and the generated source can read no builtin
+    planted = make_planted(31, 3, 4, 5, 12, seed=3)
+    toy = ToyCipher(ToyCipherParams(7, 3, 4, 4, 4, 1))
+    assert "_tabulate" not in vars(planted) and "_load" not in vars(toy)
+    for tabulate in [planted._tabulate, toy._load]:
+        assert tabulate.__globals__ == {"__builtins__": {}}
+        for name in ["len", "sum", "pow", "print", "__import__"]:
+            with pytest.raises(NameError, match=name):
+                eval(name, tabulate.__globals__)
 
 
 @given(p=st.sampled_from([2, 5, 31]), data=st.data())
@@ -189,6 +311,7 @@ def test_a_group_is_compiled_when_a_grid_first_makes_it_live(p, data):
         seed=data.draw(st.integers(0, 10**6)),
     )
     assert target._folds == [None] * len(target._groups)
+    assert "_tabulate" not in vars(target)
     residues = st.tuples(*[st.integers(0, p - 1)] * n_pub)
     live = set()
     for _ in range(3):
@@ -229,6 +352,12 @@ def test_largest_planted_target_compiles_and_agrees_with_symbolic():
 
     got = target.blackbox().evaluate_grid(points, secrets)
     assert got == [[symbolic(pt, s) for pt in points] for s in secrets]
+    # the big group compiles in slices, which bound the compiler's memory
+    big = max(range(len(target._groups)), key=lambda g: len(target._groups[g][1]))
+    fold = target._folds[big]
+    assert len(fold.__globals__) == 1 + -(-3964 // FOLD_TERMS)
+    for secret in secrets:
+        assert fold(secret) == reference_fold(target._groups[big][1], secret, 31)
 
 
 def test_compiled_code_is_freed_with_its_target():
@@ -242,7 +371,8 @@ def test_compiled_code_is_freed_with_its_target():
         toy = ToyCipher(ToyCipherParams(7, 4, 40, 4, 4, 1))
         refs = [weakref.ref(f) for f in planted._folds if f]
         refs += [weakref.ref(f) for f, _, _ in toy._chunks]
-        assert len(refs) > 2
+        refs += [weakref.ref(planted._tabulate), weakref.ref(toy._load)]
+        assert len(refs) > 4
         del planted, toy
         assert [r for r in refs if r() is not None] == []
     finally:
@@ -278,6 +408,14 @@ def reference_encrypt(cipher, public, secret):
             for i in range(w)
         ]
     return state[0]
+
+
+def reference_load(cipher, points):
+    """The toy grid stage as a loop: per point, the first round's mix rows
+    (the row [1] at zero rounds) times the publics, unreduced, over the
+    columns both have."""
+    first = cipher._layers[0][0] if cipher._layers else [[1]]
+    return [tuple(sum(map(mul, row, pt)) for row in first) for pt in points]
 
 
 @given(
@@ -327,6 +465,7 @@ def test_toy_cipher_grid_matches_reference(
     values = st.integers(0, p - 1)
     pool = data.draw(st.lists(st.tuples(*[values] * n_pub), min_size=1, max_size=8))
     points = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    assert cipher._load(points) == reference_load(cipher, points)
     at_secrets = cipher._on_grid(points)
     for _ in range(2):
         secrets = data.draw(st.lists(st.tuples(*[values] * n_sec), max_size=5))
