@@ -24,14 +24,15 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
    residue vectors): the planted kernel calls each live public monomial's
    compiled coefficient (`PlantedTarget._fold`, compiled when a grid first
    makes the monomial live) once per secret and sums coefficient times
-   tabulated value per point; the toy cipher gets every secret-only
-   constant (the first round's, with the whitening folded in, and each
-   later round's key injection) from one affine key map of each secret,
-   then hands the grid rows and the constants through its rounds compiled
-   into a few functions (`ToyCipher._chunks`), each one loop over the
-   points that runs its rounds in local variables: each quadratic step,
-   reduced mod p, and each affine layer, one sum over the nonzero mix
-   entries. It returns one residue list per secret, one residue per point.
+   tabulated value per point; the toy cipher hands the grid rows and each
+   secret through its rounds compiled into a few functions
+   (`ToyCipher._chunks`). Each first derives, in straight-line code, the
+   secret-only constants its rounds inject (the first round's, with the
+   whitening folded in, and each later round's key injection), then loops
+   over the points and runs its rounds in local variables: each quadratic
+   step, reduced mod p, and each affine layer, one sum over the nonzero
+   mix entries. It returns one residue list per secret, one residue per
+   point.
 
 Generated code goes through one helper, `_compile`: its source holds only
 the target's own ints, and it runs with no builtins but the ones it calls.
@@ -376,6 +377,14 @@ def make_planted(
 CHUNK_TERMS = 4096
 
 
+def _products(row: Sequence[int], name: str) -> list[str]:
+    """Generated code for each nonzero entry m of `row` times the variable
+    of its column j, such as `5 * s2`, or `s2` alone when m is 1."""
+    return [
+        f"{name}{j}" if m == 1 else f"{m} * {name}{j}" for j, m in enumerate(row) if m
+    ]
+
+
 @dataclass(frozen=True)
 class ToyCipherParams:
     p: int
@@ -391,11 +400,12 @@ class ToyCipher(_Target):
     then per round an affine mix with key injection followed by one
     quadratic step. Output degree stays below 2^rounds + 1.
 
-    The secret enters only through affine layers, so the kernel reads all
-    of it through one matrix, `_key_map`, composed once per cipher. It
-    loads a grid's publics (`_load`) and runs the rounds after the first
-    (`_chunks`) as code compiled once per cipher, straight-line loops over
-    the grid's points."""
+    The secret enters only through affine layers, so every constant it
+    gives is one row of one matrix, `_key_map`, composed once per cipher.
+    The kernel loads a grid's publics (`_load`) and runs the rounds after
+    the first (`_chunks`) as code compiled once per cipher: each chunk
+    derives its rows' constants from the secret in straight-line code,
+    then loops over the grid's points."""
 
     def __init__(self, params: ToyCipherParams):
         if params.width < 1 or params.rounds < 0:
@@ -483,22 +493,25 @@ class ToyCipher(_Target):
     @cached_property
     def _chunks(self) -> list[tuple[Callable, int, int]]:
         """The secret stage as compiled functions, each with the slice of
-        `_key_map` rows whose constants it takes, `(chunk, start, stop)`.
+        `_key_map` rows whose constants it derives, `(chunk, start, stop)`.
 
         The rounds after the first are grouped in order into chunks of at
         most `CHUNK_TERMS` nonzero mix entries (at least one round each).
-        Chunk `f(rows, k...)` loops over per-point states and runs its
-        rounds in local variables: the quadratic step, reduced mod p, then
-        the affine layer, the key constant plus, for each distinct nonzero
-        mix entry m of the row, m times the sum of the states it
-        multiplies. The first chunk takes the grid rows and first adds the
-        first round's constants; each chunk but the last returns the states
-        it reached, as tuples, and the last returns output 0 mod p (at zero
-        rounds, the whitened coordinate 0). The source holds only the
-        cipher's ints (mix entries, tap indices, p) and sees no builtins.
-        Built on first use so that loading a target does not pay the
-        compile."""
-        p, quad = self.params.p, self._quad
+        Chunk `f(rows, s0, s1, ...)` takes the secret's n_sec residues and
+        first derives its key constants in local variables, one line per
+        key row it owns, such as `k4 = (5 * s0 + s2 + 2) % 7` (zero entries
+        dropped; a row with no secret entry is its constant alone). It then
+        loops over per-point states and runs its rounds in local variables:
+        the quadratic step, reduced mod p, then the affine layer, the key
+        constant plus, for each distinct nonzero mix entry m of the row, m
+        times the sum of the states it multiplies. The first chunk takes
+        the grid rows and first adds the first round's constants; each chunk
+        but the last returns the states it reached, as tuples, and the last
+        returns output 0 mod p (at zero rounds, the whitened coordinate 0).
+        The source holds only the cipher's ints (key-map and mix entries,
+        tap indices, p) and sees no builtins. Built on first use so that
+        loading a target does not pay the compile."""
+        p, quad, key_map = self.params.p, self._quad, self._key_map
         first, *later = [mix for mix, _, _ in self._layers] or [[[1]]]
         groups, terms = [[]], 0
         for mix in later:
@@ -513,7 +526,18 @@ class ToyCipher(_Target):
             # a trailing comma makes a tuple target or display of any width
             return "".join(f"a{i}, " for i in range(n))
 
+        def constant(r: int) -> str:
+            # key row r applied to (secret, 1), its zero entries dropped
+            *row, c = key_map[r]
+            parts = _products(row, "s")
+            if not parts:
+                return str(c)
+            if c:
+                parts.append(str(c))
+            return f"({' + '.join(parts)}) % {p}"
+
         output = f"(a0 + a1 * a2) % {p}" if self._layers else f"a0 % {p}"
+        params = "".join(f", s{j}" for j in range(self.n_sec))
         chunks, width, key = [], len(first), 0
         for index, mixes in enumerate(groups):
             start = key
@@ -523,14 +547,14 @@ class ToyCipher(_Target):
                 loop += [f"a{i} += k{i}" for i in range(width)]
                 key = width
             for mix in mixes:
-                loop += [f"s{i} = (a{i} + a{j} * a{k}) % {p}" for i, j, k in quad]
+                loop += [f"q{i} = (a{i} + a{j} * a{k}) % {p}" for i, j, k in quad]
                 for r, row in enumerate(mix):
                     # one product per distinct entry, over the sum of the
                     # states it multiplies
                     reads: dict[int, list[str]] = {}
                     for i, m in enumerate(row):
                         if m:
-                            reads.setdefault(m, []).append(f"s{i}")
+                            reads.setdefault(m, []).append(f"q{i}")
                     sums = [f"k{key + r}"] + [
                         " + ".join(v) if m == 1 else f"{m} * ({' + '.join(v)})"
                         for m, v in reads.items()
@@ -540,10 +564,10 @@ class ToyCipher(_Target):
                 width = len(mix)
             last = index == len(groups) - 1
             loop.append(f"append({output})" if last else f"append(({state(width)}))")
-            params = "".join(f", k{k}" for k in range(start, key))
             source = "\n".join(
-                [f"def f(rows{params}):", "    out = []", "    append = out.append"]
-                + [f"    {head}"]
+                [f"def f(rows{params}):"]
+                + [f"    k{r} = {constant(r)}" for r in range(start, key)]
+                + ["    out = []", "    append = out.append", f"    {head}"]
                 + [f"        {line}" for line in loop]
                 + ["    return out", ""]
             )
@@ -563,37 +587,30 @@ class ToyCipher(_Target):
         target does not pay the compile."""
         first = self._layers[0][0] if self._layers else [[1]]
 
-        def entry(row) -> str:
-            sums = [
-                f"x{j}" if m == 1 else f"{m} * x{j}"
-                for j, m in enumerate(row[: self.n_pub])
-                if m
-            ]
-            return " + ".join(sums) or "0"
-
-        return _tabulator(self.n_pub, [entry(row) for row in first])
+        return _tabulator(
+            self.n_pub,
+            [" + ".join(_products(row[: self.n_pub], "x")) or "0" for row in first],
+        )
 
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """A batch of public points. The grid stage tabulates the first
         round's mix of the loaded publics (the loaded coordinate 0 at zero
         rounds) with compiled code (`_load`), one row per point; whitening
         only adds a constant before mix_1, so the secret never enters. The
-        secret stage applies the key map to each secret of its batch and
-        hands the rows with the constants through the compiled chunks
-        (`_chunks`), which run every later round per point in local
+        secret stage hands the rows and each secret of its batch through
+        the compiled chunks (`_chunks`), which derive their key constants
+        from the secret, run every later round per point in local
         variables and give one residue list per secret, one residue per
         point. The last round holds output 0's three taps only."""
-        p, key_map, chunks = self.params.p, self._key_map, self._chunks
+        chunks = self._chunks
         rows = self._load(points)
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
             answers = []
             for secret in secrets:
-                x = (*secret, 1)
-                consts = [sum(map(mul, row, x)) % p for row in key_map]
                 states = rows
-                for chunk, start, stop in chunks:
-                    states = chunk(states, *consts[start:stop])
+                for chunk, _, _ in chunks:
+                    states = chunk(states, *secret)
                 answers.append(states)
             return answers
 

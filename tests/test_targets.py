@@ -287,16 +287,41 @@ def test_out_of_range_publics_give_the_loop_residues(p):
         ]
 
 
+@pytest.mark.parametrize("p", [2, 3, 31, 2**61 - 1])
+def test_out_of_range_secrets_give_the_reduced_answers(p):
+    # ints outside 0..p-1 reach a secret stage only when it is called
+    # directly; the planted coefficients and the key constants each toy
+    # chunk derives reduce them, so the answers are those at the reduced
+    # secret (at p = 2^61 - 1 a key constant is a sum of products past 2^122)
+    values = [0, 1, p - 1, p, 2 * p + 1, -1]
+    secrets = list(product(values, repeat=2))
+    reduced = [tuple(v % p for v in secret) for secret in secrets]
+    rng = random.Random(p)
+    points = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
+    planted = make_planted(p, 3, 2, 3, 8, seed=5)
+    assert planted._on_grid(points)(secrets) == planted._on_grid(points)(reduced)
+    for rounds, width in [(0, 2), (1, 3), (2, 2), (3, 5)]:
+        cipher = ToyCipher(ToyCipherParams(p, rounds, width, 3, 2, 5))
+        assert cipher._on_grid(points)(secrets) == [
+            [reference_encrypt(cipher, pt, secret) for pt in points]
+            for secret in reduced
+        ]
+
+
 def test_tabulators_are_compiled_with_no_names():
-    # built on first use, and the generated source can read no builtin
+    # built on first use, and the generated source can read no builtin; the
+    # toy's rounds, key schedule included, form two chunks at width 50
     planted = make_planted(31, 3, 4, 5, 12, seed=3)
-    toy = ToyCipher(ToyCipherParams(7, 3, 4, 4, 4, 1))
-    assert "_tabulate" not in vars(planted) and "_load" not in vars(toy)
-    for tabulate in [planted._tabulate, toy._load]:
-        assert tabulate.__globals__ == {"__builtins__": {}}
+    toy = ToyCipher(ToyCipherParams(7, 4, 50, 4, 4, 1))
+    assert "_tabulate" not in vars(planted)
+    assert "_load" not in vars(toy) and "_chunks" not in vars(toy)
+    chunks = [chunk for chunk, _, _ in toy._chunks]
+    assert len(chunks) == 2
+    for compiled in [planted._tabulate, toy._load] + chunks:
+        assert compiled.__globals__ == {"__builtins__": {}}
         for name in ["len", "sum", "pow", "print", "__import__"]:
             with pytest.raises(NameError, match=name):
-                eval(name, tabulate.__globals__)
+                eval(name, compiled.__globals__)
 
 
 @given(p=st.sampled_from([2, 5, 31]), data=st.data())
@@ -491,6 +516,8 @@ def test_toy_cipher_chunks_match_reference(p, rounds, width, chunks):
     # chunk to chunk
     cipher = ToyCipher(ToyCipherParams(p, rounds, width, 64, 64, 1))
     assert len(cipher._chunks) == chunks
+    # every chunk takes the grid's states and the 64 secret residues
+    assert {f.__code__.co_argcount for f, _, _ in cipher._chunks} == {65}
     assert [stop for _, _, stop in cipher._chunks][-1] == len(cipher._key_map)
     for (_, _, stop), (_, start, _) in zip(cipher._chunks, cipher._chunks[1:]):
         assert stop == start
