@@ -11,7 +11,9 @@ first multiply, power or inverse, never at construction. Each `exp` entry,
 the coordinates of a power g^i, is also a code that sums: rows added column
 by column in plain ints are exact for any number of summands and reduce mod
 p once. Larger extension fields multiply by convolution and invert by
-extended Euclid; prime fields use integer arithmetic throughout.
+Fermat, a^(q-2); prime fields use integer arithmetic throughout. The
+convolution is the only polynomial product: Rabin's irreducibility test
+runs on it and on `row_reduce` in the quotient ring the modulus defines.
 
 Specs and elements are immutable after construction and safe to share
 between any number of threads. A spec's tables are built into locals and
@@ -37,11 +39,13 @@ LOG_TABLE_LIMIT = 1 << 12
 # ---------------------------------------------------------------------------
 # primality
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for everything below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for every n below
+    3,317,044,064,679,887,385,961,981, the least strong pseudoprime to the
+    13 witnesses 2..41 (about 3.3e24, past every one-word p)."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -64,85 +68,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers over GF(p); coefficient tuples, ascending,
-# normalized with no trailing zeros (the zero polynomial is ())
-
-
-def _ptrim(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv_lead % p
-        if c:
-            quo[i] = c
-            for j, bj in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bj) % p
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _pmod(a, mod, p):
-    return _pdivmod(a, mod, p)[1]
-
-
-def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _pxgcd(a, b, p):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = a, b
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
-    return r0, u0, v0
+def _check_prime(p) -> None:
+    """Refuse a field characteristic that is not a prime in one machine word."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise FieldError(f"{p!r} is not prime")
+    if p.bit_length() > 63:
+        raise FieldError("p must fit in one machine word")
 
 
 def _coords_pow(mul, one: tuple, a: tuple, e: int) -> tuple:
@@ -168,21 +99,6 @@ def _small_prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _poly_is_irreducible(mod, p):
-    """Rabin's irreducibility test for a monic modulus over GF(p)."""
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    x = (0, 1)
-    if _ppowmod(x, p**m, mod, p) != x:
-        return False
-    for q in _small_prime_factors(m):
-        g = _pgcd(_psub(_ppowmod(x, p ** (m // q), mod, p), x, p), mod, p)
-        if len(g) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +227,7 @@ class PrimeFieldSpec(FieldSpec):
     """GF(p) for a word-sized prime p."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise FieldError(f"{p!r} is not prime")
-        if p.bit_length() > 63:
-            raise FieldError("p must fit in one machine word")
+        _check_prime(p)
         self.p = p
         self.m = 1
         self.order = p
@@ -354,12 +267,12 @@ class ExtFieldSpec(FieldSpec):
     The `exp` rows sum exactly in plain ints, so a sum of products costs
     one lookup per product and one reduction mod p per coordinate.
     Above the limit, products convolve and reduce by the modulus, and
-    inverses run extended Euclid.
+    inverses are the power a^(q-2) under that product. The modulus is
+    checked by Rabin's test in GF(p)[x]/(modulus), on the same product.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise FieldError(f"{p!r} is not prime")
+        _check_prime(p)
         if m < 1:
             raise FieldError("extension degree must be >= 1")
         mod_desc = [int(c) % p for c in modulus]
@@ -367,14 +280,13 @@ class ExtFieldSpec(FieldSpec):
             raise FieldError(f"modulus must have degree {m}")
         if mod_desc[0] != 1:
             raise FieldError("modulus must be monic")
-        mod_asc = tuple(reversed(mod_desc))
-        if not _poly_is_irreducible(mod_asc, p):
-            raise FieldError(f"modulus {tuple(mod_desc)} is reducible over GF({p})")
         self.p = p
         self.m = m
+        self._mod_asc = tuple(reversed(mod_desc))
+        if not self._is_irreducible():
+            raise FieldError(f"modulus {tuple(mod_desc)} is reducible over GF({p})")
         self.order = p**m
         self.modulus = tuple(mod_desc)
-        self._mod_asc = mod_asc
         self._zero = FieldElement(self, (0,) * m)
         one = [0] * m
         one[0] = 1 % p
@@ -408,6 +320,29 @@ class ExtFieldSpec(FieldSpec):
 
     def __hash__(self):
         return hash(("ext", self.p, self.m, self.modulus))
+
+    def _is_irreducible(self) -> bool:
+        """Rabin's test (SIAM J. Comput. 9, 1980) in GF(p)[x]/(modulus).
+
+        A monic f of degree m is irreducible iff x^(p^m) = x mod f and, for
+        each prime q | m, h = x^(p^(m/q)) - x is a unit mod f: multiplying
+        by h is invertible, so h times the basis 1, x, ..., x^(m-1) has
+        rank m.
+        """
+        p, m = self.p, self.m
+        if m == 1:
+            return True
+        basis = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        one, x = basis[0], basis[1]
+        if _coords_pow(self._convolve, one, x, p**m) != x:
+            return False
+        for q in _small_prime_factors(m):
+            xq = _coords_pow(self._convolve, one, x, p ** (m // q))
+            h = tuple(c - d for c, d in zip(xq, x))
+            rows = [self._convolve(h, e) for e in basis]
+            if len(row_reduce(rows, p)[1]) < m:
+                return False
+        return True
 
     def _log_tables(self) -> tuple[dict, list] | None:
         """The (log, exp) tables, built on first use; None above the limit.
@@ -455,7 +390,7 @@ class ExtFieldSpec(FieldSpec):
     def _inv_coords(self, a):
         tables = self._log_tables()
         if tables is None:
-            return self._euclid_inverse(a)
+            return _coords_pow(self._convolve, self._one.coeffs, a, self.order - 2)
         log, exp = tables
         return exp[self.order - 1 - log[a]]
 
@@ -481,16 +416,6 @@ class ExtFieldSpec(FieldSpec):
                     conv[i - m + j] -= c * mod[j]
             conv[i] = 0
         return tuple(c % p for c in conv[:m])
-
-    def _euclid_inverse(self, a):
-        g, u, _ = _pxgcd(_ptrim(list(a)), self._mod_asc, self.p)
-        if len(g) != 1:
-            raise FieldError("element is not invertible")
-        scale = pow(g[0], -1, self.p)
-        coords = [0] * self.m
-        for i, c in enumerate(u):
-            coords[i] = c * scale % self.p
-        return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

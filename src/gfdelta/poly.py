@@ -609,10 +609,11 @@ def interpolate(spec: FieldSpec, n: int, values) -> MultiPoly:
     """Unique canonical polynomial matching a full function table.
 
     `values` is a mapping from point tuples to elements, or a callable on
-    point tuples. Offered only while order**n stays desk-scale (<= 2^16).
+    point tuples. Offered only while order**n stays desk-scale (<= 2^16)
+    and so does the q x q inverse Vandermonde table (q^2 <= 2^20).
     """
     q = spec.order
-    if q**n > 1 << 16:
+    if q**n > 1 << 16 or q * q > 1 << 20:
         raise PolyError("interpolation domain exceeds the desk-scale cap")
     pts = list(spec.elements())
     lookup: Callable

@@ -181,6 +181,18 @@ def test_diff_bad_field_is_input_error(capsys):
     assert code == EXIT_INPUT and "error" in err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "3317044064679887385961981^1/1,0",  # composite, passes 2..41
+        "618970019642690137449562111^2/1,0,1",  # the prime 2^89 - 1
+    ],
+)
+def test_diff_extension_field_past_one_word_is_input_error(capsys, field):
+    code, out, err = run(capsys, "diff", "--field", field, "--poly", "x1", "--plan", "x1")
+    assert code == EXIT_INPUT and not out and "machine word" in err
+
+
 def test_diff_writes_output_file(capsys, tmp_path):
     out_path = tmp_path / "result.txt"
     code, _, _ = run(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -40,9 +41,32 @@ def test_primality_check():
         prime_field(30)
 
 
+def test_primality_is_exact_below_the_stated_bound():
+    # the least strong pseudoprime to the witnesses 2..37; base 41 finds it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    # the least strong pseudoprime to 2..41, where the docstring's bound ends
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    assert is_prime(psi13)
+
+
 def test_prime_field_word_size_cap():
     with pytest.raises(FieldError):
         prime_field(2**89 - 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3317044064679887385961981^1/1,0",  # composite, passes 2..41
+        "618970019642690137449562111^2/1,0,1",  # the prime 2^89 - 1
+    ],
+)
+def test_extension_specs_share_the_prime_check(text):
+    with pytest.raises(FieldError, match="machine word"):
+        parse_field_spec(text)
 
 
 def test_reducible_modulus_rejected():
@@ -53,6 +77,60 @@ def test_reducible_modulus_rejected():
         ExtFieldSpec(3, 2, (2, 0, 1))  # not monic
     # x^2 + 1 over GF(3) has no roots and is fine
     ExtFieldSpec(3, 2, (1, 0, 1))
+
+
+def _monic_product(f, g, p):
+    # f, g and the result are coefficient tuples, most significant first
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _monics(p, degree):
+    return [(1,) + rest for rest in itertools.product(range(p), repeat=degree)]
+
+
+def _mobius(n):
+    out = 1
+    for d in range(2, n + 1):
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, m) for m in range(1, 9)]
+    + [(3, m) for m in range(1, 6)]
+    + [(5, m) for m in range(1, 4)]
+    + [(7, 1), (7, 2)],
+)
+def test_irreducible_moduli_are_exactly_the_non_products(p, m):
+    reducible = {
+        _monic_product(f, g, p)
+        for d in range(1, m // 2 + 1)
+        for f in _monics(p, d)
+        for g in _monics(p, m - d)
+    }
+    accepted = set()
+    for modulus in _monics(p, m):
+        try:
+            ExtFieldSpec(p, m, modulus)
+        except FieldError as exc:
+            assert "reducible" in str(exc)
+        else:
+            accepted.add(modulus)
+    # over GF(2), x^4 + x = x(x+1)(x^2+x+1) divides x^16 - x, so only
+    # the rank check refuses it
+    assert accepted == set(_monics(p, m)) - reducible
+    # Gauss: (1/m) sum over d | m of mu(d) p^(m/d) monic irreducibles
+    gauss = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+    assert len(accepted) * m == gauss
 
 
 def test_spec_text_round_trip():
@@ -182,8 +260,13 @@ def test_log_tables_match_the_convolution(spec):
         for b in elements:
             assert (a * b).coeffs == spec._convolve(a.coeffs, b.coeffs)
     assert spec._tables is not None
+    one = spec.one.coeffs
     for a in elements[1:]:
-        inverse = spec._euclid_inverse(a.coeffs)
+        [inverse] = [
+            b.coeffs
+            for b in elements
+            if spec._convolve(a.coeffs, b.coeffs) == one
+        ]
         assert a.inverse().coeffs == inverse
         positive = reference_powers(spec, a.coeffs, 2 * q)
         negative = reference_powers(spec, inverse, q)

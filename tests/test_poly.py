@@ -515,3 +515,14 @@ def test_interpolation_matches_random_polys():
 def test_interpolation_rejects_oversized_domains():
     with pytest.raises(PolyError):
         interpolate(GF31, 4, lambda pt: GF31.zero)
+
+
+@pytest.mark.parametrize("p", [1031, 65521])
+def test_interpolation_rejects_oversized_vandermonde_tables(monkeypatch, p):
+    # q^n fits the domain cap, but the q x q table would not
+    def refuse(*args):
+        raise AssertionError("the cap must hold before any lookup or table")
+
+    monkeypatch.setattr("gfdelta.poly._inverse_vandermonde", refuse)
+    with pytest.raises(PolyError, match="desk-scale cap"):
+        interpolate(prime_field(p), 1, refuse)
