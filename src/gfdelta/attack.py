@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .combinat import _positive_compositions
 from .diff import DiffPlan, grid_points
 from .field import FieldElement, FieldSpec, parse_field_spec, row_reduce
-from .poly import Monomial, PolyError, monomial_text, parse_monomial
+from .poly import Monomial, PolyError, _residues, monomial_text, parse_monomial
 
 
 class AttackError(ValueError):
@@ -209,20 +209,6 @@ DEFAULT_TRIALS_LARGE = 12
 
 def default_trials(p: int) -> int:
     return DEFAULT_TRIALS.get(p, DEFAULT_TRIALS_LARGE)
-
-
-def _residues(rng: random.Random, p: int, count: int) -> list[int]:
-    """`[rng.randrange(p) for _ in range(count)]`, drawn as `randrange`
-    draws: words of `p.bit_length()` random bits, each one >= p dropped.
-    Drawing only as many words as residues are still missing never draws
-    past the last residue kept, so the values and the generator's end state
-    are the same as `randrange`'s."""
-    k = p.bit_length()
-    out: list[int] = []
-    while len(out) < count:
-        words = map(rng.getrandbits, itertools.repeat(k, count - len(out)))
-        out += [r for r in words if r < p]
-    return out
 
 
 def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:

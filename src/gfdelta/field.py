@@ -3,22 +3,24 @@
 Extension elements are length-m coordinate vectors over GF(p) in the basis
 1, a, ..., a^(m-1), where a is a root of a monic irreducible modulus.
 
-An extension field of order at most LOG_TABLE_LIMIT multiplies, raises to
-powers and inverts through discrete-log tables over a primitive element:
-`log` maps coordinates to exponents and `exp` maps exponents back, stored
-twice over so that no lookup reduces an index. The tables are built on the
-first multiply, power or inverse, never at construction. Each `exp` entry,
-the coordinates of a power g^i, is also a code that sums: rows added column
-by column in plain ints are exact for any number of summands and reduce mod
-p once. Larger extension fields multiply by convolution and invert by
-Fermat, a^(q-2); prime fields use integer arithmetic throughout. The
-convolution is the only polynomial product: Rabin's irreducibility test
-runs on it and on `row_reduce` in the quotient ring the modulus defines.
+A field of order at most LOG_TABLE_LIMIT, prime or extension, interns its
+q elements on the first multiply, power or inverse, never at construction.
+Each interned element carries its discrete log over a primitive element;
+products, quotients, powers and inverses are lookups in one doubled list of
+elements by log, sums and differences go through a Zech-log table, and
+negation shifts the log by log(-1). Each element's coordinates are also a
+code that sums: rows added column by column in plain ints are exact for any
+number of summands and reduce mod p once. Larger extension fields multiply
+by convolution and invert by Fermat, a^(q-2); larger prime fields use
+integer arithmetic. The convolution is the only polynomial product: the
+tables are built on it, and Rabin's irreducibility test runs on it and on
+`row_reduce` in the quotient ring the modulus defines.
 
-Specs and elements are immutable after construction and safe to share
-between any number of threads. A spec's tables are built into locals and
-published in one attribute assignment, so a thread sees either no tables or
-complete ones; two threads that race to build them publish equal tables.
+Specs and elements are immutable after construction (a spec's tables are a
+cache) and safe to share between any number of threads. A spec's tables
+are built into locals and published in one attribute assignment, so a
+thread sees either no tables or complete ones; two threads that race to
+build them publish equal tables, and their elements mix by log.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class FieldError(ValueError):
     """Bad field construction, or an operation across mismatched fields."""
 
 
-# Extension fields of at most this order get discrete-log tables.
+# Fields of at most this order intern their elements with discrete-log tables.
 LOG_TABLE_LIMIT = 1 << 12
 
 
@@ -139,25 +141,50 @@ def row_reduce(
 
 
 class FieldSpec:
-    """Common interface of prime and extension field specs."""
+    """Common interface of prime and extension field specs.
+
+    A field of order q <= LOG_TABLE_LIMIT gets its q elements as interned
+    objects on the first multiply, power or inverse. Each carries its
+    discrete log over a primitive element g: g^i has log i and zero has
+    log 2(q-1). `_elems` lists g^0..g^(q-2) twice, then 2(q-1)+1 zeros, so
+    a product is `_elems[i + j]` and any sum of logs involving zero reads
+    zero. A sum is g^i (1 + g^(j-i)), `_elems[i + _zech[j - i]]`, through
+    the Zech table of log(1 + g^d); a negation shifts the log by log(-1).
+    From then on `element`, `from_index` and every arithmetic result return
+    the interned object. Larger fields compute on coordinates.
+    """
 
     p: int
     m: int
     order: int
+    # the (index, elems) pair once built: coordinates to interned element,
+    # and the doubled list of elements by log
+    _tables: tuple[dict, list] | None = None
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (embedded constant), coordinate sequence, or element."""
         if isinstance(value, FieldElement):
-            if value.spec is not self and value.spec != self:
-                raise FieldError("element belongs to a different field")
+            if value.spec is not self:
+                if value.spec != self:
+                    raise FieldError("element belongs to a different field")
+                return self._box(value.coeffs)
+            if value.log is None and self._tables is not None:
+                return self._tables[0][value.coeffs]
             return value
         if isinstance(value, int):
-            coords = (value % self.p,) + (0,) * (self.m - 1)
-            return FieldElement(self, coords)
+            return self._box((value % self.p,) + (0,) * (self.m - 1))
         coords = tuple(int(c) % self.p for c in value)
         if len(coords) != self.m:
             raise FieldError(f"expected {self.m} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
+        return self._box(coords)
+
+    def _box(self, coords: tuple) -> "FieldElement":
+        """The element with these reduced coordinates: the interned one once
+        the tables exist, else a new plain one."""
+        tables = self._tables
+        if tables is None:
+            return FieldElement(self, coords)
+        return tables[0][coords]
 
     @property
     def zero(self) -> "FieldElement":
@@ -175,7 +202,7 @@ class FieldSpec:
         for _ in range(self.m):
             coords.append(idx % self.p)
             idx //= self.p
-        return FieldElement(self, tuple(coords))
+        return self._box(tuple(coords))
 
     def index_of(self, el: "FieldElement") -> int:
         idx = 0
@@ -191,13 +218,87 @@ class FieldSpec:
         lo = 1 if nonzero else 0
         return self.from_index(rng.randrange(lo, self.order))
 
-    # arithmetic kernels used by FieldElement -----------------------------
+    # tables ---------------------------------------------------------------
+
+    def _log_tables(self) -> tuple[dict, list] | None:
+        """The (index, elems) tables, built on first use; None above the limit.
+
+        The powers of g come from `_convolve`. The tables are built into
+        locals; `_elems`, `_zech` and `_minus` are set before `_tables` is
+        published in one assignment, and `zero` and `one` turn interned
+        after it.
+        """
+        tables = self._tables
+        if tables is None and self.order <= LOG_TABLE_LIMIT:
+            n = self.order - 1
+            g = self._primitive_coords()
+            powers = []
+            x = self._one.coeffs
+            for _ in range(n):
+                powers.append(x)
+                x = self._convolve(x, g)
+            units = [FieldElement(self, x, i) for i, x in enumerate(powers)]
+            zero = FieldElement(self, self._zero.coeffs, 2 * n)
+            index = {el.coeffs: el for el in units}
+            index[zero.coeffs] = zero
+            p = self.p
+            # log(1 + g^d) for 0 <= d < n, 2n where 1 + g^d = 0
+            zech = [index[((x[0] + 1) % p,) + x[1:]].log for x in powers]
+            # indexed by j - i for logs i, j: in (-n, n) both are nonzero and
+            # negative indexing reads d mod n; n + 1..2n is a zero addend
+            # (add 0 to i), and -2n..-n - 1 a zero augend (add j - 2n to 2n)
+            zech += [0] * (n + 1) + list(range(-2 * n, -n + 1)) + zech[1:]
+            elems = units * 2 + [zero] * (2 * n + 1)
+            self._elems, self._zech = elems, zech
+            self._minus = index[(p - 1,) + zero.coeffs[1:]].log
+            tables = self._tables = (index, elems)
+            self._zero, self._one = zero, units[0]
+        return tables
+
+    def _log_of(self, el: "FieldElement") -> int | None:
+        """The discrete log of el, building the tables on first use; None
+        above the limit."""
+        tables = self._log_tables()
+        return None if tables is None else tables[0][el.coeffs].log
+
+    def _primitive_coords(self) -> tuple:
+        """The first element in canonical order with multiplicative order q-1."""
+        n = self.order - 1
+        one = self._one.coeffs
+        cofactors = [n // r for r in _small_prime_factors(n)]
+        candidates = (self.from_index(idx).coeffs for idx in range(1, self.order))
+        return next(
+            g
+            for g in candidates
+            if all(_coords_pow(self._convolve, one, g, k) != one for k in cofactors)
+        )
+
+    # coordinate kernels, for fields above the limit ------------------------
+
+    def _convolve(self, a: tuple, b: tuple) -> tuple:
+        """The product of coordinate vectors: convolve, then reduce by the
+        modulus (a degree-1 modulus, as in GF(p), never reduces)."""
+        p, m = self.p, self.m
+        conv = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        mod = self._mod_asc
+        for i in range(2 * m - 2, m - 1, -1):
+            c = conv[i] % p
+            if c:
+                for j in range(m):
+                    conv[i - m + j] -= c * mod[j]
+            conv[i] = 0
+        return tuple(c % p for c in conv[:m])
 
     def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        raise NotImplementedError
+        return self._convolve(a, b)
 
     def _inv_coords(self, a: tuple) -> tuple:
-        raise NotImplementedError
+        """Fermat: a^(q-2) for a nonzero a."""
+        return _coords_pow(self._mul_coords, self._one.coeffs, a, self.order - 2)
 
     def _pow_coords(self, a: tuple, e: int) -> tuple:
         """a^e for a nonzero a and any integer e."""
@@ -224,7 +325,11 @@ class FieldSpec:
 
 
 class PrimeFieldSpec(FieldSpec):
-    """GF(p) for a word-sized prime p."""
+    """GF(p) for a word-sized prime p; above LOG_TABLE_LIMIT, plain integer
+    arithmetic."""
+
+    # GF(p) as GF(p)[x]/(x); `_convolve` never reduces by it
+    _mod_asc = (0, 1)
 
     def __init__(self, p: int):
         _check_prime(p)
@@ -260,11 +365,12 @@ class ExtFieldSpec(FieldSpec):
     The modulus is given most-significant coefficient first, matching the
     textual form 'p^m/c_m,...,c_0' (so (1, 2, 2) over p=3 is x^2+2x+2).
 
-    Up to order LOG_TABLE_LIMIT, products, powers and inverses are lookups
-    in discrete-log tables over a primitive element, found by its order
-    (the basis generator a need not be primitive). The tables are built on
-    the first multiply, power or inverse and published in one assignment.
-    The `exp` rows sum exactly in plain ints, so a sum of products costs
+    Up to order LOG_TABLE_LIMIT the elements are interned with their
+    discrete logs over a primitive element, found by its order (the basis
+    generator a need not be primitive), and arithmetic is table lookups
+    (see `FieldSpec`). Each element's coordinates are also a code that
+    sums: rows added column by column in plain ints are exact for any
+    number of summands and reduce mod p once, so a sum of products costs
     one lookup per product and one reduction mod p per coordinate.
     Above the limit, products convolve and reduce by the modulus, and
     inverses are the power a^(q-2) under that product. The modulus is
@@ -291,7 +397,6 @@ class ExtFieldSpec(FieldSpec):
         one = [0] * m
         one[0] = 1 % p
         self._one = FieldElement(self, tuple(one))
-        self._tables = None
 
     @property
     def text(self) -> str:
@@ -305,7 +410,7 @@ class ExtFieldSpec(FieldSpec):
             return self.element(-self.modulus[1])
         coords = [0] * self.m
         coords[1] = 1
-        return FieldElement(self, tuple(coords))
+        return self._box(tuple(coords))
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
@@ -344,121 +449,70 @@ class ExtFieldSpec(FieldSpec):
                 return False
         return True
 
-    def _log_tables(self) -> tuple[dict, list] | None:
-        """The (log, exp) tables, built on first use; None above the limit.
-
-        log[0] is 2(q-1), past every sum of two nonzero logs, and exp holds
-        the powers g^0..g^(q-2) twice followed by 2(q-1)+1 zeros, so a sum of
-        two logs indexes exp directly, and any sum involving zero reads zero.
-        """
-        tables = self._tables
-        if tables is None and self.order <= LOG_TABLE_LIMIT:
-            n = self.order - 1
-            g = self._primitive_coords()
-            powers = []
-            x = self._one.coeffs
-            for _ in range(n):
-                powers.append(x)
-                x = self._convolve(x, g)
-            log = {x: i for i, x in enumerate(powers)}
-            zero = self._zero.coeffs
-            log[zero] = 2 * n
-            tables = self._tables = (log, powers * 2 + [zero] * (2 * n + 1))
-        return tables
-
-    def _primitive_coords(self) -> tuple:
-        """The first element in canonical order with multiplicative order q-1."""
-        n = self.order - 1
-        one = self._one.coeffs
-        cofactors = [n // r for r in _small_prime_factors(n)]
-        candidates = (self.from_index(idx).coeffs for idx in range(1, self.order))
-        return next(
-            g
-            for g in candidates
-            if all(_coords_pow(self._convolve, one, g, k) != one for k in cofactors)
-        )
-
-    def _mul_coords(self, a, b):
-        tables = self._tables
-        if tables is None:
-            tables = self._log_tables()
-            if tables is None:
-                return self._convolve(a, b)
-        log, exp = tables
-        return exp[log[a] + log[b]]
-
-    def _inv_coords(self, a):
-        tables = self._log_tables()
-        if tables is None:
-            return _coords_pow(self._convolve, self._one.coeffs, a, self.order - 2)
-        log, exp = tables
-        return exp[self.order - 1 - log[a]]
-
-    def _pow_coords(self, a, e):
-        tables = self._log_tables()
-        if tables is None:
-            return super()._pow_coords(a, e)
-        log, exp = tables
-        return exp[log[a] * e % (self.order - 1)]
-
-    def _convolve(self, a, b):
-        p, m = self.p, self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        mod = self._mod_asc
-        for i in range(2 * m - 2, m - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j in range(m):
-                    conv[i - m + j] -= c * mod[j]
-            conv[i] = 0
-        return tuple(c % p for c in conv[:m])
-
 
 # ---------------------------------------------------------------------------
 # elements
 
 
 class FieldElement:
-    """Immutable element of GF(p) or GF(p^m), stored as basis coordinates."""
+    """Immutable element of GF(p) or GF(p^m), stored as basis coordinates.
 
-    __slots__ = ("spec", "coeffs")
+    `log` is the discrete log of an interned element (see `FieldSpec`) and
+    None on a plain one: an element of a field above the table limit, or
+    one made before its field's tables. Two interned operands of one spec
+    object combine by lookups; any other pair goes through coordinates,
+    and the result is interned once the tables exist. Equality and hashing
+    read the coordinates and the spec, so plain and interned elements, and
+    elements of equal but distinct spec objects, mix freely.
+    """
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    __slots__ = ("spec", "coeffs", "log")
+
+    def __init__(self, spec: FieldSpec, coeffs: tuple, log: int | None = None):
         self.spec = spec
         self.coeffs = coeffs
+        self.log = log
 
     def _coerce(self, other):
+        """other as an element of this spec (interned once the tables exist)."""
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldError("operands belong to different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return NotImplemented
+        elif not isinstance(other, int):
+            return NotImplemented
+        return self.spec.element(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple([(x + y) % p for x, y in zip(self.coeffs, o.coeffs)])
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        i, j = self.log, other.log
+        if i is None or j is None:
+            p = spec.p
+            return spec._box(
+                tuple([(x + y) % p for x, y in zip(self.coeffs, other.coeffs)])
+            )
+        return spec._elems[i + spec._zech[j - i]]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple([(x - y) % p for x, y in zip(self.coeffs, o.coeffs)])
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        i, j = self.log, other.log
+        if i is None or j is None:
+            p = spec.p
+            return spec._box(
+                tuple([(x - y) % p for x, y in zip(self.coeffs, other.coeffs)])
+            )
+        elems = spec._elems
+        j = elems[j + spec._minus].log
+        return elems[i + spec._zech[j - i]]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -467,14 +521,26 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple([(-x) % p for x in self.coeffs]))
+        spec = self.spec
+        if self.log is None:
+            p = spec.p
+            return spec._box(tuple([(-x) % p for x in self.coeffs]))
+        return spec._elems[self.log + spec._minus]
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec._mul_coords(self.coeffs, o.coeffs))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        i, j = self.log, other.log
+        if i is None or j is None:
+            tables = spec._log_tables()
+            if tables is None:
+                return FieldElement(spec, spec._mul_coords(self.coeffs, other.coeffs))
+            index = tables[0]
+            i, j = index[self.coeffs].log, index[other.coeffs].log
+        return spec._elems[i + j]
 
     __rmul__ = __mul__
 
@@ -491,19 +557,33 @@ class FieldElement:
             if e < 0:
                 raise FieldError("inversion of zero")
             return self.spec.one if e == 0 else self
-        return FieldElement(self.spec, self.spec._pow_coords(self.coeffs, e))
+        spec = self.spec
+        i = self.log
+        if i is None:
+            i = spec._log_of(self)
+            if i is None:
+                return FieldElement(spec, spec._pow_coords(self.coeffs, e))
+        return spec._elems[i * e % (spec.order - 1)]
 
     def inverse(self) -> "FieldElement":
         if not any(self.coeffs):
             raise FieldError("inversion of zero")
-        return FieldElement(self.spec, self.spec._inv_coords(self.coeffs))
+        spec = self.spec
+        i = self.log
+        if i is None:
+            i = spec._log_of(self)
+            if i is None:
+                return FieldElement(spec, spec._inv_coords(self.coeffs))
+        return spec._elems[spec.order - 1 - i]
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.spec.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.spec == other.spec
+        return self.coeffs == other.coeffs and (
+            other.spec is self.spec or other.spec == self.spec
+        )
 
     def __hash__(self):
         return hash((self.coeffs, self.spec))
@@ -529,7 +609,7 @@ def basis_elements(spec: FieldSpec) -> list[FieldElement]:
     for i in range(spec.m):
         coords = [0] * spec.m
         coords[i] = 1
-        out.append(FieldElement(spec, tuple(coords)))
+        out.append(spec.element(coords))
     return out
 
 

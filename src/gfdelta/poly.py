@@ -21,7 +21,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
-from .field import ExtFieldSpec, FieldElement, FieldSpec, FieldError, parse_element
+from .field import FieldElement, FieldSpec, FieldError, parse_element
 
 Monomial = tuple[int, ...]
 
@@ -216,27 +216,31 @@ class MultiPoly:
     # evaluation -----------------------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        """The value at a point of elements or ints. With log tables a term
-        is g^e, e = log(coeff) + sum of e_i * log(x_i), and a zero x_i that
-        a term needs drops it; the terms' `exp` rows sum in plain ints and
-        reduce mod p once. Other fields multiply and add term by term."""
+        """The value at a point of elements or ints. Over a field with log
+        tables a term is g^e, e = log(coeff) + sum of e_i * log(x_i), and a
+        zero x_i that a term needs drops it; the terms' coordinate rows sum
+        in plain ints and reduce mod p once. Other fields multiply and add
+        term by term."""
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
         spec = self.spec
+        tables = spec._log_tables()
         point = [spec.element(v) for v in point]
-        tables = spec._log_tables() if isinstance(spec, ExtFieldSpec) else None
         if tables is not None:
-            log, exp = tables
+            index, elems = tables
             n1 = spec.order - 1
             # e_i <= q-1 and logs < q-1: only a term needing a zero reaches dead
             dead = (self.n * n1 + 1) * n1
-            logs = [log[v.coeffs] if v else dead for v in point]
+            logs = [v.log if v else dead for v in point]
             rows = [spec.zero.coeffs]
             for mono, coeff in self._terms.items():
-                e = log[coeff.coeffs] + sum(map(mul, mono, logs))
+                c = coeff.log
+                if c is None:  # a coefficient made before the tables
+                    c = index[coeff.coeffs].log
+                e = c + sum(map(mul, mono, logs))
                 if e < dead:
-                    rows.append(exp[e % n1])
-            return FieldElement(spec, tuple([sum(c) % spec.p for c in zip(*rows)]))
+                    rows.append(elems[e % n1].coeffs)
+            return spec._box(tuple([sum(c) % spec.p for c in zip(*rows)]))
         powers: list[dict[int, FieldElement]] = [{} for _ in range(self.n)]
         total = self.spec.zero
         for mono, coeff in self._terms.items():
@@ -422,9 +426,9 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
 
 
 def _coefficient(text: str, at: int, lit: str, spec: FieldSpec) -> FieldElement:
-    """The element a coefficient factor names, returned as a product: over a
-    field with log tables a product's coordinates are the tables' own rows,
-    which `MultiPoly.evaluate` then finds in its log table by identity."""
+    """The element a coefficient factor names, returned as a product: a
+    product builds a small field's tables, so the coefficient is the
+    interned element whose log `MultiPoly.evaluate` reads."""
     if lit[0] != "(":
         value = spec.element(int(lit))
     else:
@@ -532,19 +536,22 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
 def format_poly(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
+    # coordinates -> (the coefficient alone, its prefix before a monomial),
+    # rendered once per distinct coefficient
+    rendered: dict[tuple, tuple[str, str]] = {}
+    one = f.spec.one
     chunks = []
     for mono, coeff in f.terms():
-        text, needs = _format_coefficient(coeff)
-        if not any(mono):
-            chunks.append(f"({text})" if needs else text)
-            continue
-        mtext = monomial_text(mono)
-        if coeff == f.spec.one:
-            chunks.append(mtext)
-        elif needs:
-            chunks.append(f"({text})*{mtext}")
+        forms = rendered.get(coeff.coeffs)
+        if forms is None:
+            text, needs = _format_coefficient(coeff)
+            if needs:
+                text = f"({text})"
+            forms = rendered[coeff.coeffs] = (text, "" if coeff == one else text + "*")
+        if any(mono):
+            chunks.append(forms[1] + monomial_text(mono))
         else:
-            chunks.append(f"{text}*{mtext}")
+            chunks.append(forms[0])
     return " + ".join(chunks)
 
 
@@ -576,14 +583,36 @@ def _random_monomial(
     rng: random.Random, n: int, max_total_degree: int, cap: int
 ) -> Monomial:
     """A seeded monomial: a total degree up to the bound, then one variable
-    per unit among those whose exponent is still below cap."""
+    per unit among those whose exponent is still below cap, as
+    `rng.choice` over them would draw it. Until the largest free exponent
+    reaches cap the free variables stay the same, so the units up to then
+    are drawn in one `_residues` call, the same stream."""
     mono = [0] * n
-    for _ in range(rng.randint(0, max_total_degree)):
-        choices = [i for i in range(n) if mono[i] < cap]
-        if not choices:
+    units = rng.randint(0, max_total_degree)
+    while units:
+        free = [i for i in range(n) if mono[i] < cap]
+        if not free:
             break
-        mono[rng.choice(choices)] += 1
+        batch = min(units, cap - max(mono[i] for i in free))
+        for r in _residues(rng, len(free), batch):
+            mono[free[r]] += 1
+        units -= batch
     return tuple(mono)
+
+
+def _residues(rng: random.Random, p: int, count: int) -> list[int]:
+    """`[rng.randrange(p) for _ in range(count)]`, drawn as `randrange`
+    draws: words of `p.bit_length()` random bits, each one >= p dropped.
+    Drawing only as many words as residues are still missing never draws
+    past the last residue kept, so the values and the generator's end state
+    are the same as `randrange`'s, and as those of `rng.choice` indexing a
+    sequence of p items."""
+    k = p.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        words = map(rng.getrandbits, itertools.repeat(k, count - len(out)))
+        out += [r for r in words if r < p]
+    return out
 
 
 def all_points(spec: FieldSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:

@@ -12,7 +12,6 @@ from gfdelta.attack import (
     BlackBox,
     MaxtermRecord,
     Verdict,
-    _residues,
     candidate_terms,
     extract_linear,
     gaussian_solve,
@@ -25,7 +24,7 @@ from gfdelta.attack import (
 )
 from gfdelta.diff import DiffPlan, delta_plan
 from gfdelta.field import ext_field, prime_field, row_reduce
-from gfdelta.poly import MultiPoly, parse_poly, random_poly
+from gfdelta.poly import MultiPoly, _residues, parse_poly, random_poly
 from gfdelta.reduce_pm import ProjectionContext, ReductionError
 from gfdelta.targets import load_target, make_planted
 

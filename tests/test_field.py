@@ -8,6 +8,7 @@ from gfdelta.field import (
     LOG_TABLE_LIMIT,
     ExtFieldSpec,
     FieldError,
+    PrimeFieldSpec,
     basis_elements,
     ext_field,
     is_prime,
@@ -311,6 +312,131 @@ def test_fields_above_the_table_limit_keep_the_convolution():
     with pytest.raises(FieldError):
         spec.zero.inverse()
     assert spec._tables is None
+
+
+# -- interned table fields against coordinate arithmetic ----------------------
+
+
+def _first_irreducible(p, m):
+    for rest in itertools.product(range(p), repeat=m):
+        try:
+            return ExtFieldSpec(p, m, (1,) + rest)
+        except FieldError:
+            pass
+
+
+def _table_fields():
+    """A fresh spec for every field of at most 32 elements, prime fields
+    included, plus a degree-1 extension."""
+    specs = [PrimeFieldSpec(p) for p in range(2, 33) if is_prime(p)]
+    orders = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+    specs += [_first_irreducible(p, m) for p, m in orders]
+    return specs + [ExtFieldSpec(7, 1, (1, 4))]
+
+
+@pytest.mark.parametrize("spec", _table_fields(), ids=lambda spec: spec.text)
+def test_table_arithmetic_matches_coordinate_arithmetic(spec):
+    q, p = spec.order, spec.p
+    coords = [spec.from_index(i).coeffs for i in range(q)]
+    assert spec._tables is None
+    elements = [spec.element(c) for c in coords]
+    one = spec.one.coeffs
+    spec.one * spec.one
+    assert spec._tables is not None
+    interned = [spec.element(c) for c in coords]
+
+    def same(result, expected):
+        assert result.coeffs == expected
+        assert result is spec.element(expected) and result.log is not None
+
+    inverse = {
+        a: next(b for b in coords if spec._convolve(a, b) == one) for a in coords[1:]
+    }
+    for a, x in zip(coords, interned):
+        same(-x, tuple((-c) % p for c in a))
+        for b, y in zip(coords, interned):
+            same(x + y, tuple((c + d) % p for c, d in zip(a, b)))
+            same(x - y, tuple((c - d) % p for c, d in zip(a, b)))
+            same(x * y, spec._convolve(a, b))
+            if b in inverse:
+                same(x / y, spec._convolve(a, inverse[b]))
+            else:
+                with pytest.raises(FieldError):
+                    x / y
+        if a in inverse:
+            same(x.inverse(), inverse[a])
+            power = spec.one.coeffs
+            for e in range(2 * q + 1):
+                same(x**e, power)
+                if e <= q:
+                    same(x**-e, _coords_power(spec, inverse[a], e))
+                power = spec._convolve(power, a)
+    zero = interned[0]
+    same(zero**0, one)
+    for e in range(1, 2 * q + 1):
+        same(zero**e, zero.coeffs)
+    with pytest.raises(FieldError):
+        zero.inverse()
+    # plain elements, made before the tables, combine with either kind into
+    # interned results
+    last = coords[-1]
+    for x, a in zip(elements, coords):
+        same(-x, tuple((-c) % p for c in a))
+        for y in (elements[-1], interned[-1]):
+            same(x + y, tuple((c + d) % p for c, d in zip(a, last)))
+            same(y + x, tuple((c + d) % p for c, d in zip(a, last)))
+            same(x - y, tuple((c - d) % p for c, d in zip(a, last)))
+            same(y - x, tuple((d - c) % p for c, d in zip(a, last)))
+            same(x * y, spec._convolve(a, last))
+            same(y * x, spec._convolve(a, last))
+
+
+def _coords_power(spec, a, e):
+    out = spec.one.coeffs
+    for _ in range(e):
+        out = spec._convolve(out, a)
+    return out
+
+
+def test_interned_elements_are_shared():
+    spec = ExtFieldSpec(3, 2, (1, 2, 2))
+    before = spec.element((1, 2))
+    assert before.log is None and spec.element((1, 2)) is not before
+    a = spec.generator * spec.one
+    assert spec.element((1, 2)) is spec.element((1, 2)) is spec.from_index(7)
+    assert spec.element(before) is spec.element(1) + spec.element((0, 2))
+    assert spec.zero is spec.element(0) and spec.one is spec.element(1)
+    for x in spec.elements():
+        for result in (x + a, x - a, x * a, -x, x**5, a / (x or a), x + 1, 2 * x):
+            assert result is spec.element(result.coeffs)
+    assert before == spec.element((1, 2)) and hash(before) == hash(spec.element((1, 2)))
+
+
+def test_equal_specs_and_int_operands_mix():
+    shared = ext_field(3, 3)
+    twin = ExtFieldSpec(3, 3, shared.modulus)
+    assert twin is not shared and twin == shared
+    shared.one * shared.one
+    x, y = shared.from_index(14), twin.from_index(22)
+    assert x.log is not None and y.log is None
+    for a, b in [(x, y), (y, x)]:
+        assert a + b == b + a == shared.element((0, 0, 0)) + x + y
+        assert (a * b).coeffs == shared._convolve(x.coeffs, y.coeffs)
+        assert a - b == -(b - a) and (a / b) * b == a
+        assert (a + b).spec is a.spec
+    assert twin.element(x).spec is twin and shared.element(y) is shared.from_index(22)
+    y2 = twin.from_index(22) ** 2  # builds the twin's own tables
+    assert y2 == shared.from_index(22) ** 2 and y2.spec is twin
+    assert {shared.from_index(5): 1}[twin.from_index(5)] == 1
+    a = shared.generator
+    assert a + 1 == 1 + a == shared.element((1, 1, 0))
+    assert 2 * a == a * 2 == shared.element((0, 2, 0))
+    assert 1 - a == shared.element((1, 2, 0)) and a - 1 == shared.element((2, 1, 0))
+    assert a == shared.element((0, 1, 0)) and shared.element(4) == 1
+    with pytest.raises(FieldError, match="different fields"):
+        a + GF9.generator
+    with pytest.raises(FieldError, match="different field"):
+        shared.element(GF9.one)
 
 
 # -- field axioms as properties ---------------------------------------------

@@ -12,6 +12,7 @@ from gfdelta.poly import (
     MultiPoly,
     ParseError,
     PolyError,
+    _random_monomial,
     all_points,
     format_poly,
     interpolate,
@@ -478,6 +479,33 @@ def test_random_poly_is_deterministic():
     b = random_poly(GF31, 3, 5, 7, seed=99)
     assert a == b
     assert random_poly(GF31, 3, 5, 0, seed=1).is_zero()
+
+
+def _random_monomial_per_unit(rng, n, max_total_degree, cap):
+    # one rng.choice over the variables still below cap per unit of degree
+    mono = [0] * n
+    for _ in range(rng.randint(0, max_total_degree)):
+        choices = [i for i in range(n) if mono[i] < cap]
+        if not choices:
+            break
+        mono[rng.choice(choices)] += 1
+    return tuple(mono)
+
+
+@given(
+    n=st.integers(1, 6),
+    degree=st.integers(0, 60),
+    cap=st.integers(0, 9),
+    seed=st.integers(0, 2**64),
+)
+def test_random_monomials_are_the_per_unit_stream(n, degree, cap, seed):
+    # the batched draw gives the per-unit choice's monomial and leaves the
+    # generator where it would, also once variables reach cap
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _random_monomial(ours, n, degree, cap) == _random_monomial_per_unit(
+        theirs, n, degree, cap
+    )
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_random_poly_respects_degree_bound():
