@@ -4,23 +4,20 @@ Extension elements are length-m coordinate vectors over GF(p) in the basis
 1, a, ..., a^(m-1), where a is a root of a monic irreducible modulus.
 
 A field of order at most LOG_TABLE_LIMIT, prime or extension, interns its
-q elements on the first multiply, power or inverse, never at construction.
-Each interned element carries its discrete log over a primitive element;
-products, quotients, powers and inverses are lookups in one doubled list of
-elements by log, sums and differences go through a Zech-log table, and
-negation shifts the log by log(-1). Each element's coordinates are also a
-code that sums: rows added column by column in plain ints are exact for any
-number of summands and reduce mod p once. Larger extension fields multiply
-by convolution and invert by Fermat, a^(q-2); larger prime fields use
-integer arithmetic. The convolution is the only polynomial product: the
-tables are built on it, and Rabin's irreducibility test runs on it and on
-`row_reduce` in the quotient ring the modulus defines.
+q elements when it is constructed, and every element it hands out is one of
+them. Each carries its discrete log over a primitive element; products,
+quotients, powers and inverses are lookups in one doubled list of elements
+by log, sums and differences go through a Zech-log table, and negation
+shifts the log by log(-1). Each element's coordinates are also a code that
+sums: rows added column by column in plain ints are exact for any number of
+summands and reduce mod p once. Larger extension fields multiply by
+convolution and invert by Fermat, a^(q-2); larger prime fields use integer
+arithmetic. The convolution is the only polynomial product: the tables are
+built on it, and Rabin's irreducibility test runs on it and on `row_reduce`
+in the quotient ring the modulus defines.
 
-Specs and elements are immutable after construction (a spec's tables are a
-cache) and safe to share between any number of threads. A spec's tables
-are built into locals and published in one attribute assignment, so a
-thread sees either no tables or complete ones; two threads that race to
-build them publish equal tables, and their elements mix by log.
+Specs and elements are immutable after construction and safe to share
+between any number of threads.
 """
 
 from __future__ import annotations
@@ -143,22 +140,22 @@ def row_reduce(
 class FieldSpec:
     """Common interface of prime and extension field specs.
 
-    A field of order q <= LOG_TABLE_LIMIT gets its q elements as interned
-    objects on the first multiply, power or inverse. Each carries its
-    discrete log over a primitive element g: g^i has log i and zero has
-    log 2(q-1). `_elems` lists g^0..g^(q-2) twice, then 2(q-1)+1 zeros, so
-    a product is `_elems[i + j]` and any sum of logs involving zero reads
-    zero. A sum is g^i (1 + g^(j-i)), `_elems[i + _zech[j - i]]`, through
-    the Zech table of log(1 + g^d); a negation shifts the log by log(-1).
-    From then on `element`, `from_index` and every arithmetic result return
-    the interned object. Larger fields compute on coordinates.
+    A field of order q <= LOG_TABLE_LIMIT builds its q elements as interned
+    objects at construction. Each carries its discrete log over a primitive
+    element g: g^i has log i and zero has log 2(q-1). `_elems` lists
+    g^0..g^(q-2) twice, then 2(q-1)+1 zeros, so a product is `_elems[i + j]`
+    and any sum of logs involving zero reads zero. A sum is g^i (1 + g^(j-i)),
+    `_elems[i + _zech[j - i]]`, through the Zech table of log(1 + g^d); a
+    negation shifts the log by log(-1). `element`, `from_index` and every
+    arithmetic result return the interned object. Larger fields compute on
+    coordinates.
     """
 
     p: int
     m: int
     order: int
-    # the (index, elems) pair once built: coordinates to interned element,
-    # and the doubled list of elements by log
+    # the (index, elems) pair of a table field: coordinates to interned
+    # element, and the doubled list of elements by log; None above the limit
     _tables: tuple[dict, list] | None = None
 
     def element(self, value) -> "FieldElement":
@@ -168,8 +165,6 @@ class FieldSpec:
                 if value.spec != self:
                     raise FieldError("element belongs to a different field")
                 return self._box(value.coeffs)
-            if value.log is None and self._tables is not None:
-                return self._tables[0][value.coeffs]
             return value
         if isinstance(value, int):
             return self._box((value % self.p,) + (0,) * (self.m - 1))
@@ -179,8 +174,8 @@ class FieldSpec:
         return self._box(coords)
 
     def _box(self, coords: tuple) -> "FieldElement":
-        """The element with these reduced coordinates: the interned one once
-        the tables exist, else a new plain one."""
+        """The element with these reduced coordinates: the interned one in a
+        table field, else a new plain one."""
         tables = self._tables
         if tables is None:
             return FieldElement(self, coords)
@@ -220,46 +215,37 @@ class FieldSpec:
 
     # tables ---------------------------------------------------------------
 
-    def _log_tables(self) -> tuple[dict, list] | None:
-        """The (index, elems) tables, built on first use; None above the limit.
-
-        The powers of g come from `_convolve`. The tables are built into
-        locals; `_elems`, `_zech` and `_minus` are set before `_tables` is
-        published in one assignment, and `zero` and `one` turn interned
-        after it.
-        """
-        tables = self._tables
-        if tables is None and self.order <= LOG_TABLE_LIMIT:
-            n = self.order - 1
-            g = self._primitive_coords()
-            powers = []
-            x = self._one.coeffs
-            for _ in range(n):
-                powers.append(x)
-                x = self._convolve(x, g)
-            units = [FieldElement(self, x, i) for i, x in enumerate(powers)]
-            zero = FieldElement(self, self._zero.coeffs, 2 * n)
-            index = {el.coeffs: el for el in units}
-            index[zero.coeffs] = zero
-            p = self.p
-            # log(1 + g^d) for 0 <= d < n, 2n where 1 + g^d = 0
-            zech = [index[((x[0] + 1) % p,) + x[1:]].log for x in powers]
-            # indexed by j - i for logs i, j: in (-n, n) both are nonzero and
-            # negative indexing reads d mod n; n + 1..2n is a zero addend
-            # (add 0 to i), and -2n..-n - 1 a zero augend (add j - 2n to 2n)
-            zech += [0] * (n + 1) + list(range(-2 * n, -n + 1)) + zech[1:]
-            elems = units * 2 + [zero] * (2 * n + 1)
-            self._elems, self._zech = elems, zech
-            self._minus = index[(p - 1,) + zero.coeffs[1:]].log
-            tables = self._tables = (index, elems)
-            self._zero, self._one = zero, units[0]
-        return tables
-
-    def _log_of(self, el: "FieldElement") -> int | None:
-        """The discrete log of el, building the tables on first use; None
-        above the limit."""
-        tables = self._log_tables()
-        return None if tables is None else tables[0][el.coeffs].log
+    def _build_tables(self) -> None:
+        """Set `zero` and `one` and, up to order LOG_TABLE_LIMIT, intern the
+        q elements: the tables, `_elems`, `_zech` and `_minus`. The powers
+        of g come from `_convolve`."""
+        zero = (0,) * self.m
+        one = (1,) + zero[1:]
+        self._zero, self._one = FieldElement(self, zero), FieldElement(self, one)
+        if self.order > LOG_TABLE_LIMIT:
+            return
+        n = self.order - 1
+        g = self._primitive_coords()
+        powers = []
+        x = one
+        for _ in range(n):
+            powers.append(x)
+            x = self._convolve(x, g)
+        units = [FieldElement(self, x, i) for i, x in enumerate(powers)]
+        index = {el.coeffs: el for el in units}
+        index[zero] = FieldElement(self, zero, 2 * n)
+        p = self.p
+        # log(1 + g^d) for 0 <= d < n, 2n where 1 + g^d = 0
+        zech = [index[((x[0] + 1) % p,) + x[1:]].log for x in powers]
+        # indexed by j - i for logs i, j: in (-n, n) both are nonzero and
+        # negative indexing reads d mod n; n + 1..2n is a zero addend (add 0
+        # to i), and -2n..-n - 1 a zero augend (add j - 2n to 2n)
+        zech += [0] * (n + 1) + list(range(-2 * n, -n + 1)) + zech[1:]
+        self._elems = units * 2 + [index[zero]] * (2 * n + 1)
+        self._zech = zech
+        self._minus = index[(p - 1,) + zero[1:]].log
+        self._tables = (index, self._elems)
+        self._zero, self._one = index[zero], units[0]
 
     def _primitive_coords(self) -> tuple:
         """The first element in canonical order with multiplicative order q-1."""
@@ -336,8 +322,7 @@ class PrimeFieldSpec(FieldSpec):
         self.p = p
         self.m = 1
         self.order = p
-        self._zero = FieldElement(self, (0,))
-        self._one = FieldElement(self, (1 % p,))
+        self._build_tables()
 
     @property
     def text(self) -> str:
@@ -365,11 +350,11 @@ class ExtFieldSpec(FieldSpec):
     The modulus is given most-significant coefficient first, matching the
     textual form 'p^m/c_m,...,c_0' (so (1, 2, 2) over p=3 is x^2+2x+2).
 
-    Up to order LOG_TABLE_LIMIT the elements are interned with their
-    discrete logs over a primitive element, found by its order (the basis
-    generator a need not be primitive), and arithmetic is table lookups
-    (see `FieldSpec`). Each element's coordinates are also a code that
-    sums: rows added column by column in plain ints are exact for any
+    Up to order LOG_TABLE_LIMIT the elements are interned at construction
+    with their discrete logs over a primitive element, found by its order
+    (the basis generator a need not be primitive), and arithmetic is table
+    lookups (see `FieldSpec`). Each element's coordinates are also a code
+    that sums: rows added column by column in plain ints are exact for any
     number of summands and reduce mod p once, so a sum of products costs
     one lookup per product and one reduction mod p per coordinate.
     Above the limit, products convolve and reduce by the modulus, and
@@ -393,10 +378,7 @@ class ExtFieldSpec(FieldSpec):
             raise FieldError(f"modulus {tuple(mod_desc)} is reducible over GF({p})")
         self.order = p**m
         self.modulus = tuple(mod_desc)
-        self._zero = FieldElement(self, (0,) * m)
-        one = [0] * m
-        one[0] = 1 % p
-        self._one = FieldElement(self, tuple(one))
+        self._build_tables()
 
     @property
     def text(self) -> str:
@@ -457,13 +439,12 @@ class ExtFieldSpec(FieldSpec):
 class FieldElement:
     """Immutable element of GF(p) or GF(p^m), stored as basis coordinates.
 
-    `log` is the discrete log of an interned element (see `FieldSpec`) and
-    None on a plain one: an element of a field above the table limit, or
-    one made before its field's tables. Two interned operands of one spec
-    object combine by lookups; any other pair goes through coordinates,
-    and the result is interned once the tables exist. Equality and hashing
-    read the coordinates and the spec, so plain and interned elements, and
-    elements of equal but distinct spec objects, mix freely.
+    `log` is the discrete log of an interned element (see `FieldSpec`),
+    which is every element of a table field, and None on an element of a
+    field above the table limit, which computes on coordinates. An operand
+    of an equal but distinct spec object, or an int, is first re-homed in
+    this element's spec. Equality and hashing read the coordinates and the
+    spec, so elements of equal but distinct spec objects mix freely.
     """
 
     __slots__ = ("spec", "coeffs", "log")
@@ -474,7 +455,7 @@ class FieldElement:
         self.log = log
 
     def _coerce(self, other):
-        """other as an element of this spec (interned once the tables exist)."""
+        """other as an element of this spec (interned in a table field)."""
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldError("operands belong to different fields")
@@ -489,10 +470,10 @@ class FieldElement:
             if other is NotImplemented:
                 return NotImplemented
         i, j = self.log, other.log
-        if i is None or j is None:
+        if i is None:
             p = spec.p
-            return spec._box(
-                tuple([(x + y) % p for x, y in zip(self.coeffs, other.coeffs)])
+            return FieldElement(
+                spec, tuple([(x + y) % p for x, y in zip(self.coeffs, other.coeffs)])
             )
         return spec._elems[i + spec._zech[j - i]]
 
@@ -505,10 +486,10 @@ class FieldElement:
             if other is NotImplemented:
                 return NotImplemented
         i, j = self.log, other.log
-        if i is None or j is None:
+        if i is None:
             p = spec.p
-            return spec._box(
-                tuple([(x - y) % p for x, y in zip(self.coeffs, other.coeffs)])
+            return FieldElement(
+                spec, tuple([(x - y) % p for x, y in zip(self.coeffs, other.coeffs)])
             )
         elems = spec._elems
         j = elems[j + spec._minus].log
@@ -524,7 +505,7 @@ class FieldElement:
         spec = self.spec
         if self.log is None:
             p = spec.p
-            return spec._box(tuple([(-x) % p for x in self.coeffs]))
+            return FieldElement(spec, tuple([(-x) % p for x in self.coeffs]))
         return spec._elems[self.log + spec._minus]
 
     def __mul__(self, other):
@@ -533,14 +514,10 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        i, j = self.log, other.log
-        if i is None or j is None:
-            tables = spec._log_tables()
-            if tables is None:
-                return FieldElement(spec, spec._mul_coords(self.coeffs, other.coeffs))
-            index = tables[0]
-            i, j = index[self.coeffs].log, index[other.coeffs].log
-        return spec._elems[i + j]
+        i = self.log
+        if i is None:
+            return FieldElement(spec, spec._mul_coords(self.coeffs, other.coeffs))
+        return spec._elems[i + other.log]
 
     __rmul__ = __mul__
 
@@ -560,9 +537,7 @@ class FieldElement:
         spec = self.spec
         i = self.log
         if i is None:
-            i = spec._log_of(self)
-            if i is None:
-                return FieldElement(spec, spec._pow_coords(self.coeffs, e))
+            return FieldElement(spec, spec._pow_coords(self.coeffs, e))
         return spec._elems[i * e % (spec.order - 1)]
 
     def inverse(self) -> "FieldElement":
@@ -571,9 +546,7 @@ class FieldElement:
         spec = self.spec
         i = self.log
         if i is None:
-            i = spec._log_of(self)
-            if i is None:
-                return FieldElement(spec, spec._inv_coords(self.coeffs))
+            return FieldElement(spec, spec._inv_coords(self.coeffs))
         return spec._elems[spec.order - 1 - i]
 
     def __eq__(self, other):

@@ -224,20 +224,16 @@ class MultiPoly:
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
         spec = self.spec
-        tables = spec._log_tables()
         point = [spec.element(v) for v in point]
-        if tables is not None:
-            index, elems = tables
+        if spec._tables is not None:
+            elems = spec._elems
             n1 = spec.order - 1
             # e_i <= q-1 and logs < q-1: only a term needing a zero reaches dead
             dead = (self.n * n1 + 1) * n1
             logs = [v.log if v else dead for v in point]
             rows = [spec.zero.coeffs]
             for mono, coeff in self._terms.items():
-                c = coeff.log
-                if c is None:  # a coefficient made before the tables
-                    c = index[coeff.coeffs].log
-                e = c + sum(map(mul, mono, logs))
+                e = coeff.log + sum(map(mul, mono, logs))
                 if e < dead:
                     rows.append(elems[e % n1].coeffs)
             return spec._box(tuple([sum(c) % spec.p for c in zip(*rows)]))
@@ -378,7 +374,11 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
             if lit is not None:
                 value = values.get(lit)
                 if value is None:
-                    value = values[lit] = _coefficient(text, pos, lit, spec)
+                    try:
+                        value = _coefficient(lit, spec)
+                    except FieldError as exc:
+                        raise _scan_error(text, pos, spec, str(exc)) from None
+                    value = values[lit] = spec.element(value)
                 coeff = value if coeff is None else coeff * value
             else:
                 k = int(var)
@@ -409,7 +409,6 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
         )
     order = spec.order
     one = spec.one
-    minus_one = -one
 
     def folded():
         for exps, coeff, negative in terms:
@@ -419,24 +418,20 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
             if coeff is None:
                 coeff = one
             if negative:
-                coeff = minus_one * coeff  # a product, as in _coefficient
+                coeff = -coeff
             yield tuple(mono), coeff
 
     return MultiPoly._raw(spec, n, _merge({}, folded()))
 
 
-def _coefficient(text: str, at: int, lit: str, spec: FieldSpec) -> FieldElement:
-    """The element a coefficient factor names, returned as a product: a
-    product builds a small field's tables, so the coefficient is the
-    interned element whose log `MultiPoly.evaluate` reads."""
+@lru_cache(maxsize=1024)
+def _coefficient(lit: str, spec: FieldSpec) -> FieldElement:
+    """The element a coefficient factor names, an integer or a literal in
+    parentheses; FieldError if it names none. Kept across calls, keyed by
+    an equal spec, so a caller passes the result through `spec.element`."""
     if lit[0] != "(":
-        value = spec.element(int(lit))
-    else:
-        try:
-            value = parse_element(lit[1:-1], spec)
-        except FieldError as exc:
-            raise _scan_error(text, at, spec, str(exc)) from None
-    return spec.one * value
+        return spec.element(int(lit))
+    return parse_element(lit[1:-1], spec)
 
 
 def _scan_error(

@@ -16,6 +16,7 @@ from gfdelta.field import (
     parse_field_spec,
     prime_field,
 )
+from gfdelta.poly import parse_poly
 
 from conftest import ALL_SPECS, GF4, GF8, GF9, GF27, GF31
 
@@ -284,12 +285,12 @@ def test_log_tables_match_the_convolution(spec):
         zero.inverse()
 
 
-def test_log_tables_are_built_on_first_multiply():
+def test_log_tables_are_built_at_construction():
     spec = ExtFieldSpec(2, 3, (1, 1, 0, 1))
-    a = spec.generator
-    assert a + a == spec.zero and spec._tables is None
-    assert a * a == parse_element("a^2", spec)
     assert spec._tables is not None
+    a = spec.generator
+    assert a.log is not None and a + a is spec.zero
+    assert a * a is parse_element("a^2", spec)
 
 
 def test_fields_above_the_table_limit_keep_the_convolution():
@@ -334,20 +335,24 @@ def _table_fields():
     return specs + [ExtFieldSpec(7, 1, (1, 4))]
 
 
+def _twin(spec):
+    """A new spec object equal to spec."""
+    if isinstance(spec, PrimeFieldSpec):
+        return PrimeFieldSpec(spec.p)
+    return ExtFieldSpec(spec.p, spec.m, spec.modulus)
+
+
 @pytest.mark.parametrize("spec", _table_fields(), ids=lambda spec: spec.text)
 def test_table_arithmetic_matches_coordinate_arithmetic(spec):
     q, p = spec.order, spec.p
     coords = [spec.from_index(i).coeffs for i in range(q)]
-    assert spec._tables is None
-    elements = [spec.element(c) for c in coords]
-    one = spec.one.coeffs
-    spec.one * spec.one
     assert spec._tables is not None
+    one = spec.one.coeffs
     interned = [spec.element(c) for c in coords]
 
-    def same(result, expected):
+    def same(result, expected, home=spec):
         assert result.coeffs == expected
-        assert result is spec.element(expected) and result.log is not None
+        assert result is home.element(expected) and result.log is not None
 
     inverse = {
         a: next(b for b in coords if spec._convolve(a, b) == one) for a in coords[1:]
@@ -377,18 +382,61 @@ def test_table_arithmetic_matches_coordinate_arithmetic(spec):
         same(zero**e, zero.coeffs)
     with pytest.raises(FieldError):
         zero.inverse()
-    # plain elements, made before the tables, combine with either kind into
-    # interned results
+    # elements of an equal but distinct spec object combine with either
+    # spec's into interned results of the left operand's spec
+    twin = _twin(spec)
+    assert twin is not spec and twin == spec
+    elements = [twin.element(c) for c in coords]
     last = coords[-1]
     for x, a in zip(elements, coords):
-        same(-x, tuple((-c) % p for c in a))
+        same(-x, tuple((-c) % p for c in a), twin)
         for y in (elements[-1], interned[-1]):
-            same(x + y, tuple((c + d) % p for c, d in zip(a, last)))
-            same(y + x, tuple((c + d) % p for c, d in zip(a, last)))
-            same(x - y, tuple((c - d) % p for c, d in zip(a, last)))
-            same(y - x, tuple((d - c) % p for c, d in zip(a, last)))
-            same(x * y, spec._convolve(a, last))
-            same(y * x, spec._convolve(a, last))
+            same(x + y, tuple((c + d) % p for c, d in zip(a, last)), twin)
+            same(y + x, tuple((c + d) % p for c, d in zip(a, last)), y.spec)
+            same(x - y, tuple((c - d) % p for c, d in zip(a, last)), twin)
+            same(y - x, tuple((d - c) % p for c, d in zip(a, last)), y.spec)
+            same(x * y, spec._convolve(a, last), twin)
+            same(y * x, spec._convolve(a, last), y.spec)
+
+
+def _handed_out(spec):
+    """Every kind of element a spec hands out without arithmetic by the
+    caller: constants, coercions, enumeration, draws and parse results."""
+    yield spec.zero
+    yield spec.one
+    yield spec.element(spec.p + 3)
+    yield spec.element([1 + i for i in range(spec.m)])
+    yield spec.from_index(spec.order - 1)
+    yield from spec.elements()
+    rng = random.Random(spec.order)
+    yield spec.random_element(rng)
+    yield spec.random_element(rng, nonzero=True)
+    if isinstance(spec, ExtFieldSpec):
+        yield spec.generator
+    literal = "2*a^2+a+1" if spec.m > 1 else "2+3"
+    yield parse_element(literal, spec)
+    yield from basis_elements(spec)
+    text = f"({literal})*x1 - 3*x2^2 + 5 - x1*x2"
+    yield from (c for _, c in parse_poly(text, spec).terms())
+
+
+# x^13+x^4+x^3+x+1 over GF(2): 8192 elements, above the limit
+_GF8192 = ExtFieldSpec(2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _table_fields() + [PrimeFieldSpec(4093), PrimeFieldSpec(4099), _GF8192],
+    ids=lambda spec: spec.text,
+)
+def test_fresh_specs_hand_out_interned_elements(spec):
+    spec = _twin(spec)  # nothing has computed in this spec object yet
+    tabled = spec.order <= LOG_TABLE_LIMIT
+    for el in _handed_out(spec):
+        assert el.spec is spec and (el.log is not None) == tabled
+        if tabled:
+            assert el is spec.element(el.coeffs)
+    assert (spec._tables is not None) == tabled
 
 
 def _coords_power(spec, a, e):
@@ -401,31 +449,33 @@ def _coords_power(spec, a, e):
 def test_interned_elements_are_shared():
     spec = ExtFieldSpec(3, 2, (1, 2, 2))
     before = spec.element((1, 2))
-    assert before.log is None and spec.element((1, 2)) is not before
-    a = spec.generator * spec.one
+    assert before.log is not None and spec.element((1, 2)) is before
+    a = spec.generator
+    assert a is spec.element((0, 1)) and a * spec.one is a
     assert spec.element((1, 2)) is spec.element((1, 2)) is spec.from_index(7)
     assert spec.element(before) is spec.element(1) + spec.element((0, 2))
     assert spec.zero is spec.element(0) and spec.one is spec.element(1)
     for x in spec.elements():
         for result in (x + a, x - a, x * a, -x, x**5, a / (x or a), x + 1, 2 * x):
             assert result is spec.element(result.coeffs)
-    assert before == spec.element((1, 2)) and hash(before) == hash(spec.element((1, 2)))
+    other = _twin(spec).element((1, 2))
+    assert other is not before and other.spec is not spec
+    assert before == other and hash(before) == hash(other)
 
 
 def test_equal_specs_and_int_operands_mix():
     shared = ext_field(3, 3)
     twin = ExtFieldSpec(3, 3, shared.modulus)
     assert twin is not shared and twin == shared
-    shared.one * shared.one
     x, y = shared.from_index(14), twin.from_index(22)
-    assert x.log is not None and y.log is None
+    assert x.log is not None and y.log is not None and y.spec is twin
     for a, b in [(x, y), (y, x)]:
         assert a + b == b + a == shared.element((0, 0, 0)) + x + y
         assert (a * b).coeffs == shared._convolve(x.coeffs, y.coeffs)
         assert a - b == -(b - a) and (a / b) * b == a
         assert (a + b).spec is a.spec
     assert twin.element(x).spec is twin and shared.element(y) is shared.from_index(22)
-    y2 = twin.from_index(22) ** 2  # builds the twin's own tables
+    y2 = twin.from_index(22) ** 2  # in the twin's own tables
     assert y2 == shared.from_index(22) ** 2 and y2.spec is twin
     assert {shared.from_index(5): 1}[twin.from_index(5)] == 1
     a = shared.generator

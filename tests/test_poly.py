@@ -206,10 +206,11 @@ def test_term_text_admits_whitespace(exponents, data):
 
 
 def test_parsed_coefficients_are_table_rows():
-    # evaluate looks each coefficient up in the log table; the table's own
-    # tuples are found by identity, without comparing coordinates
+    # every coefficient is the field's interned element, whose log evaluate
+    # reads; the table's own tuples are found by identity, without
+    # comparing coordinates
     f = parse_poly("(2*a^2+1)*x1 - (a)*x2 - 2 + x1^2 - -(a^2)*x2^2*2", GF27)
-    log, _ = GF27._log_tables()
+    log, _ = GF27._tables
     rows = {id(row) for row in log}
     assert len(f) == 5 and all(id(c.coeffs) in rows for c in f._terms.values())
 
