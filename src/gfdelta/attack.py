@@ -22,7 +22,13 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combinat import _positive_compositions
 from .diff import DiffPlan, grid_points
-from .field import FieldElement, FieldSpec, parse_field_spec, row_reduce
+from .field import (
+    FieldElement,
+    FieldSpec,
+    _file_integer,
+    parse_field_spec,
+    row_reduce,
+)
 from .poly import Monomial, PolyError, _residues, monomial_text, parse_monomial
 
 
@@ -592,6 +598,10 @@ def load_records(path, expected=None):
     differs raises AttackError as soon as the header is complete, before
     any record line is parsed, and so does a file whose header never
     completes."""
+
+    def integer(text: str, name: str) -> int:
+        return _file_integer(text, f"record file {name}", AttackError)
+
     meta: dict[str, object] = {}
     records: list[MaxtermRecord] = []
     with open(path) as fh:
@@ -601,12 +611,14 @@ def load_records(path, expected=None):
                 continue
             if line.startswith("#"):
                 if line.startswith("# seed:"):
-                    meta["seed"] = int(line.split(":", 1)[1])
+                    meta["seed"] = integer(line.split(":", 1)[1], "seed")
                 continue
             key, sep, value = line.partition(":")
             if sep and key in _HEADER:
                 name = _HEADER[key]
-                meta[name] = parse_field_spec(value) if key == "field" else int(value)
+                meta[name] = (
+                    parse_field_spec(value) if key == "field" else integer(value, key)
+                )
                 if expected is not None and all(n in meta for n in _HEADER.values()):
                     _check_header(meta, expected)
                 continue
@@ -620,14 +632,15 @@ def load_records(path, expected=None):
                 term = parse_monomial(match.group(1), meta["n_pub"])
             except PolyError as exc:
                 raise AttackError(f"bad record term: {exc}") from None
-            c0 = int(match.group(2)) % spec.p
+            c0 = integer(match.group(2), "c0") % spec.p
             cvec = tuple(
-                int(v) % spec.p
+                integer(v, "c") % spec.p
                 for v in (match.group(3).split(",") if match.group(3) else [])
             )
             if len(cvec) != meta["n_sec"]:
                 raise AttackError("record width disagrees with header")
-            records.append(MaxtermRecord(term, c0, cvec, int(match.group(4))))
+            evals = integer(match.group(4), "evals")
+            records.append(MaxtermRecord(term, c0, cvec, evals))
     if "spec" not in meta:
         raise AttackError("record file missing field header")
     if expected is not None:

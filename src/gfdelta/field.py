@@ -28,7 +28,39 @@ from typing import Iterator, Sequence
 
 
 class FieldError(ValueError):
-    """Bad field construction, or an operation across mismatched fields."""
+    """Bad field construction, or an operation across mismatched fields. A
+    fault in parsed text may give its `position` there, which the message
+    names as `poly.ParseError` does; `reason` is the message without it."""
+
+    def __init__(self, reason: str, position: int | None = None):
+        where = "" if position is None else f" (at position {position})"
+        super().__init__(reason + where)
+        self.reason = reason
+        self.position = position
+
+
+def _integer(text: str, position: int | None = None, error=FieldError) -> int:
+    """The int that the decimal digits `text` name, standing at `position`
+    of the text being parsed. Python converts at most
+    `sys.get_int_max_str_digits()` digits (4,300 by default) and raises its
+    own ValueError past that; this raises `error(reason, position)` instead,
+    a FieldError unless the caller's parser has its own error, so a number
+    too long is reported where it stands, as any other fault in the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"integer of {len(text)} digits is too long", position) from None
+
+
+def _file_integer(text: str, name: str, error) -> int:
+    """`int(text)` for a file's integer `name`, such as "target seed";
+    `error` naming it when `int` refuses the text: no integer, or more
+    digits than Python converts (`sys.get_int_max_str_digits()`, 4,300 by
+    default)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"{name} is not an integer within Python's digit limit") from None
 
 
 # Fields of at most this order intern their elements with discrete-log tables.
@@ -621,21 +653,24 @@ def ext_field(p: int, m: int, modulus: Sequence[int] | None = None) -> ExtFieldS
 
 
 _SPEC_RE = re.compile(r"^(\d+)\^(\d+)/((?:\d+,)*\d+)$")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse 'p' or 'p^m/c_m,...,c_0' (modulus most-significant first)."""
+    lead = len(text) - len(text.lstrip())
     text = text.strip()
     if re.fullmatch(r"\d+", text):
-        return prime_field(int(text))
+        return prime_field(_integer(text, lead))
     match = _SPEC_RE.match(text)
     if not match:
         raise FieldError(f"cannot parse field spec {text!r}")
-    p, m = int(match.group(1)), int(match.group(2))
-    modulus = tuple(int(c) for c in match.group(3).split(","))
+    p, m, *modulus = (
+        _integer(c.group(), lead + c.start()) for c in _DIGITS_RE.finditer(text)
+    )
     if len(modulus) != m + 1:
         raise FieldError(f"field spec {text!r}: modulus must list {m + 1} coefficients")
-    return _ext_field_cached(p, m, modulus)
+    return _ext_field_cached(p, m, tuple(modulus))
 
 
 _ATERM_RE = re.compile(r"^(?:(\d+)\*?)?(a)?(?:\^(\d+))?$")
@@ -643,8 +678,10 @@ _ATERM_RE = re.compile(r"^(?:(\d+)\*?)?(a)?(?:\^(\d+))?$")
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse an element literal: an integer, or a polynomial in 'a' like
-    '2*a^3+a+1'. Whitespace is ignored."""
+    '2*a^3+a+1'. Whitespace is ignored; a fault's position is in `text`."""
     s = "".join(text.split())
+    # the position in text of each character of s
+    spots = [i for i, c in enumerate(text) if not c.isspace()]
     if not s:
         raise FieldError("empty element literal")
     # split into signed summands
@@ -658,22 +695,22 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     chunks = []
     while pos <= len(s):
         if pos == len(s) or s[pos] in "+-":
-            chunks.append((sign, s[start:pos]))
+            chunks.append((sign, start, s[start:pos]))
             if pos < len(s):
                 sign = -1 if s[pos] == "-" else 1
             start = pos + 1
         pos += 1
-    for sgn, chunk in chunks:
+    for sgn, start, chunk in chunks:
         m = _ATERM_RE.match(chunk)
         if not m or (m.group(3) and not m.group(2)) or not chunk:
             raise FieldError(f"bad element literal {s!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
+        coeff = _integer(m.group(1), spots[start + m.start(1)]) if m.group(1) else 1
         if m.group(2):
             if spec.m == 1:
                 raise FieldError(
                     f"basis symbol 'a' is not a GF({spec.p}) coefficient"
                 )
-            power = int(m.group(3)) if m.group(3) else 1
+            power = _integer(m.group(3), spots[start + m.start(3)]) if m.group(3) else 1
             gen = spec.generator  # type: ignore[attr-defined]
             term = spec.element(coeff) * gen**power
         else:

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
-from .field import FieldElement, FieldSpec, FieldError, parse_element
+from .field import FieldElement, FieldSpec, FieldError, _integer, parse_element
 
 Monomial = tuple[int, ...]
 
@@ -377,14 +377,24 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
                     try:
                         value = _coefficient(lit, spec)
                     except FieldError as exc:
-                        raise _scan_error(text, pos, spec, str(exc)) from None
+                        # a fault inside a literal stands past its '('
+                        at = pos if exc.position is None else pos + 1 + exc.position
+                        raise _scan_error(text, at, spec, exc.reason) from None
                     value = values[lit] = spec.element(value)
                 coeff = value if coeff is None else coeff * value
             else:
-                k = int(var)
+                try:
+                    k = int(var)
+                    e = int(exp) if exp else 1
+                except ValueError:
+                    # past Python's digit limit: the first such integer
+                    # raises its ParseError
+                    _integer(var, pos, ParseError)
+                    _integer(exp, m.start(3), ParseError)
+                    raise
                 if not k:
                     raise _scan_error(text, pos, spec, "variables are numbered from x1")
-                exps[k] = exps.get(k, 0) + (int(exp) if exp else 1)
+                exps[k] = exps.get(k, 0) + e
                 if k > max_var:
                     max_var = k
             pos = m.end()
@@ -430,7 +440,7 @@ def _coefficient(lit: str, spec: FieldSpec) -> FieldElement:
     parentheses; FieldError if it names none. Kept across calls, keyed by
     an equal spec, so a caller passes the result through `spec.element`."""
     if lit[0] != "(":
-        return spec.element(int(lit))
+        return spec.element(_integer(lit))
     return parse_element(lit[1:-1], spec)
 
 
@@ -507,11 +517,14 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
         while star:
             # a coefficient or x0 ends the scan with star still set
             match = _POLY_FACTOR_RE.match(text, pos)
-            if match is None or not int(match.group(2) or 0):
+            if match is None or match.group(2) is None:
                 break
-            _, var, exp, star = match.groups()
-            var = int(var) - 1
-            exps[var] = exps.get(var, 0) + int(exp or 1)
+            var = _integer(match.group(2), pos, ParseError) - 1
+            if var < 0:
+                break
+            _, _, exp, star = match.groups()
+            e = _integer(exp, match.start(3), ParseError) if exp else 1
+            exps[var] = exps.get(var, 0) + e
             pos = match.end()
         if star or pos != len(text):
             raise PolyError(f"bad factor {text[pos:]!r} in term {text!r}")

@@ -14,25 +14,33 @@ Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples,
    tabulated by code compiled once per target, one comprehension over the
    points. The planted kernel tabulates every public monomial per point
-   (`PlantedTarget._tabulate`, short-circuit products mod p) and keeps
-   only the monomials that are nonzero at some point of the batch; the toy
-   cipher tabulates its first round's mix of the publics, one row per
-   point (`ToyCipher._load`), which whitening leaves free of the secret.
+   (`PlantedTarget._tabulate`, short-circuit products mod p), keeps only
+   the monomials that are nonzero at some point of the batch and packs each
+   one's column of residues into one int, a fixed-width slot per point;
+   the toy cipher tabulates its first round's mix of the publics, one row
+   per point (`ToyCipher._load`), which whitening leaves free of the
+   secret.
    The `BlackBox` that `blackbox()` returns redoes this stage only for a
    new batch, which a superpoly grid never is across a term's calls.
 2. secrets (the function `_on_grid` returns, called on a batch of secret
    residue vectors): the planted kernel calls each live public monomial's
    compiled coefficient (`PlantedTarget._fold`, compiled when a grid first
    makes the monomial live) once per secret and sums coefficient times
-   tabulated value per point; the toy cipher hands the grid rows and each
-   secret through its rounds compiled into a few functions
-   (`ToyCipher._chunks`). Each first derives, in straight-line code, the
-   secret-only constants its rounds inject (the first round's, with the
-   whitening folded in, and each later round's key injection), then loops
-   over the points and runs its rounds in local variables: each quadratic
-   step, reduced mod p, and each affine layer, one sum over the nonzero
-   mix entries. It returns one residue list per secret, one residue per
-   point.
+   packed column, one big-integer multiply-add per live monomial. Each
+   slot then holds its point's unreduced sum, at most
+   len(live) * (p - 1)^2, and is read back and reduced mod p. A slot is
+   the narrowest native unsigned item of 2, 4 or 8 bytes that holds that
+   bound (packed by a `struct.Struct`, read back through
+   `memoryview.cast`), or past 8 bytes ceil(bits / 8) bytes (read with
+   `int.from_bytes` over fixed slices), in the machine's byte order on
+   both sides. The toy cipher hands the grid rows and each secret through
+   its rounds compiled into a few functions (`ToyCipher._chunks`). Each
+   first derives, in straight-line code, the secret-only constants its
+   rounds inject (the first round's, with the whitening folded in, and
+   each later round's key injection), then loops over the points and runs
+   its rounds in local variables: each quadratic step, reduced mod p, and
+   each affine layer, one sum over the nonzero mix entries. It returns one
+   residue list per secret, one residue per point.
 
 Generated code goes through one helper, `_compile`: its source holds only
 the target's own ints, and it runs with no builtins but the ones it calls.
@@ -60,11 +68,19 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from struct import Struct, calcsize
+from sys import byteorder
 from typing import Callable, Sequence
 
 from .attack import BlackBox
 from .combinat import _nonneg_splits
-from .field import FieldElement, parse_field_spec, prime_field, row_reduce
+from .field import (
+    FieldElement,
+    _file_integer,
+    parse_field_spec,
+    prime_field,
+    row_reduce,
+)
 from .poly import Monomial, MultiPoly, _random_monomial
 
 
@@ -283,22 +299,66 @@ class PlantedTarget(_Target):
     def _on_grid(self, points: Sequence[Sequence[int]]):
         """Fixes a batch of public points: tabulates every public monomial
         per point with compiled code (`_tabulate`), keeps the monomials that
-        are nonzero at some point, and returns the secret stage, which calls
-        only those monomials' compiled coefficients (`_fold`), once per
-        secret of its batch, and returns one residue list per secret, one
-        residue per point."""
+        are nonzero at some point, and packs each one's column of residues
+        into one int, a fixed-width slot per point (Kronecker substitution).
+        The secret stage calls only those monomials' compiled coefficients
+        (`_fold`), once per secret of its batch, and sums coefficient times
+        packed column, one big-integer multiply-add per live monomial. A
+        slot then holds its point's value before the reduction mod p, at
+        most len(live) * (p - 1)^2, so no slot carries into the next; each
+        is read back and reduced mod p, one residue list per secret, one
+        residue per point.
+
+        A slot is the narrowest native unsigned item of 2, 4 or 8 bytes
+        ('H', 'I', 'Q') that holds that bound, packed by a `struct.Struct`
+        of one such item per point (an `array` built from the column cost
+        about five times as much) and read back through `memoryview.cast`;
+        a bound past 8 bytes (from p of about 2^29 with 64 live monomials)
+        takes slots of ceil(bits / 8) bytes, packed with `to_bytes` and read
+        with `int.from_bytes` over fixed slices. Both sides use the
+        machine's byte order, `sys.byteorder`."""
         p = self.spec.p
         live, columns = [], []
         for group, column in enumerate(zip(*self._tabulate(points))):
             if any(column):
                 live.append(self._folds[group] or self._fold(group))
                 columns.append(column)
-        # per point, the live monomials' values
-        rows = list(zip(*columns)) if columns else [()] * len(points)
+        bound = len(live) * (p - 1) ** 2
+        code = next((c for c in "HIQ" if bound >> 8 * calcsize(c) == 0), None)
+        if code is not None:
+            width = calcsize(code)
+            pack = Struct(f"{len(points)}{code}").pack
+            packed = [int.from_bytes(pack(*c), byteorder) for c in columns]
+
+            def unpack(data: bytes):
+                return memoryview(data).cast(code)
+
+        else:
+            width = (bound.bit_length() + 7) // 8
+            packed = [
+                int.from_bytes(
+                    b"".join(v.to_bytes(width, byteorder) for v in c), byteorder
+                )
+                for c in columns
+            ]
+
+            def unpack(data: bytes):
+                return [
+                    int.from_bytes(data[i : i + width], byteorder)
+                    for i in range(0, len(data), width)
+                ]
+
+        size = width * len(points)
+        terms = list(zip(live, packed))
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
-            folds = ([fold(secret) for fold in live] for secret in secrets)
-            return [[sum(map(mul, c, row)) % p for row in rows] for c in folds]
+            answers = []
+            for secret in secrets:
+                acc = 0
+                for fold, column in terms:
+                    acc += fold(secret) * column
+                answers.append([v % p for v in unpack(acc.to_bytes(size, byteorder))])
+            return answers
 
         return at_secrets
 
@@ -669,7 +729,7 @@ TOY_SIZES = {"public": (1, 64), "secret": (1, 64), "rounds": (0, 16), "width": (
 def _sizes(fields: dict[str, str], ranges: dict[str, tuple[int, int]]) -> dict:
     sizes = {}
     for name, (lo, hi) in ranges.items():
-        value = int(fields[name])
+        value = _file_integer(fields[name], f"target {name}", TargetError)
         if not lo <= value <= hi:
             raise TargetError(f"target {name} {value} is outside {lo}..{hi}")
         sizes[name] = value
@@ -701,7 +761,7 @@ def load_target(path):
                 n["secret"],
                 n["total-degree"],
                 n["extra-terms"],
-                int(fields["seed"]),
+                _file_integer(fields["seed"], "target seed", TargetError),
             )
         if kind == "toy-cipher":
             n = _sizes(fields, TOY_SIZES)
@@ -712,7 +772,7 @@ def load_target(path):
                     n["width"],
                     n["public"],
                     n["secret"],
-                    int(fields["seed"]),
+                    _file_integer(fields["seed"], "target seed", TargetError),
                 )
             )
     except KeyError as exc:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -24,3 +25,15 @@ SMALL_SPECS = [GF3, GF4, GF9]
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def long_digits():
+    """5,000 digits, past Python's limit on converting text to an int, which
+    is pinned at its default of 4,300 digits for the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield "1" * 5000
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -676,6 +676,61 @@ def test_attack_online_rejects_bad_records(capsys, tmp_path, records_text, messa
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--field", "31", "--poly", "{}*x1", "--plan", "x1"],
+        ["--field", "31", "--poly", "x1^{}", "--plan", "x1"],
+        ["--field", "31", "--poly", "x{}", "--plan", "x1"],
+        ["--field", "31", "--poly", "x1", "--plan", "x{}"],
+        ["--field", "{}", "--poly", "x1", "--plan", "x1"],
+    ],
+)
+def test_diff_integers_past_the_digit_limit_are_input_errors(
+    capsys, long_digits, args
+):
+    code, out, err = run(capsys, "diff", *[a.format(long_digits) for a in args])
+    assert code == EXIT_INPUT and not out
+    assert "integer of 5000 digits is too long (at position" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_target_seed_past_the_digit_limit_is_an_input_error(
+    capsys, tmp_path, long_digits
+):
+    target_path = tmp_path / "planted.target"
+    target_path.write_text(
+        "kind: planted\nfield: 31\npublic: 3\nsecret: 4\ntotal-degree: 5\n"
+        f"extra-terms: 12\nseed: {long_digits}\n"
+    )
+    code, out, err = run(
+        capsys, "attack-pre", "--target", str(target_path), "--seed", "1",
+        "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_INPUT and not out
+    assert err == "error: target seed is not an integer within Python's digit limit\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_record_c0_past_the_digit_limit_is_an_input_error(
+    capsys, tmp_path, long_digits
+):
+    target_path = tmp_path / "toy.target"
+    save_target(target_path, ToyCipher(ToyCipherParams(7, 2, 4, 4, 4, 3)))
+    records = tmp_path / "records.txt"
+    records.write_text(
+        "field: 7\npublic: 4\nsecret: 4\n"
+        f"record term=x1 c0={long_digits} c=1,0,0,0 evals=0\n"
+    )
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT and not out
+    assert err == (
+        "error: record file c0 is not an integer within Python's digit limit\n"
+    )
+
+
 def test_package_errors_map_to_the_input_exit():
     # main catches ValueError for exit 2, so each package error must be one
     for error in (

@@ -518,3 +518,29 @@ def test_unit_group_order(data):
     a = spec.from_index(i)
     if a:
         assert a ** (spec.order - 1) == spec.one
+
+
+@pytest.mark.parametrize(
+    "parse,template,position",
+    [
+        (parse_field_spec, "{}", 0),
+        (parse_field_spec, " {}^2/1,0,1", 1),
+        (parse_field_spec, "3^{}/1,0,1", 2),
+        (parse_field_spec, " 3^2/1,{},1", 7),
+        (lambda text: parse_element(text, GF31), "2 + {}", 4),
+        (lambda text: parse_element(text, GF9), "{}*a + 1", 0),
+        (lambda text: parse_element(text, GF9), "2*a ^ {}", 6),
+    ],
+)
+def test_integers_past_the_digit_limit_are_field_errors(
+    long_digits, parse, template, position
+):
+    # Python refuses to convert more than 4,300 digits with its own
+    # ValueError; field and element text raise FieldError at the position
+    # of the integer instead
+    with pytest.raises(FieldError) as info:
+        parse(template.format(long_digits))
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"integer of 5000 digits is too long (at position {position})"
+    )

@@ -155,6 +155,44 @@ def test_variable_index_is_capped():
             parse_monomial(text)
 
 
+@pytest.mark.parametrize(
+    "template,position",
+    [
+        ("{}*x1", 0),
+        ("x1^{}", 3),
+        ("x{}", 0),
+        ("x1 + 2*x{}", 7),
+        ("x1 ^ {} + x2", 5),
+        ("({}*a+1)*x1", 1),
+        ("3*(a^ {})*x1", 6),
+    ],
+)
+def test_integers_past_the_digit_limit_are_parse_errors(
+    long_digits, template, position
+):
+    # Python refuses to convert more than 4,300 digits with its own
+    # ValueError; every integer in polynomial text is a ParseError instead,
+    # at its position
+    with pytest.raises(ParseError) as info:
+        parse_poly(template.format(long_digits), GF9)
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"integer of 5000 digits is too long (at position {position})"
+    )
+
+
+@pytest.mark.parametrize("template,position", [("x{}", 0), ("x1*x2^{}", 6)])
+def test_term_integers_past_the_digit_limit_are_parse_errors(
+    long_digits, template, position
+):
+    with pytest.raises(ParseError) as info:
+        parse_monomial(template.format(long_digits))
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"integer of 5000 digits is too long (at position {position})"
+    )
+
+
 def test_parse_literal_whitespace():
     f = parse_poly("(2 * a\t+ 1)*x1 + (\na ^ 2\n)", GF9)
     assert f == parse_poly("(2*a+1)*x1 + (a^2)", GF9)

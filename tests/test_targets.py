@@ -5,7 +5,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gfdelta.attack import (
     CONFIRM_POINTS,
@@ -16,11 +16,13 @@ from gfdelta.attack import (
     preprocess,
 )
 from gfdelta.field import prime_field
-from gfdelta.poly import interpolate, all_points
+from gfdelta.poly import MultiPoly, interpolate, all_points
 import gfdelta.targets as targets
 from gfdelta.targets import (
     FOLD_TERMS,
     PLANTED_SIZES,
+    PlantedConfig,
+    PlantedTarget,
     TOY_SIZES,
     TargetError,
     ToyCipher,
@@ -306,6 +308,81 @@ def test_out_of_range_secrets_give_the_reduced_answers(p):
             [reference_encrypt(cipher, pt, secret) for pt in points]
             for secret in reduced
         ]
+
+
+# (p, live groups, slot bytes): len(live) * (p - 1)^2 on each side of 2^16,
+# 2^32 and 2^64, exactly at 2^16 (p = 257) and 2^32 (p = 65537), and wide
+# slots up to the largest prime below 2^63
+PACKED_CASES = [
+    (2, 4, 2),
+    (3, 1, 2),
+    (127, 4, 2),
+    (131, 4, 4),
+    (251, 1, 2),
+    (257, 1, 4),
+    (32749, 4, 4),
+    (32771, 4, 8),
+    (65521, 1, 4),
+    (65537, 1, 8),
+    (2**31 - 1, 4, 8),
+    (2147483659, 4, 9),
+    (4294967291, 1, 8),
+    (4294967311, 1, 9),
+    (2**61 - 1, 4, 16),
+    (2**63 - 25, 4, 16),
+]
+
+
+def _packed_target(p, groups):
+    """A planted target over GF(p) with 3 publics, 2 secrets and `groups`
+    public monomials of odd degree, each -1 at the public point (-1, -1, -1);
+    each coefficient is (p - 1)*s0 plus c*s1^2, so at the secret (1, 0) every
+    live product is (p - 1)^2 and a slot holds the bound len(live)*(p - 1)^2."""
+    spec = prime_field(p)
+    publics = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)][:groups]
+    rng = random.Random(p)
+    terms = {}
+    for pub in publics:
+        terms[pub + (1, 0)] = spec.element(p - 1)
+        terms[pub + (0, 2)] = spec.element(rng.randrange(1, p))
+    poly = MultiPoly(spec, 5, terms)
+    key = (spec.zero, spec.zero)
+    return PlantedTarget(PlantedConfig(p, 3, 2, 5, 0, 0), poly, key, tuple(publics))
+
+
+@pytest.mark.parametrize("p, groups, width", PACKED_CASES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_packed_secret_stage_matches_symbolic(p, groups, width, data):
+    # the packed columns must give poly.evaluate on empty, one-point and
+    # term-grid batches, at batches of 0, 1 and several secrets; the
+    # all-(p - 1) point at the secret (1, 0) fills every slot to the bound
+    # that sets its width, so a slot one width too narrow carries
+    bound = groups * (p - 1) ** 2
+    assert width == next(
+        (w for w in (2, 4, 8) if bound < 2 ** (8 * w)), (bound.bit_length() + 7) // 8
+    )
+    target = _packed_target(p, groups)
+    spec = target.spec
+    top = (p - 1,) * 3
+    term = data.draw(st.tuples(*[st.integers(0, min(2, p - 1))] * 3))
+    grid = _term_grid(spec, term).residues
+    residue = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    batches = [(), (top,), grid, grid + (top,)]
+    batches += [(data.draw(st.tuples(residue, residue, residue)),)]
+    drawn = data.draw(st.lists(st.tuples(residue, residue), max_size=3))
+    for secrets in [[], [(0, 0)], [(1, 0)], [(0, 0), (1, 0)] + drawn]:
+        for points in batches:
+            expected = [
+                [
+                    int(target.poly.evaluate([spec.element(v) for v in pt + secret]))
+                    for pt in points
+                ]
+                for secret in secrets
+            ]
+            assert target._on_grid(points)(secrets) == expected
+    [[value]] = target._on_grid((top,))([(1, 0)])
+    assert value == groups % p
 
 
 def test_tabulators_are_compiled_with_no_names():
