@@ -14,8 +14,10 @@ basis-block sequence over extension fields, convolve."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinat import diff_coefficient, digits, _nonzero_composition_items
@@ -102,17 +104,40 @@ def _check_multiplicity(spec: FieldSpec, mult: int) -> None:
         raise DiffError(f"multiplicity {mult} exceeds the field bound {cap}")
 
 
+# the most offsets a plan variable's step table may hold when the plan is
+# text: the table is built in full (x1^18 over GF(2^20) took 5 s and 207 MB)
+PLAN_TABLE_LIMIT = 1 << 16
+
+
 def parse_plan(
     text: str, spec: FieldSpec, steps: Sequence[FieldElement] | None = None
 ) -> DiffPlan:
-    """Parse plan text in term syntax, e.g. 'x1^2*x3'."""
+    """Parse plan text in term syntax, e.g. 'x1^2*x3'. DiffError if a
+    variable's step table may hold more than `PLAN_TABLE_LIMIT` offsets,
+    min(prod(r + 1), q) over its runs of r equal steps; k steps make at
+    least min(k + 1, q), so a long plan is refused before its steps exist."""
     try:
         mono = parse_monomial(text)
     except PolyError as exc:
         raise DiffError(f"bad plan: {exc}") from None
     if not any(mono):
         raise DiffError("a plan differences at least one variable")
-    return DiffPlan.make(spec, {i: m for i, m in enumerate(mono) if m}, steps)
+    term = {i: m for i, m in enumerate(mono) if m}
+
+    def check(runs_per_var: Iterable[Iterable[int]]) -> None:
+        for var, runs in zip(term, runs_per_var):
+            if min(prod(r + 1 for r in runs), spec.order) > PLAN_TABLE_LIMIT:
+                raise DiffError(
+                    f"plan variable x{var + 1} may need more than "
+                    f"{PLAN_TABLE_LIMIT} grid offsets"
+                )
+
+    for mult in term.values():
+        _check_multiplicity(spec, mult)
+    check([m] for m in term.values())
+    plan = DiffPlan.make(spec, term, steps)
+    check(Counter(s).values() for s in plan.steps)
+    return plan
 
 
 def basis_step_sequence(spec: FieldSpec, count: int) -> tuple[FieldElement, ...]:

@@ -398,6 +398,10 @@ class ExtFieldSpec(FieldSpec):
         _check_prime(p)
         if m < 1:
             raise FieldError("extension degree must be >= 1")
+        # Rabin's test costs about m^3 log p (5 s at GF(3^256)); a prime p is
+        # at least 2^(bit_length - 1), which bounds m before p^m is formed
+        if m * (p.bit_length() - 1) > 64 or p**m > 1 << 64:
+            raise FieldError(f"GF({p}^{m}) has more than 2^64 elements")
         mod_desc = [int(c) % p for c in modulus]
         if len(mod_desc) != m + 1:
             raise FieldError(f"modulus must have degree {m}")

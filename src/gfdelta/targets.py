@@ -6,10 +6,10 @@ is guaranteed a full-rank record set. The toy cipher is a deliberately weak
 keyed map (affine layer, key injection, one quadratic mixing step per round)
 used for integration testing, not for cryptographic claims.
 
-Both kinds expose `spec`, `n_pub`, `n_sec`, `key` and
-`suggested_max_multiplicity`, and share `blackbox()` and
-`online_oracle(key=None)` through one base class. Their one kernel,
-`_on_grid`, takes a grid, then a batch of secrets:
+Both kinds expose `spec`, `config` (their sizes, which `n_pub` and
+`n_sec` read), `key` and `suggested_max_multiplicity`, and share
+`blackbox()` and `online_oracle(key=None)` through one base class. Their
+one kernel, `_on_grid`, takes a grid, then a batch of secrets:
 
 1. grid (`_on_grid(points)`): a batch of public points as residue tuples,
    tabulated by code compiled once per target, one comprehension over the
@@ -50,22 +50,19 @@ fresh box viewed at a fixed key, a one-secret batch: it answers a whole
 replay as one grid, so its key is folded or mapped once per replay, and
 every point's width is checked as in preprocessing.
 
-`load_target` accepts these sizes from a description file and rejects any
-other value with `TargetError` before building anything:
-
-- planted: public 1..8, secret 1..64, total-degree 2..12, extra-terms
-  0..10000 (the anchor search then walks at most C(18, 11) = 31,824 public
-  monomials);
-- toy-cipher: public 1..64, secret 1..64, rounds 0..16, width 1..64.
-
-The field must be a prime below 2^63 (see `field.prime_field`); the seed is
-any integer.
+A target description file gives its kind, field, sizes and seed. One table,
+`KINDS`, holds each kind's size keys in file order, with the config field
+each sets and its inclusive range; `save_target` and `load_target` read it,
+and `load_target` rejects a size out of range with `TargetError` before
+building anything. The field must be a prime below 2^63 (see
+`field.prime_field`); the seed is any integer.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from operator import mul
 from struct import Struct, calcsize
@@ -139,21 +136,18 @@ def _tabulator(n_pub: int, values: list[str]) -> Callable:
     )
 
 
-def _secret_ints(target, secret) -> tuple[int, ...]:
-    """The secret as residues; `TargetError` unless it has n_sec
-    coordinates."""
-    secret = tuple(map(int, secret))
-    if len(secret) != target.n_sec:
-        raise TargetError(
-            f"the key has {len(secret)} coordinates; the target takes {target.n_sec}"
-        )
-    return secret
-
-
 class _Target:
     """What both target kinds share: a black box over the kind's staged
     kernel `_on_grid`, and an online oracle that is a fresh box at a key
     (the target's own by default)."""
+
+    @property
+    def n_pub(self) -> int:
+        return self.config.n_pub
+
+    @property
+    def n_sec(self) -> int:
+        return self.config.n_sec
 
     def blackbox(self) -> BlackBox:
         return BlackBox(self.spec, self.n_pub, self.n_sec, None, self._on_grid)
@@ -161,7 +155,11 @@ class _Target:
     def online_oracle(
         self, key: Sequence[FieldElement] | None = None
     ) -> CountingOracle:
-        key = _secret_ints(self, self.key if key is None else key)
+        key = tuple(map(int, self.key if key is None else key))
+        if len(key) != self.n_sec:
+            raise TargetError(
+                f"the key has {len(key)} coordinates; the target takes {self.n_sec}"
+            )
         return CountingOracle(self.blackbox(), key)
 
 
@@ -217,14 +215,6 @@ class PlantedTarget(_Target):
         self._groups = list(groups.values())
         # each group's compiled coefficient, once a grid has made it live
         self._folds: list[Callable | None] = [None] * len(self._groups)
-
-    @property
-    def n_pub(self) -> int:
-        return self.config.n_pub
-
-    @property
-    def n_sec(self) -> int:
-        return self.config.n_sec
 
     @property
     def suggested_max_multiplicity(self) -> int:
@@ -467,28 +457,28 @@ class ToyCipher(_Target):
     derives its rows' constants from the secret in straight-line code,
     then loops over the grid's points."""
 
-    def __init__(self, params: ToyCipherParams):
-        if params.width < 1 or params.rounds < 0:
+    def __init__(self, config: ToyCipherParams):
+        if config.width < 1 or config.rounds < 0:
             raise TargetError("bad toy cipher geometry")
-        if params.n_pub < 1 or params.n_sec < 1:
+        if config.n_pub < 1 or config.n_sec < 1:
             raise TargetError("need public and secret inputs")
-        self.params = params
-        self.spec = prime_field(params.p)
-        rng = random.Random(params.seed)
-        p, w = params.p, params.width
-        self.whiten = self._key_matrix(rng, w, params.n_sec, ensure_row0=True)
+        self.config = config
+        self.spec = prime_field(config.p)
+        rng = random.Random(config.seed)
+        p, w = config.p, config.width
+        self.whiten = self._key_matrix(rng, w, config.n_sec, ensure_row0=True)
         self.whiten_const = [rng.randrange(p) for _ in range(w)]
         self.round_mix = []
         self.round_key = []
         self.round_const = []
-        for _ in range(params.rounds):
+        for _ in range(config.rounds):
             self.round_mix.append(
                 [[rng.randrange(p) for _ in range(w)] for _ in range(w)]
             )
-            self.round_key.append(self._key_matrix(rng, w, params.n_sec))
+            self.round_key.append(self._key_matrix(rng, w, config.n_sec))
             self.round_const.append([rng.randrange(p) for _ in range(w)])
         self.key = tuple(
-            self.spec.element(rng.randrange(p)) for _ in range(params.n_sec)
+            self.spec.element(rng.randrange(p)) for _ in range(config.n_sec)
         )
 
     # kernel tables, built on first use so that loading a target does not
@@ -497,7 +487,7 @@ class ToyCipher(_Target):
     @cached_property
     def _quad(self) -> list[tuple[int, int, int]]:
         """Output i of the quadratic step reads affine taps i, i+1 and i+2."""
-        w = self.params.width
+        w = self.config.width
         return [(i, (i + 1) % w, (i + 2) % w) for i in range(w)]
 
     @cached_property
@@ -517,7 +507,7 @@ class ToyCipher(_Target):
         mix_1 * (whiten * secret + whiten_const) + inject_1 (output 0's
         whitening row at zero rounds), then each later round's key
         injection plus constant."""
-        p = self.params.p
+        p = self.config.p
         whiten = [row + [c] for row, c in zip(self.whiten, self.whiten_const)]
         if not self._layers:
             return whiten[:1]
@@ -532,23 +522,15 @@ class ToyCipher(_Target):
         ]
 
     def _key_matrix(self, rng, w, n_sec, ensure_row0=False):
-        p = self.params.p
+        p = self.config.p
         while True:
             matrix = [[rng.randrange(p) for _ in range(n_sec)] for _ in range(w)]
             if not ensure_row0 or any(matrix[0]):
                 return matrix
 
     @property
-    def n_pub(self) -> int:
-        return self.params.n_pub
-
-    @property
-    def n_sec(self) -> int:
-        return self.params.n_sec
-
-    @property
     def suggested_max_multiplicity(self) -> int:
-        return max(2**self.params.rounds, 1)
+        return max(2**self.config.rounds, 1)
 
     @cached_property
     def _chunks(self) -> list[tuple[Callable, int, int]]:
@@ -571,7 +553,7 @@ class ToyCipher(_Target):
         The source holds only the cipher's ints (key-map and mix entries,
         tap indices, p) and sees no builtins. Built on first use so that
         loading a target does not pay the compile."""
-        p, quad, key_map = self.params.p, self._quad, self._key_map
+        p, quad, key_map = self.config.p, self._quad, self._key_map
         first, *later = [mix for mix, _, _ in self._layers] or [[[1]]]
         groups, terms = [[]], 0
         for mix in later:
@@ -684,60 +666,60 @@ class ToyCipher(_Target):
 # target description files
 
 
+# one kind's description-file schema: its target class, its config
+# dataclass, the call that builds a target from a config, and its size keys
+# in file order, each with the config field it sets and its inclusive range;
+# every file also gives `field` (the config's p) before them and `seed` after
+TargetKind = namedtuple("TargetKind", "target config build sizes")
+
+# the kinds a target file may name; the planted bounds keep the anchor search
+# to at most C(18, 11) = 31,824 public monomials
+KINDS = {
+    "planted": TargetKind(
+        PlantedTarget, PlantedConfig, lambda config: make_planted(*astuple(config)),
+        {
+            "public": ("n_pub", 1, 8),
+            "secret": ("n_sec", 1, 64),
+            "total-degree": ("total_degree", 2, 12),
+            "extra-terms": ("extra_terms", 0, 10_000),
+        },
+    ),
+    "toy-cipher": TargetKind(
+        ToyCipher, ToyCipherParams, ToyCipher,
+        {
+            "public": ("n_pub", 1, 64),
+            "secret": ("n_sec", 1, 64),
+            "rounds": ("rounds", 0, 16),
+            "width": ("width", 1, 64),
+        },
+    ),
+}
+PLANTED_SIZES, TOY_SIZES = (
+    {key: (lo, hi) for key, (_, lo, hi) in KINDS[name].sizes.items()}
+    for name in ("planted", "toy-cipher")
+)
+
+
 def save_target(path, target) -> None:
-    if isinstance(target, PlantedTarget):
-        cfg = target.config
-        lines = [
-            "# gfdelta target v1",
-            "kind: planted",
-            f"field: {cfg.p}",
-            f"public: {cfg.n_pub}",
-            f"secret: {cfg.n_sec}",
-            f"total-degree: {cfg.total_degree}",
-            f"extra-terms: {cfg.extra_terms}",
-            f"seed: {cfg.seed}",
-        ]
-    elif isinstance(target, ToyCipher):
-        prm = target.params
-        lines = [
-            "# gfdelta target v1",
-            "kind: toy-cipher",
-            f"field: {prm.p}",
-            f"public: {prm.n_pub}",
-            f"secret: {prm.n_sec}",
-            f"rounds: {prm.rounds}",
-            f"width: {prm.width}",
-            f"seed: {prm.seed}",
-        ]
+    """Write the description file of `target`, keyed by its kind's schema."""
+    for name, kind in KINDS.items():
+        if isinstance(target, kind.target):
+            break
     else:
         raise TargetError(f"cannot serialise {type(target).__name__}")
+    config = target.config
+    lines = ["# gfdelta target v1", f"kind: {name}", f"field: {config.p}"]
+    lines += [f"{key}: {getattr(config, a)}" for key, (a, _, _) in kind.sizes.items()]
+    lines.append(f"seed: {config.seed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-# the sizes a target file may give, as inclusive ranges (see the module
-# docstring)
-PLANTED_SIZES = {
-    "public": (1, 8),
-    "secret": (1, 64),
-    "total-degree": (2, 12),
-    "extra-terms": (0, 10_000),
-}
-TOY_SIZES = {"public": (1, 64), "secret": (1, 64), "rounds": (0, 16), "width": (1, 64)}
-
-
-def _sizes(fields: dict[str, str], ranges: dict[str, tuple[int, int]]) -> dict:
-    sizes = {}
-    for name, (lo, hi) in ranges.items():
-        value = _file_integer(fields[name], f"target {name}", TargetError)
-        if not lo <= value <= hi:
-            raise TargetError(f"target {name} {value} is outside {lo}..{hi}")
-        sizes[name] = value
-    return sizes
-
-
 def load_target(path):
-    """Rebuild a target bit-identically from its description file."""
+    """Rebuild a target bit-identically from its description file. The
+    checks run in one order: `kind` is read, `field` parsed and refused
+    unless prime, the kind looked up in `KINDS`, each of its sizes read and
+    bounded in file order, and `seed` read; only then is the target built."""
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -749,32 +731,20 @@ def load_target(path):
             key, value = line.split(":", 1)
             fields[key.strip()] = value.strip()
     try:
-        kind = fields["kind"]
+        name = fields["kind"]
         spec = parse_field_spec(fields["field"])
         if spec.m != 1:
             raise TargetError("targets are defined over prime fields")
-        if kind == "planted":
-            n = _sizes(fields, PLANTED_SIZES)
-            return make_planted(
-                spec.p,
-                n["public"],
-                n["secret"],
-                n["total-degree"],
-                n["extra-terms"],
-                _file_integer(fields["seed"], "target seed", TargetError),
-            )
-        if kind == "toy-cipher":
-            n = _sizes(fields, TOY_SIZES)
-            return ToyCipher(
-                ToyCipherParams(
-                    spec.p,
-                    n["rounds"],
-                    n["width"],
-                    n["public"],
-                    n["secret"],
-                    _file_integer(fields["seed"], "target seed", TargetError),
-                )
-            )
+        kind = KINDS.get(name)
+        if kind is None:
+            raise TargetError(f"unknown target kind {name!r}")
+        sizes = {}
+        for key, (attr, lo, hi) in kind.sizes.items():
+            value = _file_integer(fields[key], f"target {key}", TargetError)
+            if not lo <= value <= hi:
+                raise TargetError(f"target {key} {value} is outside {lo}..{hi}")
+            sizes[attr] = value
+        seed = _file_integer(fields["seed"], "target seed", TargetError)
     except KeyError as exc:
         raise TargetError(f"target file missing {exc}") from None
-    raise TargetError(f"unknown target kind {fields.get('kind')!r}")
+    return kind.build(kind.config(p=spec.p, seed=seed, **sizes))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import re
 import time
 
@@ -233,6 +234,78 @@ def test_diff_over_cap_multiplicity_names_the_bound(capsys):
     )
     assert code == EXIT_INPUT and out == ""
     assert "multiplicity 31 exceeds the field bound 30" in err
+
+
+GF3_41 = "3^41/1," + "0," * 39 + "2,1"
+GF2_20 = "2^20/1," + "0," * 16 + "1,0,0,1"  # x^20 + x^3 + 1
+GF2_64 = "2^64/1," + "0," * 59 + "1,1,0,1,1"  # x^64 + x^4 + x^3 + x + 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--field", GF3_41, "--poly", "x1", "--plan", "x1"],
+            "GF(3^41) has more than 2^64 elements",
+        ),
+        (
+            ["--field", "3^256/1," + "0," * 254 + "2,1"]
+            + ["--poly", "x1", "--plan", "x1"],
+            "GF(3^256) has more than 2^64 elements",
+        ),
+        (
+            ["--field", GF2_20, "--poly", "x1", "--plan", "x1^17"],
+            "plan variable x1 may need more than 65536 grid offsets",
+        ),
+        (
+            ["--field", "1000000007", "--poly", "x1", "--plan", "x2*x1^100000"],
+            "plan variable x1 may need more than 65536 grid offsets",
+        ),
+        (
+            ["--field", "1000000007", "--poly", "x1", "--plan", "x1^17", "--steps",
+             ",".join(str(h) for h in range(1, 18))],
+            "plan variable x1 may need more than 65536 grid offsets",
+        ),
+    ],
+    ids=["field-3^41", "field-3^256", "plan-2^17", "plan-100001", "plan-steps"],
+)
+def test_diff_oversized_fields_and_plans_are_input_errors(capsys, args, message):
+    code, out, err = run(capsys, "diff", *args)
+    assert code == EXIT_INPUT and not out
+    assert err == f"error: {message}\n"
+
+
+def test_diff_at_the_field_and_plan_bounds(capsys):
+    for field, poly, plan, expected in [
+        # 2^16 offsets, the most a plan variable's table may hold
+        (GF2_20, "x1", "x1^16", "0"),
+        # 243 offsets: the 242nd difference of x^242 is 242!
+        ("1000000007", "x1^242", "x1^242", str(math.factorial(242) % (10**9 + 7))),
+        # 2^64 elements, the largest field accepted
+        (GF2_64, "x1^2", "x1", "1"),
+    ]:
+        code, out, _ = run(
+            capsys, "diff", "--field", field, "--poly", poly, "--plan", plan
+        )
+        assert code == EXIT_OK
+        assert out.strip() == expected
+
+
+@pytest.mark.parametrize("file", ["target", "records"])
+def test_oversized_field_in_a_file_is_an_input_error(capsys, tmp_path, file):
+    target_path = tmp_path / "planted.target"
+    records = tmp_path / "records.txt"
+    field = GF3_41 if file == "target" else "31"
+    target_path.write_text(
+        f"kind: planted\nfield: {field}\npublic: 3\nsecret: 4\ntotal-degree: 5\n"
+        "extra-terms: 12\nseed: 3\n"
+    )
+    records.write_text(f"field: {GF3_41}\npublic: 3\nsecret: 4\n")
+    code, out, err = run(
+        capsys, "attack-online", "--target", str(target_path), "--records", str(records)
+    )
+    assert code == EXIT_INPUT and not out
+    assert err == "error: GF(3^41) has more than 2^64 elements\n"
 
 
 # -- degree-bound -------------------------------------------------------------

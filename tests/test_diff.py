@@ -27,7 +27,7 @@ from gfdelta.diff import (
     parse_plan,
     superpoly_constants,
 )
-from gfdelta.field import basis_elements, ext_field, prime_field
+from gfdelta.field import basis_elements, ext_field, parse_field_spec, prime_field
 from gfdelta.poly import (
     MultiPoly,
     all_points,
@@ -381,6 +381,38 @@ def test_plan_parsing():
         parse_plan("x1^2*y3", GF31)
     with pytest.raises(DiffError, match="past x"):
         parse_plan("x1*x" + "9" * 30, GF31)
+
+
+def test_plan_step_tables_are_bounded():
+    # x^20 + x^3 + 1: k basis-block steps over GF(2^20) are k distinct steps,
+    # a table of 2^k offsets
+    gf2_20 = parse_field_spec("2^20/1," + "0," * 16 + "1,0,0,1")
+    assert parse_plan("x1^16", gf2_20).multiplicities == (16,)
+    for text, var in [("x1^17", "x1"), ("x1^16*x2^17", "x2"), ("x3^20", "x3")]:
+        with pytest.raises(DiffError) as info:
+            parse_plan(text, gf2_20)
+        assert str(info.value) == (
+            f"plan variable {var} may need more than 65536 grid offsets"
+        )
+    # k unit steps over GF(p) are one run, k + 1 offsets; a multiplicity past
+    # the limit is refused before its steps are built
+    big = prime_field(10**9 + 7)
+    assert parse_plan("x1^242", big).multiplicities == (242,)
+    assert parse_plan("x1^65535", big).multiplicities == (65535,)
+    for text in ["x1^65536", "x1^100000"]:
+        with pytest.raises(DiffError, match="x1 may need more than 65536"):
+            parse_plan(text, big)
+    # explicit steps: each run of r equal steps multiplies the bound by r + 1
+    distinct = [big.element(h) for h in range(1, 18)]
+    assert parse_plan("x1^16", big, distinct[:16]).steps == (tuple(distinct[:16]),)
+    with pytest.raises(DiffError, match="may need more"):
+        parse_plan("x1^17", big, distinct)
+    assert parse_plan("x1^17", big, [big.one] * 16 + [distinct[1]])
+    # a table no larger than the field stays under the limit, and an
+    # over-cap multiplicity still names the field bound first
+    assert parse_plan("x1^30", GF31).multiplicities == (30,)
+    with pytest.raises(DiffError, match="exceeds the field bound"):
+        parse_plan("x1^1000000007", big)
 
 
 def test_basis_step_sequence_examples():

@@ -71,6 +71,37 @@ def test_extension_specs_share_the_prime_check(text):
         parse_field_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3^41/1," + "0," * 39 + "2,1",  # 3^40 < 2^64 < 3^41
+        "3^256/1," + "0," * 254 + "2,1",
+        "2^65/1," + "0," * 63 + "1,1",
+        "4294967311^2/1,0,1",  # the prime 2^32 + 15
+    ],
+    ids=lambda text: text.split("/")[0],
+)
+def test_fields_past_2_64_elements_are_refused(text):
+    # Rabin's test of a degree-m modulus costs about m^3 log p: the order is
+    # checked first, so these are refused before any modulus is tested
+    order, modulus = text.split("/")
+    with pytest.raises(FieldError) as info:
+        parse_field_spec(text)
+    assert str(info.value) == f"GF({order}) has more than 2^64 elements"
+    # the constructor refuses it too, so every way to a field is bounded
+    p, m = map(int, order.split("^"))
+    with pytest.raises(FieldError, match=r"more than 2\^64 elements"):
+        ext_field(p, m, [int(c) for c in modulus.split(",")])
+
+
+def test_fields_up_to_2_64_elements_are_accepted():
+    # x^64 + x^4 + x^3 + x + 1 over GF(2), and x^2 - 2 over GF(2^32 - 5),
+    # where 2 is not a square
+    assert parse_field_spec("2^64/1," + "0," * 59 + "1,1,0,1,1").order == 2**64
+    spec = parse_field_spec("4294967291^2/1,0,4294967289")
+    assert spec.order == 4294967291**2 < 2**64
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(FieldError):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -20,6 +21,7 @@ from gfdelta.poly import MultiPoly, interpolate, all_points
 import gfdelta.targets as targets
 from gfdelta.targets import (
     FOLD_TERMS,
+    KINDS,
     PLANTED_SIZES,
     PlantedConfig,
     PlantedTarget,
@@ -486,8 +488,8 @@ def test_compiled_code_is_freed_with_its_target():
 
 def reference_encrypt(cipher, public, secret):
     """The toy cipher's round function as one straight-line evaluation."""
-    p = cipher.params.p
-    w = cipher.params.width
+    p = cipher.config.p
+    w = cipher.config.width
     state = [public[i] % p if i < len(public) else 0 for i in range(w)]
     state = [
         (s + sum(k * x for k, x in zip(row, secret)) + c) % p
@@ -894,3 +896,106 @@ def test_target_file_errors(tmp_path):
     path.write_text("kind: mystery\nfield: 31\n")
     with pytest.raises(TargetError):
         load_target(path)
+    # the checks run in one order: kind, field, a prime field, a known kind,
+    # each size in file order, then the seed
+    sizes = "public: 3\nsecret: 4\ntotal-degree: 5\nextra-terms: 12\n"
+    for text, message in [
+        ("field: 31\n", "target file missing 'kind'"),
+        ("kind: mystery\n", "target file missing 'field'"),
+        ("kind: mystery\nfield: 3^2/1,2,2\n", "targets are defined over prime fields"),
+        ("kind: mystery\nfield: 31\n" + sizes, "unknown target kind 'mystery'"),
+        ("kind: planted\nfield: 31\n", "target file missing 'public'"),
+        ("kind: planted\nfield: 31\npublic: 3\n", "target file missing 'secret'"),
+        ("kind: planted\nfield: 31\n" + sizes, "target file missing 'seed'"),
+        ("kind: toy-cipher\nfield: 7\n" + sizes, "target file missing 'rounds'"),
+        (
+            "kind: planted\nfield: 31\nseed: x\nsecret: 99\npublic: 9\n",
+            "target public 9 is outside 1..8",
+        ),
+        (
+            "kind: planted\nfield: 31\nseed: x\n" + sizes,
+            "target seed is not an integer within Python's digit limit",
+        ),
+        ("kind planted\n", "bad target line 'kind planted'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(TargetError) as info:
+            load_target(path)
+        assert str(info.value) == message, text
+
+
+PLANTED_TEXT = """# gfdelta target v1
+kind: planted
+field: 31
+public: 3
+secret: 4
+total-degree: 6
+extra-terms: 8
+seed: 42
+"""
+TOY_TEXT = """# gfdelta target v1
+kind: toy-cipher
+field: 5
+public: 2
+secret: 2
+rounds: 1
+width: 3
+seed: 3
+"""
+
+
+def test_target_file_text_is_pinned(tmp_path):
+    path = tmp_path / "pinned.target"
+    for target, text in [
+        (make_planted(31, 3, 4, 6, 8, seed=42), PLANTED_TEXT),
+        (ToyCipher(ToyCipherParams(5, 1, 3, 2, 2, 3)), TOY_TEXT),
+    ]:
+        save_target(path, target)
+        assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: make_planted(31, 3, 4, 6, 8, seed=seed),
+        lambda seed: make_planted(7, 1, 1, 2, 0, seed=seed),
+        lambda seed: ToyCipher(ToyCipherParams(5, 1, 3, 2, 2, seed)),
+        lambda seed: ToyCipher(ToyCipherParams(2, 0, 1, 64, 64, seed)),
+    ],
+    ids=["planted", "planted-smallest", "toy", "toy-zero-rounds"],
+)
+@pytest.mark.parametrize("seed", [0, -5, 10**30])
+def test_target_files_round_trip_their_config(tmp_path, make, seed):
+    target = make(seed)
+    path = tmp_path / "again.target"
+    save_target(path, target)
+    again = load_target(path)
+    assert type(again) is type(target) and again.config == target.config
+    assert (again.n_pub, again.n_sec) == (target.n_pub, target.n_sec)
+    assert again.key == target.key
+
+
+def test_target_files_ignore_layout(tmp_path):
+    # comments, blank lines, any key order, and padding around keys and values
+    path = tmp_path / "loose.target"
+    for text, config in [
+        (
+            "\n# planted\n  seed :42\n\nextra-terms:\t8  \ntotal-degree: 6\n"
+            "kind:planted\n# in between\n secret : 4\npublic: 3\nfield:  31 \n",
+            PlantedConfig(31, 3, 4, 6, 8, 42),
+        ),
+        (
+            "width: 3\nrounds: 1\n\n\nsecret: 2\n\tpublic\t: 2\nseed: 3\n"
+            "field: 5\n  kind: toy-cipher\n# end",
+            ToyCipherParams(5, 1, 3, 2, 2, 3),
+        ),
+    ]:
+        path.write_text(text)
+        assert load_target(path).config == config
+
+
+def test_each_kind_sets_every_config_field_from_its_schema():
+    # `field` sets p and `seed` the seed; the sizes set every other field
+    for kind in KINDS.values():
+        fields = {f.name for f in dataclasses.fields(kind.config)} - {"p", "seed"}
+        assert sorted(attr for attr, _, _ in kind.sizes.values()) == sorted(fields)
