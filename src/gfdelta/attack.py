@@ -42,9 +42,8 @@ class BudgetExhausted(Exception):
 
 # grid(points) -> at_secrets(secrets) -> per secret, one residue per point
 # (see BlackBox)
-StagedGrid = Callable[
-    [Sequence[tuple[int, ...]]], Callable[[Sequence[Sequence[int]]], list[list[int]]]
-]
+SecretStage = Callable[[Sequence[Sequence[int]]], list[list[int]]]
+StagedGrid = Callable[[Sequence[Sequence[int]]], SecretStage]
 
 
 class BlackBox:
@@ -54,27 +53,23 @@ class BlackBox:
     outputs. The counter tracks how many times the function has been
     consulted.
 
-    `evaluate_grid` takes a grid, then a batch of secrets: a batch of
-    public points and a batch of secret vectors, all as residue tuples. It
-    returns one residue list per secret, one residue per point, and counts
-    one probe per point and secret. `evaluate` is its one-point, one-secret
-    case over field elements. The superpoly oracle sends each term's grid,
-    always as the same tuple object, with a batch of secrets through one
-    `evaluate_grid` call, and the attack charges its budget grid by grid,
-    before any of a grid's probes.
+    `stage(points)` is the one batch entry. It checks the width of every
+    public point of the batch (residue tuples), stages the batch once in
+    the kernel and returns the secret stage. Each call of the secret stage
+    checks the width of every secret vector of its batch (residue tuples),
+    counts one probe per point and secret and returns one residue list per
+    secret, one residue per point. `evaluate` is the one-point, one-secret
+    case over field elements. The superpoly oracle stages its term's grid
+    on its first call and sends every batch of secrets to that stage, and
+    the attack charges its budget grid by grid, before any of a grid's
+    probes.
 
     Probes run in `grid`, a staged kernel: `grid(points)` fixes a batch and
     returns the secret stage `at_secrets(secrets)`. A target passes its
     `_on_grid` and no `fn`. Without `grid`, `_pointwise` stages
-    `fn(public, secret)`, a per-point function over field elements.
-
-    `evaluate_grid` keeps one cache, the last batch with its secret stage.
-    A tuple of tuples seen last time is recognised by identity and goes
-    straight to its secret stage; any other batch has every point's width
-    checked and is staged afresh. Every secret's width is checked on every
-    call. The online oracle (`targets.CountingOracle`) is this box at a
-    fixed key, a one-secret batch, so online probes get the same checks and
-    counter.
+    `fn(public, secret)`, a per-point function over field elements. The
+    online oracle (`targets.CountingOracle`) is this box at a fixed key, a
+    one-secret batch, so online probes get the same checks and counter.
     """
 
     def __init__(
@@ -92,30 +87,28 @@ class BlackBox:
         self.n_pub = n_pub
         self.n_sec = n_sec
         self._grid = grid or _pointwise(spec, fn)
-        self._points = self._at_secrets = None
         self.evaluations = 0
 
     def evaluate(
         self, public: Sequence[FieldElement], secret: Sequence[FieldElement]
     ) -> FieldElement:
-        point = (tuple(map(int, public)),)
-        [[value]] = self.evaluate_grid(point, (tuple(map(int, secret)),))
+        at_secrets = self.stage((tuple(map(int, public)),))
+        [[value]] = at_secrets((tuple(map(int, secret)),))
         return self.spec.element(value)
 
-    def evaluate_grid(
-        self, points: Sequence[tuple[int, ...]], secrets: Sequence[Sequence[int]]
-    ) -> list[list[int]]:
-        if not set(map(len, secrets)) <= {self.n_sec}:
+    def stage(self, points: Sequence[Sequence[int]]) -> SecretStage:
+        if not set(map(len, points)) <= {self.n_pub}:
             raise AttackError("input width mismatch")
-        if points is not self._points:
-            if not set(map(len, points)) <= {self.n_pub}:
+        at_secrets = self._grid(points)
+        size = len(points)
+
+        def probe(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
+            if not set(map(len, secrets)) <= {self.n_sec}:
                 raise AttackError("input width mismatch")
-            self._at_secrets = self._grid(points)
-            # a tuple of tuples cannot change under the identity check
-            frozen = type(points) is tuple and set(map(type, points)) <= {tuple}
-            self._points = points if frozen else None
-        self.evaluations += len(points) * len(secrets)
-        return self._at_secrets(secrets)
+            self.evaluations += size * len(secrets)
+            return at_secrets(secrets)
+
+        return probe
 
 
 def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
@@ -183,18 +176,20 @@ def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
 
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
-    batch of secret residue vectors, one residue per secret; each call
-    sends a grid, the term's prod(m_i + 1) points, then the call's batch of
-    secrets through one `bb.evaluate_grid` call."""
+    batch of secret residue vectors, one residue per secret. The first call
+    stages the term's grid, its prod(m_i + 1) points, through `bb.stage`,
+    so a term that the budget cannot fund is never staged; every call sends
+    its batch of secrets to that one stage."""
     grid = _term_grid(bb.spec, tuple(term))
     points, weights = grid.residues, grid.weights
     p = bb.spec.p
-    probe = bb.evaluate_grid
+    probe = None
 
     def evaluate(secrets: Sequence[Sequence[int]]) -> list[int]:
+        nonlocal probe
+        probe = probe or bb.stage(points)
         return [
-            sum(map(operator.mul, weights, values)) % p
-            for values in probe(points, secrets)
+            sum(map(operator.mul, weights, values)) % p for values in probe(secrets)
         ]
 
     evaluate.grid_size = len(weights)  # type: ignore[attr-defined]
@@ -204,17 +199,18 @@ def superpoly_oracle(bb: BlackBox, term: Monomial):
 # ---------------------------------------------------------------------------
 # linearity testing and linear-form extraction
 
-# Trial counts follow the usual linearity-testing soundness story: each trial
-# rejects a non-affine function with constant probability, so a dozen trials
-# over GF(p>=5), or twenty over GF(3), push the false-accept chance below
-# about 2^-20. The source material leaves the count open; these are
-# engineering defaults.
-DEFAULT_TRIALS = {3: 20}
-DEFAULT_TRIALS_LARGE = 12
-
-
-def default_trials(p: int) -> int:
-    return DEFAULT_TRIALS.get(p, DEFAULT_TRIALS_LARGE)
+def _trials(p: int, trials: int | None) -> int:
+    """`trials`, checked, or the default count over GF(p). The defaults follow
+    the usual linearity-testing soundness story: each trial rejects a
+    non-affine function with constant probability, so twenty trials over
+    GF(3), or a dozen over any other field, push the false-accept chance
+    below about 2^-20. The source material leaves the count open; these are
+    engineering defaults."""
+    if trials is None:
+        trials = 20 if p == 3 else 12
+    if trials < 1:
+        raise AttackError("need at least one trial")
+    return trials
 
 
 def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
@@ -250,10 +246,7 @@ def linearity_test(
 ) -> Verdict:
     """Probabilistic check that the differenced function is affine in the
     secrets: a(f(y)-f(0)) + b(f(z)-f(0)) must equal f(ay+bz)-f(0)."""
-    if trials is None:
-        trials = default_trials(bb.spec.p)
-    if trials < 1:
-        raise AttackError("need at least one trial")
+    trials = _trials(bb.spec.p, trials)
     if rng is None:
         rng = random.Random(seed)
     oracle = superpoly_oracle(bb, term)
@@ -323,15 +316,16 @@ class PreprocessResult:
         return len(self.records)
 
 
-def _charged_oracle(bb: BlackBox, term: Monomial, budget: int):
-    """The term's superpoly oracle charged grid by grid, in batch order: a
-    batch that the budget funds only in part has its funded secrets
-    evaluated, then `BudgetExhausted` is raised."""
+def _charged_oracle(bb: BlackBox, term: Monomial, limit: int):
+    """The term's superpoly oracle charged grid by grid, in batch order, until
+    the box's counter reaches `limit`: a batch that the budget funds only in
+    part has its funded secrets evaluated, then `BudgetExhausted` is
+    raised."""
     oracle = superpoly_oracle(bb, term)
     cost = oracle.grid_size
 
     def evaluate(secrets):
-        funded = (budget - bb.evaluations) // cost
+        funded = (limit - bb.evaluations) // cost
         if funded < len(secrets):
             if funded > 0:
                 oracle(secrets[:funded])
@@ -350,13 +344,11 @@ def preprocess(
 ) -> PreprocessResult:
     """Search candidate terms until n_sec independent linear forms are found,
     the term schedule ends, or the budget runs out. Deterministic for a
-    fixed seed."""
+    fixed seed. The budget and the reported evaluations count this call's
+    probes, whatever the box spent before it."""
     if budget <= 0:
         raise AttackError("budget must be positive")
-    if trials is None:
-        trials = default_trials(bb.spec.p)
-    if trials < 1:
-        raise AttackError("need at least one trial")
+    trials = _trials(bb.spec.p, trials)
     if max_total_mult < 0:
         raise AttackError("the largest total multiplicity cannot be negative")
     spec = bb.spec
@@ -365,14 +357,15 @@ def preprocess(
     records: list[MaxtermRecord] = []
     dependent: list[MaxtermRecord] = []
     terms_tried = 0
+    start = bb.evaluations
     if bb.n_sec == 0:
-        return PreprocessResult(records, dependent, "complete", bb.evaluations, 0)
+        return PreprocessResult(records, dependent, "complete", 0, 0)
     status = "terms-exhausted"
     try:
         for term in candidate_terms(bb.n_pub, spec.p, max_total_mult):
             terms_tried += 1
             before = bb.evaluations
-            oracle = _charged_oracle(bb, term, budget)
+            oracle = _charged_oracle(bb, term, start + budget)
             verdict = _linearity_verdict(oracle, spec.p, bb.n_sec, trials, rng)
             if verdict is not Verdict.LIKELY_LINEAR:
                 continue
@@ -391,7 +384,8 @@ def preprocess(
                 break
     except BudgetExhausted:
         status = "budget-exhausted"
-    return PreprocessResult(records, dependent, status, bb.evaluations, terms_tried)
+    evaluations = bb.evaluations - start
+    return PreprocessResult(records, dependent, status, evaluations, terms_tried)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +531,7 @@ def confirm_key(bb: BlackBox, oracle: PublicOracle, key: Sequence[int]) -> bool:
     points = tuple(
         tuple(rng.randrange(p) for _ in range(n_pub)) for _ in range(CONFIRM_POINTS)
     )
-    [keyed] = bb.evaluate_grid(points, [tuple(map(int, key))])
+    [keyed] = bb.stage(points)([tuple(map(int, key))])
     return keyed == _oracle_grid(bb.spec, oracle)(points)
 
 

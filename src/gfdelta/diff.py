@@ -337,9 +337,12 @@ def inclusion_exclusion(
     diffs: Sequence[Sequence[FieldElement]],
     base: Sequence[FieldElement],
 ) -> FieldElement:
-    """Signed 2^k-term sum over subsets of the difference vectors."""
+    """Signed 2^k-term sum over subsets of the difference vectors, each as
+    wide as `base`."""
     if not diffs:
         return bb(tuple(base))
+    if any(len(a) != len(base) for a in diffs):
+        raise DiffError("difference vector width mismatch")
     spec = diffs[0][0].spec
     base = [spec.element(v) for v in base]
     for a in diffs:

@@ -20,8 +20,9 @@ one kernel, `_on_grid`, takes a grid, then a batch of secrets:
    the toy cipher tabulates its first round's mix of the publics, one row
    per point (`ToyCipher._load`), which whitening leaves free of the
    secret.
-   The `BlackBox` that `blackbox()` returns redoes this stage only for a
-   new batch, which a superpoly grid never is across a term's calls.
+   The `BlackBox` that `blackbox()` returns runs this stage once per
+   `stage(points)` call, and a superpoly oracle keeps its term's stage for
+   all of the term's batches of secrets.
 2. secrets (the function `_on_grid` returns, called on a batch of secret
    residue vectors): the planted kernel calls each live public monomial's
    compiled coefficient (`PlantedTarget._fold`, compiled when a grid first
@@ -88,10 +89,10 @@ class TargetError(ValueError):
 class CountingOracle:
     """The online phase's oracle: a view of a `BlackBox` at a fixed key.
 
-    `evaluate_grid(points)` is `box.evaluate_grid(points, [key])`, one
-    grid at a one-key batch: it answers a batch of public points, as
-    residue tuples, with one residue per point, under the box's width
-    checks and counter, so the key is folded or mapped once per batch.
+    `evaluate_grid(points)` is `box.stage(points)([key])`, one staged grid
+    at a one-key batch: it answers a batch of public points, as residue
+    tuples, with one residue per point, under the box's width checks and
+    counter, so the key is folded or mapped once per batch.
     Calling the oracle on one public point of field elements is the
     one-point case. `evaluations` is the box's counter."""
 
@@ -104,7 +105,7 @@ class CountingOracle:
         return self._box.evaluations
 
     def evaluate_grid(self, points: Sequence[Sequence[int]]) -> list[int]:
-        [values] = self._box.evaluate_grid(points, [self._key])
+        [values] = self._box.stage(points)([self._key])
         return values
 
     def __call__(self, public: Sequence[FieldElement]) -> FieldElement:
@@ -658,9 +659,6 @@ class ToyCipher(_Target):
 
         return at_secrets
 
-    def evaluate_ints(self, public: Sequence[int], secret: Sequence[int]) -> int:
-        return self.online_oracle(secret).evaluate_grid([tuple(public)])[0]
-
 
 # ---------------------------------------------------------------------------
 # target description files
@@ -694,10 +692,6 @@ KINDS = {
         },
     ),
 }
-PLANTED_SIZES, TOY_SIZES = (
-    {key: (lo, hi) for key, (_, lo, hi) in KINDS[name].sizes.items()}
-    for name in ("planted", "toy-cipher")
-)
 
 
 def save_target(path, target) -> None:

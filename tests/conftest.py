@@ -37,3 +37,9 @@ def long_digits():
         yield "1" * 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def evaluate_ints(target, public, secret):
+    """One probe of `target` as residues: `public` through the online oracle
+    keyed with `secret`."""
+    return target.online_oracle(secret).evaluate_grid([tuple(public)])[0]

@@ -115,41 +115,42 @@ def test_grid_fallback_loops_the_per_point_box(data):
         st.lists(st.tuples(*[residue] * n_pub), min_size=1, max_size=6).map(tuple)
     )
     secret = tuple(data.draw(residue) for _ in range(n_sec))
-    [got] = bb.evaluate_grid(points, [secret])
+    [got] = bb.stage(points)([secret])
     assert bb.evaluations == len(points)
     assert got == [int(bb.evaluate(pt, secret)) for pt in points]
     assert got == [int(f.evaluate(pt + secret)) for pt in points]
     with pytest.raises(AttackError):
-        bb.evaluate_grid(points + ((0,) * (n_pub + 1),), [secret])
+        bb.stage(points + ((0,) * (n_pub + 1),))([secret])
 
 
 @pytest.mark.parametrize("kernel", [False, True])
 def test_grid_widths_are_checked_for_every_batch(kernel):
-    # the width check is skipped only for a tuple of tuples already checked;
-    # every malformed batch raises, whichever path answers the grid
+    # every batch of points is width-checked when it is staged, and every
+    # batch of secrets at each call of its stage; every malformed batch
+    # raises, whichever path answers the grid
     def grid(points):
         return lambda secrets: [[sum(pt) % 7 for pt in points] for _ in secrets]
 
     bb = BlackBox(GF7, 2, 1, lambda pub, sec: GF7.zero, grid if kernel else None)
     with pytest.raises(AttackError):
-        bb.evaluate_grid(((1, 2), (3,)), [(1,)])
+        bb.stage(((1, 2), (3,)))([(1,)])
     good = ((1, 2), (3, 4))
-    bb.evaluate_grid(good, [(1,)])
-    bb.evaluate_grid(good, [(1,)])
+    bb.stage(good)([(1,)])
+    bb.stage(good)([(1,)])
     with pytest.raises(AttackError):
-        bb.evaluate_grid(((1, 2), (3, 4, 5)), [(1,)])
+        bb.stage(((1, 2), (3, 4, 5)))([(1,)])
     with pytest.raises(AttackError):
-        bb.evaluate_grid(good, [(1, 2)])
+        bb.stage(good)([(1, 2)])
     rows = ([1, 2], [3, 4])
-    bb.evaluate_grid(rows, [(1,)])
+    bb.stage(rows)([(1,)])
     rows[1].append(5)
     with pytest.raises(AttackError):
-        bb.evaluate_grid(rows, [(1,)])
+        bb.stage(rows)([(1,)])
     batch = [(1, 2)]
-    bb.evaluate_grid(batch, [(1,)])
+    bb.stage(batch)([(1,)])
     batch.append((1,))
     with pytest.raises(AttackError):
-        bb.evaluate_grid(batch, [(1,)])
+        bb.stage(batch)([(1,)])
     assert bb.evaluations == 7
 
 
@@ -411,6 +412,26 @@ def test_preprocess_budget_exhaustion():
     assert result.status == "budget-exhausted"
     assert result.records == []
     assert result.evaluations <= 2
+
+
+@pytest.mark.parametrize("budget", [2156, 2000, 10**6])
+def test_preprocess_charges_each_call_on_a_reused_box(budget):
+    # the budget and the reported evaluations count one call's probes, so a
+    # box that has already been probed searches as a fresh box does
+    def run(bb):
+        mult = target.suggested_max_multiplicity
+        result = preprocess(bb, budget=budget, max_total_mult=mult, seed=6)
+        found = [(r.term, r.c0, r.c, r.evaluations_used) for r in result.records]
+        return found, result.status, result.evaluations, result.terms_tried
+
+    target = make_planted(31, 3, 4, 5, 12, seed=3)
+    fresh = run(target.blackbox())
+    bb = target.blackbox()
+    bb.stage([(1, 2, 3)])([(0, 1, 2, 3)] * 5)
+    assert run(bb) == run(bb) == fresh
+    assert bb.evaluations == 5 + 2 * fresh[2]
+    if budget >= 2156:
+        assert fresh[1:3] == ("complete", 2156)
 
 
 TOY_TARGET = (

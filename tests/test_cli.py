@@ -20,7 +20,7 @@ from gfdelta.field import FieldError
 from gfdelta.poly import ParseError, PolyError
 from gfdelta.reduce_pm import ReductionError
 from gfdelta.targets import (
-    TOY_SIZES,
+    KINDS,
     TargetError,
     ToyCipher,
     ToyCipherParams,
@@ -864,7 +864,7 @@ def _mutate(data, text):
         else:
             parts = _SEPARATORS.split(lines[i])
             k = data.draw(st.sampled_from(range(0, len(parts), 2)))
-            pool = SIZE_TOKENS if parts[0] in TOY_SIZES else TOKENS
+            pool = SIZE_TOKENS if parts[0] in KINDS["toy-cipher"].sizes else TOKENS
             parts[k] = data.draw(st.sampled_from(pool))
             lines[i] = "".join(parts)
     return "\n".join(lines) + "\n"

@@ -589,6 +589,25 @@ def test_inclusion_exclusion_order_one_is_delta(rng):
         assert inclusion_exclusion(wrap(f), [a], base) == delta(f, a).evaluate(base)
 
 
+@pytest.mark.parametrize(
+    "diffs",
+    [
+        [(GF7.one,)],
+        [(GF7.one, GF7.zero), (GF7.one,)],
+        [()],
+        [(GF7.one, GF7.zero, GF7.one)],
+        [(1,)],
+    ],
+)
+def test_inclusion_exclusion_refuses_vectors_of_another_width(diffs):
+    # a vector narrower or wider than the base is neither cut nor padded
+    # into points of mixed widths; nothing is probed
+    seen = []
+    with pytest.raises(DiffError, match="difference vector width mismatch"):
+        inclusion_exclusion(seen.append, diffs, (GF7.zero, GF7.one))
+    assert seen == []
+
+
 def test_inclusion_exclusion_repeated_vector_gf2_vanishes(rng):
     gf2 = prime_field(2)
     for _ in range(10):

@@ -22,10 +22,8 @@ import gfdelta.targets as targets
 from gfdelta.targets import (
     FOLD_TERMS,
     KINDS,
-    PLANTED_SIZES,
     PlantedConfig,
     PlantedTarget,
-    TOY_SIZES,
     TargetError,
     ToyCipher,
     ToyCipherParams,
@@ -35,6 +33,8 @@ from gfdelta.targets import (
     make_planted,
     save_target,
 )
+
+from conftest import evaluate_ints
 
 GF3 = prime_field(3)
 
@@ -454,7 +454,7 @@ def test_largest_planted_target_compiles_and_agrees_with_symbolic():
     def symbolic(point, secret):
         return int(target.poly.evaluate([spec.element(v) for v in point + secret]))
 
-    got = target.blackbox().evaluate_grid(points, secrets)
+    got = target.blackbox().stage(points)(secrets)
     assert got == [[symbolic(pt, s) for pt in points] for s in secrets]
     # the big group compiles in slices, which bound the compiler's memory
     big = max(range(len(target._groups)), key=lambda g: len(target._groups[g][1]))
@@ -546,7 +546,7 @@ def test_toy_cipher_schedule_matches_reference(
         public = tuple(data.draw(values) for _ in range(n_pub))
         expected = reference_encrypt(cipher, public, secret)
         assert cipher._on_grid([public])([secret]) == [[expected]]
-        assert cipher.evaluate_ints(public, secret) == expected
+        assert evaluate_ints(cipher, public, secret) == expected
         point = tuple(cipher.spec.element(v) for v in public)
         assert int(bb.evaluate(point, key)) == expected
 
@@ -608,7 +608,7 @@ def test_toy_cipher_chunks_match_reference(p, rounds, width, chunks):
     assert cipher._on_grid(points)(secrets) == expected
     for i, pt in enumerate(points[:2]):
         assert cipher._on_grid([pt])([secrets[i]]) == [[expected[i][i]]]
-        assert cipher.evaluate_ints(pt, secrets[i]) == expected[i][i]
+        assert evaluate_ints(cipher, pt, secrets[i]) == expected[i][i]
 
 
 def test_toy_cipher_deterministic_and_keyed():
@@ -617,7 +617,7 @@ def test_toy_cipher_deterministic_and_keyed():
     assert a.key == b.key
     for pub in [(0, 0), (1, 2), (4, 4)]:
         for sec in [(0, 0), (3, 1)]:
-            assert a.evaluate_ints(pub, sec) == b.evaluate_ints(pub, sec)
+            assert evaluate_ints(a, pub, sec) == evaluate_ints(b, pub, sec)
 
 
 def test_toy_cipher_zero_rounds_is_affine_in_key():
@@ -627,7 +627,7 @@ def test_toy_cipher_zero_rounds_is_affine_in_key():
         GF3,
         3,
         lambda pt: GF3.element(
-            cipher.evaluate_ints([int(pt[0])], [int(pt[1]), int(pt[2])])
+            evaluate_ints(cipher, [int(pt[0])], [int(pt[1]), int(pt[2])])
         ),
     )
     deg = f.degrees()
@@ -649,7 +649,7 @@ def test_toy_cipher_one_round_is_quadratic():
         GF3,
         3,
         lambda pt: GF3.element(
-            cipher.evaluate_ints([int(pt[0])], [int(pt[1]), int(pt[2])])
+            evaluate_ints(cipher, [int(pt[0])], [int(pt[1]), int(pt[2])])
         ),
     )
     assert f.degrees().total <= 2
@@ -671,7 +671,7 @@ def test_toy_cipher_pinned_vector():
     params = ToyCipherParams(p=7, rounds=2, width=3, n_pub=2, n_sec=3, seed=123)
     cipher = ToyCipher(params)
     inputs = [((0, 0), (0, 0, 0)), ((1, 2), (3, 4, 5)), ((6, 6), (1, 0, 1))]
-    values = [cipher.evaluate_ints(pub, sec) for pub, sec in inputs]
+    values = [evaluate_ints(cipher, pub, sec) for pub, sec in inputs]
     assert values == [3, 2, 5]
 
 
@@ -696,7 +696,7 @@ def test_key_widths_are_checked(extra):
         with pytest.raises(TargetError, match="coordinates"):
             target.online_oracle(key)
     with pytest.raises(TargetError, match="coordinates"):
-        toy.evaluate_ints((1, 2, 3, 4), key)
+        evaluate_ints(toy, (1, 2, 3, 4), key)
 
 
 @pytest.mark.parametrize("kind", ["planted", "toy"])
@@ -715,7 +715,7 @@ def test_online_public_widths_are_checked(kind):
     if kind == "toy":
         for public in [(1,), (1, 2, 3, 4, 5)]:
             with pytest.raises(AttackError):
-                target.evaluate_ints(public, target.key)
+                evaluate_ints(target, public, target.key)
     assert oracle.evaluations == 0
     assert len(oracle.evaluate_grid([(1,) * target.n_pub])) == 1
 
@@ -769,7 +769,7 @@ def _grid_target(data):
 def check_grid(bb, points, secret):
     """One grid call equals the per-point route and counts one probe a point."""
     before = bb.evaluations
-    [got] = bb.evaluate_grid(points, [secret])
+    [got] = bb.stage(points)([secret])
     assert bb.evaluations == before + len(points)
     assert got == [int(bb.evaluate(pt, secret)) for pt in points]
 
@@ -826,14 +826,14 @@ def test_batch_kernel_answers_each_secret_alone(data):
     assert target._on_grid(points)(secrets) == expected
     assert target._on_grid(())(secrets) == [[] for _ in secrets]
     bb = target.blackbox()
-    assert bb.evaluate_grid(points, secrets) == expected
+    assert bb.stage(points)(secrets) == expected
     assert bb.evaluations == len(points) * len(secrets)
     if secrets:
         bad = list(secrets)
         index = data.draw(st.integers(0, len(bad) - 1))
         bad[index] = data.draw(st.sampled_from([bad[index][1:], bad[index] + (0,)]))
         with pytest.raises(AttackError):
-            bb.evaluate_grid(points, bad)
+            bb.stage(points)(bad)
         assert bb.evaluations == len(points) * len(secrets)
 
 
@@ -852,8 +852,8 @@ def test_target_files_round_trip(tmp_path):
     save_target(path2, cipher)
     again2 = load_target(path2)
     assert again2.key == cipher.key
-    assert again2.evaluate_ints((1, 2), (3, 4)) == cipher.evaluate_ints(
-        (1, 2), (3, 4)
+    assert evaluate_ints(again2, (1, 2), (3, 4)) == evaluate_ints(
+        cipher, (1, 2), (3, 4)
     )
 
 
@@ -862,12 +862,12 @@ def test_target_files_round_trip(tmp_path):
     [
         (
             "planted",
-            PLANTED_SIZES,
+            KINDS["planted"].sizes,
             {"public": 2, "secret": 2, "total-degree": 4, "extra-terms": 4},
         ),
         (
             "toy-cipher",
-            TOY_SIZES,
+            KINDS["toy-cipher"].sizes,
             {"public": 2, "secret": 2, "rounds": 1, "width": 3},
         ),
     ],
@@ -881,7 +881,7 @@ def test_target_file_sizes_are_bounded(tmp_path, kind, ranges, lines):
 
     write(lines)
     load_target(path)
-    for name, (lo, hi) in ranges.items():
+    for name, (_, lo, hi) in ranges.items():
         for value in (lo - 1, hi + 1):
             write({**lines, name: value})
             with pytest.raises(TargetError, match=name):
