@@ -338,16 +338,24 @@ def inclusion_exclusion(
     base: Sequence[FieldElement],
 ) -> FieldElement:
     """Signed 2^k-term sum over subsets of the difference vectors, each as
-    wide as `base`."""
+    wide as `base`. Coordinates are elements or ints; the first element
+    among the vectors and the base gives the field."""
     if not diffs:
         return bb(tuple(base))
     if any(len(a) != len(base) for a in diffs):
         raise DiffError("difference vector width mismatch")
-    spec = diffs[0][0].spec
+    if not all(map(any, diffs)):
+        raise DiffError("difference vectors must be nonzero")
+    spec = next(
+        (v.spec for v in itertools.chain(base, *diffs) if isinstance(v, FieldElement)),
+        None,
+    )
+    if spec is None:
+        raise DiffError("no field element among the difference vectors or the base")
     base = [spec.element(v) for v in base]
-    for a in diffs:
-        if not any(spec.element(v) for v in a):
-            raise DiffError("difference vectors must be nonzero")
+    diffs = [[spec.element(v) for v in a] for a in diffs]
+    if not all(map(any, diffs)):
+        raise DiffError("difference vectors must be nonzero")
     k = len(diffs)
     total = spec.zero
     minus_one = -spec.one
@@ -357,7 +365,7 @@ def inclusion_exclusion(
         for i in range(k):
             if mask >> i & 1:
                 bits += 1
-                point = [x + spec.element(v) for x, v in zip(point, diffs[i])]
+                point = [x + v for x, v in zip(point, diffs[i])]
         value = bb(tuple(point))
         if (k - bits) & 1:
             value = minus_one * value

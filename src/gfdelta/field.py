@@ -9,12 +9,16 @@ them. Each carries its discrete log over a primitive element; products,
 quotients, powers and inverses are lookups in one doubled list of elements
 by log, sums and differences go through a Zech-log table, and negation
 shifts the log by log(-1). Each element's coordinates are also a code that
-sums: rows added column by column in plain ints are exact for any number of
-summands and reduce mod p once. Larger extension fields multiply by
-convolution and invert by Fermat, a^(q-2); larger prime fields use integer
-arithmetic. The convolution is the only polynomial product: the tables are
-built on it, and Rabin's irreducibility test runs on it and on `row_reduce`
-in the quotient ring the modulus defines.
+sums: its row, the coordinates packed into one int of 8-byte lanes, adds
+lane by lane, so a sum of rows reduces mod p once per coordinate. The
+packing is `SlotCodec`, the package's one codec of unsigned ints in the
+fixed-width slots of one int (Kronecker substitution); polynomial
+evaluation and the planted targets' secret stage use it too. Larger
+extension fields multiply by convolution and invert by Fermat, a^(q-2);
+larger prime fields use integer arithmetic. The convolution is the only
+polynomial product: the tables are built on it, and Rabin's
+irreducibility test runs on it and on `row_reduce` in the quotient ring the
+modulus defines.
 
 Specs and elements are immutable after construction and safe to share
 between any number of threads.
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator, Sequence
+from struct import Struct, calcsize
+from sys import byteorder
+from typing import Iterable, Iterator, Sequence
 
 
 class FieldError(ValueError):
@@ -65,6 +71,56 @@ def _file_integer(text: str, name: str, error) -> int:
 
 # Fields of at most this order intern their elements with discrete-log tables.
 LOG_TABLE_LIMIT = 1 << 12
+
+
+class SlotCodec:
+    """Kronecker substitution: `count` unsigned ints, each at most `bound`,
+    as one int, value k in slot k of a fixed width. Packed lists add and
+    scale slot by slot while every slot stays at most `bound`, so one
+    big-integer multiply-add does the work of a loop over the slots, and
+    `unpack` reads them all back at once.
+
+    A slot is the narrowest native unsigned item of 2, 4 or 8 bytes ('H',
+    'I', 'Q') that holds `bound`, packed by a `struct.Struct` of `count`
+    such items (an `array` built from the list cost about five times as
+    much) and read back through `memoryview.cast`; a larger bound takes
+    slots of ceil(bits / 8) bytes, packed with `to_bytes` and read with
+    `int.from_bytes` over fixed slices. Both sides use the machine's byte
+    order, `sys.byteorder`."""
+
+    __slots__ = ("code", "width", "size", "_struct")
+
+    def __init__(self, count: int, bound: int):
+        self.code = next((c for c in "HIQ" if bound >> 8 * calcsize(c) == 0), None)
+        if self.code is not None:
+            self.width = calcsize(self.code)
+            self._struct = Struct(f"{count}{self.code}")
+        else:
+            self.width = (bound.bit_length() + 7) // 8
+        self.size = self.width * count
+
+    def pack(self, rows: Iterable[Sequence[int]]) -> list[int]:
+        """Each row of `count` values packed into one int."""
+        if self.code is not None:
+            pack = self._struct.pack
+            return [int.from_bytes(pack(*row), byteorder) for row in rows]
+        width = self.width
+        return [
+            int.from_bytes(
+                b"".join(v.to_bytes(width, byteorder) for v in row), byteorder
+            )
+            for row in rows
+        ]
+
+    def unpack(self, packed: int) -> Sequence[int]:
+        data = packed.to_bytes(self.size, byteorder)
+        if self.code is not None:
+            return memoryview(data).cast(self.code)
+        width = self.width
+        return [
+            int.from_bytes(data[i : i + width], byteorder)
+            for i in range(0, len(data), width)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +234,10 @@ class FieldSpec:
     g^0..g^(q-2) twice, then 2(q-1)+1 zeros, so a product is `_elems[i + j]`
     and any sum of logs involving zero reads zero. A sum is g^i (1 + g^(j-i)),
     `_elems[i + _zech[j - i]]`, through the Zech table of log(1 + g^d); a
-    negation shifts the log by log(-1). `element`, `from_index` and every
-    arithmetic result return the interned object. Larger fields compute on
-    coordinates.
+    negation shifts the log by log(-1). `_rows` lists each g^i's packed
+    coordinate row by log, and `_sum_rows` turns a sum of rows back into an
+    element. `element`, `from_index` and every arithmetic result return the
+    interned object. Larger fields compute on coordinates.
     """
 
     p: int
@@ -249,8 +306,8 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         """Set `zero` and `one` and, up to order LOG_TABLE_LIMIT, intern the
-        q elements: the tables, `_elems`, `_zech` and `_minus`. The powers
-        of g come from `_convolve`."""
+        q elements: the tables, `_elems`, `_zech`, `_minus` and `_rows`. The
+        powers of g come from `_convolve`."""
         zero = (0,) * self.m
         one = (1,) + zero[1:]
         self._zero, self._one = FieldElement(self, zero), FieldElement(self, one)
@@ -275,9 +332,18 @@ class FieldSpec:
         zech += [0] * (n + 1) + list(range(-2 * n, -n + 1)) + zech[1:]
         self._elems = units * 2 + [index[zero]] * (2 * n + 1)
         self._zech = zech
+        # 8-byte lanes: a sum of rows is exact below 2^64 / p summands
+        self._row_codec = SlotCodec(self.m, (1 << 64) - 1)
+        self._rows = self._row_codec.pack(powers)
         self._minus = index[(p - 1,) + zero[1:]].log
         self._tables = (index, self._elems)
         self._zero, self._one = index[zero], units[0]
+
+    def _sum_rows(self, total: int) -> "FieldElement":
+        """The element whose coordinates are the lanes of `total`, a sum of
+        `_rows` entries, each reduced mod p."""
+        p = self.p
+        return self._box(tuple([c % p for c in self._row_codec.unpack(total)]))
 
     def _primitive_coords(self) -> tuple:
         """The first element in canonical order with multiplicative order q-1."""
@@ -386,9 +452,9 @@ class ExtFieldSpec(FieldSpec):
     with their discrete logs over a primitive element, found by its order
     (the basis generator a need not be primitive), and arithmetic is table
     lookups (see `FieldSpec`). Each element's coordinates are also a code
-    that sums: rows added column by column in plain ints are exact for any
-    number of summands and reduce mod p once, so a sum of products costs
-    one lookup per product and one reduction mod p per coordinate.
+    that sums: packed rows add lane by lane, so a sum of products costs
+    one lookup and one addition per product and one reduction mod p per
+    coordinate.
     Above the limit, products convolve and reduce by the modulus, and
     inverses are the power a^(q-2) under that product. The modulus is
     checked by Rabin's test in GF(p)[x]/(modulus), on the same product.

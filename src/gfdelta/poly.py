@@ -5,9 +5,17 @@ Exponents are kept canonical under x^q = x (q the field order): every
 positive exponent e is folded to ((e-1) mod (q-1)) + 1, so two polynomials
 are equal exactly when they define the same function. Terms are stored in a
 map from exponent tuples to nonzero coefficients, and only `_merge` writes
-terms into such a map: equal monomials sum, and a sum that vanishes drops
-its monomial. Iteration and formatting use a graded lexicographic order for
-determinism.
+terms into such a map, before the polynomial that owns it is made: equal
+monomials sum, and a sum that vanishes drops its monomial. Iteration and
+formatting use a graded lexicographic order for determinism.
+
+Over a field with log tables, `MultiPoly.evaluate` works on a packed form
+of the polynomial, built on the first call and kept: the coefficients'
+logs and each variable's exponents, one fixed-width slot per term in one
+int each (`field.SlotCodec`, Kronecker substitution). An evaluation is a
+big-integer multiply-add per variable, one read of the slots and one sum
+of packed coordinate rows. The term map never changes after the
+polynomial is made, so the packed form never goes stale.
 """
 
 from __future__ import annotations
@@ -17,11 +25,17 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
-from .field import FieldElement, FieldSpec, FieldError, _integer, parse_element
+from .field import (
+    FieldElement,
+    FieldError,
+    FieldSpec,
+    SlotCodec,
+    _integer,
+    parse_element,
+)
 
 Monomial = tuple[int, ...]
 
@@ -62,7 +76,7 @@ def _merge(
 class MultiPoly:
     """Immutable sparse polynomial; arithmetic allocates fresh results."""
 
-    __slots__ = ("spec", "n", "_terms", "_hash")
+    __slots__ = ("spec", "n", "_terms", "_hash", "_pack")
 
     def __init__(self, spec: FieldSpec, n: int, terms):
         if n < 0:
@@ -82,14 +96,21 @@ class MultiPoly:
         self.n = n
         self._terms = _merge({}, folded())
         self._hash = None
+        self._pack = None
 
     @classmethod
     def _raw(cls, spec, n, canon: dict) -> "MultiPoly":
+        """The polynomial whose term map is `canon`, already canonical, taken
+        without a copy. The map belongs to the polynomial from then on:
+        nothing may write to it, since `evaluate` keeps a packed form of the
+        terms in `_pack`. Every constructor builds a fresh map for its
+        result and hands it over here or through `__init__`."""
         obj = object.__new__(cls)
         obj.spec = spec
         obj.n = n
         obj._terms = canon
         obj._hash = None
+        obj._pack = None
         return obj
 
     # constructors ---------------------------------------------------------
@@ -216,27 +237,35 @@ class MultiPoly:
     # evaluation -----------------------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        """The value at a point of elements or ints. Over a field with log
-        tables a term is g^e, e = log(coeff) + sum of e_i * log(x_i), and a
-        zero x_i that a term needs drops it; the terms' coordinate rows sum
-        in plain ints and reduce mod p once. Other fields multiply and add
-        term by term."""
+        """The value at a point of elements or ints.
+
+        Over a field with log tables (order at most LOG_TABLE_LIMIT) a term
+        is g^e, e = log(coeff) + sum of e_i * log(x_i), worked out for every
+        term at once on the packed form `_packed`: one int of the
+        coefficients' logs plus, per variable, log(x_i) times the int of its
+        exponents, one big-integer multiply-add per variable that some term
+        uses. A zero x_i adds the dead log instead, which lifts every term
+        that needs it to the dead threshold or past it, and such a term
+        drops. The slots are read back once, the packed coordinate rows of
+        g^(e mod (q-1)) sum over the live ones (`FieldSpec._rows`), and each
+        coordinate reduces mod p once. Other fields multiply and add term by
+        term."""
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
         spec = self.spec
         point = [spec.element(v) for v in point]
         if spec._tables is not None:
-            elems = spec._elems
+            logs, variables, columns, dead, slots = self._pack or self._packed()
             n1 = spec.order - 1
-            # e_i <= q-1 and logs < q-1: only a term needing a zero reaches dead
-            dead = (self.n * n1 + 1) * n1
-            logs = [v.log if v else dead for v in point]
-            rows = [spec.zero.coeffs]
-            for mono, coeff in self._terms.items():
-                e = coeff.log + sum(map(mul, mono, logs))
-                if e < dead:
-                    rows.append(elems[e % n1].coeffs)
-            return spec._box(tuple([sum(c) % spec.p for c in zip(*rows)]))
+            zero = spec.zero.log
+            acc = logs
+            for i, column in zip(variables, columns):
+                e = point[i].log
+                if e:
+                    acc += (dead if e == zero else e) * column
+            rows = spec._rows
+            live = [rows[e % n1] for e in slots.unpack(acc) if e < dead]
+            return spec._sum_rows(sum(live))
         powers: list[dict[int, FieldElement]] = [{} for _ in range(self.n)]
         total = self.spec.zero
         for mono, coeff in self._terms.items():
@@ -251,6 +280,30 @@ class MultiPoly:
                 acc = acc * v
             total = total + acc
         return total
+
+    def _packed(self) -> tuple:
+        """The packed form `evaluate` works on over a table field, built on
+        the first call and kept in `_pack`: (logs, variables, columns, dead,
+        slots).
+
+        Each term has one slot of `slots`, a `SlotCodec` (Kronecker
+        substitution). `logs` packs the coefficients' logs, and the column
+        of each of `variables`, the variables some term uses, packs that
+        variable's exponents. With `top` the largest total degree, a live
+        term's sum is at most (q-2)(top + 1), and `dead` is one more, so a
+        term needing a zero reaches it. The slot bound, (q-2) + top * dead,
+        holds every sum, live or dead, so no slot carries into the next."""
+        n1 = self.spec.order - 1
+        monos = list(self._terms)
+        top = max(map(sum, monos), default=0)
+        dead = (n1 - 1) * (top + 1) + 1
+        slots = SlotCodec(len(monos), (n1 - 1) + top * dead)
+        used = [(i, c) for i, c in enumerate(zip(*monos)) if any(c)]
+        logs, *columns = slots.pack(
+            [[c.log for c in self._terms.values()], *(c for _, c in used)]
+        )
+        self._pack = (logs, [i for i, _ in used], columns, dead, slots)
+        return self._pack
 
     def substitute(self, assignment: Mapping[int, FieldElement]) -> "MultiPoly":
         """Fix some variables to constants; the result keeps all n slots."""

@@ -29,19 +29,18 @@ one kernel, `_on_grid`, takes a grid, then a batch of secrets:
    makes the monomial live) once per secret and sums coefficient times
    packed column, one big-integer multiply-add per live monomial. Each
    slot then holds its point's unreduced sum, at most
-   len(live) * (p - 1)^2, and is read back and reduced mod p. A slot is
-   the narrowest native unsigned item of 2, 4 or 8 bytes that holds that
-   bound (packed by a `struct.Struct`, read back through
-   `memoryview.cast`), or past 8 bytes ceil(bits / 8) bytes (read with
-   `int.from_bytes` over fixed slices), in the machine's byte order on
-   both sides. The toy cipher hands the grid rows and each secret through
-   its rounds compiled into a few functions (`ToyCipher._chunks`). Each
-   first derives, in straight-line code, the secret-only constants its
-   rounds inject (the first round's, with the whitening folded in, and
-   each later round's key injection), then loops over the points and runs
-   its rounds in local variables: each quadratic step, reduced mod p, and
-   each affine layer, one sum over the nonzero mix entries. It returns one
-   residue list per secret, one residue per point.
+   len(live) * (p - 1)^2, and is read back and reduced mod p. The slots
+   are `field.SlotCodec`'s: the narrowest native unsigned item of 2, 4 or
+   8 bytes that holds that bound, or past 8 bytes ceil(bits / 8) bytes,
+   the codec `MultiPoly.evaluate` uses too. The toy cipher hands the grid
+   rows and each secret through its rounds compiled into a few functions
+   (`ToyCipher._chunks`). Each first derives, in straight-line code, the
+   secret-only constants its rounds inject (the first round's, with the
+   whitening folded in, and each later round's key injection), then loops
+   over the points and runs its rounds in local variables: each quadratic
+   step, reduced mod p, and each affine layer, one sum over the nonzero
+   mix entries. It returns one residue list per secret, one residue per
+   point.
 
 Generated code goes through one helper, `_compile`: its source holds only
 the target's own ints, and it runs with no builtins but the ones it calls.
@@ -66,14 +65,13 @@ from collections import namedtuple
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from operator import mul
-from struct import Struct, calcsize
-from sys import byteorder
 from typing import Callable, Sequence
 
 from .attack import BlackBox
 from .combinat import _nonneg_splits
 from .field import (
     FieldElement,
+    SlotCodec,
     _file_integer,
     parse_field_spec,
     prime_field,
@@ -300,47 +298,19 @@ class PlantedTarget(_Target):
         is read back and reduced mod p, one residue list per secret, one
         residue per point.
 
-        A slot is the narrowest native unsigned item of 2, 4 or 8 bytes
-        ('H', 'I', 'Q') that holds that bound, packed by a `struct.Struct`
-        of one such item per point (an `array` built from the column cost
-        about five times as much) and read back through `memoryview.cast`;
-        a bound past 8 bytes (from p of about 2^29 with 64 live monomials)
-        takes slots of ceil(bits / 8) bytes, packed with `to_bytes` and read
-        with `int.from_bytes` over fixed slices. Both sides use the
-        machine's byte order, `sys.byteorder`."""
+        The slots are `field.SlotCodec`'s, the codec `MultiPoly.evaluate`
+        packs its terms with: the narrowest native item of 2, 4 or 8 bytes
+        that holds the bound, or past 8 bytes (from p of about 2^29 with 64
+        live monomials) slots of ceil(bits / 8) bytes."""
         p = self.spec.p
         live, columns = [], []
         for group, column in enumerate(zip(*self._tabulate(points))):
             if any(column):
                 live.append(self._folds[group] or self._fold(group))
                 columns.append(column)
-        bound = len(live) * (p - 1) ** 2
-        code = next((c for c in "HIQ" if bound >> 8 * calcsize(c) == 0), None)
-        if code is not None:
-            width = calcsize(code)
-            pack = Struct(f"{len(points)}{code}").pack
-            packed = [int.from_bytes(pack(*c), byteorder) for c in columns]
-
-            def unpack(data: bytes):
-                return memoryview(data).cast(code)
-
-        else:
-            width = (bound.bit_length() + 7) // 8
-            packed = [
-                int.from_bytes(
-                    b"".join(v.to_bytes(width, byteorder) for v in c), byteorder
-                )
-                for c in columns
-            ]
-
-            def unpack(data: bytes):
-                return [
-                    int.from_bytes(data[i : i + width], byteorder)
-                    for i in range(0, len(data), width)
-                ]
-
-        size = width * len(points)
-        terms = list(zip(live, packed))
+        slots = SlotCodec(len(points), len(live) * (p - 1) ** 2)
+        terms = list(zip(live, slots.pack(columns)))
+        unpack = slots.unpack
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
             answers = []
@@ -348,7 +318,7 @@ class PlantedTarget(_Target):
                 acc = 0
                 for fold, column in terms:
                     acc += fold(secret) * column
-                answers.append([v % p for v in unpack(acc.to_bytes(size, byteorder))])
+                answers.append([v % p for v in unpack(acc)])
             return answers
 
         return at_secrets

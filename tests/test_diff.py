@@ -608,6 +608,37 @@ def test_inclusion_exclusion_refuses_vectors_of_another_width(diffs):
     assert seen == []
 
 
+def test_inclusion_exclusion_takes_int_vectors_over_the_base_field(rng):
+    # the field comes from the first element anywhere, not from diffs[0][0]
+    f = random_poly(GF7, 2, 6, 5, rng=rng)
+    base = (GF7.zero, GF7.one)
+    want = inclusion_exclusion(wrap(f), [(GF7.one, GF7.zero)], base)
+    assert inclusion_exclusion(wrap(f), [(1, 0)], base) == want
+    assert want == delta(f, (GF7.one, GF7.zero)).evaluate(base)
+
+
+def test_inclusion_exclusion_refuses_an_empty_vector():
+    # the vector is checked before any coordinate is read for the field
+    seen = []
+    with pytest.raises(DiffError, match="difference vectors must be nonzero"):
+        inclusion_exclusion(seen.append, [()], ())
+    assert seen == []
+
+
+def test_inclusion_exclusion_refuses_inputs_without_a_field_element():
+    seen = []
+    with pytest.raises(DiffError, match="no field element"):
+        inclusion_exclusion(seen.append, [(1, 0)], (0, 1))
+    assert seen == []
+
+
+def test_inclusion_exclusion_refuses_a_vector_zero_in_the_field():
+    seen = []
+    with pytest.raises(DiffError, match="difference vectors must be nonzero"):
+        inclusion_exclusion(seen.append, [(7, 0)], (GF7.zero, GF7.one))
+    assert seen == []
+
+
 def test_inclusion_exclusion_repeated_vector_gf2_vanishes(rng):
     gf2 = prime_field(2)
     for _ in range(10):

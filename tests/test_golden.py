@@ -85,8 +85,9 @@ def test_golden_records_replay_online(name, probes):
     [("records_planted_p31.txt", 6, 18), ("records_toy_p7.txt", 8, 14)],
 )
 def test_each_grid_is_staged_once(name, seed, terms_tried):
-    # the box keeps one staged batch: a term's grid is staged once for all
-    # of its calls, and an online replay once
+    # the superpoly oracle keeps its term's stage, and the box keeps none: a
+    # term's grid is staged once for all of its calls, and an online replay
+    # once
     target = BUILD[name]()
     staged = []
     kernel = target._on_grid

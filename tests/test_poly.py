@@ -293,6 +293,155 @@ def test_evaluate_rejects_width_mismatch():
         f.evaluate([GF31.one, GF31.one])
 
 
+# -- packed evaluation --------------------------------------------------------
+#
+# Over a table field `evaluate` works on the packed form `_packed`: one slot
+# per term, the coefficients' logs plus log(x_i) times each variable's
+# exponents, and a dead log for a zero coordinate. These tests hold it to a
+# term-by-term reference through FieldElement `*`, `**` and `+`.
+
+GF2 = prime_field(2)
+GF4093 = prime_field(4093)
+PACKED_SPECS = [GF2, GF3, GF4, GF8, GF9, GF27, GF31, GF4093]
+
+
+def reference_value(f, point):
+    spec = f.spec
+    total = spec.zero
+    for mono, coeff in f.terms():
+        for x, e in zip(point, mono):
+            coeff = coeff * spec.element(x) ** e
+        total = total + coeff
+    return total
+
+
+def last_unit(spec):
+    """g^(q-2), the unit of the largest log."""
+    return spec._elems[spec.order - 2]
+
+
+@st.composite
+def packed_cases(draw):
+    """A polynomial over a table field with exponents up to q-1, and points
+    with zeros. The top-degree term takes the coefficient g^(q-2), so at
+    the point of all g^(q-2) its sum is (q-2)(top + 1), one below dead."""
+    spec = draw(st.sampled_from(PACKED_SPECS))
+    q = spec.order
+    n = draw(st.integers(0, 4))
+    exponent = st.one_of(st.integers(0, 2), st.just(q - 1), st.integers(0, q - 1))
+    coefficient = st.integers(1, q - 1).map(spec.from_index)
+    terms = draw(
+        st.dictionaries(st.tuples(*[exponent] * n), coefficient, max_size=10)
+    )
+    last = last_unit(spec)
+    if terms:
+        terms[max(terms, key=sum)] = last
+    coordinate = st.one_of(
+        st.just(spec.zero),
+        st.just(last),
+        st.integers(0, q - 1).map(spec.from_index),
+        st.integers(-2 * q, 2 * q),
+    )
+    points = draw(st.lists(st.tuples(*[coordinate] * n), max_size=4))
+    points += [(last,) * n, (spec.zero,) * n]
+    return MultiPoly(spec, n, terms), points
+
+
+@given(packed_cases())
+def test_packed_evaluate_matches_term_by_term_reference(case):
+    f, points = case
+    spec, n = f.spec, f.n
+    constant = last_unit(spec)
+    for g in (f, MultiPoly.zero(spec, n), MultiPoly.constant(spec, n, constant)):
+        for point in points:
+            assert g.evaluate(point) == reference_value(g, point)
+    assert MultiPoly.constant(spec, 0, constant).evaluate(()) == constant
+    assert MultiPoly.zero(spec, 0).evaluate(()) == spec.zero
+
+
+# enough variables with exponents q-1 over GF(4093) that the sum of the
+# top term at the zero point passes 2^64
+WIDE_VARS = 17_000
+
+
+@pytest.mark.parametrize(
+    "spec,exponents,width",
+    [
+        (GF27, (26, 3), 2),
+        (GF31, (30, 30, 30, 30), 4),
+        (GF4093, (4092, 4092), 8),
+        (GF4093, (4092,) * WIDE_VARS, 9),
+    ],
+)
+def test_packed_evaluate_at_each_slot_width(spec, exponents, width):
+    n = len(exponents)
+    last = last_unit(spec)
+    lower = tuple(e // 2 for e in exponents)
+    # the constant's slot follows the top term's, so a carry out of the top
+    # term's slot changes a live term
+    f = MultiPoly(spec, n, {exponents: last, (0,) * n: 1, lower: -1})
+    rng = random.Random(n)
+    points = [
+        (spec.zero,) * n,
+        (last,) * n,
+        (spec.zero,) + (last,) * (n - 1),
+        tuple(spec.random_element(rng, nonzero=True) for _ in range(n)),
+        tuple(spec.random_element(rng) for _ in range(n)),
+    ]
+    for point in points:
+        assert f.evaluate(point) == reference_value(f, point)
+    _, _, _, dead, slots = f._pack
+    assert slots.width == width
+    # the top term at the zero point fills its slot past the next narrower
+    # width, so a slot one size too narrow would carry
+    narrower = {2: 1, 4: 2, 8: 4, 9: 8}[width]
+    assert sum(exponents) * dead >> 8 * narrower
+
+
+# each builds a polynomial from f and g, of low degree: delta_plan turns
+# x^e into up to e + 1 terms
+ROUTES = {
+    "parse_poly": lambda f, g, rng: parse_poly(format_poly(f), f.spec, n=f.n),
+    "+": lambda f, g, rng: f + g,
+    "*": lambda f, g, rng: f * g,
+    "substitute": lambda f, g, rng: f.substitute(
+        {rng.randrange(f.n): f.spec.random_element(rng)}
+    ),
+    "widen": lambda f, g, rng: f.widen(f.n + 1),
+    "delta_plan": lambda f, g, rng: delta_plan(
+        f, DiffPlan.make(f.spec, {rng.randrange(f.n): 1})
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("spec", [GF2, GF4, GF27, GF31, GF4093], ids=str)
+def test_packed_evaluate_after_every_constructor(route, spec):
+    # each result is evaluated before and after it builds new polynomials,
+    # and so are its inputs: no packed form outlives the terms it packs
+    rng = random.Random(f"{route}:{spec}")
+
+    def points(n):
+        coordinate = [spec.zero, last_unit(spec)]
+        return [
+            tuple(rng.choice(coordinate + [spec.random_element(rng)]) for _ in range(n))
+            for _ in range(4)
+        ]
+
+    def check(*polys):
+        for h in polys:
+            for point in points(h.n):
+                assert h.evaluate(point) == reference_value(h, point)
+
+    f = random_poly(spec, 3, 12, 6, rng=rng)
+    g = random_poly(spec, 3, 8, 4, rng=rng)
+    check(f, g)
+    result = ROUTES[route](f, g, rng)
+    check(result)
+    x1 = MultiPoly.variable(spec, result.n, 0)
+    check(result * (x1 + 1), result - x1, -result, result, f, g)
+
+
 # -- arithmetic and canonical reduction ---------------------------------------
 
 
@@ -340,8 +489,8 @@ def test_reduction_preserves_function_exhaustively():
                 assert f.evaluate(point) == naive(point)
 
 
-# the table route (order <= LOG_TABLE_LIMIT, m = 1 included) and the loop
-# (a prime field, and GF(2^13) above the limit)
+# the packed route (order <= LOG_TABLE_LIMIT, m = 1 included) and the loop
+# (GF(2^13), above the limit)
 EVAL_SPECS = [
     GF4,
     GF8,
