@@ -17,11 +17,10 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinat import _positive_compositions
-from .diff import DiffPlan, grid_points
+from .diff import _term_grid
 from .field import (
     FieldElement,
     FieldSpec,
@@ -152,34 +151,13 @@ class MaxtermRecord:
 # superpoly grids
 
 
-class TermGrid(NamedTuple):
-    """The probe points of a unit-step term and their folded weights, all
-    as residues."""
-
-    residues: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-
-
-@lru_cache(maxsize=1024)
-def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
-    """The grid of a unit-step term, with every public variable outside the
-    term at zero."""
-    if any(m > spec.p - 1 for m in term):
-        raise AttackError("term multiplicities must stay below p")
-    plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
-    entries = grid_points(plan, (spec.zero,) * len(term))
-    return TermGrid(
-        tuple(tuple(int(v) for v in point) for point, _ in entries),
-        tuple(int(weight) for _, weight in entries),
-    )
-
-
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
     batch of secret residue vectors, one residue per secret. The first call
     stages the term's grid, its prod(m_i + 1) points, through `bb.stage`,
     so a term that the budget cannot fund is never staged; every call sends
-    its batch of secrets to that one stage."""
+    its batch of secrets to that one stage. The grid is `diff._term_grid`,
+    which refuses a multiplicity of p or more with DiffError."""
     grid = _term_grid(bb.spec, tuple(term))
     points, weights = grid.residues, grid.weights
     p = bb.spec.p

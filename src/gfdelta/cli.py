@@ -3,8 +3,11 @@
 Subcommands: diff, degree-bound, attack-pre, attack-online, verify.
 Exit status: 0 success, 2 input error (including a record file whose
 field, public or secret header does not match the target it is replayed
-against, and records whose grids hold more points in all than the
-`attack-pre --budget` default), 3 budget or schedule exhausted without full
+against, records whose grids hold more points in all than the
+`attack-pre --budget` default, a record term with a multiplicity of p or
+more, and a `diff` whose plan or result may be too large: a step table
+of more than `diff.PLAN_TABLE_LIMIT` offsets, or a difference of more than
+`diff.DELTA_TERM_LIMIT` terms), 3 budget or schedule exhausted without full
 rank, 4 internal invariant violation (including records that conflict, and
 a recovered key that the target's black box refutes against the online
 oracle).
@@ -84,6 +87,7 @@ def cmd_diff(args) -> int:
         with open(args.poly_file) as fh:
             text = fh.read()
     f = poly.parse_poly(text, spec).widen(max(plan.variables) + 1)
+    diff.check_delta_size(f, plan)
     result = poly.format_poly(diff.delta_plan(f, plan))
     if args.out:
         with open(args.out, "w") as fh:

@@ -7,16 +7,19 @@ A field of order at most LOG_TABLE_LIMIT, prime or extension, interns its
 q elements when it is constructed, and every element it hands out is one of
 them. Each carries its discrete log over a primitive element; products,
 quotients, powers and inverses are lookups in one doubled list of elements
-by log, sums and differences go through a Zech-log table, and negation
-shifts the log by log(-1). Each element's coordinates are also a code that
-sums: its row, the coordinates packed into one int of 8-byte lanes, adds
-lane by lane, so a sum of rows reduces mod p once per coordinate. The
-packing is `SlotCodec`, the package's one codec of unsigned ints in the
-fixed-width slots of one int (Kronecker substitution); polynomial
-evaluation and the planted targets' secret stage use it too. Larger
+by log, sums go through a Zech-log table, and negation shifts the log by
+log(-1). In every field a difference is the sum with the negation. Each
+element's coordinates are also a code that sums: its row, the coordinates
+packed into one int of 8-byte lanes, adds lane by lane, so a sum of rows
+reduces mod p once per coordinate. The packing is `SlotCodec`, the
+package's one codec of unsigned ints in the fixed-width slots of one int
+(Kronecker substitution); polynomial evaluation and the planted targets'
+secret stage use it too. Larger
 extension fields multiply by convolution and invert by Fermat, a^(q-2);
-larger prime fields use integer arithmetic. The convolution is the only
-polynomial product: the tables are built on it, and Rabin's
+larger prime fields use integer arithmetic. Above the limit `_coords_pow`
+is the one power, square-and-multiply under the field's coordinate
+product, and a negative exponent powers the inverse. The convolution is
+the only polynomial product: the tables are built on it, and Rabin's
 irreducibility test runs on it and on `row_reduce` in the quotient ring the
 modulus defines.
 
@@ -384,13 +387,6 @@ class FieldSpec:
         """Fermat: a^(q-2) for a nonzero a."""
         return _coords_pow(self._mul_coords, self._one.coeffs, a, self.order - 2)
 
-    def _pow_coords(self, a: tuple, e: int) -> tuple:
-        """a^e for a nonzero a and any integer e."""
-        if e < 0:
-            a = self._inv_coords(a)
-            e = -e
-        return _coords_pow(self._mul_coords, self._one.coeffs, a, e)
-
     def format_element(self, el: "FieldElement") -> str:
         """Render in the basis generator syntax: '2*a+1', 'a^2', '7', '0'."""
         if self.m == 1:
@@ -543,10 +539,11 @@ class FieldElement:
 
     `log` is the discrete log of an interned element (see `FieldSpec`),
     which is every element of a table field, and None on an element of a
-    field above the table limit, which computes on coordinates. An operand
-    of an equal but distinct spec object, or an int, is first re-homed in
-    this element's spec. Equality and hashing read the coordinates and the
-    spec, so elements of equal but distinct spec objects mix freely.
+    field above the table limit, which computes on coordinates. A
+    difference is the sum with the negation. An operand of an equal but
+    distinct spec object, or an int, is first re-homed in this element's
+    spec. Equality and hashing read the coordinates and the spec, so
+    elements of equal but distinct spec objects mix freely.
     """
 
     __slots__ = ("spec", "coeffs", "log")
@@ -582,20 +579,10 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        spec = self.spec
-        if other.__class__ is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        i, j = self.log, other.log
-        if i is None:
-            p = spec.p
-            return FieldElement(
-                spec, tuple([(x - y) % p for x, y in zip(self.coeffs, other.coeffs)])
-            )
-        elems = spec._elems
-        j = elems[j + spec._minus].log
-        return elems[i + spec._zech[j - i]]
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -639,7 +626,10 @@ class FieldElement:
         spec = self.spec
         i = self.log
         if i is None:
-            return FieldElement(spec, spec._pow_coords(self.coeffs, e))
+            if e < 0:
+                return self.inverse() ** -e
+            coords = _coords_pow(spec._mul_coords, spec.one.coeffs, self.coeffs, e)
+            return FieldElement(spec, coords)
         return spec._elems[i * e % (spec.order - 1)]
 
     def inverse(self) -> "FieldElement":

@@ -15,7 +15,10 @@ logs and each variable's exponents, one fixed-width slot per term in one
 int each (`field.SlotCodec`, Kronecker substitution). An evaluation is a
 big-integer multiply-add per variable, one read of the slots and one sum
 of packed coordinate rows. The term map never changes after the
-polynomial is made, so the packed form never goes stale.
+polynomial is made, so the packed form never goes stale. Above the table
+limit evaluation multiplies each term out factor by factor, as
+`substitute` does. A difference of polynomials, as of field elements, is
+the sum with the negation.
 """
 
 from __future__ import annotations
@@ -204,11 +207,9 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            other = MultiPoly.constant(self.spec, self.n, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, FieldElement, int)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def scale(self, c) -> "MultiPoly":
         c = self.spec.element(c)
@@ -249,7 +250,8 @@ class MultiPoly:
         drops. The slots are read back once, the packed coordinate rows of
         g^(e mod (q-1)) sum over the live ones (`FieldSpec._rows`), and each
         coordinate reduces mod p once. Other fields multiply and add term by
-        term."""
+        term, each term coeff * x_i^e_i one factor at a time, as
+        `substitute` does."""
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
         spec = self.spec
@@ -266,19 +268,12 @@ class MultiPoly:
             rows = spec._rows
             live = [rows[e % n1] for e in slots.unpack(acc) if e < dead]
             return spec._sum_rows(sum(live))
-        powers: list[dict[int, FieldElement]] = [{} for _ in range(self.n)]
-        total = self.spec.zero
+        total = spec.zero
         for mono, coeff in self._terms.items():
-            acc = coeff
             for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                v = cache.get(e)
-                if v is None:
-                    v = cache[e] = point[i] ** e
-                acc = acc * v
-            total = total + acc
+                if e:
+                    coeff = coeff * point[i] ** e
+            total = total + coeff
         return total
 
     def _packed(self) -> tuple:

@@ -13,14 +13,13 @@ black-box probes beyond those of the extension-field difference.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .diff import BlackBoxFn, DiffPlan, blackbox_delta, grid_points
+from .diff import BlackBoxFn, DiffPlan, _term_grid, blackbox_delta
 from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field, row_reduce
-from .poly import MultiPoly
+from .poly import MultiPoly, all_points
 
 
 class ReductionError(ValueError):
@@ -144,8 +143,10 @@ def verify_reduction(
     most one grid in sampled mode, where it is cleared at each sample
     point. `probes` in the report counts the calls made to `bb`. The m
     component differences share one coordinate grid, walked once per
-    checked point: each grid point's answer is projected by `phi` once and
-    kept as long as the answer, and the m sums run in plain ints."""
+    checked point: `diff._term_grid` of the unit-step term r on the first
+    variable's coordinates, the grid the cube attack sums for a term. Each
+    grid point's answer is projected by `phi` once and kept as long as the
+    answer, and the m sums run in plain ints."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
@@ -169,16 +170,13 @@ def verify_reduction(
             probes += 1
         return value
 
-    rhs_term = {i: ri for i, ri in enumerate(r) if ri}
-    rhs_plan = DiffPlan.make(prime, rhs_term)
     # the component grid at the zero base, as residue offsets and weights
-    zero = (0,) * (m * n)
-    grid = [(tuple(map(int, pt)), int(w)) for pt, w in grid_points(rhs_plan, zero)]
+    grid = _term_grid(prime, tuple(r) + (0,) * (m * (n - 1)))
     projected: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     domain = p ** (m * n)
     if domain <= exhaustive_limit:
-        points = itertools.product(list(prime.elements()), repeat=m * n)
+        points = all_points(prime, m * n)
         exhaustive = True
         count = domain
     else:
@@ -201,7 +199,7 @@ def verify_reduction(
         lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
         base = [int(c) for c in coords]
         sums = [0] * m
-        for offsets, w in grid:
+        for offsets, w in zip(grid.residues, grid.weights):
             key = tuple([(c + o) % p for c, o in zip(base, offsets)])
             vec = projected.get(key)
             if vec is None:

@@ -464,11 +464,13 @@ class ToyCipher(_Target):
     @cached_property
     def _layers(self) -> list:
         """The rounds as the kernel runs them, (mix, key, const) rows; the
-        last keeps only the taps of output 0, the one output returned."""
+        last keeps only the taps of output 0, the one output returned. Zero
+        rounds are one uncut identity layer on coordinate 0."""
         layers = list(zip(self.round_mix, self.round_key, self.round_const))
-        if layers:
-            taps = self._quad[0]
-            layers[-1] = [[rows[t] for t in taps] for rows in layers[-1]]
+        if not layers:
+            return [([[1]], [[0] * self.n_sec], [0])]
+        taps = self._quad[0]
+        layers[-1] = [[rows[t] for t in taps] for rows in layers[-1]]
         return layers
 
     @cached_property
@@ -480,8 +482,6 @@ class ToyCipher(_Target):
         injection plus constant."""
         p = self.config.p
         whiten = [row + [c] for row, c in zip(self.whiten, self.whiten_const)]
-        if not self._layers:
-            return whiten[:1]
         (mix, keys, consts), *later = self._layers
         columns = list(zip(*whiten))
         first = [
@@ -501,7 +501,7 @@ class ToyCipher(_Target):
 
     @property
     def suggested_max_multiplicity(self) -> int:
-        return max(2**self.config.rounds, 1)
+        return 2**self.config.rounds
 
     @cached_property
     def _chunks(self) -> list[tuple[Callable, int, int]]:
@@ -525,7 +525,7 @@ class ToyCipher(_Target):
         tap indices, p) and sees no builtins. Built on first use so that
         loading a target does not pay the compile."""
         p, quad, key_map = self.config.p, self._quad, self._key_map
-        first, *later = [mix for mix, _, _ in self._layers] or [[[1]]]
+        first, *later = [mix for mix, _, _ in self._layers]
         groups, terms = [[]], 0
         for mix in later:
             n = sum(len(row) - row.count(0) for row in mix)
@@ -549,7 +549,7 @@ class ToyCipher(_Target):
                 parts.append(str(c))
             return f"({' + '.join(parts)}) % {p}"
 
-        output = f"(a0 + a1 * a2) % {p}" if self._layers else f"a0 % {p}"
+        output = f"(a0 + a1 * a2) % {p}" if self.config.rounds else f"a0 % {p}"
         params = "".join(f", s{j}" for j in range(self.n_sec))
         chunks, width, key = [], len(first), 0
         for index, mixes in enumerate(groups):
@@ -598,7 +598,7 @@ class ToyCipher(_Target):
         The source holds only the cipher's ints (mix entries and public
         indices) and sees no builtins. Built on first use so that loading a
         target does not pay the compile."""
-        first = self._layers[0][0] if self._layers else [[1]]
+        first = self._layers[0][0]
 
         return _tabulator(
             self.n_pub,

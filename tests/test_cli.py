@@ -291,6 +291,25 @@ def test_diff_at_the_field_and_plan_bounds(capsys):
         assert out.strip() == expected
 
 
+@pytest.mark.parametrize(
+    "field, poly",
+    [
+        # one digit: 10^9 nonzero binomials C(999999999, k) mod p
+        ("1000000007", "x1^999999999"),
+        # 20 binary digits: 2^20 binomials, over a field without log tables
+        (GF2_20, "x1^1048575"),
+    ],
+    ids=["gf-10^9+7", "gf-2^20"],
+)
+def test_diff_oversized_differences_are_input_errors(capsys, field, poly):
+    # refused before any binomial row is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diff", "--field", field, "--poly", poly, "--plan", "x1")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INPUT and not out
+    assert err == "error: the difference may hold more than 262144 terms\n"
+
+
 @pytest.mark.parametrize("file", ["target", "records"])
 def test_oversized_field_in_a_file_is_an_input_error(capsys, tmp_path, file):
     target_path = tmp_path / "planted.target"

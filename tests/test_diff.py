@@ -12,12 +12,16 @@ from gfdelta.combinat import (
     degree_after_diff,
     digit_sum,
 )
+import gfdelta.diff as diff_module
 from gfdelta.diff import (
+    DELTA_TERM_LIMIT,
     DiffError,
     DiffPlan,
     _binomial_row,
+    _term_grid,
     basis_step_sequence,
     blackbox_delta,
+    check_delta_size,
     delta,
     delta_plan,
     ext_diff_constant,
@@ -225,6 +229,25 @@ def test_grid_points_match_the_binomial_closed_form(rng):
             assert total == blackbox_delta(wrap(f), plan, base)
 
 
+def test_term_grid_is_the_zero_base_grid_in_residues():
+    # the cached residue grid of a unit-step term, which the attack and the
+    # reduction check read, is `grid_points` at zero, converted
+    rng = random.Random(30)
+    for spec in (GF3, GF7, GF31):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            term = tuple(rng.choice([0, rng.randint(1, spec.p - 1)]) for _ in range(n))
+            plan = DiffPlan.make(spec, {i: m for i, m in enumerate(term) if m})
+            entries = grid_points(plan, (spec.zero,) * n)
+            grid = _term_grid(spec, term)
+            assert grid.residues == tuple(tuple(map(int, pt)) for pt, _ in entries)
+            assert grid.weights == tuple(int(w) for _, w in entries)
+            assert _term_grid(spec, term) is grid
+        term = (0,) * rng.randrange(3) + (spec.p,)
+        with pytest.raises(DiffError, match="term multiplicities must stay below p"):
+            _term_grid(spec, term)
+
+
 def test_binomial_rows_match_lucas_residues():
     # rows are built digit by digit, single residues by the multinomial kernel
     def lucas(e, p):
@@ -413,6 +436,56 @@ def test_plan_step_tables_are_bounded():
     assert parse_plan("x1^30", GF31).multiplicities == (30,)
     with pytest.raises(DiffError, match="exceeds the field bound"):
         parse_plan("x1^1000000007", big)
+
+
+def test_difference_sizes_are_bounded():
+    # over GF(2) digits, x^e has 2^popcount(e) nonzero binomials C(e, k) mod 2
+    gf2_20 = parse_field_spec("2^20/1," + "0," * 16 + "1,0,0,1")
+    assert DELTA_TERM_LIMIT == 1 << 18
+    e18, e9 = (1 << 18) - 1, (1 << 9) - 1
+    for poly, plan in [
+        # exactly at the limit: one term, a product over two plan variables,
+        # and a variable outside the plan that counts nothing
+        (f"x1^{e18}", "x1"),
+        (f"x1^{e9}*x2^{e9}", "x1*x2"),
+        (f"x1^{e18}*x3^{(1 << 20) - 1}", "x1"),
+        (f"x1^{e18 - 1} + x2", "x1"),
+    ]:
+        check_delta_size(parse_poly(poly, gf2_20).widen(3), parse_plan(plan, gf2_20))
+    big = prime_field(10**9 + 7)
+    for field, poly, plan in [
+        (gf2_20, f"x1^{e18} + x2", "x1"),
+        (gf2_20, f"x1^{e9}*x2^{e9} + 1", "x1*x2"),
+        (gf2_20, f"x1^{1 << 18}*x2^{e18}", "x1*x2"),
+        # one digit, 10^9 nonzero binomials
+        (big, "x1^999999999", "x1"),
+    ]:
+        f = parse_poly(poly, field).widen(2)
+        with pytest.raises(DiffError) as info:
+            check_delta_size(f, parse_plan(plan, field))
+        assert str(info.value) == "the difference may hold more than 262144 terms"
+
+
+def test_difference_size_bound_covers_every_difference(monkeypatch):
+    # with the limit one below a difference's actual size, the bound refuses
+    # it: the count is never below the terms `delta_plan` returns
+    rng = random.Random(30)
+    checked = 0
+    for _ in range(60):
+        spec = rng.choice([GF3, GF5, GF7, GF31, GF4, GF9, GF27])
+        n = rng.randint(1, 3)
+        f = random_poly(spec, n, 3 * spec.order, rng.randint(1, 8), rng=rng)
+        var = rng.randrange(n)
+        mult = rng.randint(1, min(spec.m * (spec.p - 1), 3))
+        plan = DiffPlan.make(spec, {var: mult})
+        size = len(delta_plan(f, plan)._terms)
+        if not size:
+            continue
+        checked += 1
+        monkeypatch.setattr(diff_module, "DELTA_TERM_LIMIT", size - 1)
+        with pytest.raises(DiffError, match=f"more than {size - 1} terms"):
+            check_delta_size(f, plan)
+    assert checked > 30
 
 
 def test_basis_step_sequence_examples():

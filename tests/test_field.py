@@ -346,6 +346,53 @@ def test_fields_above_the_table_limit_keep_the_convolution():
     assert spec._tables is None
 
 
+# x^13+x^4+x^3+x+1 over GF(2), and two prime fields, all above the limit
+ABOVE_THE_LIMIT = [
+    ExtFieldSpec(2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1)),
+    prime_field(4099),
+    prime_field(2**61 - 1),
+]
+
+
+@pytest.mark.parametrize("spec", ABOVE_THE_LIMIT, ids=repr)
+def test_sums_and_differences_above_the_table_limit(spec):
+    # a difference is the sum with the negation; each matches coordinate
+    # arithmetic, with element and int operands on either side
+    assert spec.order > LOG_TABLE_LIMIT and spec._tables is None
+    p = spec.p
+    rng = random.Random(spec.order)
+
+    def coords(op, a, b):
+        return tuple(op(x, y) % p for x, y in zip(a, b))
+
+    for _ in range(100):
+        a, b = spec.random_element(rng), spec.random_element(rng)
+        k = rng.randrange(-3 * p, 3 * p)
+        kc = spec.element(k).coeffs
+        assert (a + b).coeffs == coords(int.__add__, a.coeffs, b.coeffs)
+        assert (a - b).coeffs == coords(int.__sub__, a.coeffs, b.coeffs)
+        assert (-a).coeffs == coords(int.__sub__, spec.zero.coeffs, a.coeffs)
+        assert (a - k).coeffs == coords(int.__sub__, a.coeffs, kc)
+        assert (k - a).coeffs == coords(int.__sub__, kc, a.coeffs)
+        assert (a + k).coeffs == (k + a).coeffs == coords(int.__add__, a.coeffs, kc)
+        assert a - a == spec.zero and (a - b) + b == a
+        assert all(v.log is None for v in (a + b, a - b, -a, a - k, k - a))
+
+
+@pytest.mark.parametrize("spec", ABOVE_THE_LIMIT[1:], ids=repr)
+def test_prime_powers_above_the_table_limit(spec):
+    # every power, negative ones through the inverse, matches pow mod p
+    p = spec.p
+    rng = random.Random(p)
+    for _ in range(100):
+        a = spec.random_element(rng, nonzero=True)
+        for e in [0, 1, -1, p - 2, 2 - p, rng.randrange(-4 * p, 4 * p)]:
+            assert (a**e).coeffs == (pow(a.coeffs[0], e, p),)
+    with pytest.raises(FieldError):
+        spec.zero**-1
+    assert spec.zero**5 == spec.zero and spec.zero**0 == spec.one
+
+
 # -- interned table fields against coordinate arithmetic ----------------------
 
 

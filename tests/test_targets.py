@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from gfdelta.attack import (
     CONFIRM_POINTS,
     AttackError,
-    _term_grid,
     confirm_key,
     online,
     preprocess,
 )
+from gfdelta.diff import _term_grid
 from gfdelta.field import prime_field
 from gfdelta.poly import MultiPoly, interpolate, all_points
 import gfdelta.targets as targets
