@@ -39,10 +39,13 @@ class BudgetExhausted(Exception):
     """Raised internally when the evaluation budget cannot fund the next grid."""
 
 
-# grid(points) -> at_secrets(secrets) -> per secret, one residue per point
-# (see BlackBox)
+# grid(points) -> at_secrets(secrets) -> per secret, one residue per point;
+# grid_sum(points, weights) -> at_secrets(secrets) -> one residue per secret,
+# the weighted sum of its answers over the points (see BlackBox)
 SecretStage = Callable[[Sequence[Sequence[int]]], list[list[int]]]
 StagedGrid = Callable[[Sequence[Sequence[int]]], SecretStage]
+SummedStage = Callable[[Sequence[Sequence[int]]], list[int]]
+StagedSum = Callable[[Sequence[Sequence[int]], Sequence[int]], SummedStage]
 
 
 class BlackBox:
@@ -52,22 +55,31 @@ class BlackBox:
     outputs. The counter tracks how many times the function has been
     consulted.
 
-    `stage(points)` is the one batch entry. It checks the width of every
-    public point of the batch (residue tuples), stages the batch once in
-    the kernel and returns the secret stage. Each call of the secret stage
-    checks the width of every secret vector of its batch (residue tuples),
-    counts one probe per point and secret and returns one residue list per
-    secret, one residue per point. `evaluate` is the one-point, one-secret
-    case over field elements. The superpoly oracle stages its term's grid
-    on its first call and sends every batch of secrets to that stage, and
-    the attack charges its budget grid by grid, before any of a grid's
-    probes.
+    Two batch entries answer a batch of public points (residue tuples).
+    Each checks the width of every point, stages the batch once in the
+    kernel and returns a secret stage, which checks the width of every
+    secret vector of its batch (residue tuples) and counts one probe per
+    point and secret:
+    - `stage(points)`'s secret stage returns one residue list per secret,
+      one residue per point;
+    - `stage_sum(points, weights)`, one weight per point, is the weighted
+      entry: its secret stage returns one residue per secret, the sum of
+      w_pt * f(pt, secret) mod p.
+    `evaluate` is the one-point, one-secret case of `stage` over field
+    elements. The superpoly oracle stages its term's grid and weights
+    through `stage_sum` on its first call and sends every batch of secrets
+    to that stage, and the attack charges its budget grid by grid, before
+    any of a grid's probes; the online replay and `confirm_key` read
+    single points through `stage`.
 
     Probes run in `grid`, a staged kernel: `grid(points)` fixes a batch and
     returns the secret stage `at_secrets(secrets)`. A target passes its
     `_on_grid` and no `fn`. Without `grid`, `_pointwise` stages
     `fn(public, secret)`, a per-point function over field elements. The
-    online oracle (`targets.CountingOracle`) is this box at a fixed key, a
+    weighted entry runs `grid_sum(points, weights)` where the kernel has
+    one (the planted target's `_on_grid_sum`), else the shared fallback
+    `_weighted`, which sums the per-point stage's answers. The online
+    oracle (`targets.CountingOracle`) is this box at a fixed key, a
     one-secret batch, so online probes get the same checks and counter.
     """
 
@@ -79,6 +91,7 @@ class BlackBox:
         fn: Callable[[Sequence[FieldElement], Sequence[FieldElement]], FieldElement]
         | None,
         grid: StagedGrid | None = None,
+        grid_sum: StagedSum | None = None,
     ):
         if spec.m != 1:
             raise AttackError("the attack operates over prime fields")
@@ -86,6 +99,7 @@ class BlackBox:
         self.n_pub = n_pub
         self.n_sec = n_sec
         self._grid = grid or _pointwise(spec, fn)
+        self._grid_sum = grid_sum or _weighted(self._grid, spec.p)
         self.evaluations = 0
 
     def evaluate(
@@ -96,18 +110,32 @@ class BlackBox:
         return self.spec.element(value)
 
     def stage(self, points: Sequence[Sequence[int]]) -> SecretStage:
-        if not set(map(len, points)) <= {self.n_pub}:
-            raise AttackError("input width mismatch")
-        at_secrets = self._grid(points)
-        size = len(points)
+        _check_widths(points, self.n_pub)
+        return self._charged(len(points), self._grid(points))
 
-        def probe(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
-            if not set(map(len, secrets)) <= {self.n_sec}:
-                raise AttackError("input width mismatch")
+    def stage_sum(
+        self, points: Sequence[Sequence[int]], weights: Sequence[int]
+    ) -> SummedStage:
+        _check_widths(points, self.n_pub)
+        if len(weights) != len(points):
+            raise AttackError("a weighted grid needs one weight per point")
+        return self._charged(len(points), self._grid_sum(points, weights))
+
+    def _charged(self, size: int, at_secrets: Callable) -> Callable:
+        """`at_secrets` behind the secret widths check and the counter,
+        `size` probes per secret."""
+
+        def probe(secrets: Sequence[Sequence[int]]):
+            _check_widths(secrets, self.n_sec)
             self.evaluations += size * len(secrets)
             return at_secrets(secrets)
 
         return probe
+
+
+def _check_widths(vectors: Sequence[Sequence[int]], width: int) -> None:
+    if not set(map(len, vectors)) <= {width}:
+        raise AttackError("input width mismatch")
 
 
 def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
@@ -128,6 +156,26 @@ def _pointwise(spec: FieldSpec, fn: Callable) -> StagedGrid:
         return at_secrets
 
     return grid
+
+
+def _weighted(grid: StagedGrid, p: int) -> StagedSum:
+    """The shared weighted stage of a kernel that has no weighted stage of
+    its own: `grid_sum(points, weights)` stages the points once through
+    `grid`, and its secret stage sums each secret's per-point answers times
+    the weights mod p."""
+
+    def grid_sum(points, weights):
+        at_secrets = grid(points)
+
+        def summed(secrets):
+            return [
+                sum(map(operator.mul, weights, values)) % p
+                for values in at_secrets(secrets)
+            ]
+
+        return summed
+
+    return grid_sum
 
 
 class Verdict(enum.Enum):
@@ -154,23 +202,23 @@ class MaxtermRecord:
 def superpoly_oracle(bb: BlackBox, term: Monomial):
     """Callable evaluating the differenced function at public zeros for a
     batch of secret residue vectors, one residue per secret. The first call
-    stages the term's grid, its prod(m_i + 1) points, through `bb.stage`,
-    so a term that the budget cannot fund is never staged; every call sends
-    its batch of secrets to that one stage. The grid is `diff._term_grid`,
-    which refuses a multiplicity of p or more with DiffError."""
+    stages the term's grid, its prod(m_i + 1) points, and their weights
+    through the box's weighted entry `bb.stage_sum`, so a term that the
+    budget cannot fund is never staged; every call sends its batch of
+    secrets to that one stage, which sums the grid for each secret (in the
+    planted kernel from its nonvanishing monomial sums, in any other
+    through the shared fallback over the per-point stage). The grid is
+    `diff._term_grid`, which refuses a multiplicity of p or more with
+    DiffError."""
     grid = _term_grid(bb.spec, tuple(term))
-    points, weights = grid.residues, grid.weights
-    p = bb.spec.p
     probe = None
 
     def evaluate(secrets: Sequence[Sequence[int]]) -> list[int]:
         nonlocal probe
-        probe = probe or bb.stage(points)
-        return [
-            sum(map(operator.mul, weights, values)) % p for values in probe(secrets)
-        ]
+        probe = probe or bb.stage_sum(grid.residues, grid.weights)
+        return probe(secrets)
 
-    evaluate.grid_size = len(weights)  # type: ignore[attr-defined]
+    evaluate.grid_size = len(grid.weights)  # type: ignore[attr-defined]
     return evaluate
 
 

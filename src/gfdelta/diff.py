@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .combinat import diff_coefficient, digits, _nonzero_composition_items
+from .combinat import diff_coefficient, digit_sum, digits, _nonzero_composition_items
 from .field import FieldElement, FieldSpec, basis_elements
 from .poly import Monomial, MultiPoly, PolyError, _merge, parse_monomial
 
@@ -221,7 +221,10 @@ def _apply_tables(
     tables: Mapping[int, tuple[list[tuple[FieldElement, FieldElement]], int]],
 ) -> MultiPoly:
     """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
-    at once; a table from r steps has zero moments below r."""
+    at once. A table from r steps has zero moment M(d) wherever the base-p
+    digit sum of d is below r, since r differences annihilate x^d there
+    (the bound `combinat.degree_after_diff` reads), so such a moment is
+    skipped, not summed over the table."""
     spec = f.spec
     p = spec.p
     rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
@@ -231,7 +234,7 @@ def _apply_tables(
         table, low = tables[i]
         entries = []
         for k, c in _binomial_row(e, p):
-            if e - k >= low:
+            if digit_sum(e - k, p) >= low:
                 m = moments.get((i, e - k))
                 if m is None:
                     m = moments[(i, e - k)] = sum(
@@ -264,7 +267,8 @@ def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
     Each plan variable's `_step_table` is the list of pairs (o, w) that
     `blackbox_delta` sums, so x_i^e maps to sum over k of
     C(e, k) M(e - k) x_i^k with moments M(d) = sum of w * o^d (0^0 = 1),
-    and M(d) = 0 for d below the variable's step count.
+    and M(d) = 0 where the base-p digit sum of d is below the variable's
+    step count.
     """
     if plan.spec != f.spec:
         raise DiffError("plan and polynomial fields differ")

@@ -9,46 +9,59 @@ used for integration testing, not for cryptographic claims.
 Both kinds expose `spec`, `config` (their sizes, which `n_pub` and
 `n_sec` read), `key` and `suggested_max_multiplicity`, and share
 `blackbox()` and `online_oracle(key=None)` through one base class. Their
-one kernel, `_on_grid`, takes a grid, then a batch of secrets:
+kernel takes a grid, then a batch of secrets, through two entries, one
+behind each of the `BlackBox`'s batch entries: the per-point
+`_on_grid(points)` answers one residue per point and secret, and the
+weighted `_on_grid_sum(points, weights)` one residue per secret, the
+grid's sum of w_pt * f(pt, secret) mod p. The planted kernel has its own
+weighted stage; the toy cipher has none (its `_on_grid_sum` is None), and
+its box sums the per-point stage's answers through the shared fallback
+(`attack._weighted`), as a box over a plain function does.
 
-1. grid (`_on_grid(points)`): a batch of public points as residue tuples,
-   tabulated by code compiled once per target, one comprehension over the
-   points. The planted kernel tabulates every public monomial per point
-   (`PlantedTarget._tabulate`, short-circuit products mod p), keeps only
-   the monomials that are nonzero at some point of the batch and packs each
-   one's column of residues into one int, a fixed-width slot per point;
-   the toy cipher tabulates its first round's mix of the publics, one row
-   per point (`ToyCipher._load`), which whitening leaves free of the
-   secret.
+1. grid (`_on_grid(points)` or `_on_grid_sum(points, weights)`): a batch of
+   public points as residue tuples, tabulated by code compiled once per
+   target, one comprehension over the points. The planted kernel
+   tabulates every public monomial per point (`PlantedTarget._tabulate`,
+   short-circuit products mod p). Per point, it keeps only the monomials
+   that are nonzero at some point of the batch and packs each one's
+   column of residues into one int, a fixed-width slot per point;
+   weighted, it reduces each monomial's column to one scalar, c_g = sum
+   of w_pt * column_g[pt] mod p, and keeps only the monomials with
+   c_g != 0. The toy cipher tabulates its first round's mix of the
+   publics, one row per point (`ToyCipher._load`), which whitening leaves
+   free of the secret.
    The `BlackBox` that `blackbox()` returns runs this stage once per
-   `stage(points)` call, and a superpoly oracle keeps its term's stage for
-   all of the term's batches of secrets.
-2. secrets (the function `_on_grid` returns, called on a batch of secret
-   residue vectors): the planted kernel calls each live public monomial's
-   compiled coefficient (`PlantedTarget._fold`, compiled when a grid first
-   makes the monomial live) once per secret and sums coefficient times
-   packed column, one big-integer multiply-add per live monomial. Each
-   slot then holds its point's unreduced sum, at most
-   len(live) * (p - 1)^2, and is read back and reduced mod p. The slots
-   are `field.SlotCodec`'s: the narrowest native unsigned item of 2, 4 or
-   8 bytes that holds that bound, or past 8 bytes ceil(bits / 8) bytes,
-   the codec `MultiPoly.evaluate` uses too. The toy cipher hands the grid
-   rows and each secret through its rounds compiled into a few functions
-   (`ToyCipher._chunks`). Each first derives, in straight-line code, the
-   secret-only constants its rounds inject (the first round's, with the
-   whitening folded in, and each later round's key injection), then loops
-   over the points and runs its rounds in local variables: each quadratic
-   step, reduced mod p, and each affine layer, one sum over the nonzero
-   mix entries. It returns one residue list per secret, one residue per
-   point.
+   `stage(points)` or `stage_sum(points, weights)` call, and a superpoly
+   oracle keeps its term's weighted stage for all of the term's batches
+   of secrets.
+2. secrets (the function the grid stage returns, called on a batch of
+   secret residue vectors): the planted kernel calls each kept public
+   monomial's compiled coefficient (`PlantedTarget._fold`, compiled when a
+   grid first keeps the monomial) once per secret. Weighted, it returns
+   sum of fold_g(secret) * c_g mod p, one residue per secret. Per point,
+   it sums coefficient times packed column, one big-integer multiply-add
+   per kept monomial; each slot then holds its point's unreduced sum, at
+   most len(live) * (p - 1)^2, and is read back and reduced mod p. The
+   slots are `field.SlotCodec`'s: the narrowest native unsigned item of 2,
+   4 or 8 bytes that holds that bound, or past 8 bytes ceil(bits / 8)
+   bytes, the codec `MultiPoly.evaluate` uses too. The toy cipher hands the
+   grid rows and each secret through its rounds compiled into a few
+   functions (`ToyCipher._chunks`). Each first derives, in straight-line
+   code, the secret-only constants its rounds inject (the first round's,
+   with the whitening folded in, and each later round's key injection),
+   then loops over the points and runs its rounds in local variables:
+   each quadratic step, reduced mod p, and each affine layer, one sum over
+   the nonzero mix entries. It returns one residue list per secret, one
+   residue per point.
 
 Generated code goes through one helper, `_compile`: its source holds only
 the target's own ints, and it runs with no builtins but the ones it calls.
 
 A single probe is the one-point, one-secret batch. The online oracle is a
-fresh box viewed at a fixed key, a one-secret batch: it answers a whole
-replay as one grid, so its key is folded or mapped once per replay, and
-every point's width is checked as in preprocessing.
+fresh box viewed at a fixed key, a one-secret batch of the per-point
+stage: it answers a whole replay as one grid, so its key is folded or
+mapped once per replay, and every point's width is checked as in
+preprocessing.
 
 A target description file gives its kind, field, sizes and seed. One table,
 `KINDS`, holds each kind's size keys in file order, with the config field
@@ -137,8 +150,12 @@ def _tabulator(n_pub: int, values: list[str]) -> Callable:
 
 class _Target:
     """What both target kinds share: a black box over the kind's staged
-    kernel `_on_grid`, and an online oracle that is a fresh box at a key
-    (the target's own by default)."""
+    kernel `_on_grid` and its weighted stage `_on_grid_sum`, and an online
+    oracle that is a fresh box at a key (the target's own by default)."""
+
+    # a kind's weighted stage, `_on_grid_sum(points, weights)`, if it has
+    # one; None leaves the box's shared fallback over `_on_grid`
+    _on_grid_sum = None
 
     @property
     def n_pub(self) -> int:
@@ -149,7 +166,9 @@ class _Target:
         return self.config.n_sec
 
     def blackbox(self) -> BlackBox:
-        return BlackBox(self.spec, self.n_pub, self.n_sec, None, self._on_grid)
+        return BlackBox(
+            self.spec, self.n_pub, self.n_sec, None, self._on_grid, self._on_grid_sum
+        )
 
     def online_oracle(
         self, key: Sequence[FieldElement] | None = None
@@ -320,6 +339,31 @@ class PlantedTarget(_Target):
                     acc += fold(secret) * column
                 answers.append([v % p for v in unpack(acc)])
             return answers
+
+        return at_secrets
+
+    def _on_grid_sum(self, points: Sequence[Sequence[int]], weights: Sequence[int]):
+        """The weighted stage: fixes a batch of public points and their
+        weights, tabulates every public monomial per point once
+        (`_tabulate`) and reduces each group's column to one scalar, c_g =
+        sum of w_pt * column_g[pt] mod p. A group with c_g = 0 drops out;
+        over a unit-step grid at zero that is every group whose public
+        monomial x^e the term's difference annihilates, by the paper's
+        degree result every group with some e_i below the term's
+        multiplicity m_i (a public outside the term, zero at every point,
+        included). The secret stage calls each remaining group's compiled
+        coefficient (`_fold`) once per secret of its batch and returns sum
+        of fold_g(secret) * c_g mod p, one residue per secret, with no
+        slots to pack or read back."""
+        p = self.spec.p
+        terms = []
+        for group, column in enumerate(zip(*self._tabulate(points))):
+            c = sum(map(mul, weights, column)) % p
+            if c:
+                terms.append((self._folds[group] or self._fold(group), c))
+
+        def at_secrets(secrets: Sequence[Sequence[int]]) -> list[int]:
+            return [sum([fold(s) * c for fold, c in terms]) % p for s in secrets]
 
         return at_secrets
 

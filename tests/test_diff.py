@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -365,8 +366,16 @@ def test_delta_plan_matches_step_by_step_and_inclusion_exclusion(data):
         for v in variables
         for _ in range(term[v])
     ]
-    plan = DiffPlan.make(spec, term, [h for _, h in flat])
     f = random_poly(spec, n, data.draw(st.integers(0, 9)), 8, rng=rng)
+    check_delta_plan_references(f, flat, rng)
+
+
+def check_delta_plan_references(f, flat, rng):
+    """`delta_plan` with the steps `flat`, (variable, step) pairs in plan
+    order, against one `delta` per step and the signed subset sum."""
+    spec, n = f.spec, f.n
+    term = Counter(v for v, _ in flat)
+    plan = DiffPlan.make(spec, term, [h for _, h in flat])
     got = delta_plan(f, plan)
     expected = f
     for v, h in flat:
@@ -376,6 +385,36 @@ def test_delta_plan_matches_step_by_step_and_inclusion_exclusion(data):
     for _ in range(2):
         base = tuple(spec.random_element(rng) for _ in range(n))
         assert got.evaluate(base) == inclusion_exclusion(wrap(f), diffs, base)
+    return got
+
+
+@pytest.mark.parametrize(
+    "spec, text, steps",
+    [
+        (GF8, "x1^4 + x1^5*x2 + 3*x1^6 + x2^3", [1, 2, 4]),
+        (GF8, "x1^6*x2 + x1^5", [3, 5, 6]),
+        (GF9, "x1^3 + 2*x1^4*x2 + x1^6 + x1^4", [1, 1, 3]),
+        (GF27, "x1^9 + x1^10*x2 + 2*x1^12 + x1^18 + x1^21", [1, 2, 3, 9]),
+    ],
+)
+def test_delta_plan_skips_moments_below_the_digit_sum(rng, spec, text, steps):
+    # every moment M(d) these differences need has d at or past the step
+    # count but a base-p digit sum below it, so `delta_plan` skips them all;
+    # the references sum no moment and must agree, and each skipped moment
+    # summed over the step table is indeed zero
+    f = parse_poly(text, spec, n=2)
+    flat = [(0, spec.from_index(h)) for h in steps]
+    table = diff_module._step_table(spec, tuple(h for _, h in flat))
+    needed = {
+        e - k
+        for e in {mono[0] for mono in f._terms}
+        for k, _ in diff_module._binomial_row(e, spec.p)
+    }
+    assert max(needed) >= len(steps)
+    for d in needed:
+        assert digit_sum(d, spec.p) < len(steps)
+        assert sum((w * o**d for o, w in table), spec.zero) == spec.zero
+    assert check_delta_plan_references(f, flat, rng).is_zero()
 
 
 # -- plans: validation and parsing --------------------------------------------

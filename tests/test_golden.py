@@ -85,13 +85,21 @@ def test_golden_records_replay_online(name, probes):
     [("records_planted_p31.txt", 6, 18), ("records_toy_p7.txt", 8, 14)],
 )
 def test_each_grid_is_staged_once(name, seed, terms_tried):
-    # the superpoly oracle keeps its term's stage, and the box keeps none: a
-    # term's grid is staged once for all of its calls, and an online replay
-    # once
+    # the superpoly oracle keeps its term's weighted stage, and the box
+    # keeps none: a term's grid is staged once for all of its calls, and an
+    # online replay once. Preprocessing reads the kind's weighted stage
+    # where it has one (planted), else the per-point stage through the
+    # box's shared fallback (toy); the replay reads the per-point stage
     target = BUILD[name]()
     staged = []
-    kernel = target._on_grid
-    target._on_grid = lambda points: staged.append(len(points)) or kernel(points)
+
+    def hook(entry):
+        kernel = getattr(target, entry)
+        return lambda *grid: staged.append(entry) or kernel(*grid)
+
+    weighted = "_on_grid_sum" if target._on_grid_sum else "_on_grid"
+    for entry in {"_on_grid", weighted}:
+        setattr(target, entry, hook(entry))
     result = preprocess(
         target.blackbox(),
         budget=10**6,
@@ -99,7 +107,8 @@ def test_each_grid_is_staged_once(name, seed, terms_tried):
         seed=seed,
     )
     assert len(staged) == result.terms_tried == terms_tried
+    assert set(staged) == {weighted}
     records, _ = load_records(DATA / name)
     del staged[:]
     online(target.online_oracle(), records, target.spec, target.n_sec)
-    assert len(staged) == 1
+    assert staged == ["_on_grid"]

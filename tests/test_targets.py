@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import random
 import weakref
+import itertools
 from itertools import product
 from operator import mul
 
@@ -11,6 +12,10 @@ from hypothesis import given, settings, strategies as st
 from gfdelta.attack import (
     CONFIRM_POINTS,
     AttackError,
+    BlackBox,
+    BudgetExhausted,
+    _charged_oracle,
+    candidate_terms,
     confirm_key,
     online,
     preprocess,
@@ -835,6 +840,118 @@ def test_batch_kernel_answers_each_secret_alone(data):
         with pytest.raises(AttackError):
             bb.stage(points)(bad)
         assert bb.evaluations == len(points) * len(secrets)
+
+
+def _poly_box(target):
+    """A plain box over a per-point function: the planted target's
+    polynomial, evaluated point by point."""
+    poly = target.poly
+
+    def fn(public, secret):
+        return poly.evaluate(list(public) + list(secret))
+
+    return BlackBox(target.spec, target.n_pub, target.n_sec, fn)
+
+
+# the boxes the weighted entry serves: the planted kernel's own weighted
+# stage, over GF(31) and over GF(2^61 - 1), and the shared fallback over the
+# toy kernel and over a plain per-point function
+WEIGHTED_BOXES = {
+    "planted-31": lambda: make_planted(31, 3, 4, 5, 12, seed=3).blackbox(),
+    "planted-2^61-1": lambda: make_planted(2**61 - 1, 3, 4, 5, 12, seed=3).blackbox(),
+    "toy": lambda: ToyCipher(ToyCipherParams(7, 3, 4, 4, 4, 0)).blackbox(),
+    "fn": lambda: _poly_box(make_planted(31, 3, 4, 5, 12, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_BOXES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_weighted_stage_sums_the_per_point_stage(name, data):
+    # the weighted entry answers, per secret, the sum of w * (per-point
+    # answer) mod p, on term grids (whose weights cancel many groups'
+    # columns) and on any points and weights; the zero secret is always in
+    # the batch, and each entry charges len(points) * len(secrets) probes
+    bb = WEIGHTED_BOXES[name]()
+    p, n_pub, n_sec = bb.spec.p, bb.n_pub, bb.n_sec
+    residue = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    if data.draw(st.booleans()):
+        term = data.draw(st.tuples(*[st.integers(0, 2)] * n_pub))
+        points, weights = _term_grid(bb.spec, term)
+    else:
+        points = data.draw(st.lists(st.tuples(*[residue] * n_pub), max_size=8))
+        count = len(points)
+        weights = data.draw(st.lists(residue, min_size=count, max_size=count))
+    secrets = [(0,) * n_sec] + data.draw(
+        st.lists(st.tuples(*[residue] * n_sec), max_size=3)
+    )
+    size = len(points) * len(secrets)
+    before = bb.evaluations
+    per_point = bb.stage(points)(secrets)
+    assert bb.evaluations == before + size
+    assert bb.stage_sum(points, weights)(secrets) == [
+        sum(map(mul, weights, values)) % p for values in per_point
+    ]
+    assert bb.evaluations == before + 2 * size
+    # the weighted entry refuses what the per-point entry refuses, and a
+    # weight list of another length, before any probe
+    with pytest.raises(AttackError, match="one weight per point"):
+        bb.stage_sum(points, list(weights) + [1])
+    with pytest.raises(AttackError, match="width"):
+        bb.stage_sum(tuple(points) + ((0,) * (n_pub + 1),), list(weights) + [1])
+    with pytest.raises(AttackError, match="width"):
+        bb.stage_sum(points, weights)(secrets + [(0,) * (n_sec + 1)])
+    assert bb.evaluations == before + 2 * size
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_BOXES))
+def test_a_budget_cut_batch_charges_its_funded_secrets(name):
+    # a batch of secrets that the budget funds only in part: the superpoly
+    # oracle's weighted entry charges the funded secrets' grids, and no more
+    bb = WEIGHTED_BOXES[name]()
+    term = (1, 2) + (0,) * (bb.n_pub - 2)
+    size = len(_term_grid(bb.spec, term).weights)
+    secrets = [(0,) * bb.n_sec, (1,) * bb.n_sec, (2,) * bb.n_sec]
+    for funded in range(len(secrets)):
+        before = bb.evaluations
+        oracle = _charged_oracle(bb, term, before + (funded + 1) * size - 1)
+        with pytest.raises(BudgetExhausted):
+            oracle(secrets)
+        assert bb.evaluations == before + funded * size
+
+
+def test_the_planted_weighted_stage_folds_only_the_nonvanishing_groups():
+    # over the benchmark's planted target (p = 31, 5 publics, 12 secrets,
+    # degree 6, 60 extra terms, seed 2) and the 95 terms its seed-2 search
+    # tries, 521 group columns are nonzero at some grid point, but only 63
+    # have a nonzero weighted sum: the weighted stage calls those groups'
+    # coefficients alone and answers as the per-point stage does
+    target = make_planted(31, 5, 12, 6, 60, seed=2)
+    assert preprocess(target.blackbox(), 10**6, 5, seed=2).terms_tried == 95
+    calls = []
+    for group in range(len(target._groups)):
+        fold = target._folds[group] or target._fold(group)
+        target._folds[group] = lambda s, g=group, f=fold: calls.append(g) or f(s)
+    bb = target.blackbox()
+    rng = random.Random(0)
+    secrets = [(0,) * 12, tuple(rng.randrange(31) for _ in range(12))]
+    live = nonvanishing = 0
+    for term in itertools.islice(candidate_terms(5, 31, 5), 95):
+        points, weights = _term_grid(target.spec, term)
+        sums = [
+            sum(map(mul, weights, column)) % 31
+            for column in zip(*target._tabulate(points))
+        ]
+        live += sum(map(any, zip(*target._tabulate(points))))
+        nonvanishing += sum(map(bool, sums))
+        del calls[:]
+        got = bb.stage_sum(points, weights)(secrets)
+        assert sorted(calls) == sorted(2 * [g for g, c in enumerate(sums) if c])
+        assert got == [
+            sum(map(mul, weights, values)) % 31
+            for values in bb.stage(points)(secrets)
+        ]
+    assert (live, nonvanishing) == (521, 63)
 
 
 # -- description files ----------------------------------------------------------------
