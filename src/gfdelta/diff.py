@@ -21,9 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .combinat import diff_coefficient, digit_sum, digits, _nonzero_composition_items
+from .combinat import diff_coefficient, digits, _nonzero_composition_items
 from .field import FieldElement, FieldSpec, basis_elements
 from .poly import Monomial, MultiPoly, PolyError, _merge, parse_monomial
 
@@ -202,16 +203,22 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
 
 
 @lru_cache(maxsize=1024)
-def _binomial_row(e: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (j, C(e, j) mod p) with a nonzero binomial, by Lucas: the
-    product of one row per base-p digit d of e, each built as
-    C(d, j+1) = C(d, j) * (d - j) / (j + 1) mod p, in O(d) steps."""
-    row, place = [(0, 1)], 1
+def _binomial_row(e: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    """The triples (j, C(e, j) mod p, S_p(j)) with a nonzero binomial, in
+    increasing j, by Lucas: the product of one row per base-p digit d of e,
+    each built as C(d, j+1) = C(d, j) * (d - j) / (j + 1) mod p, in O(d)
+    steps. Each digit of such a j is at most e's, so e - j subtracts digit
+    by digit and S_p(e - j) = S_p(e) - S_p(j)."""
+    row, place = [(0, 1, 0)], 1
     for d in digits(e, p):
         digit = [1]
         for j in range(d):
             digit.append(digit[-1] * (d - j) * pow(j + 1, -1, p) % p)
-        row = [(k + j * place, c * w % p) for j, w in enumerate(digit) for k, c in row]
+        row = [
+            (k + j * place, c * w % p, s + j)
+            for j, w in enumerate(digit)
+            for k, c, s in row
+        ]
         place *= p
     return tuple(row)
 
@@ -224,25 +231,47 @@ def _apply_tables(
     at once. A table from r steps has zero moment M(d) wherever the base-p
     digit sum of d is below r, since r differences annihilate x^d there
     (the bound `combinat.degree_after_diff` reads), so such a moment is
-    skipped, not summed over the table."""
+    skipped, not summed over the table. The digit sum of d = e - k comes
+    from the binomial row of e, as S_p(e) - S_p(k).
+
+    A row's moments not yet known are summed together, each offset raised
+    to their exponents in increasing order: the first is one power, and
+    each next o^d is o^d' for the exponent d' before it times o^(d - d'),
+    one product for a gap of 1 and one power of the gap otherwise. Above
+    the table limit a dense row, such as the 2^16 moments of x^65535 over
+    GF(2^20), costs one product per offset and moment, where a power of
+    each exponent costs one square-and-multiply, and a sparse one, such as
+    x^(2^19 + 1), one power per gap."""
     spec = f.spec
     p = spec.p
+    zero = spec.zero
     rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
-    moments: dict[tuple[int, int], FieldElement] = {}
+    # per table variable: its offsets, its weights, its step count and its
+    # moments so far by exponent
+    split = {
+        i: ([o for o, _ in table], [w for _, w in table], low, {})
+        for i, (table, low) in tables.items()
+    }
 
     def row(i: int, e: int) -> list[tuple[int, FieldElement]]:
-        table, low = tables[i]
-        entries = []
-        for k, c in _binomial_row(e, p):
-            if digit_sum(e - k, p) >= low:
-                m = moments.get((i, e - k))
-                if m is None:
-                    m = moments[(i, e - k)] = sum(
-                        (w * o ** (e - k) for o, w in table), spec.zero
-                    )
-                if m:
-                    entries.append((k, spec.element(c) * m))
-        return entries
+        offsets, weights, low, known = split[i]
+        full = _binomial_row(e, p)
+        top = full[-1][2] - low  # the last entry is k = e, with S_p(e)
+        binomials = [(k, c) for k, c, s in full if s <= top]
+        needed = sorted(e - k for k, _ in binomials if e - k not in known)
+        if needed:
+            prev = needed[0]
+            powers = [o**prev for o in offsets]
+            known[prev] = sum(map(mul, weights, powers), zero)
+            for d in needed[1:]:
+                gap = d - prev
+                steps = offsets if gap == 1 else [o**gap for o in offsets]
+                powers = list(map(mul, powers, steps))
+                known[d] = sum(map(mul, weights, powers), zero)
+                prev = d
+        return [
+            (k, spec.element(c) * known[e - k]) for k, c in binomials if known[e - k]
+        ]
 
     out: dict[Monomial, FieldElement] = {}
     for mono, coeff in f._terms.items():
@@ -301,7 +330,7 @@ def _step_table(
     table: dict[FieldElement, int] = {spec.zero: 1}
     for h in dict.fromkeys(steps):
         r = steps.count(h)
-        run = [(h * j, -w if (r - j) & 1 else w) for j, w in _binomial_row(r, p)]
+        run = [(h * j, -w if (r - j) & 1 else w) for j, w, _ in _binomial_row(r, p)]
         new: dict[FieldElement, int] = {}
         for off, v in table.items():
             for shift, w in run:

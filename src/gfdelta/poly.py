@@ -3,11 +3,13 @@ function form.
 
 Exponents are kept canonical under x^q = x (q the field order): every
 positive exponent e is folded to ((e-1) mod (q-1)) + 1, so two polynomials
-are equal exactly when they define the same function. Terms are stored in a
-map from exponent tuples to nonzero coefficients, and only `_merge` writes
-terms into such a map, before the polynomial that owns it is made: equal
-monomials sum, and a sum that vanishes drops its monomial. Iteration and
-formatting use a graded lexicographic order for determinism.
+are equal exactly when they define the same function. The constructor
+checks a monomial by its smallest and largest exponent and folds it only
+when an exponent reaches q. Terms are stored in a map from exponent tuples
+to nonzero coefficients, and only `_merge` writes terms into such a map,
+before the polynomial that owns it is made: equal monomials sum, and a sum
+that vanishes drops its monomial. Iteration and formatting use a graded
+lexicographic order for determinism.
 
 Over a field with log tables, `MultiPoly.evaluate` works on a packed form
 of the polynomial, built on the first call and kept: the coefficients'
@@ -85,15 +87,19 @@ class MultiPoly:
         if n < 0:
             raise PolyError("variable count must be >= 0")
         items = terms.items() if isinstance(terms, Mapping) else terms
+        element, order = spec.element, spec.order
 
         def folded():
             for mono, coeff in items:
-                coeff = spec.element(coeff)
+                coeff = element(coeff)
                 if len(mono) != n:
                     raise PolyError(f"monomial {mono} does not have {n} exponents")
-                if any(e < 0 for e in mono):
-                    raise PolyError(f"negative exponent in {mono}")
-                yield tuple(_fold(e, spec.order) for e in mono), coeff
+                if n:
+                    if min(mono) < 0:
+                        raise PolyError(f"negative exponent in {mono}")
+                    if max(mono) >= order:
+                        mono = [_fold(e, order) for e in mono]
+                yield tuple(mono), coeff
 
         self.spec = spec
         self.n = n
@@ -642,17 +648,24 @@ def _random_monomial(
     per unit among those whose exponent is still below cap, as
     `rng.choice` over them would draw it. Until the largest free exponent
     reaches cap the free variables stay the same, so the units up to then
-    are drawn in one `_residues` call, the same stream."""
+    are drawn in one `_residues` call, the same stream. The free variables
+    start as all n with largest exponent 0, and are rescanned only when
+    units are left after a batch, which needs a total degree past cap."""
     mono = [0] * n
     units = rng.randint(0, max_total_degree)
+    free, top = range(n), 0
     while units:
-        free = [i for i in range(n) if mono[i] < cap]
-        if not free:
-            break
-        batch = min(units, cap - max(mono[i] for i in free))
+        batch = min(units, cap - top)
         for r in _residues(rng, len(free), batch):
             mono[free[r]] += 1
         units -= batch
+        if units:
+            top = max([mono[i] for i in free])
+            if top == cap:
+                free = [i for i in free if mono[i] < cap]
+                if not free:
+                    break
+                top = max([mono[i] for i in free])
     return tuple(mono)
 
 

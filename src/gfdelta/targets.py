@@ -69,6 +69,11 @@ each sets and its inclusive range; `save_target` and `load_target` read it,
 and `load_target` rejects a size out of range with `TargetError` before
 building anything. The field must be a prime below 2^63 (see
 `field.prime_field`); the seed is any integer.
+
+Both kinds build from one `random.Random` seeded by the file's seed, so a
+file rebuilds its target bit for bit. A matrix or vector of residues is
+one `poly._residues` call (`_residue_rows`), with the values and the
+generator's end state of one `randrange(p)` per entry, row by row.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ import random
 from collections import namedtuple
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from operator import mul
+from operator import ge, mul
 from typing import Callable, Sequence
 
 from .attack import BlackBox
@@ -90,7 +95,7 @@ from .field import (
     prime_field,
     row_reduce,
 )
-from .poly import Monomial, MultiPoly, _random_monomial
+from .poly import Monomial, MultiPoly, _random_monomial, _residues
 
 
 class TargetError(ValueError):
@@ -134,6 +139,16 @@ def _compile(source: str, names: dict[str, Callable]) -> Callable:
     scope = {"__builtins__": {}, **names}
     exec(source, scope)
     return scope.pop("f")
+
+
+def _residue_rows(
+    rng: random.Random, p: int, rows: int, cols: int
+) -> list[list[int]]:
+    """A rows x cols matrix of seeded residues mod p, drawn row by row in
+    one `_residues` call: the values and the generator's end state of
+    `[[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]`."""
+    flat = _residues(rng, p, rows * cols)
+    return [flat[i : i + cols] for i in range(0, rows * cols, cols)]
 
 
 def _tabulator(n_pub: int, values: list[str]) -> Callable:
@@ -219,17 +234,21 @@ class PlantedTarget(_Target):
         self.key = key
         self.planted_terms = planted_terms
         # terms grouped by their public monomial: (public factors, [(coeff,
-        # secret factors), ...]), factors as (variable, exponent) pairs
+        # secret factors), ...]), factors as (variable, exponent) pairs; the
+        # factors of a secret monomial are listed once and shared by its
+        # terms, which only read them
         n_pub = config.n_pub
         groups: dict[Monomial, tuple[list, list]] = {}
+        secrets: dict[Monomial, list] = {}
         for mono, c in poly._terms.items():
-            pub = mono[:n_pub]
+            pub, sec = mono[:n_pub], mono[n_pub:]
+            factors = secrets.get(sec)
+            if factors is None:
+                factors = secrets[sec] = [(j, e) for j, e in enumerate(sec) if e]
             group = groups.get(pub)
             if group is None:
                 group = groups[pub] = ([(i, e) for i, e in enumerate(pub) if e], [])
-            group[1].append(
-                (int(c), [(j, e) for j, e in enumerate(mono[n_pub:]) if e])
-            )
+            group[1].append((c.coeffs[0], factors))
         self._groups = list(groups.values())
         # each group's compiled coefficient, once a grid has made it live
         self._folds: list[Callable | None] = [None] * len(self._groups)
@@ -382,7 +401,12 @@ def make_planted(
     extra_terms: int,
     seed: int,
 ) -> PlantedTarget:
-    """Seed-deterministic planted target; raises on infeasible profiles."""
+    """Seed-deterministic planted target; raises on infeasible profiles.
+
+    The seed draws, in order: n_sec anchors among the public monomials of
+    degree deg-1; the n_sec x n_sec matrix of the secret linear forms,
+    redrawn until invertible; each extra term, a monomial then a nonzero
+    coefficient, redrawn when the monomial holds an anchor; and the key."""
     spec = prime_field(p)
     if n_pub < 1:
         raise TargetError("need at least one public variable for a cube")
@@ -404,7 +428,7 @@ def make_planted(
     chosen = rng.sample(anchors, n_sec)
     # secret linear forms with an invertible coefficient matrix
     while True:
-        matrix = [[rng.randrange(p) for _ in range(n_sec)] for _ in range(n_sec)]
+        matrix = _residue_rows(rng, p, n_sec, n_sec)
         if len(row_reduce(matrix, p)[1]) == n_sec:
             break
     terms: dict[Monomial, FieldElement] = {}
@@ -415,20 +439,22 @@ def make_planted(
             mono = list(anchor)
             mono[n_pub + j] = 1
             terms[tuple(mono)] = spec.element(coeff)
+    # an anchor is zero on the secret block and of public degree deg-1, so
+    # only a public block of that degree or more can hold one
+    planted = tuple(m[:n_pub] for m in chosen)
     placed = 0
     while placed < extra_terms:
-        key = _random_monomial(rng, n, total_degree, cap)
-        if any(
-            all(e >= a for e, a in zip(key, anchor)) for anchor in chosen
+        mono = _random_monomial(rng, n, total_degree, cap)
+        head = mono[:n_pub]
+        if sum(head) >= total_degree - 1 and any(
+            all(map(ge, head, anchor)) for anchor in planted
         ):
             continue  # anchors must keep their exact quotient forms
-        terms[key] = spec.random_element(rng, nonzero=True)
+        terms[mono] = spec.random_element(rng, nonzero=True)
         placed += 1
-    key = tuple(spec.random_element(rng) for _ in range(n_sec))
+    key = tuple(map(spec.element, _residues(rng, p, n_sec)))
     config = PlantedConfig(p, n_pub, n_sec, total_degree, extra_terms, seed)
-    poly = MultiPoly(spec, n, terms)
-    planted = tuple(m[:n_pub] for m in chosen)
-    return PlantedTarget(config, poly, key, planted)
+    return PlantedTarget(config, MultiPoly(spec, n, terms), key, planted)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +489,10 @@ class ToyCipherParams:
 class ToyCipher(_Target):
     """Keyed toy map over GF(p): load publics, add a whitening key layer,
     then per round an affine mix with key injection followed by one
-    quadratic step. Output degree stays below 2^rounds + 1.
+    quadratic step. Output degree stays below 2^rounds + 1. The seed draws
+    the whitening key matrix (redrawn while its row 0 is zero) and
+    constants, then each round's mix, key matrix and constants, then the
+    key.
 
     The secret enters only through affine layers, so every constant it
     gives is one row of one matrix, `_key_map`, composed once per cipher.
@@ -482,19 +511,15 @@ class ToyCipher(_Target):
         rng = random.Random(config.seed)
         p, w = config.p, config.width
         self.whiten = self._key_matrix(rng, w, config.n_sec, ensure_row0=True)
-        self.whiten_const = [rng.randrange(p) for _ in range(w)]
+        self.whiten_const = _residues(rng, p, w)
         self.round_mix = []
         self.round_key = []
         self.round_const = []
         for _ in range(config.rounds):
-            self.round_mix.append(
-                [[rng.randrange(p) for _ in range(w)] for _ in range(w)]
-            )
+            self.round_mix.append(_residue_rows(rng, p, w, w))
             self.round_key.append(self._key_matrix(rng, w, config.n_sec))
-            self.round_const.append([rng.randrange(p) for _ in range(w)])
-        self.key = tuple(
-            self.spec.element(rng.randrange(p)) for _ in range(config.n_sec)
-        )
+            self.round_const.append(_residues(rng, p, w))
+        self.key = tuple(map(self.spec.element, _residues(rng, p, config.n_sec)))
 
     # kernel tables, built on first use so that loading a target does not
     # pay for them
@@ -537,9 +562,8 @@ class ToyCipher(_Target):
         ]
 
     def _key_matrix(self, rng, w, n_sec, ensure_row0=False):
-        p = self.config.p
         while True:
-            matrix = [[rng.randrange(p) for _ in range(n_sec)] for _ in range(w)]
+            matrix = _residue_rows(rng, self.config.p, w, n_sec)
             if not ensure_row0 or any(matrix[0]):
                 return matrix
 

@@ -250,9 +250,14 @@ def test_term_grid_is_the_zero_base_grid_in_residues():
 
 
 def test_binomial_rows_match_lucas_residues():
-    # rows are built digit by digit, single residues by the multinomial kernel
+    # rows are built digit by digit, single residues by the multinomial kernel;
+    # each entry carries the base-p digit sum of its j
     def lucas(e, p):
-        return tuple((j, w) for j in range(e + 1) if (w := binomial_mod(e, j, p)))
+        return tuple(
+            (j, w, digit_sum(j, p))
+            for j in range(e + 1)
+            if (w := binomial_mod(e, j, p))
+        )
 
     for p in (2, 3, 5, 7, 31):
         for e in range(300):
@@ -408,7 +413,7 @@ def test_delta_plan_skips_moments_below_the_digit_sum(rng, spec, text, steps):
     needed = {
         e - k
         for e in {mono[0] for mono in f._terms}
-        for k, _ in diff_module._binomial_row(e, spec.p)
+        for k, _, _ in diff_module._binomial_row(e, spec.p)
     }
     assert max(needed) >= len(steps)
     for d in needed:

@@ -12,6 +12,7 @@ from gfdelta.poly import (
     MultiPoly,
     ParseError,
     PolyError,
+    _fold,
     _random_monomial,
     all_points,
     format_poly,
@@ -570,6 +571,91 @@ def test_exponents_stay_canonical():
     assert f.coefficient((1,)) == GF3.one
     g = MultiPoly(GF3, 1, {(0,): GF3.element(2)})
     assert g.coefficient((0,)) == GF3.element(2)  # constants never fold
+
+
+# GF(2^13) is above the log-table limit
+CONSTRUCTOR_SPECS = [prime_field(2), GF9, GF31, EVAL_SPECS[-1]]
+
+
+def _constructor_reference(spec, n, terms):
+    # term by term: check, fold every exponent, add into the map, drop zeros
+    out = {}
+    for mono, coeff in terms:
+        if len(mono) != n:
+            raise PolyError(f"monomial {mono} does not have {n} exponents")
+        if any(e < 0 for e in mono):
+            raise PolyError(f"negative exponent in {mono}")
+        key = tuple(_fold(e, spec.order) for e in mono)
+        total = out.get(key, spec.zero) + spec.element(coeff)
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+@st.composite
+def _constructor_terms(draw):
+    spec = draw(st.sampled_from(CONSTRUCTOR_SPECS))
+    q = spec.order
+    n = draw(st.integers(0, 3))
+    exponent = st.one_of(
+        st.sampled_from([0, 1, q - 1, q, q + 1, 2 * q - 1, 2 * q]),
+        st.integers(0, 5 * q),
+    )
+    coeff = st.one_of(
+        st.sampled_from([0, 1, -1, spec.p]),
+        st.integers(-(q**2), q**2),
+        st.integers(0, q - 1).map(spec.from_index),
+    )
+    pool = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=4))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), coeff, st.booleans()).map(
+                lambda t: (list(t[0]) if t[2] else t[0], t[1])
+            ),
+            max_size=10,
+        )
+    )
+    # a term and its negation cancel, wherever they stand
+    if terms and draw(st.booleans()):
+        mono, c = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (mono, -spec.element(c)))
+    return spec, n, terms
+
+
+@given(_constructor_terms())
+def test_the_constructor_matches_the_term_by_term_reference(case):
+    # list and tuple monomials, exponents at and past q fold as _fold does,
+    # zero coefficients and cancelling duplicates drop out, and the map keeps
+    # the order in which the reference first kept each monomial
+    spec, n, terms = case
+    f = MultiPoly(spec, n, terms)
+    reference = _constructor_reference(spec, n, terms)
+    assert list(f._terms.items()) == list(reference.items())
+    assert all(type(m) is tuple for m in f._terms)
+    for mono in f._terms:
+        assert all(0 <= e < spec.order for e in mono)
+    # a mapping of canonical terms is the same polynomial
+    assert MultiPoly(spec, n, dict(f._terms)) == f
+
+
+@pytest.mark.parametrize("spec", CONSTRUCTOR_SPECS)
+def test_the_constructor_refuses_bad_monomials_with_its_messages(spec):
+    q = spec.order
+    cases = [
+        ([(0, -1)], "negative exponent in (0, -1)"),
+        ([[q, -3]], "negative exponent in [" + f"{q}, -3]"),
+        ([(1, 2, 3)], "monomial (1, 2, 3) does not have 2 exponents"),
+        ([[1]], "monomial [1] does not have 2 exponents"),
+        ([()], "monomial () does not have 2 exponents"),
+    ]
+    for mono, message in cases:
+        with pytest.raises(PolyError) as info:
+            MultiPoly(spec, 2, [(m, 1) for m in mono])
+        assert str(info.value) == message
+    with pytest.raises(PolyError, match="^variable count must be >= 0$"):
+        MultiPoly(spec, -1, [])
 
 
 # -- factorization ------------------------------------------------------------

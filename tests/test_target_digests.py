@@ -48,7 +48,9 @@ CASES = {
     "planted over GF(7)": [planted(7, 4, 6, 7, 40, s) for s in range(5)],
     "planted over GF(2^61 - 1)": [planted(P61, 5, 12, 6, 60, s) for s in range(3)],
     # a random 3 x 3 matrix over GF(2) is singular more often than not
-    "planted over GF(2), key-matrix retries": [planted(2, 4, 3, 3, 4, s) for s in range(10)],
+    "planted over GF(2), key-matrix retries": [
+        planted(2, 4, 3, 3, 4, s) for s in range(10)
+    ],
     "largest planted": [planted(31, 8, 64, 12, 10_000, 1)],
     "benchmark toy, seeds 0-7": [toy(7, 4, 4, 3, 4, s) for s in range(8)],
     "toy, zero rounds": [toy(7, 4, 4, 0, 4, s) for s in range(5)],
