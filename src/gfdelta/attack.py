@@ -263,22 +263,6 @@ def _linearity_verdict(eval_superpoly, p, n_sec, trials, rng) -> Verdict:
     return Verdict.LIKELY_LINEAR if saw_variation else Verdict.CONSTANT
 
 
-def linearity_test(
-    bb: BlackBox,
-    term: Monomial,
-    trials: int | None = None,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-) -> Verdict:
-    """Probabilistic check that the differenced function is affine in the
-    secrets: a(f(y)-f(0)) + b(f(z)-f(0)) must equal f(ay+bz)-f(0)."""
-    trials = _trials(bb.spec.p, trials)
-    if rng is None:
-        rng = random.Random(seed)
-    oracle = superpoly_oracle(bb, term)
-    return _linearity_verdict(oracle, bb.spec.p, bb.n_sec, trials, rng)
-
-
 def _linear_form(oracle, p: int, n_sec: int) -> tuple[int, tuple[int, ...]]:
     """c_0 at zero, then c_i from unit vectors, as residues: one oracle call
     probes a grid, then a batch of (n_sec + 1) secrets, zero first."""
@@ -286,15 +270,6 @@ def _linear_form(oracle, p: int, n_sec: int) -> tuple[int, tuple[int, ...]]:
     units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n_sec)]
     c0, *values = oracle([zero, *units])
     return c0, tuple((v - c0) % p for v in values)
-
-
-def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
-    """Read off the affine form of the differenced function; costs
-    (n_sec + 1) grids."""
-    oracle = superpoly_oracle(bb, term)
-    before = bb.evaluations
-    c0, coeffs = _linear_form(oracle, bb.spec.p, bb.n_sec)
-    return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
 
 
 # ---------------------------------------------------------------------------

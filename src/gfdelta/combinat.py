@@ -1,5 +1,6 @@
-"""Exact combinatorics modulo p: digit sums, carry counting, multinomials,
-and the coefficients produced by repeated unit-step differencing.
+"""Exact combinatorics modulo p: digit sums, multinomial residues over
+ordered compositions, and the coefficients produced by repeated unit-step
+differencing.
 
 Multinomial residues are computed digit-wise in base p (generalised Lucas)
 by one kernel, `_digit_multinomial`: the multinomial of one digit column is a
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
@@ -52,28 +52,6 @@ def digit_sum(a: int, p: int) -> int:
     return sum(digits(a, p))
 
 
-def carry_count(parts: Sequence[int], p: int) -> int:
-    """Total carry mass when adding all parts in base p.
-
-    A position whose digit sum overflows k*p contributes k, so the result
-    equals the p-adic valuation of the multinomial coefficient of the parts.
-    """
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    cols = [digits(a, p) for a in parts]
-    width = max(len(c) for c in cols)
-    carry = 0
-    total = 0
-    for pos in range(width):
-        s = carry + sum(c[pos] for c in cols if pos < len(c))
-        carry = s // p
-        total += carry
-    while carry:
-        total += carry // p
-        carry //= p
-    return total
-
-
 def _digit_multinomial(total: int, parts: Sequence[int], p: int) -> int:
     """(total; parts) mod p for one digit column: total < p, no carries.
 
@@ -85,44 +63,6 @@ def _digit_multinomial(total: int, parts: Sequence[int], p: int) -> int:
         result = result * math.comb(total, k) % p
         total -= k
     return result
-
-
-def binomial_mod(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    return multinomial_mod(n, (k, n - k), p)
-
-
-def multinomial_mod(d: int, parts: Sequence[int], p: int) -> int:
-    """Multinomial coefficient (d; parts) mod p, digit-wise in base p."""
-    if any(k < 0 for k in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != d:
-        raise ValueError(f"parts {tuple(parts)} do not sum to {d}")
-    d_digits = digits(d, p)
-    part_digits = [digits(k, p) for k in parts]
-    result = 1
-    for pos, dd in enumerate(d_digits):
-        col = [c[pos] if pos < len(c) else 0 for c in part_digits]
-        if sum(col) != dd:
-            return 0  # a carry occurs, so p divides the coefficient
-        result = result * _digit_multinomial(dd, col, p) % p
-    return result
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Ordered parts (i_1, ..., i_k), all >= 1, summing to the target."""
-
-    parts: tuple[int, ...]
-    target: int
-
-    def __post_init__(self):
-        if any(i < 1 for i in self.parts):
-            raise ValueError("composition parts must be >= 1")
-        if sum(self.parts) != self.target:
-            raise ValueError("composition parts must sum to the target")
 
 
 def _nonneg_splits(total: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -180,15 +120,6 @@ def _nonzero_composition_items(
             column = tuple(split) + (r_digits[top],)
             w = _digit_multinomial(d_digits[top], column, p)
             yield tuple(a + s * scale for a, s in zip(parts, split)), residue * w % p
-
-
-def nonzero_compositions(d: int, j: int, k: int, p: int) -> Iterator[Composition]:
-    """Ordered compositions of j into k positive parts whose multinomial
-    coefficient (d; i_1, ..., i_k, d-j) is nonzero modulo p."""
-    if not 1 <= k <= j <= d:
-        raise ValueError("need 1 <= k <= j <= d")
-    for parts, _ in _nonzero_composition_items(d, j, k, p):
-        yield Composition(parts, j)
 
 
 def diff_coefficient(d: int, j: int, m: int, p: int) -> int:

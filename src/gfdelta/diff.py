@@ -24,7 +24,7 @@ from math import prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .combinat import diff_coefficient, digits, _nonzero_composition_items
+from .combinat import diff_coefficient, digits
 from .field import FieldElement, FieldSpec, basis_elements
 from .poly import Monomial, MultiPoly, PolyError, _merge, parse_monomial
 
@@ -490,30 +490,3 @@ def superpoly_constants(
             c = c * diff_coefficient(m + l, m + l, m, p) % p
         out[term] = spec.element(c)
     return out
-
-
-def ext_diff_constant(
-    spec: FieldSpec, exponent: int, steps: Sequence[FieldElement]
-) -> FieldElement:
-    """The constant multiplying the coefficient of x^exponent after
-    differencing len(steps) times with the given steps over GF(p^m).
-
-    Sums multinomial * h_1^{i_1} ... h_k^{i_k} over the carry-free
-    compositions; empty (zero) whenever the digit sum of the exponent
-    is below the number of steps.
-    """
-    steps = [spec.element(h) for h in steps]
-    k = len(steps)
-    if k < 1:
-        raise DiffError("at least one step required")
-    total = spec.zero
-    if exponent < k:
-        return total
-    for parts, residue in _nonzero_composition_items(
-        exponent, exponent, k, spec.p
-    ):
-        term = spec.element(residue)
-        for h, e in zip(steps, parts):
-            term = term * h**e
-        total = total + term
-    return total

@@ -30,7 +30,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import digit_sum
 from .field import (
@@ -618,7 +618,7 @@ def format_poly(f: MultiPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generators and interpolation
+# generators
 
 
 def random_poly(
@@ -686,66 +686,3 @@ def _residues(rng: random.Random, p: int, count: int) -> list[int]:
 
 def all_points(spec: FieldSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:
     return itertools.product(list(spec.elements()), repeat=n)
-
-
-@lru_cache(maxsize=32)
-def _inverse_vandermonde(spec: FieldSpec) -> list[list[FieldElement]]:
-    """Inverse of the Vandermonde matrix (a^j) over all q field elements a.
-
-    The indicator of a is 1 - (x - a)^(q-1), and (x - a)^(q-1) is
-    sum_j a^(q-1-j) x^j because C(q-1, j) = (-1)^j mod p and
-    (-1)^(q-1) = 1 in the field. So row 0 reads f(0), and row j >= 1 is
-    -a^(q-1-j), with 0^0 = 1.
-    """
-    pts = list(spec.elements())
-    q = len(pts)
-    first = [spec.zero if a else spec.one for a in pts]
-    return [first] + [[-(a ** (q - 1 - j)) for a in pts] for j in range(1, q)]
-
-
-def interpolate(spec: FieldSpec, n: int, values) -> MultiPoly:
-    """Unique canonical polynomial matching a full function table.
-
-    `values` is a mapping from point tuples to elements, or a callable on
-    point tuples. Offered only while order**n stays desk-scale (<= 2^16)
-    and so does the q x q inverse Vandermonde table (q^2 <= 2^20).
-    """
-    q = spec.order
-    if q**n > 1 << 16 or q * q > 1 << 20:
-        raise PolyError("interpolation domain exceeds the desk-scale cap")
-    pts = list(spec.elements())
-    lookup: Callable
-    if callable(values):
-        lookup = values
-    else:
-        table = dict(values)
-        lookup = table.__getitem__
-    # tensor of values indexed by point indices, flattened row-major
-    data = [spec.element(lookup(pt)) for pt in itertools.product(pts, repeat=n)]
-    vinv = _inverse_vandermonde(spec)
-    for axis in range(n):
-        block = q ** (n - 1 - axis)
-        new = [spec.zero] * len(data)
-        for base in range(0, len(data), block * q):
-            for off in range(block):
-                col = [data[base + k * block + off] for k in range(q)]
-                for j in range(q):
-                    acc = spec.zero
-                    row = vinv[j]
-                    for k in range(q):
-                        if col[k]:
-                            acc = acc + row[k] * col[k]
-                    new[base + j * block + off] = acc
-        data = new
-    terms: dict[Monomial, FieldElement] = {}
-    for flat, coeff in enumerate(data):
-        if not coeff:
-            continue
-        mono = []
-        rem = flat
-        for axis in range(n):
-            power = q ** (n - 1 - axis)
-            mono.append(rem // power)
-            rem %= power
-        terms[tuple(mono)] = coeff
-    return MultiPoly(spec, n, terms)

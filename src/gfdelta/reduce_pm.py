@@ -92,23 +92,6 @@ class ProjectionContext:
         )
 
 
-def project_blackbox(
-    bb: BlackBoxFn, n: int, ctx: ProjectionContext
-) -> list[BlackBoxFn]:
-    """The m component functions over GF(p) in m*n coordinate variables."""
-
-    def component(j: int) -> BlackBoxFn:
-        prime = ctx.prime
-
-        def fn(coords: tuple[FieldElement, ...]) -> FieldElement:
-            value = bb(ctx.phi_inv_point(coords, n))
-            return prime.element(ctx.phi(value)[j])
-
-        return fn
-
-    return [component(j) for j in range(ctx.spec.m)]
-
-
 @dataclass
 class ReductionReport:
     ok: bool

@@ -454,7 +454,9 @@ def make_planted(
         placed += 1
     key = tuple(map(spec.element, _residues(rng, p, n_sec)))
     config = PlantedConfig(p, n_pub, n_sec, total_degree, extra_terms, seed)
-    return PlantedTarget(config, MultiPoly(spec, n, terms), key, planted)
+    # the map is canonical as drawn: n exponents each, none above p - 1, and
+    # nonzero field elements as coefficients
+    return PlantedTarget(config, MultiPoly._raw(spec, n, terms), key, planted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,230 @@
+"""Code that only the tests call, kept out of the package: ground truth
+(`interpolate`), closed forms to check the engine against
+(`ext_diff_constant`, `multinomial_mod`, ...) and one-term entries to the
+attack's steps. Each wraps the package's private kernels, which it imports
+and does not copy, so a test through it still exercises `src`."""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
+
+from gfdelta.attack import (
+    BlackBox,
+    MaxtermRecord,
+    Verdict,
+    _linear_form,
+    _linearity_verdict,
+    _trials,
+    superpoly_oracle,
+)
+from gfdelta.combinat import _digit_multinomial, _nonzero_composition_items, digits
+from gfdelta.diff import BlackBoxFn, DiffError
+from gfdelta.field import FieldElement, FieldSpec
+from gfdelta.poly import Monomial, MultiPoly, PolyError
+from gfdelta.reduce_pm import ProjectionContext
+
+
+@lru_cache(maxsize=32)
+def _inverse_vandermonde(spec: FieldSpec) -> list[list[FieldElement]]:
+    """Inverse of the Vandermonde matrix (a^j) over all q field elements a.
+
+    The indicator of a is 1 - (x - a)^(q-1), and (x - a)^(q-1) is
+    sum_j a^(q-1-j) x^j because C(q-1, j) = (-1)^j mod p and
+    (-1)^(q-1) = 1 in the field. So row 0 reads f(0), and row j >= 1 is
+    -a^(q-1-j), with 0^0 = 1.
+    """
+    pts = list(spec.elements())
+    q = len(pts)
+    first = [spec.zero if a else spec.one for a in pts]
+    return [first] + [[-(a ** (q - 1 - j)) for a in pts] for j in range(1, q)]
+
+
+def interpolate(spec: FieldSpec, n: int, values) -> MultiPoly:
+    """Unique canonical polynomial matching a full function table.
+
+    `values` is a mapping from point tuples to elements, or a callable on
+    point tuples. Offered only while order**n stays desk-scale (<= 2^16)
+    and so does the q x q inverse Vandermonde table (q^2 <= 2^20).
+    """
+    q = spec.order
+    if q**n > 1 << 16 or q * q > 1 << 20:
+        raise PolyError("interpolation domain exceeds the desk-scale cap")
+    pts = list(spec.elements())
+    lookup: Callable
+    if callable(values):
+        lookup = values
+    else:
+        table = dict(values)
+        lookup = table.__getitem__
+    # tensor of values indexed by point indices, flattened row-major
+    data = [spec.element(lookup(pt)) for pt in itertools.product(pts, repeat=n)]
+    vinv = _inverse_vandermonde(spec)
+    for axis in range(n):
+        block = q ** (n - 1 - axis)
+        new = [spec.zero] * len(data)
+        for base in range(0, len(data), block * q):
+            for off in range(block):
+                col = [data[base + k * block + off] for k in range(q)]
+                for j in range(q):
+                    acc = spec.zero
+                    row = vinv[j]
+                    for k in range(q):
+                        if col[k]:
+                            acc = acc + row[k] * col[k]
+                    new[base + j * block + off] = acc
+        data = new
+    terms: dict[Monomial, FieldElement] = {}
+    for flat, coeff in enumerate(data):
+        if not coeff:
+            continue
+        mono = []
+        rem = flat
+        for axis in range(n):
+            power = q ** (n - 1 - axis)
+            mono.append(rem // power)
+            rem %= power
+        terms[tuple(mono)] = coeff
+    return MultiPoly(spec, n, terms)
+
+
+def ext_diff_constant(
+    spec: FieldSpec, exponent: int, steps: Sequence[FieldElement]
+) -> FieldElement:
+    """The constant multiplying the coefficient of x^exponent after
+    differencing len(steps) times with the given steps over GF(p^m).
+
+    Sums multinomial * h_1^{i_1} ... h_k^{i_k} over the carry-free
+    compositions; empty (zero) whenever the digit sum of the exponent
+    is below the number of steps.
+    """
+    steps = [spec.element(h) for h in steps]
+    k = len(steps)
+    if k < 1:
+        raise DiffError("at least one step required")
+    total = spec.zero
+    if exponent < k:
+        return total
+    for parts, residue in _nonzero_composition_items(
+        exponent, exponent, k, spec.p
+    ):
+        term = spec.element(residue)
+        for h, e in zip(steps, parts):
+            term = term * h**e
+        total = total + term
+    return total
+
+
+def carry_count(parts: Sequence[int], p: int) -> int:
+    """Total carry mass when adding all parts in base p.
+
+    A position whose digit sum overflows k*p contributes k, so the result
+    equals the p-adic valuation of the multinomial coefficient of the parts.
+    """
+    if not parts:
+        raise ValueError("parts must be nonempty")
+    cols = [digits(a, p) for a in parts]
+    width = max(len(c) for c in cols)
+    carry = 0
+    total = 0
+    for pos in range(width):
+        s = carry + sum(c[pos] for c in cols if pos < len(c))
+        carry = s // p
+        total += carry
+    while carry:
+        total += carry // p
+        carry //= p
+    return total
+
+
+def binomial_mod(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas' theorem."""
+    if k < 0 or k > n:
+        return 0
+    return multinomial_mod(n, (k, n - k), p)
+
+
+def multinomial_mod(d: int, parts: Sequence[int], p: int) -> int:
+    """Multinomial coefficient (d; parts) mod p, digit-wise in base p."""
+    if any(k < 0 for k in parts):
+        raise ValueError("parts must be nonnegative")
+    if sum(parts) != d:
+        raise ValueError(f"parts {tuple(parts)} do not sum to {d}")
+    d_digits = digits(d, p)
+    part_digits = [digits(k, p) for k in parts]
+    result = 1
+    for pos, dd in enumerate(d_digits):
+        col = [c[pos] if pos < len(c) else 0 for c in part_digits]
+        if sum(col) != dd:
+            return 0  # a carry occurs, so p divides the coefficient
+        result = result * _digit_multinomial(dd, col, p) % p
+    return result
+
+
+@dataclass(frozen=True)
+class Composition:
+    """Ordered parts (i_1, ..., i_k), all >= 1, summing to the target."""
+
+    parts: tuple[int, ...]
+    target: int
+
+    def __post_init__(self):
+        if any(i < 1 for i in self.parts):
+            raise ValueError("composition parts must be >= 1")
+        if sum(self.parts) != self.target:
+            raise ValueError("composition parts must sum to the target")
+
+
+def nonzero_compositions(d: int, j: int, k: int, p: int) -> Iterator[Composition]:
+    """Ordered compositions of j into k positive parts whose multinomial
+    coefficient (d; i_1, ..., i_k, d-j) is nonzero modulo p."""
+    if not 1 <= k <= j <= d:
+        raise ValueError("need 1 <= k <= j <= d")
+    for parts, _ in _nonzero_composition_items(d, j, k, p):
+        yield Composition(parts, j)
+
+
+def project_blackbox(
+    bb: BlackBoxFn, n: int, ctx: ProjectionContext
+) -> list[BlackBoxFn]:
+    """The m component functions over GF(p) in m*n coordinate variables."""
+
+    def component(j: int) -> BlackBoxFn:
+        prime = ctx.prime
+
+        def fn(coords: tuple[FieldElement, ...]) -> FieldElement:
+            value = bb(ctx.phi_inv_point(coords, n))
+            return prime.element(ctx.phi(value)[j])
+
+        return fn
+
+    return [component(j) for j in range(ctx.spec.m)]
+
+
+def linearity_test(
+    bb: BlackBox,
+    term: Monomial,
+    trials: int | None = None,
+    seed: int | None = None,
+    rng: random.Random | None = None,
+) -> Verdict:
+    """Probabilistic check that the differenced function is affine in the
+    secrets: a(f(y)-f(0)) + b(f(z)-f(0)) must equal f(ay+bz)-f(0)."""
+    trials = _trials(bb.spec.p, trials)
+    if rng is None:
+        rng = random.Random(seed)
+    oracle = superpoly_oracle(bb, term)
+    return _linearity_verdict(oracle, bb.spec.p, bb.n_sec, trials, rng)
+
+
+def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
+    """Read off the affine form of the differenced function; costs
+    (n_sec + 1) grids."""
+    oracle = superpoly_oracle(bb, term)
+    before = bb.evaluations
+    c0, coeffs = _linear_form(oracle, bb.spec.p, bb.n_sec)
+    return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
+

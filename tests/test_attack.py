@@ -13,9 +13,7 @@ from gfdelta.attack import (
     MaxtermRecord,
     Verdict,
     candidate_terms,
-    extract_linear,
     gaussian_solve,
-    linearity_test,
     load_records,
     online,
     preprocess,
@@ -29,6 +27,7 @@ from gfdelta.reduce_pm import ProjectionContext, ReductionError
 from gfdelta.targets import load_target, make_planted
 
 from conftest import GF5, GF9, GF31
+from oracles import extract_linear, linearity_test
 
 GF7 = prime_field(7)
 

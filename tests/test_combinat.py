@@ -7,15 +7,13 @@ from hypothesis import given, strategies as st
 
 from gfdelta.combinat import (
     ZERO_FUNCTION,
-    Composition,
     _nonzero_composition_items,
-    carry_count,
     degree_after_diff,
     diff_coefficient,
     digit_sum,
-    multinomial_mod,
-    nonzero_compositions,
 )
+
+from oracles import Composition, carry_count, multinomial_mod, nonzero_compositions
 
 # the Mersenne prime 2^61 - 1: far too large for any table indexed by p
 BIG_P = 2**61 - 1

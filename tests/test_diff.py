@@ -7,12 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gfdelta.combinat import (
-    ZERO_FUNCTION,
-    binomial_mod,
-    degree_after_diff,
-    digit_sum,
-)
+from gfdelta.combinat import ZERO_FUNCTION, degree_after_diff, digit_sum
 import gfdelta.diff as diff_module
 from gfdelta.diff import (
     DELTA_TERM_LIMIT,
@@ -25,7 +20,6 @@ from gfdelta.diff import (
     check_delta_size,
     delta,
     delta_plan,
-    ext_diff_constant,
     grid_points,
     grid_size,
     inclusion_exclusion,
@@ -43,6 +37,7 @@ from gfdelta.poly import (
 )
 
 from conftest import GF3, GF4, GF5, GF7, GF8, GF9, GF27, GF31
+from oracles import binomial_mod, ext_diff_constant
 
 GF2 = prime_field(2)
 

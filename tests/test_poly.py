@@ -16,7 +16,6 @@ from gfdelta.poly import (
     _random_monomial,
     all_points,
     format_poly,
-    interpolate,
     monomial_text,
     parse_monomial,
     parse_poly,
@@ -24,6 +23,7 @@ from gfdelta.poly import (
 )
 
 from conftest import ALL_SPECS, GF3, GF4, GF5, GF8, GF9, GF27, GF31
+from oracles import interpolate
 
 
 def small_polys():
@@ -834,6 +834,6 @@ def test_interpolation_rejects_oversized_vandermonde_tables(monkeypatch, p):
     def refuse(*args):
         raise AssertionError("the cap must hold before any lookup or table")
 
-    monkeypatch.setattr("gfdelta.poly._inverse_vandermonde", refuse)
+    monkeypatch.setattr("oracles._inverse_vandermonde", refuse)
     with pytest.raises(PolyError, match="desk-scale cap"):
         interpolate(prime_field(p), 1, refuse)

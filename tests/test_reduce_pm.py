@@ -6,16 +6,16 @@ import pytest
 from gfdelta.combinat import digit_sum
 from gfdelta.diff import DiffPlan, blackbox_delta, grid_points
 from gfdelta.field import basis_elements, prime_field
-from gfdelta.poly import MultiPoly, all_points, interpolate, parse_poly, random_poly
+from gfdelta.poly import MultiPoly, all_points, parse_poly, random_poly
 from gfdelta.reduce_pm import (
     ProjectionContext,
     ReductionError,
     component_degree_bound,
-    project_blackbox,
     verify_reduction,
 )
 
 from conftest import GF4, GF8, GF9
+from oracles import interpolate, project_blackbox
 
 
 def wrap(f):

@@ -22,7 +22,7 @@ from gfdelta.attack import (
 )
 from gfdelta.diff import _term_grid
 from gfdelta.field import prime_field
-from gfdelta.poly import MultiPoly, interpolate, all_points
+from gfdelta.poly import MultiPoly, all_points
 import gfdelta.targets as targets
 from gfdelta.targets import (
     FOLD_TERMS,
@@ -40,6 +40,7 @@ from gfdelta.targets import (
 )
 
 from conftest import evaluate_ints
+from oracles import interpolate
 
 GF3 = prime_field(3)
 
