@@ -20,7 +20,7 @@ import random
 import sys
 
 from . import attack, diff, poly, reduce_pm, targets
-from .combinat import ZERO_FUNCTION, degree_after_diff
+from .combinat import degree_after_diff
 from .field import parse_element, parse_field_spec
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_diff(args) -> int:
     spec = parse_field_spec(args.field)
     steps = None
-    if args.steps:
+    if args.steps is not None:
         steps = [parse_element(chunk, spec) for chunk in args.steps.split(",")]
     plan = diff.parse_plan(args.plan, spec, steps)
     text = args.poly
@@ -99,7 +99,7 @@ def cmd_diff(args) -> int:
 def cmd_degree_bound(args) -> int:
     spec = parse_field_spec(args.field)
     bound = degree_after_diff(args.d, args.k, spec.p)
-    print("zero" if bound is ZERO_FUNCTION else bound)
+    print("zero" if bound is None else bound)
     return EXIT_OK
 
 

@@ -17,23 +17,6 @@ import math
 from typing import Iterator, Sequence
 
 
-class _ZeroFunction:
-    """Marker result: the difference is the identically zero function."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZERO_FUNCTION"
-
-
-ZERO_FUNCTION = _ZeroFunction()
-
-
 def digits(a: int, p: int) -> list[int]:
     """Base-p digits of a, least significant first; [0] for a = 0."""
     if a < 0:
@@ -136,18 +119,18 @@ def diff_coefficient(d: int, j: int, m: int, p: int) -> int:
     return total % p
 
 
-def degree_after_diff(d: int, k: int, p: int):
+def degree_after_diff(d: int, k: int, p: int) -> int | None:
     """Degree bound for x^d after k differences over a field of characteristic p.
 
-    Zeroes out the low base-p digits of d until k is spent; returns the
-    ZERO_FUNCTION sentinel when k exceeds the digit sum of d, since the
-    result then vanishes identically for every choice of nonzero steps.
+    Zeroes out the low base-p digits of d until k is spent; returns None
+    when k exceeds the digit sum of d, since the result then vanishes
+    identically for every choice of nonzero steps.
     """
     if d < 0 or k < 1:
         raise ValueError("need d >= 0 and k >= 1")
     ds = digits(d, p)
     if k > sum(ds):
-        return ZERO_FUNCTION
+        return None
     spent = 0
     out = list(ds) + [0]
     for pos, digit in enumerate(ds):

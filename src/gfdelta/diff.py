@@ -72,13 +72,13 @@ class DiffPlan:
     def make(
         cls,
         spec: FieldSpec,
-        term: Mapping[int, int] | Sequence[tuple[int, int]],
+        term: Mapping[int, int],
         steps: Sequence[FieldElement] | None = None,
     ) -> "DiffPlan":
         """Build a plan from {variable: multiplicity}; default steps are all
         ones over GF(p) and the basis-block sequence over GF(p^m). Explicit
         steps are given flat, in plan order."""
-        pairs = sorted(term.items()) if isinstance(term, Mapping) else sorted(term)
+        pairs = sorted(term.items())
         variables = tuple(v for v, _ in pairs)
         mults = tuple(m for _, m in pairs)
         for m in mults:
@@ -408,16 +408,6 @@ def blackbox_delta(
     for point, weight in grid_points(plan, base):
         total = total + weight * bb(point)
     return total
-
-
-def grid_size(plan: DiffPlan) -> int:
-    """Black-box probes needed per evaluation of the planned difference.
-
-    Over GF(p^m), q(p-1)+r basis-block steps on one variable cost
-    p^q * (r+1) probes: each full block of p-1 steps b_i spans all of
-    GF(p)*b_i, and the last, partial block r+1 offsets.
-    """
-    return len(_grid_entries(plan))
 
 
 def inclusion_exclusion(

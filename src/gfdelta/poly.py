@@ -132,18 +132,6 @@ class MultiPoly:
     def constant(cls, spec, n, value) -> "MultiPoly":
         return cls(spec, n, [((0,) * n, value)])
 
-    @classmethod
-    def term(cls, spec, n, coeff, exponents: Sequence[int]) -> "MultiPoly":
-        return cls(spec, n, {tuple(exponents): spec.element(coeff)})
-
-    @classmethod
-    def variable(cls, spec, n, index: int) -> "MultiPoly":
-        if not 0 <= index < n:
-            raise PolyError(f"variable index {index} out of range")
-        mono = [0] * n
-        mono[index] = 1
-        return cls._raw(spec, n, {tuple(mono): spec.one})
-
     def widen(self, n: int) -> "MultiPoly":
         """The same polynomial over max(n, self.n) variables."""
         if n <= self.n:
@@ -160,9 +148,6 @@ class MultiPoly:
         return sorted(
             self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
         )
-
-    def coefficient(self, mono: Monomial) -> FieldElement:
-        return self._terms.get(tuple(mono), self.spec.zero)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -626,14 +611,11 @@ def random_poly(
     n: int,
     max_total_degree: int,
     term_count: int,
-    seed: int | None = None,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> MultiPoly:
-    """Seed-deterministic random polynomial within the degree bound."""
+    """A random polynomial within the degree bound, drawn from rng."""
     if n < 1 or max_total_degree < 0 or term_count < 0:
         raise PolyError("bounds must be positive")
-    if rng is None:
-        rng = random.Random(seed)
     terms: dict[Monomial, FieldElement] = {}
     for _ in range(term_count):
         mono = _random_monomial(rng, n, max_total_degree, spec.order - 1)

@@ -92,6 +92,13 @@ class ProjectionContext:
         )
 
 
+# the largest domain `verify_reduction` checks at every point; past it, it
+# checks SAMPLES seeded points, and it stops at MAX_MISMATCHES mismatches
+EXHAUSTIVE_LIMIT = 1 << 16
+SAMPLES = 1000
+MAX_MISMATCHES = 5
+
+
 @dataclass
 class ReductionReport:
     ok: bool
@@ -110,9 +117,6 @@ def verify_reduction(
     r: Sequence[int],
     ctx: ProjectionContext,
     seed: int = 0,
-    samples: int = 1000,
-    exhaustive_limit: int = 1 << 16,
-    max_mismatches: int = 5,
 ) -> ReductionReport:
     """Check, pointwise, that differencing r_i times with step b_i on the
     first variable projects to differencing each component r_i times w.r.t.
@@ -122,7 +126,7 @@ def verify_reduction(
     extension-side difference and all m component differences read one
     table of answers, so each distinct point is asked once per call, or
     once per sample point when sampling. The table holds at most the
-    domain (at most `exhaustive_limit` points) in exhaustive mode, and at
+    domain (at most `EXHAUSTIVE_LIMIT` points) in exhaustive mode, and at
     most one grid in sampled mode, where it is cleared at each sample
     point. `probes` in the report counts the calls made to `bb`. The m
     component differences share one coordinate grid, walked once per
@@ -158,7 +162,7 @@ def verify_reduction(
     projected: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     domain = p ** (m * n)
-    if domain <= exhaustive_limit:
+    if domain <= EXHAUSTIVE_LIMIT:
         points = all_points(prime, m * n)
         exhaustive = True
         count = domain
@@ -166,10 +170,10 @@ def verify_reduction(
         rng = random.Random(seed)
         points = (
             tuple(prime.random_element(rng) for _ in range(m * n))
-            for _ in range(samples)
+            for _ in range(SAMPLES)
         )
         exhaustive = False
-        count = samples
+        count = SAMPLES
 
     mismatches: list[tuple] = []
     checked = 0
@@ -192,7 +196,7 @@ def verify_reduction(
             rhs_value = sums[j] % p
             if rhs_value != lhs_coords[j]:
                 mismatches.append((coords, j, lhs_coords[j], rhs_value))
-                if len(mismatches) >= max_mismatches:
+                if len(mismatches) >= MAX_MISMATCHES:
                     return ReductionReport(
                         False, checked, exhaustive, mismatches, probes
                     )

@@ -66,9 +66,10 @@ preprocessing.
 A target description file gives its kind, field, sizes and seed. One table,
 `KINDS`, holds each kind's size keys in file order, with the config field
 each sets and its inclusive range; `save_target` and `load_target` read it,
-and `load_target` rejects a size out of range with `TargetError` before
-building anything. The field must be a prime below 2^63 (see
-`field.prime_field`); the seed is any integer.
+and `load_target` rejects a size out of range, a repeated key or a key the
+kind does not define with `TargetError` before building anything. The field
+must be a prime below 2^63 (see `field.prime_field`); the seed is any
+integer.
 
 Both kinds build from one `random.Random` seeded by the file's seed, so a
 file rebuilds its target bit for bit. A matrix or vector of residues is
@@ -753,8 +754,11 @@ def load_target(path):
     """Rebuild a target bit-identically from its description file. The
     checks run in one order: `kind` is read, `field` parsed and refused
     unless prime, the kind looked up in `KINDS`, each of its sizes read and
-    bounded in file order, and `seed` read; only then is the target built."""
+    bounded in file order, `seed` read, the first repeated key refused, and
+    then the first key the kind does not define; only then is the target
+    built."""
     fields: dict[str, str] = {}
+    repeated = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -763,7 +767,10 @@ def load_target(path):
             if ":" not in line:
                 raise TargetError(f"bad target line {line!r}")
             key, value = line.split(":", 1)
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                repeated.append(key)
+            fields[key] = value.strip()
     try:
         name = fields["kind"]
         spec = parse_field_spec(fields["field"])
@@ -781,4 +788,10 @@ def load_target(path):
         seed = _file_integer(fields["seed"], "target seed", TargetError)
     except KeyError as exc:
         raise TargetError(f"target file missing {exc}") from None
+    if repeated:
+        raise TargetError(f"target key {repeated[0]!r} is repeated")
+    known = {"kind", "field", "seed", *kind.sizes}
+    for key in fields:
+        if key not in known:
+            raise TargetError(f"unknown target key {key!r}")
     return kind.build(kind.config(p=spec.p, seed=seed, **sizes))

@@ -1,8 +1,10 @@
 """Code that only the tests call, kept out of the package: ground truth
 (`interpolate`), closed forms to check the engine against
-(`ext_diff_constant`, `multinomial_mod`, ...) and one-term entries to the
-attack's steps. Each wraps the package's private kernels, which it imports
-and does not copy, so a test through it still exercises `src`."""
+(`ext_diff_constant`, `multinomial_mod`, ...), one-term polynomials and
+coefficient lookup (`term`, `variable`, `coefficient`), a plan's probe
+count (`grid_size`) and one-term entries to the attack's steps. Each wraps
+the package's private kernels, which it imports and does not copy, so a
+test through it still exercises `src`."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from gfdelta.attack import (
     superpoly_oracle,
 )
 from gfdelta.combinat import _digit_multinomial, _nonzero_composition_items, digits
-from gfdelta.diff import BlackBoxFn, DiffError
+from gfdelta.diff import BlackBoxFn, DiffError, DiffPlan, _grid_entries
 from gfdelta.field import FieldElement, FieldSpec
 from gfdelta.poly import Monomial, MultiPoly, PolyError
 from gfdelta.reduce_pm import ProjectionContext
@@ -89,6 +91,32 @@ def interpolate(spec: FieldSpec, n: int, values) -> MultiPoly:
             rem %= power
         terms[tuple(mono)] = coeff
     return MultiPoly(spec, n, terms)
+
+
+def term(spec, n, coeff, exponents: Sequence[int]) -> MultiPoly:
+    return MultiPoly(spec, n, {tuple(exponents): spec.element(coeff)})
+
+
+def variable(spec, n, index: int) -> MultiPoly:
+    if not 0 <= index < n:
+        raise PolyError(f"variable index {index} out of range")
+    mono = [0] * n
+    mono[index] = 1
+    return MultiPoly._raw(spec, n, {tuple(mono): spec.one})
+
+
+def coefficient(f: MultiPoly, mono: Monomial) -> FieldElement:
+    return f._terms.get(tuple(mono), f.spec.zero)
+
+
+def grid_size(plan: DiffPlan) -> int:
+    """Black-box probes needed per evaluation of the planned difference.
+
+    Over GF(p^m), q(p-1)+r basis-block steps on one variable cost
+    p^q * (r+1) probes: each full block of p-1 steps b_i spans all of
+    GF(p)*b_i, and the last, partial block r+1 offsets.
+    """
+    return len(_grid_entries(plan))
 
 
 def ext_diff_constant(

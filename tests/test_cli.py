@@ -175,6 +175,16 @@ def test_diff_step_count_mismatch_is_input_error(capsys):
     assert code == EXIT_INPUT and "error" in err
 
 
+def test_diff_empty_steps_are_refused_not_defaulted(capsys):
+    # an empty --steps is one empty element, not the default steps
+    code, out, err = run(
+        capsys, "diff", "--field", "31", "--poly", "x1^3", "--plan", "x1",
+        "--steps", "",
+    )
+    assert code == EXIT_INPUT and not out
+    assert err.strip() == "error: empty element literal"
+
+
 def test_diff_bad_field_is_input_error(capsys):
     code, _, err = run(
         capsys, "diff", "--field", "6", "--poly", "x1", "--plan", "x1"

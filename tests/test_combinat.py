@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gfdelta.combinat import (
-    ZERO_FUNCTION,
     _nonzero_composition_items,
     degree_after_diff,
     diff_coefficient,
@@ -279,7 +278,7 @@ def test_degree_bound_binary_digit_replacement():
     assert degree_after_diff(11, 2, 2) == 8
     assert degree_after_diff(11, 1, 2) == 10
     assert degree_after_diff(11, 3, 2) == 0
-    assert degree_after_diff(11, 4, 2) is ZERO_FUNCTION
+    assert degree_after_diff(11, 4, 2) is None
 
 
 def test_degree_bound_single_digit():
@@ -289,9 +288,9 @@ def test_degree_bound_single_digit():
 
 def test_degree_bound_at_digit_sum_is_constant_not_zero():
     # S_3(5) = 3: three differences leave a constant (possibly nonzero),
-    # so the bound is 0 rather than the zero-function sentinel
+    # so the bound is 0 rather than None
     assert degree_after_diff(5, 3, 3) == 0
-    assert degree_after_diff(5, 4, 3) is ZERO_FUNCTION
+    assert degree_after_diff(5, 4, 3) is None
 
 
 def test_degree_bound_carries_digits_upward():

@@ -15,7 +15,7 @@ from gfdelta.reduce_pm import (
 )
 
 from conftest import GF4, GF8, GF9
-from oracles import interpolate, project_blackbox
+from oracles import interpolate, project_blackbox, term, variable
 
 
 def wrap(f):
@@ -124,16 +124,16 @@ def test_reduction_all_r_vectors_exhaustive(rng):
                 assert verify_reduction(wrap(f), 1, r, ctx).ok
 
 
-def test_reduction_two_variables_sampled(rng):
+def test_reduction_two_variables_sampled(rng, monkeypatch):
+    monkeypatch.setattr("gfdelta.reduce_pm.SAMPLES", 200)
+    monkeypatch.setattr("gfdelta.reduce_pm.EXHAUSTIVE_LIMIT", 64)
     for spec in (GF4, GF9):
         ctx = ProjectionContext.for_spec(spec)
         f = random_poly(spec, 2, spec.order - 1, 5, rng=rng)
         r = tuple(
             rng.randint(0, spec.p - 1) for _ in range(spec.m)
         )
-        report = verify_reduction(
-            wrap(f), 2, r, ctx, seed=7, samples=200, exhaustive_limit=64
-        )
+        report = verify_reduction(wrap(f), 2, r, ctx, seed=7)
         assert report.ok
 
 
@@ -141,7 +141,7 @@ def test_reduction_full_blocks_on_witness():
     # the non-collapsing product polynomial stays a nonzero constant on
     # both sides when every block is used p-1 times
     for spec in (GF4, GF9):
-        x = MultiPoly.variable(spec, 1, 0)
+        x = variable(spec, 1, 0)
         f = MultiPoly.constant(spec, 1, 1)
         for el in spec.elements():
             if el:
@@ -211,13 +211,13 @@ def test_reduction_asks_each_point_once_exhaustive():
         assert report.probes == len(probed)
 
 
-def test_reduction_asks_each_grid_point_once_per_sample():
+def test_reduction_asks_each_grid_point_once_per_sample(monkeypatch):
+    monkeypatch.setattr("gfdelta.reduce_pm.SAMPLES", 50)
+    monkeypatch.setattr("gfdelta.reduce_pm.EXHAUSTIVE_LIMIT", 64)
     f = parse_poly("x1^2*x2 + x2^3", GF9)
     ctx = ProjectionContext.for_spec(GF9)
     bb, probed = counting_box(f)
-    report = verify_reduction(
-        bb, 2, (2, 1), ctx, seed=3, samples=50, exhaustive_limit=64
-    )
+    report = verify_reduction(bb, 2, (2, 1), ctx, seed=3)
     assert report.ok and not report.exhaustive and report.points_checked == 50
     assert len(probed) == 300
     assert report.probes == len(probed)
@@ -238,10 +238,13 @@ def test_reduction_asks_each_grid_point_once_per_sample():
 
 @pytest.mark.parametrize("spec", [GF4, GF8, GF9])
 @pytest.mark.parametrize("n", [1, 2])
-def test_check_sums_equal_projected_component_differences(spec, n):
+def test_check_sums_equal_projected_component_differences(spec, n, monkeypatch):
     # project_blackbox's components, differenced one at a time, are the
     # reference for the check's one-pass sums: a reported mismatch carries
     # the sum, and every unreported component equals the extension side
+    monkeypatch.setattr("gfdelta.reduce_pm.SAMPLES", 20)
+    monkeypatch.setattr("gfdelta.reduce_pm.EXHAUSTIVE_LIMIT", 0)
+    monkeypatch.setattr("gfdelta.reduce_pm.MAX_MISMATCHES", 10**6)
     rng = random.Random(10 * spec.order + n)
     prime = prime_field(spec.p)
     contexts = [ProjectionContext.for_spec(spec)]
@@ -253,10 +256,7 @@ def test_check_sums_equal_projected_component_differences(spec, n):
             bb = wrap(random_poly(spec, n, spec.order - 1, 5, rng=rng))
             r = tuple(rng.randint(0, spec.p - 1) for _ in range(spec.m))
             seed = rng.randrange(1 << 20)
-            report = verify_reduction(
-                bb, n, r, ctx, seed=seed, samples=20, exhaustive_limit=0,
-                max_mismatches=10**6,
-            )
+            report = verify_reduction(bb, n, r, ctx, seed=seed)
             steps = [b for b, ri in zip(ctx.basis, r) for _ in range(ri)]
             ext_plan = DiffPlan.make(spec, {0: len(steps)} if steps else {}, steps)
             plan = DiffPlan.make(prime, {i: ri for i, ri in enumerate(r) if ri})
@@ -294,7 +294,7 @@ def test_component_degree_bound_examples():
     assert component_degree_bound(f, 0) == 3  # 5 = 12 in base 3
     linear = parse_poly("x1 + (a)*x2", GF9)
     assert component_degree_bound(linear, 0) == 1
-    top = MultiPoly.term(GF9, 1, 1, (GF9.order - 1,))
+    top = term(GF9, 1, 1, (GF9.order - 1,))
     assert component_degree_bound(top, 0) == GF9.m * (GF9.p - 1)
 
 
@@ -303,7 +303,7 @@ def test_interpolated_components_respect_digit_sum_bound():
         ctx = ProjectionContext.for_spec(spec)
         prime = prime_field(spec.p)
         for d in range(1, spec.order):
-            f = MultiPoly.term(spec, 1, 1, (d,))
+            f = term(spec, 1, 1, (d,))
             bound = component_degree_bound(f, 0)
             components = project_blackbox(wrap(f), 1, ctx)
             for comp in components:

@@ -1015,8 +1015,9 @@ def test_target_file_errors(tmp_path):
     with pytest.raises(TargetError):
         load_target(path)
     # the checks run in one order: kind, field, a prime field, a known kind,
-    # each size in file order, then the seed
+    # each size in file order, the seed, a repeated key, then an unknown key
     sizes = "public: 3\nsecret: 4\ntotal-degree: 5\nextra-terms: 12\n"
+    toy = "kind: toy-cipher\nrounds: 1\nwidth: 3\n"
     for text, message in [
         ("field: 31\n", "target file missing 'kind'"),
         ("kind: mystery\n", "target file missing 'field'"),
@@ -1035,6 +1036,20 @@ def test_target_file_errors(tmp_path):
             "target seed is not an integer within Python's digit limit",
         ),
         ("kind planted\n", "bad target line 'kind planted'"),
+        ("kind: planted\nfield: 31\n" + sizes + "public: 3\n", "target file missing 'seed'"),
+        (
+            # the last kind would build a toy cipher
+            "kind: planted\nfield: 31\n" + sizes + "seed: 1\n" + toy,
+            "target key 'kind' is repeated",
+        ),
+        (
+            "kind: planted\nfield: 31\n" + sizes + "seed: 1\nbogus: 7\nseed: 1\n",
+            "target key 'seed' is repeated",
+        ),
+        (
+            "kind: planted\nfield: 31\n" + sizes + "seed: 1\nbogus: 7\nrounds: 1\n",
+            "unknown target key 'bogus'",
+        ),
     ]:
         path.write_text(text)
         with pytest.raises(TargetError) as info:
