@@ -52,16 +52,20 @@ class BlackBox:
     """Evaluation-only keyed function f(public, secret) over a prime field.
 
     The wrapped function must be pure: identical inputs must give identical
-    outputs. The counter tracks how many times the function has been
-    consulted.
+    outputs. The counter `evaluations` counts the probes sent, one per
+    point and secret of a batch, repeats included; what the kernel computes
+    may be less, since `stage` consults it once per distinct point.
 
-    Two batch entries answer a batch of public points (residue tuples).
-    Each checks the width of every point, stages the batch once in the
-    kernel and returns a secret stage, which checks the width of every
+    Two batch entries answer a batch of public points (residue tuples, or
+    lists). Each checks the width of every point, stages the batch once in
+    the kernel and returns a secret stage, which checks the width of every
     secret vector of its batch (residue tuples) and counts one probe per
     point and secret:
-    - `stage(points)`'s secret stage returns one residue list per secret,
-      one residue per point;
+    - `stage(points)` stages each distinct point of the batch once, in
+      first-seen order (a batch without repeats goes to the kernel as it
+      is); its secret stage returns one residue list per secret, one
+      residue per point of the caller's batch, repeats fanned back out.
+      Nothing is kept from one batch to the next;
     - `stage_sum(points, weights)`, one weight per point, is the weighted
       entry: its secret stage returns one residue per secret, the sum of
       w_pt * f(pt, secret) mod p.
@@ -111,7 +115,17 @@ class BlackBox:
 
     def stage(self, points: Sequence[Sequence[int]]) -> SecretStage:
         _check_widths(points, self.n_pub)
-        return self._charged(len(points), self._grid(points))
+        # a replay's nested grids repeat points: compute each one once
+        slots = {}
+        order = [slots.setdefault(pt, len(slots)) for pt in map(tuple, points)]
+        if len(slots) == len(points):
+            return self._charged(len(points), self._grid(points))
+        at_distinct = self._grid(list(slots))
+
+        def at_secrets(secrets):
+            return [[values[i] for i in order] for values in at_distinct(secrets)]
+
+        return self._charged(len(points), at_secrets)
 
     def stage_sum(
         self, points: Sequence[Sequence[int]], weights: Sequence[int]
@@ -464,9 +478,12 @@ def online(
     The records' grids go to the oracle as one batch of residue points, one
     grid after another, so a target's oracle folds or schedules its key once
     per replay; each right-hand side is summed from its grid's slice of the
-    answers. A plain callable is probed once per point with field
-    elements. Records whose grids hold more than DEFAULT_BUDGET points in
-    all are refused before any grid is built."""
+    answers. Nested terms share grid points, so the batch repeats points:
+    a target's oracle counts every point sent but computes each distinct
+    point once (`BlackBox.stage`). A plain callable is probed once per
+    point with field elements, repeats included. Records whose grids hold
+    more than DEFAULT_BUDGET points in all are refused before any grid is
+    built."""
     if not records:
         return OnlineResult("empty", None, {}, 0, "no records supplied")
     size = sum(math.prod(m + 1 for m in record.term) for record in records)

@@ -61,7 +61,10 @@ A single probe is the one-point, one-secret batch. The online oracle is a
 fresh box viewed at a fixed key, a one-secret batch of the per-point
 stage: it answers a whole replay as one grid, so its key is folded or
 mapped once per replay, and every point's width is checked as in
-preprocessing.
+preprocessing. The records' grids nest (x1^2's grid lies inside
+x1^2*x2's), so a replay repeats points; the box counts every point sent,
+repeats included, but the kernel computes each distinct point once (on
+the benchmark's planted case, 57 of the 216 points).
 
 A target description file gives its kind, field, sizes and seed. One table,
 `KINDS`, holds each kind's size keys in file order, with the config field
@@ -109,9 +112,11 @@ class CountingOracle:
     `evaluate_grid(points)` is `box.stage(points)([key])`, one staged grid
     at a one-key batch: it answers a batch of public points, as residue
     tuples, with one residue per point, under the box's width checks and
-    counter, so the key is folded or mapped once per batch.
+    counter, so the key is folded or mapped once per batch and each
+    distinct point of the batch is computed once.
     Calling the oracle on one public point of field elements is the
-    one-point case. `evaluations` is the box's counter."""
+    one-point case. `evaluations` is the box's counter: the probes sent,
+    one per point of every batch, repeats included."""
 
     def __init__(self, box: BlackBox, key: tuple[int, ...]):
         self._box = box

@@ -6,6 +6,7 @@ the term schedule and the planted-target builder; any change to those that
 alters a record, a probe count or the order of the schedule shows up here.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,67 @@ def test_each_grid_is_staged_once(name, seed, terms_tried):
     del staged[:]
     online(target.online_oracle(), records, target.spec, target.n_sec)
     assert staged == ["_on_grid"]
+
+
+
+def _benchmark_planted_records(target):
+    # the planted-p31 workload's target at its seed-0 preprocess seed
+    result = preprocess(
+        target.blackbox(),
+        budget=10**6,
+        max_total_mult=target.suggested_max_multiplicity,
+        seed=2,
+    )
+    return result.records + result.dependent
+
+
+REPLAYS = {
+    "planted-p31": (
+        lambda: make_planted(31, 5, 12, 6, 60, seed=2),
+        _benchmark_planted_records,
+    ),
+    "records_toy_p7_r3.txt": (
+        BUILD["records_toy_p7_r3.txt"],
+        lambda target: load_records(DATA / "records_toy_p7_r3.txt")[0],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, sent, distinct",
+    [("planted-p31", 216, 57), ("records_toy_p7_r3.txt", 64, 31)],
+)
+def test_the_replay_computes_each_distinct_point_once(name, sent, distinct):
+    # nested terms share grid points: the replay sends every point of every
+    # record's grid, and the box counts them all, but the kernel stages each
+    # distinct point once (the benchmark's planted case and toy instance 0)
+    build, records_of = REPLAYS[name]
+    target = build()
+    records = records_of(target)
+    staged = []
+    kernel = target._on_grid
+    target._on_grid = lambda points: staged.append(len(points)) or kernel(points)
+    oracle = target.online_oracle()
+    outcome = online(oracle, records, target.spec, target.n_sec)
+    assert outcome.status == "recovered" and outcome.key == target.key
+    assert staged == [distinct]
+    assert oracle.evaluations == sent
+
+
+# sha256 of each pinned record file: the replay's staging leaves them as
+# they are
+RECORD_DIGESTS = {
+    "records_planted_p31.txt": "f8873d53f4f86f2d50c7fa2bf3d1a426"
+    "40e806dc9cbd0978e0108e285ed542df",
+    "records_toy_p7.txt": "472fccb521f5c40a9d0ccf44691a6228"
+    "95fd2e211171426526f70af3548aaa52",
+    "records_toy_p7_r3.txt": "937277ca5fb357a2788eff2d6797f21a"
+    "f57bc41b80841841a05a2cf736df7988",
+}
+
+
+def test_the_record_files_are_unchanged():
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(DATA.glob("records_*.txt"))
+    } == RECORD_DIGESTS

@@ -15,6 +15,11 @@ one test each:
    for its `__init__`. An option that no program sets doubles the
    configurations to cover for a value nothing uses.
 
+`KEPT` names the definitions kept without a caller, each with its reason.
+A mention inside a kept definition calls nothing, nor does one inside a
+definition that only such mentions reach, to a fixed point: a kept name
+does not keep its helpers alive, and each is named on its own.
+
 `perfbench/` only uses; its own definitions are not checked. A fourth test
 keeps `tests/oracles.py` from going dead in turn: a test uses every
 module-level name it defines.
@@ -29,13 +34,18 @@ CALLERS = [PACKAGE, ROOT / "perfbench"]
 TESTS = ROOT / "tests"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# module-level names kept without a caller, each for its reason
+# definitions kept without a caller, each for its reason
 KEPT = {
-    "delta": "the north star names it as the symbolic route's API",
-    "save_target": "the target-file writer stays next to KINDS and "
+    "diff.delta": "the north star names it as the symbolic route's API",
+    "targets.save_target": "the target-file writer stays next to KINDS and "
     "load_target, so one module knows the format",
-    "component_degree_bound": "the GF(p^m) reduction attack (ROADMAP "
-    "item 15) gives it a caller",
+    "reduce_pm.component_degree_bound": "the GF(p^m) reduction attack "
+    "(ROADMAP item 15) gives it a caller",
+    "poly.MultiPoly.degrees": "component_degree_bound reads a polynomial's "
+    "digit-sum degrees from it (ROADMAP item 15)",
+    "poly.PolyDegrees": "what MultiPoly.degrees returns (ROADMAP item 15)",
+    "combinat.digit_sum": "S_p(e), the digit-sum degree that "
+    "MultiPoly.degrees reports per variable (ROADMAP item 15)",
 }
 
 # defaulted parameters kept with no call that sets them by name, each for
@@ -64,20 +74,15 @@ def _trees(folders):
 TREES = list(_trees(CALLERS))
 
 
-def _called_names(node: ast.AST) -> set[str]:
-    """The module-level names a statement calls: bare names, and attributes
-    of a package module."""
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id in MODULES
-        ):
-            out.add(sub.attr)
-    return out
+def _walk(node: ast.AST, enclosing: tuple = ()):
+    """(node, its enclosing definitions) for every node under node."""
+    for child in ast.iter_child_nodes(node):
+        yield child, enclosing
+        inner = enclosing + (child,) if isinstance(child, DEFINITIONS) else enclosing
+        yield from _walk(child, inner)
+
+
+NODES = [pair for _, tree in TREES for pair in _walk(tree)]
 
 
 def _mentions(node: ast.AST) -> list[str]:
@@ -110,52 +115,101 @@ def _package_functions():
             yield from _functions(tree, None, f"{path.stem}.")
 
 
-def test_every_package_name_has_a_caller_outside_the_tests():
-    statements = [
-        (path, stmt, _called_names(stmt))
-        for path, tree in TREES
-        for stmt in tree.body
-        if not isinstance(stmt, IMPORTS)
+# rule 1's definitions, then rule 2's, each with its label
+NAMES = {
+    stmt: f"{path.stem}.{stmt.name}"
+    for path, tree in TREES
+    if path.parent == PACKAGE
+    for stmt in tree.body
+    if isinstance(stmt, DEFINITIONS)
+}
+METHODS = {
+    fn: label
+    for label, owner, fn in _package_functions()
+    if owner is not None
+    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+}
+LABELS = {**NAMES, **METHODS}
+
+
+def _mentions_by_name() -> dict[str, list[tuple[bool, tuple]]]:
+    """Per name, (whether it names a module-level name, enclosing
+    definitions) for each mention: a bare name, or an attribute, which
+    names a module-level name only on a package module
+    (`diff.blackbox_delta`)."""
+    out: dict[str, list] = {}
+    for node, enclosing in NODES:
+        if isinstance(node, ast.Name):
+            out.setdefault(node.id, []).append((True, enclosing))
+        elif isinstance(node, ast.Attribute):
+            module = isinstance(node.value, ast.Name) and node.value.id in MODULES
+            out.setdefault(node.attr, []).append((module, enclosing))
+    return out
+
+
+MENTIONS = _mentions_by_name()
+
+# per definition, the enclosing definitions of each mention outside its own
+# body that reaches it: rule 1 reads module-level names, rule 2 any mention
+REACHED_FROM = {
+    definition: [
+        enclosing
+        for module_level, enclosing in MENTIONS.get(definition.name, [])
+        if (module_level or definition in METHODS) and definition not in enclosing
     ]
-    defined = {}
-    for path, stmt, _ in statements:
-        if path.parent == PACKAGE and isinstance(stmt, DEFINITIONS):
-            defined[stmt] = f"{path.stem}.{stmt.name}"
-    assert set(KEPT) <= {stmt.name for stmt in defined}
-    uncalled = [
+    for definition in LABELS
+}
+
+
+def _shielded() -> set:
+    """The kept definitions, and to a fixed point every definition that
+    only mentions inside shielded ones reach."""
+    shielded = {definition for definition, label in LABELS.items() if label in KEPT}
+    grown = True
+    while grown:
+        grown = False
+        for definition, reached in REACHED_FROM.items():
+            if definition not in shielded and reached and all(
+                shielded.intersection(enclosing) for enclosing in reached
+            ):
+                shielded.add(definition)
+                grown = True
+    return shielded
+
+
+SHIELDED = _shielded()
+
+
+def _counts(enclosing: tuple) -> bool:
+    """Whether a mention with these enclosing definitions counts as a call."""
+    return not SHIELDED.intersection(enclosing)
+
+
+def _unreached(definitions: dict) -> list[str]:
+    return [
         label
-        for stmt, label in defined.items()
-        if stmt.name not in KEPT
-        and not any(
-            stmt.name in called
-            for _, other, called in statements
-            if other is not stmt
-        )
+        for definition, label in definitions.items()
+        if label not in KEPT and not any(map(_counts, REACHED_FROM[definition]))
     ]
+
+
+def test_every_package_name_has_a_caller_outside_the_tests():
+    assert set(KEPT) <= set(LABELS.values())
+    uncalled = _unreached(NAMES)
     assert not uncalled, f"only tests call: {', '.join(uncalled)}"
 
 
 def test_every_method_is_mentioned_outside_its_own_body():
-    everywhere: dict[str, int] = {}
-    for _, tree in TREES:
-        for name in _mentions(tree):
-            everywhere[name] = everywhere.get(name, 0) + 1
-    unmentioned = [
-        label
-        for label, owner, fn in _package_functions()
-        if owner is not None
-        and not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and everywhere.get(fn.name, 0) == _mentions(fn).count(fn.name)
-    ]
+    unmentioned = _unreached(METHODS)
     assert not unmentioned, f"only tests use: {', '.join(unmentioned)}"
 
 
 def _calls(name: str) -> list[ast.Call]:
     return [
         node
-        for _, tree in TREES
-        for node in ast.walk(tree)
+        for node, enclosing in NODES
         if isinstance(node, ast.Call)
+        and _counts(enclosing)
         and (
             isinstance(node.func, ast.Name)
             and node.func.id == name

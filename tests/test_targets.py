@@ -921,6 +921,52 @@ def test_a_budget_cut_batch_charges_its_funded_secrets(name):
         assert bb.evaluations == before + funded * size
 
 
+@pytest.mark.parametrize("name", sorted(WEIGHTED_BOXES))
+def test_stage_computes_each_distinct_point_once(name):
+    # nested terms share grid points, so a replay repeats them: the box
+    # stages each distinct point once, in first-seen order, fans every
+    # secret's answers back out to the caller's order and still charges
+    # len(points) * len(secrets) probes, repeats included
+    bb = WEIGHTED_BOXES[name]()
+    spec, n_pub, n_sec = bb.spec, bb.n_pub, bb.n_sec
+    rest = (0,) * (n_pub - 2)
+    terms = [(2, 0) + rest, (2, 1) + rest, (1, 1) + rest]
+    points = tuple(pt for term in terms for pt in _term_grid(spec, term).residues)
+    distinct = list(dict.fromkeys(points))
+    assert (len(points), len(distinct)) == (13, 6)
+    rng = random.Random(0)
+    secrets = [(0,) * n_sec, tuple(rng.randrange(spec.p) for _ in range(n_sec))]
+    # each point's one-point stage, one answer per secret
+    alone = {pt: [values for [values] in bb.stage([pt])(secrets)] for pt in points}
+
+    def expected(batch):
+        return [[alone[tuple(pt)][s] for pt in batch] for s in range(len(secrets))]
+
+    staged = []
+    grid = bb._grid
+    bb._grid = lambda batch: staged.append(batch) or grid(batch)
+    before = bb.evaluations
+    assert bb.stage(points)(secrets) == expected(points)
+    assert bb.evaluations == before + len(points) * len(secrets)
+    assert staged == [distinct]
+    # points given as lists
+    lists = [list(pt) for pt in points]
+    assert bb.stage(lists)(secrets) == expected(points)
+    assert staged == [distinct] * 2
+    # a batch without repeats reaches the kernel as it is
+    assert bb.stage(distinct)(secrets) == expected(distinct)
+    assert staged[-1] is distinct
+    # a width mismatch is refused before any staging or probe
+    del staged[:]
+    before = bb.evaluations
+    with pytest.raises(AttackError, match="width"):
+        bb.stage(points + ((0,) * (n_pub + 1),))
+    assert staged == [] and bb.evaluations == before
+    # the empty batch
+    assert bb.stage(())([secrets[1]]) == [[]]
+    assert bb.evaluations == before
+
+
 def test_the_planted_weighted_stage_folds_only_the_nonvanishing_groups():
     # over the benchmark's planted target (p = 31, 5 publics, 12 secrets,
     # degree 6, 60 extra terms, seed 2) and the 95 terms its seed-2 search
