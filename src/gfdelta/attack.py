@@ -62,8 +62,7 @@ class BlackBox:
     secret vector of its batch (residue tuples) and counts one probe per
     point and secret:
     - `stage(points)` stages each distinct point of the batch once, in
-      first-seen order (a batch without repeats goes to the kernel as it
-      is); its secret stage returns one residue list per secret, one
+      first-seen order; its secret stage returns one residue list per secret, one
       residue per point of the caller's batch, repeats fanned back out.
       Nothing is kept from one batch to the next;
     - `stage_sum(points, weights)`, one weight per point, is the weighted
@@ -118,8 +117,6 @@ class BlackBox:
         # a replay's nested grids repeat points: compute each one once
         slots = {}
         order = [slots.setdefault(pt, len(slots)) for pt in map(tuple, points)]
-        if len(slots) == len(points):
-            return self._charged(len(points), self._grid(points))
         at_distinct = self._grid(list(slots))
 
         def at_secrets(secrets):

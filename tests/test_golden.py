@@ -6,7 +6,6 @@ the term schedule and the planted-target builder; any change to those that
 alters a record, a probe count or the order of the schedule shows up here.
 """
 
-import hashlib
 from pathlib import Path
 
 import pytest
@@ -159,21 +158,3 @@ def test_the_replay_computes_each_distinct_point_once(name, sent, distinct):
     assert staged == [distinct]
     assert oracle.evaluations == sent
 
-
-# sha256 of each pinned record file: the replay's staging leaves them as
-# they are
-RECORD_DIGESTS = {
-    "records_planted_p31.txt": "f8873d53f4f86f2d50c7fa2bf3d1a426"
-    "40e806dc9cbd0978e0108e285ed542df",
-    "records_toy_p7.txt": "472fccb521f5c40a9d0ccf44691a6228"
-    "95fd2e211171426526f70af3548aaa52",
-    "records_toy_p7_r3.txt": "937277ca5fb357a2788eff2d6797f21a"
-    "f57bc41b80841841a05a2cf736df7988",
-}
-
-
-def test_the_record_files_are_unchanged():
-    assert {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(DATA.glob("records_*.txt"))
-    } == RECORD_DIGESTS

@@ -953,9 +953,9 @@ def test_stage_computes_each_distinct_point_once(name):
     lists = [list(pt) for pt in points]
     assert bb.stage(lists)(secrets) == expected(points)
     assert staged == [distinct] * 2
-    # a batch without repeats reaches the kernel as it is
+    # a batch without repeats reaches the kernel with the same points
     assert bb.stage(distinct)(secrets) == expected(distinct)
-    assert staged[-1] is distinct
+    assert staged[-1] == distinct
     # a width mismatch is refused before any staging or probe
     del staged[:]
     before = bb.evaluations
