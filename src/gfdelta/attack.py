@@ -25,6 +25,7 @@ from .field import (
     FieldElement,
     FieldSpec,
     _file_integer,
+    eliminate,
     parse_field_spec,
     row_reduce,
 )
@@ -365,7 +366,9 @@ def preprocess(
         raise AttackError("the largest total multiplicity cannot be negative")
     spec = bb.spec
     rng = random.Random(seed)
-    basis: list[list[int]] = []  # reduced rows of the kept records
+    # the kept records' coefficient rows, in echelon form for `eliminate`
+    basis: list[list[int]] = []
+    pivots: list[int] = []
     records: list[MaxtermRecord] = []
     dependent: list[MaxtermRecord] = []
     terms_tried = 0
@@ -385,9 +388,7 @@ def preprocess(
             if not any(coeffs):
                 continue
             record = MaxtermRecord(term, c0, coeffs, bb.evaluations - before)
-            rows, pivots = row_reduce(basis + [list(coeffs)], spec.p)
-            if len(pivots) > len(basis):
-                basis = rows[: len(pivots)]
+            if eliminate(basis, pivots, coeffs, spec.p, bb.n_sec) is None:
                 records.append(record)
             else:
                 dependent.append(record)
@@ -415,14 +416,44 @@ class SolveResult:
 
 
 def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
-    """Reduced row echelon form over GF(p) with full rank reporting.
+    """Solves a linear system over GF(p), with full rank reporting.
 
-    Each row holds residues mod p: its coefficients, then its right-hand
-    side. The solution slot holds the unique solution when the system
-    determines every variable, or the particular solution with free
-    variables at zero when it does not. A pivot variable whose row touches
-    no free column is pinned."""
+    Each row holds integers read mod p: its coefficients, then its
+    right-hand side. The rows go through `field.eliminate` in order only
+    until the coefficients reach full rank. Back substitution then gives
+    the unique solution, and each later row is checked against it by one
+    dot product. A system that never reaches full rank is reduced whole by
+    `row_reduce`: the solution slot holds the particular solution with free
+    variables at zero, and a pivot variable whose row touches no free
+    column is pinned. A row whose coefficients reduce to zero but whose
+    right-hand side does not reads 0 = b, and the system is inconsistent;
+    its rank and pivots are still those of all the rows' coefficients."""
     width = len(rows[0]) - 1 if rows else 0
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    consistent = True
+    fed = 0
+    for row in rows:
+        if len(pivots) == width:
+            break
+        fed += 1
+        residue = eliminate(basis, pivots, row, p, width)
+        if residue is not None and residue[width]:
+            consistent = False
+    if len(pivots) == width:
+        # each pivot row is 0 at the pivots of the rows before it, so from
+        # the last row back every other column it touches is solved
+        values = [0] * width
+        for row, col in zip(reversed(basis), reversed(pivots)):
+            values[col] = (row[width] - sum(map(operator.mul, row, values))) % p
+        every = tuple(range(width))
+        if consistent and all(
+            (sum(map(operator.mul, row, values)) - row[width]) % p == 0
+            for row in rows[fed:]
+        ):
+            pinned = dict(enumerate(values))
+            return SolveResult("unique", width, every, (), tuple(values), pinned)
+        return SolveResult("inconsistent", width, every, (), None, {})
     reduced, pivots = row_reduce(rows, p, width)
     rank = len(pivots)
     free = tuple(i for i in range(width) if i not in pivots)
@@ -436,8 +467,7 @@ def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
         values[col] = row[width]
         if not any(row[i] for i in free):
             pinned[col] = row[width]
-    status = "unique" if rank == width else "parametrized"
-    return SolveResult(status, rank, tuple(pivots), free, tuple(values), pinned)
+    return SolveResult("parametrized", rank, tuple(pivots), free, tuple(values), pinned)
 
 
 @dataclass
@@ -480,9 +510,15 @@ def online(
     point once (`BlackBox.stage`). A plain callable is probed once per
     point with field elements, repeats included. Records whose grids hold
     more than DEFAULT_BUDGET points in all are refused before any grid is
-    built."""
+    built, and so is a record whose linear form is not n_sec wide."""
     if not records:
         return OnlineResult("empty", None, {}, 0, "no records supplied")
+    for record in records:
+        if len(record.c) != n_sec:
+            raise AttackError(
+                f"record {monomial_text(record.term)} has {len(record.c)} "
+                f"coefficients for {n_sec} secret variables"
+            )
     size = sum(math.prod(m + 1 for m in record.term) for record in records)
     if size > DEFAULT_BUDGET:
         raise AttackError(

@@ -20,8 +20,8 @@ larger prime fields use integer arithmetic. Above the limit `_coords_pow`
 is the one power, square-and-multiply under the field's coordinate
 product, and a negative exponent powers the inverse. The convolution is
 the only polynomial product: the tables are built on it, and Rabin's
-irreducibility test runs on it and on `row_reduce` in the quotient ring the
-modulus defines.
+irreducibility test runs on it and on `eliminate`, the one elimination
+step, in the quotient ring the modulus defines.
 
 Specs and elements are immutable after construction and safe to share
 between any number of threads.
@@ -195,33 +195,78 @@ def _small_prime_factors(n: int) -> list[int]:
 # linear algebra over GF(p) on plain integer rows
 
 
+def eliminate(
+    basis: list[list[int]],
+    pivots: list[int],
+    row: Sequence[int],
+    p: int,
+    width: int,
+) -> list[int] | None:
+    """One step of incremental Gaussian elimination modulo the prime p.
+
+    `basis` holds pivot rows in insertion order and `pivots` their pivot
+    columns, all in the first `width` columns. Each pivot row is reduced
+    mod p, 0 before its pivot column, 1 at it, and 0 at the pivot column of
+    every earlier pivot row. The step reduces `row` against the pivot rows
+    in that order and reduces it mod p once, at the end: each pivot row
+    subtracts less than p^2 from an entry, so no entry moves by more than
+    width * p^2 before that. If a coefficient is left in the first `width`
+    columns, the row is normalised at the first such column and appended,
+    with that column, and the step returns None. Otherwise it returns the
+    row's residue mod p, whose first `width` entries are 0. `row` itself is
+    not changed.
+    """
+    for pivot_row, col in zip(basis, pivots):
+        c = row[col] % p
+        if c:
+            row = [a - c * b for a, b in zip(row, pivot_row)]
+    for col in range(width):
+        if row[col] % p:
+            break
+    else:
+        return [v % p for v in row]
+    inv = pow(row[col], -1, p)
+    basis.append([v * inv % p for v in row])
+    pivots.append(col)
+    return None
+
+
 def row_reduce(
     rows: Sequence[Sequence[int]], p: int, width: int | None = None
 ) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of integer rows modulo the prime p.
 
     Pivots are sought only in the first `width` columns (all by default), so
-    augmented columns ride along. Returns the reduced rows, pivot rows first
-    in pivot order, and the pivot columns; the rank is their count.
+    augmented columns ride along. Every row goes through `eliminate` in
+    turn, and one back pass then clears each pivot column above its row.
+    Returns the reduced rows, pivot rows first in pivot order and then the
+    residues of the other rows, and the pivot columns; the rank is their
+    count. When every residue is zero the augmented columns lie in the
+    span of the first `width`, and the result is the unique reduced form.
+    When some residue is not (an inconsistent system), the augmented
+    entries of the residues and of the pivot rows depend on the order of
+    elimination; no caller reads them.
     """
-    rows = [[v % p for v in row] for row in rows]
     if width is None:
         width = len(rows[0]) if rows else 0
+    basis: list[list[int]] = []
     pivots: list[int] = []
-    for col in range(width):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if found is None:
-            continue
-        rows[rank], rows[found] = rows[found], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        pivot = rows[rank] = [v * inv % p for v in rows[rank]]
-        for r, row in enumerate(rows):
-            c = row[col]
-            if c and r != rank:
-                rows[r] = [(a - c * b) % p for a, b in zip(row, pivot)]
-        pivots.append(col)
-    return rows, pivots
+    residues = []
+    for row in rows:
+        residue = eliminate(basis, pivots, row, p, width)
+        if residue is not None:
+            residues.append(residue)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    reduced = [basis[i] for i in order]
+    pivots = [pivots[i] for i in order]
+    for k in reversed(range(len(reduced))):
+        pivot_row = reduced[k] = [v % p for v in reduced[k]]
+        col = pivots[k]
+        for j in range(k):
+            c = reduced[j][col] % p
+            if c:
+                reduced[j] = [a - c * b for a, b in zip(reduced[j], pivot_row)]
+    return reduced + residues, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +557,8 @@ class ExtFieldSpec(FieldSpec):
         A monic f of degree m is irreducible iff x^(p^m) = x mod f and, for
         each prime q | m, h = x^(p^(m/q)) - x is a unit mod f: multiplying
         by h is invertible, so h times the basis 1, x, ..., x^(m-1) has
-        rank m.
+        rank m: each product joins the `eliminate` basis, and the first that
+        does not ends the test.
         """
         p, m = self.p, self.m
         if m == 1:
@@ -524,9 +570,11 @@ class ExtFieldSpec(FieldSpec):
         for q in _small_prime_factors(m):
             xq = _coords_pow(self._convolve, one, x, p ** (m // q))
             h = tuple(c - d for c, d in zip(xq, x))
-            rows = [self._convolve(h, e) for e in basis]
-            if len(row_reduce(rows, p)[1]) < m:
-                return False
+            rows: list[list[int]] = []
+            pivots: list[int] = []
+            for e in basis:
+                if eliminate(rows, pivots, self._convolve(h, e), p, m) is not None:
+                    return False
         return True
 
 

@@ -84,20 +84,19 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from operator import ge, mul
-from typing import Callable, Sequence
 
 from .attack import BlackBox
-from .combinat import _nonneg_splits
 from .field import (
     FieldElement,
     SlotCodec,
     _file_integer,
+    eliminate,
     parse_field_spec,
     prime_field,
-    row_reduce,
 )
 from .poly import Monomial, MultiPoly, _random_monomial, _residues
 
@@ -393,10 +392,43 @@ class PlantedTarget(_Target):
         return at_secrets
 
 
-def _public_monomials(n_pub: int, n: int, degree: int, cap: int):
-    """All monomials over the public block with the exact total degree."""
-    pad = (0,) * (n - n_pub)
-    return [s + pad for s in _nonneg_splits(degree, n_pub) if max(s) <= cap]
+class _PublicMonomials(Sequence):
+    """The monomials in n variables that are zero past the first n_pub and
+    have total degree `degree` and every exponent at most `cap`, in
+    `combinat._nonneg_splits` order, as a view: each item is unranked when
+    asked for, so a draw of a few reads no list of them all.
+
+    `_counts[k][t]` is the number of ways to write t as k exponents of at
+    most `cap`. Item i takes the smallest first exponent e whose block of
+    items, `_counts[k - 1][t - e]` of them, holds i, and goes on from the
+    index within that block."""
+
+    def __init__(self, n_pub: int, n: int, degree: int, cap: int):
+        counts = [[1] + [0] * degree]
+        for _ in range(n_pub):
+            last = counts[-1]
+            counts.append(
+                [sum(last[max(t - cap, 0) : t + 1]) for t in range(degree + 1)]
+            )
+        self._counts = counts
+        self._pad = (0,) * (n - n_pub)
+
+    def __len__(self) -> int:
+        return self._counts[-1][-1]
+
+    def __getitem__(self, index: int) -> Monomial:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        total = len(self._counts[0]) - 1
+        exponents = []
+        for row in reversed(self._counts[1:-1]):
+            e = 0
+            while index >= row[total - e]:
+                index -= row[total - e]
+                e += 1
+            exponents.append(e)
+            total -= e
+        return (*exponents, total, *self._pad)
 
 
 def make_planted(
@@ -424,7 +456,7 @@ def make_planted(
     if total_degree - 1 > n_pub * cap:
         raise TargetError("public block cannot carry multiplicity deg-1")
     n = n_pub + n_sec
-    anchors = _public_monomials(n_pub, n, total_degree - 1, cap)
+    anchors = _PublicMonomials(n_pub, n, total_degree - 1, cap)
     if len(anchors) < n_sec:
         raise TargetError(
             f"only {len(anchors)} public terms of degree {total_degree - 1}; "
@@ -435,7 +467,9 @@ def make_planted(
     # secret linear forms with an invertible coefficient matrix
     while True:
         matrix = _residue_rows(rng, p, n_sec, n_sec)
-        if len(row_reduce(matrix, p)[1]) == n_sec:
+        basis: list[list[int]] = []
+        pivots: list[int] = []
+        if all(eliminate(basis, pivots, row, p, n_sec) is None for row in matrix):
             break
     terms: dict[Monomial, FieldElement] = {}
     for anchor, row in zip(chosen, matrix):

@@ -4,7 +4,11 @@
 coefficient lookup (`term`, `variable`, `coefficient`), a plan's probe
 count (`grid_size`) and one-term entries to the attack's steps. Each wraps
 the package's private kernels, which it imports and does not copy, so a
-test through it still exercises `src`."""
+test through it still exercises `src`. The exception is the whole-matrix
+Gauss-Jordan elimination that `field.row_reduce` and `attack.gaussian_solve`
+ran before both went through the incremental `field.eliminate`: it is kept
+here as it was (`row_reduce`, `gaussian_solve`), as the reference to check
+them against."""
 
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from typing import Callable, Iterator, Sequence
 from gfdelta.attack import (
     BlackBox,
     MaxtermRecord,
+    SolveResult,
     Verdict,
     _linear_form,
     _linearity_verdict,
@@ -256,3 +261,58 @@ def extract_linear(bb: BlackBox, term: Monomial) -> MaxtermRecord:
     c0, coeffs = _linear_form(oracle, bb.spec.p, bb.n_sec)
     return MaxtermRecord(tuple(term), c0, coeffs, bb.evaluations - before)
 
+
+
+def row_reduce(
+    rows: Sequence[Sequence[int]], p: int, width: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows modulo the prime p.
+
+    Pivots are sought only in the first `width` columns (all by default), so
+    augmented columns ride along. Returns the reduced rows, pivot rows first
+    in pivot order, and the pivot columns; the rank is their count.
+    """
+    rows = [[v % p for v in row] for row in rows]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        pivot = rows[rank] = [v * inv % p for v in rows[rank]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != rank:
+                rows[r] = [(a - c * b) % p for a, b in zip(row, pivot)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
+    """Reduced row echelon form over GF(p) with full rank reporting.
+
+    Each row holds residues mod p: its coefficients, then its right-hand
+    side. The solution slot holds the unique solution when the system
+    determines every variable, or the particular solution with free
+    variables at zero when it does not. A pivot variable whose row touches
+    no free column is pinned."""
+    width = len(rows[0]) - 1 if rows else 0
+    reduced, pivots = row_reduce(rows, p, width)
+    rank = len(pivots)
+    free = tuple(i for i in range(width) if i not in pivots)
+    # past the rank a row has no coefficient left: a nonzero right-hand side
+    # there reads 0 = b
+    if any(row[width] for row in reduced[rank:]):
+        return SolveResult("inconsistent", rank, tuple(pivots), free, None, {})
+    values = [0] * width
+    pinned = {}
+    for row, col in zip(reduced, pivots):
+        values[col] = row[width]
+        if not any(row[i] for i in free):
+            pinned[col] = row[width]
+    status = "unique" if rank == width else "parametrized"
+    return SolveResult(status, rank, tuple(pivots), free, tuple(values), pinned)

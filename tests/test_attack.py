@@ -26,6 +26,7 @@ from gfdelta.poly import MultiPoly, _residues, parse_poly, random_poly
 from gfdelta.reduce_pm import ProjectionContext, ReductionError
 from gfdelta.targets import load_target, make_planted
 
+import oracles
 from conftest import GF5, GF9, GF31
 from oracles import coefficient, extract_linear, linearity_test
 
@@ -626,6 +627,102 @@ def test_elimination_kernel_rank_and_inverse(p, m, data):
             ProjectionContext.for_spec(ext, basis)
 
 
+# the primes the elimination step is checked over against the whole-matrix
+# Gauss-Jordan it replaced (`oracles.row_reduce`, `oracles.gaussian_solve`)
+REFERENCE_PRIMES = [2, 3, 31, 2**61 - 1]
+
+
+def _shifted(draw, p, rows):
+    """The rows with each entry moved by a drawn multiple of p, often out
+    of [0, p)."""
+    shift = st.integers(-2, 2)
+    return [[v + p * draw(shift) for v in row] for row in rows]
+
+
+@st.composite
+def _systems(draw, p):
+    """Rows over GF(p): coefficients, then a right-hand side that a drawn
+    key satisfies or any residue. A row may be zero, repeat an earlier row
+    or add two earlier rows; entries may lie outside [0, p)."""
+    width = draw(st.integers(0, 5))
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    key = draw(st.lists(residue, min_size=width, max_size=width))
+    kinds = st.sampled_from(["drawn", "zero", "repeat", "sum"])
+    coeffs: list[list[int]] = []
+    rows = []
+    for kind in draw(st.lists(kinds, max_size=10)):
+        if kind == "zero":
+            c = [0] * width
+        elif kind == "drawn" or not coeffs:
+            c = draw(st.lists(residue, min_size=width, max_size=width))
+        elif kind == "repeat":
+            c = draw(st.sampled_from(coeffs))
+        else:
+            a, b = draw(st.sampled_from(coeffs)), draw(st.sampled_from(coeffs))
+            c = [x + y for x, y in zip(a, b)]
+        coeffs.append(c)
+        b = draw(st.one_of(st.none(), residue))
+        rows.append(c + [sum(map(operator.mul, c, key)) if b is None else b])
+    return _shifted(draw, p, rows)
+
+
+@given(st.sampled_from(REFERENCE_PRIMES), st.data())
+def test_gaussian_solve_matches_the_reference(p, data):
+    rows = data.draw(_systems(p))
+    assert gaussian_solve(rows, p) == oracles.gaussian_solve(rows, p)
+
+
+@given(st.sampled_from(REFERENCE_PRIMES), st.data())
+def test_row_reduce_matches_the_reference(p, data):
+    rows = data.draw(_systems(p))
+    width = data.draw(st.integers(0, len(rows[0]))) if rows else None
+    reduced, pivots = row_reduce(rows, p, width)
+    want, want_pivots = oracles.row_reduce(rows, p, width)
+    assert pivots == want_pivots and len(reduced) == len(want)
+    # the augmented entries are the unique reduced form only when every
+    # residue (the rows past the rank) is zero there
+    if not any(any(row[width:]) for row in want[len(pivots) :]):
+        assert reduced == want
+
+
+@given(
+    st.sampled_from(REFERENCE_PRIMES),
+    st.integers(2, 4),
+    st.sampled_from([None, "before", "after"]),
+    st.data(),
+)
+def test_gaussian_solve_late_full_rank_and_conflicts(p, width, conflict, data):
+    # an invertible matrix (triangular with a nonzero diagonal, its columns
+    # permuted) whose last row comes only after a multiple of its first, so
+    # the first `width` rows are singular; then rows that repeat it. A
+    # conflict spoils the multiple (before full rank) or a repeat (after)
+    residue = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    key = data.draw(st.lists(residue, min_size=width, max_size=width))
+    order = data.draw(st.permutations(range(width)))
+    matrix = []
+    for i in range(width):
+        tail = st.lists(residue, min_size=width - i - 1, max_size=width - i - 1)
+        row = [0] * i + [data.draw(unit)] + data.draw(tail)
+        matrix.append([row[j] for j in order])
+    scale = data.draw(residue)
+    coeffs = matrix[:-1] + [[scale * v for v in matrix[0]], matrix[-1]]
+    coeffs += data.draw(st.lists(st.sampled_from(matrix), max_size=4))
+    rows = [c + [sum(map(operator.mul, c, key))] for c in coeffs]
+    if conflict == "before":
+        rows[width - 1][width] += data.draw(unit)
+    elif conflict == "after":
+        rows.append(matrix[0] + [rows[0][width] + data.draw(unit)])
+    rows = _shifted(data.draw, p, rows)
+    assert len(oracles.row_reduce(rows[:width], p, width)[1]) == width - 1
+    result = gaussian_solve(rows, p)
+    assert result == oracles.gaussian_solve(rows, p)
+    if conflict:
+        assert result.status == "inconsistent" and result.rank == width
+    else:
+        assert result.status == "unique" and result.solution == tuple(key)
+
+
 # -- online phase ----------------------------------------------------------------------------
 
 
@@ -683,6 +780,32 @@ def test_online_rejects_an_oracle_that_drops_answers():
     record = MaxtermRecord((1,), 0, (1,), 0)
     with pytest.raises(AttackError, match="answered 1 of 2 points"):
         online(Short(), [record], GF7, 1)
+
+
+def _cut(record, width):
+    c = (record.c + (0,) * width)[:width]
+    return MaxtermRecord(record.term, record.c0, c, record.evaluations_used)
+
+
+@pytest.mark.parametrize("shape", ["narrower", "wider", "mixed"])
+def test_online_refuses_records_of_the_wrong_width_before_any_probe(shape):
+    # `load_records` checks a record file's widths; records handed to
+    # `online` directly are checked there, before the replay probes the key
+    target = make_planted(31, 3, 4, 5, 12, 3)
+    bb = target.blackbox()
+    result = preprocess(bb, 10**6, target.suggested_max_multiplicity, seed=6)
+    records = result.records + result.dependent
+    n_sec = target.n_sec
+    if shape == "narrower":
+        records = [_cut(r, n_sec - 1) for r in records]
+    elif shape == "wider":
+        records = [_cut(r, n_sec + 1) for r in records]
+    else:
+        records = records[:1] + [_cut(r, n_sec - 1) for r in records[1:]]
+    oracle = target.online_oracle()
+    with pytest.raises(AttackError, match=f"coefficients for {n_sec} secret"):
+        online(oracle, records, target.spec, n_sec)
+    assert oracle.evaluations == 0
 
 
 # -- record files ------------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from gfdelta.targets import (
     ToyCipher,
     ToyCipherParams,
     _compile,
-    _public_monomials,
+    _PublicMonomials,
     load_target,
     make_planted,
     save_target,
@@ -172,7 +172,7 @@ def _small_planted(p, data):
     2-5 and 0-12 extra terms, as far as p admits."""
     n_pub = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(2, min(5, n_pub * (p - 1) + 1)))
-    anchors = len(_public_monomials(n_pub, n_pub, degree - 1, p - 1))
+    anchors = len(_PublicMonomials(n_pub, n_pub, degree - 1, p - 1))
     n_sec = data.draw(st.integers(1, min(4, anchors)))
     return make_planted(
         p,
