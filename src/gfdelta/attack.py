@@ -25,9 +25,9 @@ from .field import (
     FieldElement,
     FieldSpec,
     _file_integer,
+    back_pass,
     eliminate,
     parse_field_spec,
-    row_reduce,
 )
 from .poly import Monomial, PolyError, _residues, monomial_text, parse_monomial
 
@@ -415,6 +415,54 @@ class SolveResult:
     pinned: dict[int, int]  # variable -> the one value every solution gives it
 
 
+def _feed(
+    rows: Sequence[Sequence[int]], p: int, width: int
+) -> tuple[list[list[int]], list[int], int, list[int]]:
+    """Feeds the rows to `field.eliminate` in order until the coefficients
+    reach full rank. Returns the basis, its pivots, the index of the last
+    row that added a pivot (-1 if none), and the indices of the rows fed
+    whose residue reads 0 = b. A system that never reaches full rank is fed
+    whole, so the rows after that last one were reduced against the final
+    basis."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    last = -1
+    conflicts = []
+    for i, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        residue = eliminate(basis, pivots, row, p, width)
+        if residue is None:
+            last = i
+        elif residue[width]:
+            conflicts.append(i)
+    return basis, pivots, last, conflicts
+
+
+def _misses(
+    rows: Sequence[Sequence[int]], start: int, values: Sequence[int], p: int
+) -> list[int]:
+    """The indices from `start` on of the rows that `values` does not
+    satisfy, one dot product each."""
+    width = len(values)
+    return [
+        i
+        for i in range(start, len(rows))
+        if (sum(map(operator.mul, rows[i], values)) - rows[i][width]) % p
+    ]
+
+
+def _back_substitute(basis: list[list[int]], pivots: list[int], p: int) -> list[int]:
+    """The one solution of a full-rank `eliminate` basis: each pivot row is
+    0 at the pivots of the rows before it, so from the last row back every
+    other column it touches is solved."""
+    width = len(pivots)
+    values = [0] * width
+    for row, col in zip(reversed(basis), reversed(pivots)):
+        values[col] = (row[width] - sum(map(operator.mul, row, values))) % p
+    return values
+
+
 def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
     """Solves a linear system over GF(p), with full rank reporting.
 
@@ -422,44 +470,26 @@ def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
     right-hand side. The rows go through `field.eliminate` in order only
     until the coefficients reach full rank. Back substitution then gives
     the unique solution, and each later row is checked against it by one
-    dot product. A system that never reaches full rank is reduced whole by
-    `row_reduce`: the solution slot holds the particular solution with free
-    variables at zero, and a pivot variable whose row touches no free
-    column is pinned. A row whose coefficients reduce to zero but whose
-    right-hand side does not reads 0 = b, and the system is inconsistent;
-    its rank and pivots are still those of all the rows' coefficients."""
+    dot product. A system that never reaches full rank has been eliminated
+    whole by then, and `field.back_pass` reduces its basis: the solution
+    slot holds the particular solution with free variables at zero, and a
+    pivot variable whose row touches no free column is pinned. A row whose
+    coefficients reduce to zero but whose right-hand side does not reads
+    0 = b, and the system is inconsistent; its rank and pivots are still
+    those of all the rows' coefficients."""
     width = len(rows[0]) - 1 if rows else 0
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    consistent = True
-    fed = 0
-    for row in rows:
-        if len(pivots) == width:
-            break
-        fed += 1
-        residue = eliminate(basis, pivots, row, p, width)
-        if residue is not None and residue[width]:
-            consistent = False
+    basis, pivots, last, conflicts = _feed(rows, p, width)
     if len(pivots) == width:
-        # each pivot row is 0 at the pivots of the rows before it, so from
-        # the last row back every other column it touches is solved
-        values = [0] * width
-        for row, col in zip(reversed(basis), reversed(pivots)):
-            values[col] = (row[width] - sum(map(operator.mul, row, values))) % p
+        values = _back_substitute(basis, pivots, p)
         every = tuple(range(width))
-        if consistent and all(
-            (sum(map(operator.mul, row, values)) - row[width]) % p == 0
-            for row in rows[fed:]
-        ):
+        if not conflicts and not _misses(rows, last + 1, values, p):
             pinned = dict(enumerate(values))
             return SolveResult("unique", width, every, (), tuple(values), pinned)
         return SolveResult("inconsistent", width, every, (), None, {})
-    reduced, pivots = row_reduce(rows, p, width)
+    reduced, pivots = back_pass(basis, pivots, p)
     rank = len(pivots)
     free = tuple(i for i in range(width) if i not in pivots)
-    # past the rank a row has no coefficient left: a nonzero right-hand side
-    # there reads 0 = b
-    if any(row[width] for row in reduced[rank:]):
+    if conflicts:
         return SolveResult("inconsistent", rank, tuple(pivots), free, None, {})
     values = [0] * width
     pinned = {}
@@ -468,6 +498,31 @@ def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
         if not any(row[i] for i in free):
             pinned[col] = row[width]
     return SolveResult("parametrized", rank, tuple(pivots), free, tuple(values), pinned)
+
+
+def _suspects(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """The indices, in order, of the rows of an inconsistent system without
+    which `gaussian_solve` finds it consistent.
+
+    The prefix up to the last row that adds a pivot has the system's rank,
+    and dropping a row past it keeps that prefix and its basis. Whether a
+    later row conflicts is then known without a solve: at full rank by one
+    dot product against the prefix's solution, and below it by the
+    residue the elimination already left. Dropping a later row leaves a
+    consistent system exactly when that row is the system's only
+    conflict, so only dropping a prefix row needs a fresh solve."""
+    width = len(rows[0]) - 1
+    basis, pivots, last, conflicts = _feed(rows, p, width)
+    if len(pivots) == width:
+        conflicts += _misses(rows, last + 1, _back_substitute(basis, pivots, p), p)
+    suspects = [
+        i
+        for i in range(last + 1)
+        if gaussian_solve(rows[:i] + rows[i + 1 :], p).status != "inconsistent"
+    ]
+    if len(conflicts) == 1 and conflicts[0] > last:
+        suspects += conflicts
+    return suspects
 
 
 @dataclass
@@ -540,11 +595,7 @@ def online(
         start = end
     result = gaussian_solve(rows, p)
     if result.status == "inconsistent":
-        suspects = [
-            i
-            for i in range(len(rows))
-            if gaussian_solve(rows[:i] + rows[i + 1 :], p).status != "inconsistent"
-        ]
+        suspects = _suspects(rows, p)
         names = ", ".join(monomial_text(records[i].term) for i in suspects)
         return OnlineResult(
             "inconsistent",

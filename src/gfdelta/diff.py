@@ -45,7 +45,9 @@ class DiffPlan:
 
     Steps hold one nonzero element per application. Over GF(p) each variable
     supports at most p-1 applications; over GF(p^m) at most m(p-1), with the
-    basis-block sequence as the default.
+    basis-block sequence as the default. The hash is computed once, at
+    construction, so a cache keyed by plans (`_grid_entries`) rehashes no
+    step.
     """
 
     spec: FieldSpec
@@ -67,6 +69,14 @@ class DiffPlan:
             for h in steps:
                 if not h:
                     raise DiffError("steps must be nonzero")
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.spec, self.variables, self.multiplicities, self.steps)),
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(
@@ -359,19 +369,26 @@ def _grid_entries(
     return tuple(entries)
 
 
-def grid_points(
-    plan: DiffPlan, base: Sequence[FieldElement]
-) -> list[tuple[tuple[FieldElement, ...], FieldElement]]:
-    """Probe points of the planned difference at `base`, in a fixed order,
-    each with its folded weight."""
+def _base_point(plan: DiffPlan, base: Sequence[FieldElement]) -> list[FieldElement]:
+    """The base as elements of the plan's field; DiffError if a plan
+    variable lies outside it."""
     spec = plan.spec
     base = [spec.element(v) for v in base]
     for var in plan.variables:
         if var >= len(base):
             raise DiffError(f"plan variable x{var + 1} outside the base point")
+    return base
+
+
+def grid_points(
+    plan: DiffPlan, base: Sequence[FieldElement]
+) -> list[tuple[tuple[FieldElement, ...], FieldElement]]:
+    """Probe points of the planned difference at `base`, in a fixed order,
+    each with its folded weight."""
+    base = _base_point(plan, base)
     points = []
     for offsets, weight in _grid_entries(plan):
-        point = list(base)
+        point = base.copy()
         for var, off in zip(plan.variables, offsets):
             point[var] = point[var] + off
         points.append((tuple(point), weight))
@@ -403,10 +420,16 @@ def _term_grid(spec: FieldSpec, term: Monomial) -> TermGrid:
 def blackbox_delta(
     bb: BlackBoxFn, plan: DiffPlan, base: Sequence[FieldElement]
 ) -> FieldElement:
-    """Evaluate the planned difference of a black-box function at one point."""
+    """Evaluate the planned difference of a black-box function at one point:
+    the points of `grid_points`, in its order, each built as it is probed."""
+    base = _base_point(plan, base)
+    variables = plan.variables
     total = plan.spec.zero
-    for point, weight in grid_points(plan, base):
-        total = total + weight * bb(point)
+    for offsets, weight in _grid_entries(plan):
+        point = base.copy()
+        for var, off in zip(variables, offsets):
+            point[var] = point[var] + off
+        total = total + weight * bb(tuple(point))
     return total
 
 

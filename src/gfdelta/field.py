@@ -238,7 +238,7 @@ def row_reduce(
 
     Pivots are sought only in the first `width` columns (all by default), so
     augmented columns ride along. Every row goes through `eliminate` in
-    turn, and one back pass then clears each pivot column above its row.
+    turn, and `back_pass` then clears each pivot column above its row.
     Returns the reduced rows, pivot rows first in pivot order and then the
     residues of the other rows, and the pivot columns; the rank is their
     count. When every residue is zero the augmented columns lie in the
@@ -256,6 +256,17 @@ def row_reduce(
         residue = eliminate(basis, pivots, row, p, width)
         if residue is not None:
             residues.append(residue)
+    reduced, pivots = back_pass(basis, pivots, p)
+    return reduced + residues, pivots
+
+
+def back_pass(
+    basis: Sequence[list[int]], pivots: Sequence[int], p: int
+) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form of an `eliminate` basis: its rows in
+    pivot order, each pivot column cleared above its row and every entry
+    reduced mod p. Returns the rows and their pivot columns; `basis` is
+    not changed."""
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     reduced = [basis[i] for i in order]
     pivots = [pivots[i] for i in order]
@@ -266,7 +277,7 @@ def row_reduce(
             c = reduced[j][col] % p
             if c:
                 reduced[j] = [a - c * b for a, b in zip(reduced[j], pivot_row)]
-    return reduced + residues, pivots
+    return reduced, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +472,7 @@ class PrimeFieldSpec(FieldSpec):
         self.p = p
         self.m = 1
         self.order = p
+        self._hash = hash(("prime", p))
         self._build_tables()
 
     @property
@@ -474,7 +486,7 @@ class PrimeFieldSpec(FieldSpec):
         return isinstance(other, PrimeFieldSpec) and other.p == self.p
 
     def __hash__(self):
-        return hash(("prime", self.p))
+        return self._hash
 
     def _mul_coords(self, a, b):
         return (a[0] * b[0] % self.p,)
@@ -521,6 +533,7 @@ class ExtFieldSpec(FieldSpec):
             raise FieldError(f"modulus {tuple(mod_desc)} is reducible over GF({p})")
         self.order = p**m
         self.modulus = tuple(mod_desc)
+        self._hash = hash(("ext", p, m, self.modulus))
         self._build_tables()
 
     @property
@@ -549,7 +562,7 @@ class ExtFieldSpec(FieldSpec):
         )
 
     def __hash__(self):
-        return hash(("ext", self.p, self.m, self.modulus))
+        return self._hash
 
     def _is_irreducible(self) -> bool:
         """Rabin's test (SIAM J. Comput. 9, 1980) in GF(p)[x]/(modulus).
@@ -590,8 +603,11 @@ class FieldElement:
     field above the table limit, which computes on coordinates. A
     difference is the sum with the negation. An operand of an equal but
     distinct spec object, or an int, is first re-homed in this element's
-    spec. Equality and hashing read the coordinates and the spec, so
-    elements of equal but distinct spec objects mix freely.
+    spec. Equality reads the coordinates and the spec; the hash reads the
+    coordinates only, since equal elements have equal coordinates, so
+    elements of equal but distinct spec objects mix freely and a table
+    keyed by points hashes no spec. Each spec hashes a value computed once
+    in its constructor.
     """
 
     __slots__ = ("spec", "coeffs", "log")
@@ -699,7 +715,7 @@ class FieldElement:
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.spec))
+        return hash(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)

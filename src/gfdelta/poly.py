@@ -246,7 +246,10 @@ class MultiPoly:
         if len(point) != self.n:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.n}")
         spec = self.spec
-        point = [spec.element(v) for v in point]
+        point = [
+            v if v.__class__ is FieldElement and v.spec is spec else spec.element(v)
+            for v in point
+        ]
         if spec._tables is not None:
             logs, variables, columns, dead, slots = self._pack or self._packed()
             n1 = spec.order - 1

@@ -9,16 +9,30 @@ verifies pointwise against opaque functions.
 One GF(p^m) answer carries all m component answers, so in query terms the
 reduction is the paper's equivalence: differencing the components costs no
 black-box probes beyond those of the extension-field difference.
+
+The check runs at table speed: the basis changes are matrices built once
+per `ProjectionContext`, each projected answer is kept as one packed int of
+m lanes, so the m component sums at a point are one multiply-add per grid
+point, and its table of answers is keyed by points whose elements hash by
+their coordinates alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .diff import BlackBoxFn, DiffPlan, _term_grid, blackbox_delta
-from .field import ExtFieldSpec, FieldElement, basis_elements, prime_field, row_reduce
+from .field import (
+    ExtFieldSpec,
+    FieldElement,
+    SlotCodec,
+    basis_elements,
+    prime_field,
+    row_reduce,
+)
 from .poly import MultiPoly, all_points
 
 
@@ -31,11 +45,15 @@ class ProjectionContext:
     """Coordinate isomorphism between GF(p^m) and GF(p)^m for a fixed basis.
 
     Variable x_i of the source maps to the coordinate block
-    (x_{i,0}, ..., x_{i,m-1}), stored contiguously."""
+    (x_{i,0}, ..., x_{i,m-1}), stored contiguously. Both basis changes are
+    matrices built once, at construction: `_to_coords` takes polynomial-basis
+    coordinates to this basis, and `_from_coords`, whose columns are the
+    basis vectors, takes them back."""
 
     spec: ExtFieldSpec
     basis: tuple[FieldElement, ...]
     _to_coords: tuple[tuple[int, ...], ...]
+    _from_coords: tuple[tuple[int, ...], ...]
 
     @classmethod
     def for_spec(
@@ -49,14 +67,14 @@ class ProjectionContext:
         # columns are the basis vectors in the polynomial-basis coordinates,
         # augmented by the identity, which row reduction turns into the inverse
         m = spec.m
+        columns = tuple(zip(*(b.coeffs for b in basis)))
         augmented = [
-            [b.coeffs[i] for b in basis] + [int(i == j) for j in range(m)]
-            for i in range(m)
+            list(columns[i]) + [int(i == j) for j in range(m)] for i in range(m)
         ]
         rows, pivots = row_reduce(augmented, spec.p, m)
         if len(pivots) < m:
             raise ReductionError("basis is not linearly independent over GF(p)")
-        return cls(spec, basis, tuple(tuple(row[m:]) for row in rows))
+        return cls(spec, basis, tuple(tuple(row[m:]) for row in rows), columns)
 
     @property
     def prime(self):
@@ -65,19 +83,18 @@ class ProjectionContext:
     def phi(self, el: FieldElement) -> tuple[int, ...]:
         """Coordinates of an element in this basis."""
         p = self.spec.p
-        return tuple(
-            sum(r * c for r, c in zip(row, el.coeffs)) % p for row in self._to_coords
-        )
+        coeffs = el.coeffs
+        return tuple([sum(map(mul, row, coeffs)) % p for row in self._to_coords])
 
     def phi_inv(self, coords: Sequence[int]) -> FieldElement:
         """The element with these coordinates in this basis."""
-        if len(coords) != self.spec.m:
+        spec = self.spec
+        if len(coords) != spec.m:
             raise ReductionError("coordinate width mismatch")
-        coords = [int(c) for c in coords]
-        # row i of the matrix whose columns are the basis vectors
-        rows = zip(*(b.coeffs for b in self.basis))
-        return self.spec.element(
-            sum(r * c for r, c in zip(row, coords)) for row in rows
+        p = spec.p
+        coords = list(map(int, coords))
+        return spec._box(
+            tuple([sum(map(mul, row, coords)) % p for row in self._from_coords])
         )
 
     def phi_inv_point(
@@ -86,10 +103,7 @@ class ProjectionContext:
         m = self.spec.m
         if len(coords) != m * n:
             raise ReductionError("coordinate width mismatch")
-        return tuple(
-            self.phi_inv([int(c) for c in coords[i * m : (i + 1) * m]])
-            for i in range(n)
-        )
+        return tuple([self.phi_inv(coords[i * m : (i + 1) * m]) for i in range(n)])
 
 
 # the largest domain `verify_reduction` checks at every point; past it, it
@@ -131,9 +145,12 @@ def verify_reduction(
     point. `probes` in the report counts the calls made to `bb`. The m
     component differences share one coordinate grid, walked once per
     checked point: `diff._term_grid` of the unit-step term r on the first
-    variable's coordinates, the grid the cube attack sums for a term. Each
-    grid point's answer is projected by `phi` once and kept as long as the
-    answer, and the m sums run in plain ints."""
+    variable's coordinates, the grid the cube attack sums for a term, of G
+    points. Each grid point's answer is projected by `phi` once and kept,
+    as long as the answer, as one packed int of m lanes (`SlotCodec`),
+    each wide enough for G(p-1)^2. A checked point's m component sums are
+    then one multiply-add per grid point, weight times packed answer, read
+    back and reduced mod p once."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
@@ -159,7 +176,9 @@ def verify_reduction(
 
     # the component grid at the zero base, as residue offsets and weights
     grid = _term_grid(prime, tuple(r) + (0,) * (m * (n - 1)))
-    projected: dict[tuple[int, ...], tuple[int, ...]] = {}
+    entries = list(zip(grid.residues, grid.weights))
+    codec = SlotCodec(m, len(entries) * (p - 1) ** 2)
+    projected: dict[tuple[int, ...], int] = {}
 
     domain = p ** (m * n)
     if domain <= EXHAUSTIVE_LIMIT:
@@ -185,15 +204,16 @@ def verify_reduction(
         ext_point = ctx.phi_inv_point(coords, n)
         lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
         base = [int(c) for c in coords]
-        sums = [0] * m
-        for offsets, w in zip(grid.residues, grid.weights):
+        sums = 0
+        for offsets, w in entries:
             key = tuple([(c + o) % p for c, o in zip(base, offsets)])
-            vec = projected.get(key)
-            if vec is None:
-                vec = projected[key] = ctx.phi(ask(ctx.phi_inv_point(key, n)))
-            sums = [s + w * v for s, v in zip(sums, vec)]
-        for j in range(m):
-            rhs_value = sums[j] % p
+            packed = projected.get(key)
+            if packed is None:
+                [packed] = codec.pack([ctx.phi(ask(ctx.phi_inv_point(key, n)))])
+                projected[key] = packed
+            sums += w * packed
+        for j, lane in enumerate(codec.unpack(sums)):
+            rhs_value = lane % p
             if rhs_value != lhs_coords[j]:
                 mismatches.append((coords, j, lhs_coords[j], rhs_value))
                 if len(mismatches) >= MAX_MISMATCHES:

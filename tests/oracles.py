@@ -4,11 +4,14 @@
 coefficient lookup (`term`, `variable`, `coefficient`), a plan's probe
 count (`grid_size`) and one-term entries to the attack's steps. Each wraps
 the package's private kernels, which it imports and does not copy, so a
-test through it still exercises `src`. The exception is the whole-matrix
+test through it still exercises `src`. The exceptions are references kept
+as they were, to check what replaced them against: the whole-matrix
 Gauss-Jordan elimination that `field.row_reduce` and `attack.gaussian_solve`
-ran before both went through the incremental `field.eliminate`: it is kept
-here as it was (`row_reduce`, `gaussian_solve`), as the reference to check
-them against."""
+ran before both went through the incremental `field.eliminate`
+(`row_reduce`, `gaussian_solve`), `online`'s leave-one-out loop over
+fresh solves (`suspects`), and the reduction check before it packed its
+component sums (`verify_reduction`, which reads `reduce_pm`'s limits at
+call time, so a test's patch of them reaches both)."""
 
 from __future__ import annotations
 
@@ -28,11 +31,19 @@ from gfdelta.attack import (
     _trials,
     superpoly_oracle,
 )
+from gfdelta import reduce_pm
 from gfdelta.combinat import _digit_multinomial, _nonzero_composition_items, digits
-from gfdelta.diff import BlackBoxFn, DiffError, DiffPlan, _grid_entries
+from gfdelta.diff import (
+    BlackBoxFn,
+    DiffError,
+    DiffPlan,
+    _grid_entries,
+    _term_grid,
+    blackbox_delta,
+)
 from gfdelta.field import FieldElement, FieldSpec
-from gfdelta.poly import Monomial, MultiPoly, PolyError
-from gfdelta.reduce_pm import ProjectionContext
+from gfdelta.poly import Monomial, MultiPoly, PolyError, all_points
+from gfdelta.reduce_pm import ProjectionContext, ReductionError, ReductionReport
 
 
 @lru_cache(maxsize=32)
@@ -316,3 +327,92 @@ def gaussian_solve(rows: Sequence[Sequence[int]], p: int) -> SolveResult:
             pinned[col] = row[width]
     status = "unique" if rank == width else "parametrized"
     return SolveResult(status, rank, tuple(pivots), free, tuple(values), pinned)
+
+
+def suspects(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """The rows of an inconsistent system without which it is consistent,
+    one fresh solve per dropped row."""
+    return [
+        i
+        for i in range(len(rows))
+        if gaussian_solve(rows[:i] + rows[i + 1 :], p).status != "inconsistent"
+    ]
+
+
+def verify_reduction(
+    bb: BlackBoxFn,
+    n: int,
+    r: Sequence[int],
+    ctx: ProjectionContext,
+    seed: int = 0,
+) -> ReductionReport:
+    """`reduce_pm.verify_reduction` with its m component sums kept as a
+    list per grid point, rebuilt at each point."""
+    spec = ctx.spec
+    m, p = spec.m, spec.p
+    if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
+        raise ReductionError(f"need {m} repetition counts in 0..{p - 1}")
+    prime = ctx.prime
+
+    steps: list[FieldElement] = []
+    for b, ri in zip(ctx.basis, r):
+        steps.extend([b] * ri)
+    total = len(steps)
+    lhs_plan = DiffPlan.make(spec, {0: total} if total else {}, steps)
+
+    answers: dict[tuple[FieldElement, ...], FieldElement] = {}
+    probes = 0
+
+    def ask(point: tuple[FieldElement, ...]) -> FieldElement:
+        nonlocal probes
+        value = answers.get(point)
+        if value is None:
+            value = answers[point] = bb(point)
+            probes += 1
+        return value
+
+    # the component grid at the zero base, as residue offsets and weights
+    grid = _term_grid(prime, tuple(r) + (0,) * (m * (n - 1)))
+    projected: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    domain = p ** (m * n)
+    if domain <= reduce_pm.EXHAUSTIVE_LIMIT:
+        points = all_points(prime, m * n)
+        exhaustive = True
+        count = domain
+    else:
+        rng = random.Random(seed)
+        points = (
+            tuple(prime.random_element(rng) for _ in range(m * n))
+            for _ in range(reduce_pm.SAMPLES)
+        )
+        exhaustive = False
+        count = reduce_pm.SAMPLES
+
+    mismatches: list[tuple] = []
+    checked = 0
+    for coords in points:
+        checked += 1
+        if not exhaustive:
+            answers.clear()
+            projected.clear()
+        ext_point = ctx.phi_inv_point(coords, n)
+        lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
+        base = [int(c) for c in coords]
+        sums = [0] * m
+        for offsets, w in zip(grid.residues, grid.weights):
+            key = tuple([(c + o) % p for c, o in zip(base, offsets)])
+            vec = projected.get(key)
+            if vec is None:
+                vec = projected[key] = ctx.phi(ask(ctx.phi_inv_point(key, n)))
+            sums = [s + w * v for s, v in zip(sums, vec)]
+        for j in range(m):
+            rhs_value = sums[j] % p
+            if rhs_value != lhs_coords[j]:
+                mismatches.append((coords, j, lhs_coords[j], rhs_value))
+                if len(mismatches) >= reduce_pm.MAX_MISMATCHES:
+                    return ReductionReport(
+                        False, checked, exhaustive, mismatches, probes
+                    )
+    assert checked == count
+    return ReductionReport(not mismatches, checked, exhaustive, mismatches, probes)

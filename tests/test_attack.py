@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gfdelta.attack import (
     AttackError,
@@ -721,6 +721,95 @@ def test_gaussian_solve_late_full_rank_and_conflicts(p, width, conflict, data):
         assert result.status == "inconsistent" and result.rank == width
     else:
         assert result.status == "unique" and result.solution == tuple(key)
+
+
+@st.composite
+def _spanned_systems(draw, p, deficient=False, spoiled=3):
+    """Rows over GF(p) whose coefficients are 0/1 mixes of `rank` drawn
+    vectors, below the width when `deficient`, so rows often repeat or add
+    up to earlier ones, before the prefix that reaches the rank ends or
+    after it; the right-hand sides fit a drawn key, except on up to
+    `spoiled` drawn rows. Entries may lie outside [0, p)."""
+    width = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, width - 1) if deficient else st.integers(0, width))
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    vector = st.lists(residue, min_size=width, max_size=width)
+    key = draw(vector)
+    span = draw(st.lists(vector, min_size=rank, max_size=rank))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        mix = draw(st.lists(st.sampled_from([0, 1]), min_size=rank, max_size=rank))
+        c = [sum(a * v[j] for a, v in zip(mix, span)) for j in range(width)]
+        rows.append(c + [sum(map(operator.mul, c, key))])
+    index = st.integers(0, len(rows) - 1)
+    for i in draw(st.lists(index, max_size=spoiled, unique=True)):
+        rows[i][width] += draw(st.integers(1, p - 1))
+    return _shifted(draw, p, rows)
+
+
+@given(st.sampled_from(REFERENCE_PRIMES), st.data())
+def test_gaussian_solve_matches_the_reference_below_full_rank(p, data):
+    # the rows are eliminated once, and the back pass runs on that basis
+    rows = data.draw(_spanned_systems(p, deficient=True))
+    result = gaussian_solve(rows, p)
+    assert result == oracles.gaussian_solve(rows, p)
+    assert result.rank < len(rows[0]) - 1 and result.status != "unique"
+
+
+def _replayed(rows, p):
+    """`online` on one record x_i per row, whose c0 carries the row's
+    right-hand side, replayed against a key-independent oracle, whose grids
+    sum to 0; checked against the leave-one-out loop of fresh solves."""
+    width = len(rows[0]) - 1
+    spec = prime_field(p)
+    records = [
+        MaxtermRecord(
+            tuple(int(i == j) for j in range(len(rows))),
+            -row[width] % p,
+            tuple(row[:width]),
+            0,
+        )
+        for i, row in enumerate(rows)
+    ]
+    result = online(lambda point: spec.zero, records, spec, width)
+    if oracles.gaussian_solve(rows, p).status != "inconsistent":
+        assert result.status != "inconsistent" and result.suspects == []
+        return result
+    suspects = oracles.suspects(rows, p)
+    names = ", ".join(f"x{i + 1}" for i in suspects)
+    assert result.status == "inconsistent" and result.suspects == suspects
+    assert result.message == (
+        f"records conflict; false maxterm suspected in: {names or 'unknown'}"
+    )
+    return result
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(REFERENCE_PRIMES), st.data())
+def test_online_suspects_match_the_leave_one_out_loop(p, data):
+    rows = data.draw(st.one_of(_systems(p), _spanned_systems(p, spoiled=1)))
+    if rows:
+        _replayed(rows, p)
+
+
+@pytest.mark.parametrize(
+    "rows, suspects",
+    [
+        # a conflict past the prefix, and the prefix's last row, which
+        # reaches full rank: without it the later row takes its place
+        ([[1, 0, 5], [0, 1, 3], [0, 1, 4]], [1, 2]),
+        # the only conflict inside the prefix, before its last row; the
+        # row it repeats is no suspect, since the last row agrees with it
+        ([[1, 0, 5], [1, 0, 6], [0, 1, 3], [1, 1, 1]], [1]),
+        # below full rank: a conflict past the prefix, and one inside it
+        ([[1, 1, 2], [0, 0, 0], [2, 2, 5]], [0, 2]),
+        ([[0, 0, 1], [1, 1, 2], [2, 2, 4]], [0]),
+        # two conflicts past the prefix: no single row to blame
+        ([[1, 0, 5], [0, 1, 3], [0, 1, 4], [1, 0, 6]], []),
+    ],
+)
+def test_online_suspects_inside_and_past_the_prefix(rows, suspects):
+    assert _replayed(rows, 7).suspects == suspects
 
 
 # -- online phase ----------------------------------------------------------------------------

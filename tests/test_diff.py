@@ -25,7 +25,13 @@ from gfdelta.diff import (
     parse_plan,
     superpoly_constants,
 )
-from gfdelta.field import basis_elements, ext_field, parse_field_spec, prime_field
+from gfdelta.field import (
+    ExtFieldSpec,
+    basis_elements,
+    ext_field,
+    parse_field_spec,
+    prime_field,
+)
 from gfdelta.poly import (
     MultiPoly,
     all_points,
@@ -319,6 +325,40 @@ def test_grid_size_counts_probes():
 
     blackbox_delta(counting, plan, (GF31.zero,) * 4)
     assert calls == 6
+
+
+def test_equal_plans_share_one_grid_entry():
+    # a plan's hash is computed at construction: two equal plans built
+    # separately, over twin field specs, find one cached grid
+    twin = ExtFieldSpec(3, 3, GF27.modulus)
+    steps = [GF27.from_index(5), GF27.from_index(5), GF27.generator, GF27.one]
+    first = DiffPlan.make(GF27, {1: 3, 3: 1}, steps)
+    second = DiffPlan.make(twin, {3: 1, 1: 3}, [twin.element(h) for h in steps])
+    assert twin is not GF27 and first is not second
+    assert first == second and hash(first) == hash(second)
+    diff_module._grid_entries.cache_clear()
+    entries = diff_module._grid_entries(first)
+    assert diff_module._grid_entries(second) is entries
+    info = diff_module._grid_entries.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_blackbox_delta_probes_the_grid_points_in_order(rng):
+    f = random_poly(GF27, 4, 26, 8, rng=rng)
+    plan = DiffPlan.make(GF27, {0: 2, 2: 3})
+    base = tuple(GF27.random_element(rng) for _ in range(4))
+    probed = []
+
+    def box(point):
+        probed.append(point)
+        return f.evaluate(point)
+
+    value = blackbox_delta(box, plan, base)
+    grid = grid_points(plan, base)
+    assert probed == [point for point, _ in grid]
+    assert value == sum((w * f.evaluate(pt) for pt, w in grid), GF27.zero)
+    with pytest.raises(DiffError, match="outside the base point"):
+        blackbox_delta(box, plan, base[:2])
 
 
 def test_duality_symbolic_vs_grid(rng):

@@ -567,6 +567,39 @@ def test_equal_specs_and_int_operands_mix():
         shared.element(GF9.one)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GF4, GF8, GF9, GF27, ExtFieldSpec(2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1))],
+    ids=lambda spec: spec.text,
+)
+def test_equal_elements_of_distinct_equal_specs_hash_equal(spec):
+    # an element hashes its coordinates alone, and a spec a value fixed at
+    # construction, so a twin spec's elements find a table's keys
+    twin = _twin(spec)
+    assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+    rng = random.Random(spec.order)
+    indices = range(spec.order)
+    if spec.order > 27:
+        indices = rng.sample(indices, 50)
+    table = {}
+    for idx in indices:
+        el, other = spec.from_index(idx), twin.from_index(idx)
+        assert other.spec is twin and el == other
+        assert hash(el) == hash(other) == hash(el.coeffs)
+        table[el] = idx
+    assert all(table[twin.from_index(idx)] == idx for idx in indices)
+
+
+def test_equal_coordinates_of_unequal_fields_hash_equal_and_differ():
+    other = ExtFieldSpec(2, 3, (1, 1, 0, 1))  # x^3 + x^2 + 1, GF8's is x^3 + x + 1
+    assert other != GF8
+    table = {el: True for el in GF8.elements()}
+    for idx in range(8):
+        el = other.from_index(idx)
+        assert hash(el) == hash(GF8.from_index(idx)) and el != GF8.from_index(idx)
+        assert el not in table
+
+
 # -- field axioms as properties ---------------------------------------------
 
 

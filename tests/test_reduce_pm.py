@@ -5,7 +5,7 @@ import pytest
 
 from gfdelta.combinat import digit_sum
 from gfdelta.diff import DiffPlan, blackbox_delta, grid_points
-from gfdelta.field import basis_elements, prime_field
+from gfdelta.field import ExtFieldSpec, basis_elements, prime_field
 from gfdelta.poly import MultiPoly, all_points, parse_poly, random_poly
 from gfdelta.reduce_pm import (
     ProjectionContext,
@@ -14,7 +14,8 @@ from gfdelta.reduce_pm import (
     verify_reduction,
 )
 
-from conftest import GF4, GF8, GF9
+import oracles
+from conftest import GF4, GF8, GF9, GF27
 from oracles import interpolate, project_blackbox, term, variable
 
 
@@ -49,6 +50,41 @@ def test_phi_supports_nonstandard_bases():
         assert ctx.phi_inv(ctx.phi(el)) == el
     with pytest.raises(ReductionError):
         ProjectionContext.for_spec(GF4, basis=[GF4.one, GF4.one])
+
+
+def _drawn_basis(spec, rng):
+    """A basis of spec over GF(p) other than the polynomial basis."""
+    while True:
+        basis = [spec.random_element(rng, nonzero=True) for _ in range(spec.m)]
+        if basis == basis_elements(spec):
+            continue
+        try:
+            return ProjectionContext.for_spec(spec, basis)
+        except ReductionError:
+            continue
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF27], ids=repr)
+@pytest.mark.parametrize("drawn", [False, True], ids=["polynomial", "drawn"])
+def test_phi_and_phi_inv_are_inverse_and_additive_everywhere(spec, drawn):
+    ctx = ProjectionContext.for_spec(spec)
+    if drawn:
+        ctx = _drawn_basis(spec, random.Random(spec.order))
+    p, m = spec.p, spec.m
+    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    assert [ctx.phi(b) for b in ctx.basis] == units
+    elements = list(spec.elements())
+    vectors = [ctx.phi(el) for el in elements]
+    assert sorted(vectors) == sorted(itertools.product(range(p), repeat=m))
+    for el, vec in zip(elements, vectors):
+        assert ctx.phi_inv(vec) is spec.element(el)
+        # coordinates as GF(p) elements or out-of-range ints read mod p
+        assert ctx.phi_inv([ctx.prime.element(c) for c in vec]) == el
+        assert ctx.phi_inv([c + p for c in vec]) == el
+    for (x, u), (y, v) in itertools.product(zip(elements, vectors), repeat=2):
+        w = tuple((a + b) % p for a, b in zip(u, v))
+        assert ctx.phi(x + y) == w
+        assert ctx.phi_inv(w) == x + y
 
 
 def test_point_flattening_round_trips():
@@ -309,3 +345,55 @@ def test_interpolated_components_respect_digit_sum_bound():
             for comp in components:
                 symbolic = interpolate(prime, spec.m, lambda pt: comp(pt))
                 assert symbolic.degrees().total <= bound
+
+
+# -- the packed check against the unpacked one ------------------------------------
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9], ids=repr)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_reports_equal_the_unpacked_check(spec, n, mode, monkeypatch):
+    # every field of every report, mismatches and the MAX_MISMATCHES cut
+    # included, and the same calls to the box in the same order
+    if mode == "sampled":
+        monkeypatch.setattr("gfdelta.reduce_pm.SAMPLES", 25)
+        monkeypatch.setattr("gfdelta.reduce_pm.EXHAUSTIVE_LIMIT", 0)
+    rng = random.Random(100 * spec.order + n)
+    contexts = [ProjectionContext.for_spec(spec), _drawn_basis(spec, rng)]
+    if spec.order > 4:
+        contexts.append(SwappedContext.for_spec(spec))
+    cut = False
+    for ctx, limit in itertools.product(contexts, (5, 10**6)):
+        monkeypatch.setattr("gfdelta.reduce_pm.MAX_MISMATCHES", limit)
+        f = random_poly(spec, n, spec.order - 1, 5, rng=rng)
+        bb, probed = counting_box(f)
+        ref_bb, ref_probed = counting_box(f)
+        rs = [tuple(rng.randrange(spec.p) for _ in range(spec.m)) for _ in range(3)]
+        for r in rs + [(spec.p - 1,) * spec.m]:
+            seed = rng.randrange(1 << 20)
+            report = verify_reduction(bb, n, r, ctx, seed=seed)
+            want = oracles.verify_reduction(ref_bb, n, r, ctx, seed=seed)
+            assert vars(report) == vars(want)
+            assert report.exhaustive == (mode == "exhaustive")
+            cut |= limit == 5 and len(report.mismatches) == 5
+        assert probed == ref_probed
+    assert cut == (spec.order > 4)
+
+
+def test_packed_sums_take_wide_slots_past_the_table_limit(monkeypatch):
+    # GF((2^32 - 5)^2), modulus x^2 - 2, computes on coordinates; r = (1, 1)
+    # sums two answers weighted p - 1 at each point, often past 2^64, so a
+    # lane must be wider than 8 bytes
+    monkeypatch.setattr("gfdelta.reduce_pm.SAMPLES", 40)
+    p = 2**32 - 5
+    spec = ExtFieldSpec(p, 2, (1, 0, p - 2))
+    assert spec._tables is None
+    f = parse_poly("x1^3 + (a)*x1^2 + 5*x1 + (a)", spec)
+    contexts = (ProjectionContext.for_spec(spec), _drawn_basis(spec, random.Random(5)))
+    for ctx in contexts:
+        report = verify_reduction(f.evaluate, 1, (1, 1), ctx, seed=1)
+        want = oracles.verify_reduction(f.evaluate, 1, (1, 1), ctx, seed=1)
+        assert vars(report) == vars(want)
+        assert report.ok and not report.exhaustive
+        assert (report.points_checked, report.probes) == (40, 160)
