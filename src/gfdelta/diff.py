@@ -3,16 +3,19 @@
 Two routes to the same object: `delta` / `delta_plan` rewrite a symbolic
 polynomial, while `blackbox_delta` evaluates the difference of an opaque
 function as a weighted sum over a small grid of shifted points. One table
-engine, `_step_table`, serves both: the grid sums each variable's table of
-offsets and weights, and `delta_plan` turns the same table into moments and
-rewrites every term in one pass. Shift operators commute, so the steps on
-one variable group into runs of equal steps, in any order. A run of r steps
-h needs at most r+1 probes, at offsets 0, h, ..., r*h with signed binomial
-weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps, such as the
-basis-block sequence over extension fields, convolve. This module is also
-home to the one residue grid of a unit-step term over GF(p), `_term_grid`,
-cached once per term: the cube attack sums it for each term, and the
-GF(p^m) reduction check for its component differences."""
+engine serves both: `_step_table` builds each variable's offsets and weights
+into a `StepTable`, the grid sums them, and `delta_plan` rewrites every term
+in one pass through the same table's moments and binomial rows. Over a field
+with log tables a `StepTable` is kept per (field, steps) with the moments
+and rows filled so far, so equal plans, and the grid, read one table; above
+the table limit its moments live for one call. Shift operators commute, so
+the steps on one variable group into runs of equal steps, in any order. A
+run of r steps h needs at most r+1 probes, at offsets 0, h, ..., r*h with
+signed binomial weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps,
+such as the basis-block sequence over extension fields, convolve. This
+module is also home to the one residue grid of a unit-step term over GF(p),
+`_term_grid`, cached once per term: the cube attack sums it for each term,
+and the GF(p^m) reduction check for its component differences."""
 
 from __future__ import annotations
 
@@ -208,7 +211,7 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
         raise DiffError("difference vector width mismatch")
     if not any(a):
         raise DiffError("difference vector must be nonzero")
-    shift = {i: ([(ai, spec.one)], 0) for i, ai in enumerate(a) if ai}
+    shift = {i: StepTable(spec, [(ai, spec.one)], 0) for i, ai in enumerate(a) if ai}
     return _apply_tables(f, shift) - f
 
 
@@ -233,16 +236,18 @@ def _binomial_row(e: int, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(row)
 
 
-def _apply_tables(
-    f: MultiPoly,
-    tables: Mapping[int, tuple[list[tuple[FieldElement, FieldElement]], int]],
-) -> MultiPoly:
-    """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
-    at once. A table from r steps has zero moment M(d) wherever the base-p
-    digit sum of d is below r, since r differences annihilate x^d there
+class StepTable:
+    """One variable's table of pairs (o, w), as offsets and weights, with
+    the count of steps it differences by: the grid sums w * f(x + o*e_i)
+    over it, and the symbolic route maps x_i^e to its row, the pairs
+    (k, C(e, k) M(e - k)) with a nonzero product, through the moments
+    M(d) = sum of w * o^d (0^0 = 1). Moments and rows are filled as rows
+    are asked for and kept on the table.
+
+    r steps annihilate x^d wherever the base-p digit sum of d is below r
     (the bound `combinat.degree_after_diff` reads), so such a moment is
-    skipped, not summed over the table. The digit sum of d = e - k comes
-    from the binomial row of e, as S_p(e) - S_p(k).
+    zero and is skipped, not summed over the table. The digit sum of
+    d = e - k comes from the binomial row of e, as S_p(e) - S_p(k).
 
     A row's moments not yet known are summed together, each offset raised
     to their exponents in increasing order: the first is one power, and
@@ -252,24 +257,39 @@ def _apply_tables(
     GF(2^20), costs one product per offset and moment, where a power of
     each exponent costs one square-and-multiply, and a sparse one, such as
     x^(2^19 + 1), one power per gap."""
-    spec = f.spec
-    p = spec.p
-    zero = spec.zero
-    rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
-    # per table variable: its offsets, its weights, its step count and its
-    # moments so far by exponent
-    split = {
-        i: ([o for o, _ in table], [w for _, w in table], low, {})
-        for i, (table, low) in tables.items()
-    }
 
-    def row(i: int, e: int) -> list[tuple[int, FieldElement]]:
-        offsets, weights, low, known = split[i]
-        full = _binomial_row(e, p)
-        top = full[-1][2] - low  # the last entry is k = e, with S_p(e)
+    __slots__ = ("spec", "offsets", "weights", "low", "moments", "rows")
+
+    def __init__(
+        self,
+        spec: FieldSpec,
+        pairs: Sequence[tuple[FieldElement, FieldElement]],
+        low: int,
+    ):
+        self.spec = spec
+        self.offsets = tuple(o for o, _ in pairs)
+        self.weights = tuple(w for _, w in pairs)
+        self.low = low
+        self.moments: dict[int, FieldElement] = {}
+        self.rows: dict[int, tuple[tuple[int, FieldElement], ...]] = {}
+
+    def row(self, e: int) -> tuple[tuple[int, FieldElement], ...]:
+        """The pairs (k, C(e, k) M(e - k)) with a nonzero product, in
+        increasing k, built once per exponent."""
+        r = self.rows.get(e)
+        if r is None:
+            r = self.rows[e] = self._build_row(e)
+        return r
+
+    def _build_row(self, e: int) -> tuple[tuple[int, FieldElement], ...]:
+        spec = self.spec
+        known = self.moments
+        full = _binomial_row(e, spec.p)
+        top = full[-1][2] - self.low  # the last entry is k = e, with S_p(e)
         binomials = [(k, c) for k, c, s in full if s <= top]
         needed = sorted(e - k for k, _ in binomials if e - k not in known)
         if needed:
+            offsets, weights, zero = self.offsets, self.weights, spec.zero
             prev = needed[0]
             powers = [o**prev for o in offsets]
             known[prev] = sum(map(mul, weights, powers), zero)
@@ -279,35 +299,42 @@ def _apply_tables(
                 powers = list(map(mul, powers, steps))
                 known[d] = sum(map(mul, weights, powers), zero)
                 prev = d
-        return [
+        return tuple(
             (k, spec.element(c) * known[e - k]) for k, c in binomials if known[e - k]
-        ]
+        )
 
+
+def _apply_tables(f: MultiPoly, tables: Mapping[int, StepTable]) -> MultiPoly:
+    """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
+    at once: x_i^e becomes the row of e in variable i's table. A table
+    kept across calls (`_plan_table`) hands later calls its rows as they
+    stand; a coefficient of f times a row entry is an element of f's spec
+    even where the table was built over an equal but distinct spec."""
     out: dict[Monomial, FieldElement] = {}
     for mono, coeff in f._terms.items():
         # x_i^e -> sum over k of C(e, k) M_i(e - k) x_i^k; the monomials of
         # one term are distinct, so only sums across terms can cancel
         partial = [(mono, coeff)]
-        for i in tables:
-            e = mono[i]
-            r = rows.get((i, e))
-            if r is None:
-                r = rows[(i, e)] = row(i, e)
+        for i, table in tables.items():
+            r = table.row(mono[i])
             partial = [
                 (m[:i] + (k,) + m[i + 1 :], c * w) for m, c in partial for k, w in r
             ]
         _merge(out, partial)
-    return MultiPoly._raw(spec, f.n, out)
+    return MultiPoly._raw(f.spec, f.n, out)
 
 
 def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
     """Repeated differences per the plan, in one pass over f.
 
-    Each plan variable's `_step_table` is the list of pairs (o, w) that
+    Each plan variable's `StepTable` holds the pairs (o, w) that
     `blackbox_delta` sums, so x_i^e maps to sum over k of
     C(e, k) M(e - k) x_i^k with moments M(d) = sum of w * o^d (0^0 = 1),
     and M(d) = 0 where the base-p digit sum of d is below the variable's
-    step count.
+    step count. Over a field with log tables the step table, its moments
+    and its rows are kept per (field, steps) and serve every later plan
+    with those steps, the grid's included; above the table limit they
+    live for one call.
     """
     if plan.spec != f.spec:
         raise DiffError("plan and polynomial fields differ")
@@ -315,7 +342,7 @@ def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
         if var >= f.n:
             raise DiffError(f"plan variable x{var + 1} outside the polynomial")
     tables = {
-        var: (_step_table(f.spec, steps), len(steps))
+        var: _plan_table(f.spec, steps)
         for var, steps in zip(plan.variables, plan.steps)
     }
     return _apply_tables(f, tables)
@@ -353,15 +380,32 @@ def _step_table(
 
 
 @lru_cache(maxsize=1024)
+def _kept_table(spec: FieldSpec, steps: tuple[FieldElement, ...]) -> StepTable:
+    return StepTable(spec, _step_table(spec, steps), len(steps))
+
+
+def _plan_table(spec: FieldSpec, steps: tuple[FieldElement, ...]) -> StepTable:
+    """The `StepTable` of one plan variable's steps. Over a field with log
+    tables it is built once per (spec, steps) and kept with its moments
+    and rows: elements are interned there and exponents lie below
+    q <= LOG_TABLE_LIMIT, so a table holds at most q moments and q rows.
+    Above the limit nothing bounds the exponents a call may ask for, so
+    each call builds its own table and drops it."""
+    if spec._tables is None:
+        return StepTable(spec, _step_table(spec, steps), len(steps))
+    return _kept_table(spec, steps)
+
+
+@lru_cache(maxsize=1024)
 def _grid_entries(
     plan: DiffPlan,
 ) -> tuple[tuple[tuple[FieldElement, ...], FieldElement], ...]:
     """The folded grid of a plan, built once: per probe, the offsets of the
     plan variables and the product of their table weights."""
     spec = plan.spec
-    tables = [_step_table(spec, steps) for steps in plan.steps]
+    tables = [_plan_table(spec, steps) for steps in plan.steps]
     entries = []
-    for combo in itertools.product(*tables):
+    for combo in itertools.product(*(zip(t.offsets, t.weights) for t in tables)):
         weight = spec.one
         for _, w in combo:
             weight = weight * w

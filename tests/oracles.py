@@ -11,7 +11,10 @@ ran before both went through the incremental `field.eliminate`
 (`row_reduce`, `gaussian_solve`), `online`'s leave-one-out loop over
 fresh solves (`suspects`), and the reduction check before it packed its
 component sums (`verify_reduction`, which reads `reduce_pm`'s limits at
-call time, so a test's patch of them reaches both)."""
+call time, so a test's patch of them reaches both), and the symbolic
+difference before its step tables kept their moments and rows across
+calls (`_apply_tables`, `delta_plan`), which builds every table and sums
+every moment afresh."""
 
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterator, Mapping, Sequence
 
 from gfdelta.attack import (
     BlackBox,
@@ -37,12 +41,14 @@ from gfdelta.diff import (
     BlackBoxFn,
     DiffError,
     DiffPlan,
+    _binomial_row,
     _grid_entries,
+    _step_table,
     _term_grid,
     blackbox_delta,
 )
 from gfdelta.field import FieldElement, FieldSpec
-from gfdelta.poly import Monomial, MultiPoly, PolyError, all_points
+from gfdelta.poly import Monomial, MultiPoly, PolyError, _merge, all_points
 from gfdelta.reduce_pm import ProjectionContext, ReductionError, ReductionReport
 
 
@@ -416,3 +422,91 @@ def verify_reduction(
                     )
     assert checked == count
     return ReductionReport(not mismatches, checked, exhaustive, mismatches, probes)
+
+
+def _apply_tables(
+    f: MultiPoly,
+    tables: Mapping[int, tuple[list[tuple[FieldElement, FieldElement]], int]],
+) -> MultiPoly:
+    """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
+    at once. A table from r steps has zero moment M(d) wherever the base-p
+    digit sum of d is below r, since r differences annihilate x^d there
+    (the bound `combinat.degree_after_diff` reads), so such a moment is
+    skipped, not summed over the table. The digit sum of d = e - k comes
+    from the binomial row of e, as S_p(e) - S_p(k).
+
+    A row's moments not yet known are summed together, each offset raised
+    to their exponents in increasing order: the first is one power, and
+    each next o^d is o^d' for the exponent d' before it times o^(d - d'),
+    one product for a gap of 1 and one power of the gap otherwise. Above
+    the table limit a dense row, such as the 2^16 moments of x^65535 over
+    GF(2^20), costs one product per offset and moment, where a power of
+    each exponent costs one square-and-multiply, and a sparse one, such as
+    x^(2^19 + 1), one power per gap."""
+    spec = f.spec
+    p = spec.p
+    zero = spec.zero
+    rows: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
+    # per table variable: its offsets, its weights, its step count and its
+    # moments so far by exponent
+    split = {
+        i: ([o for o, _ in table], [w for _, w in table], low, {})
+        for i, (table, low) in tables.items()
+    }
+
+    def row(i: int, e: int) -> list[tuple[int, FieldElement]]:
+        offsets, weights, low, known = split[i]
+        full = _binomial_row(e, p)
+        top = full[-1][2] - low  # the last entry is k = e, with S_p(e)
+        binomials = [(k, c) for k, c, s in full if s <= top]
+        needed = sorted(e - k for k, _ in binomials if e - k not in known)
+        if needed:
+            prev = needed[0]
+            powers = [o**prev for o in offsets]
+            known[prev] = sum(map(mul, weights, powers), zero)
+            for d in needed[1:]:
+                gap = d - prev
+                steps = offsets if gap == 1 else [o**gap for o in offsets]
+                powers = list(map(mul, powers, steps))
+                known[d] = sum(map(mul, weights, powers), zero)
+                prev = d
+        return [
+            (k, spec.element(c) * known[e - k]) for k, c in binomials if known[e - k]
+        ]
+
+    out: dict[Monomial, FieldElement] = {}
+    for mono, coeff in f._terms.items():
+        # x_i^e -> sum over k of C(e, k) M_i(e - k) x_i^k; the monomials of
+        # one term are distinct, so only sums across terms can cancel
+        partial = [(mono, coeff)]
+        for i in tables:
+            e = mono[i]
+            r = rows.get((i, e))
+            if r is None:
+                r = rows[(i, e)] = row(i, e)
+            partial = [
+                (m[:i] + (k,) + m[i + 1 :], c * w) for m, c in partial for k, w in r
+            ]
+        _merge(out, partial)
+    return MultiPoly._raw(spec, f.n, out)
+
+
+def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
+    """Repeated differences per the plan, in one pass over f.
+
+    Each plan variable's `_step_table` is the list of pairs (o, w) that
+    `blackbox_delta` sums, so x_i^e maps to sum over k of
+    C(e, k) M(e - k) x_i^k with moments M(d) = sum of w * o^d (0^0 = 1),
+    and M(d) = 0 where the base-p digit sum of d is below the variable's
+    step count.
+    """
+    if plan.spec != f.spec:
+        raise DiffError("plan and polynomial fields differ")
+    for var in plan.variables:
+        if var >= f.n:
+            raise DiffError(f"plan variable x{var + 1} outside the polynomial")
+    tables = {
+        var: (_step_table(f.spec, steps), len(steps))
+        for var, steps in zip(plan.variables, plan.steps)
+    }
+    return _apply_tables(f, tables)

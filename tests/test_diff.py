@@ -42,6 +42,7 @@ from gfdelta.poly import (
 )
 
 from conftest import GF3, GF4, GF5, GF7, GF8, GF9, GF27, GF31
+import oracles
 from oracles import (
     binomial_mod,
     coefficient,
@@ -462,6 +463,112 @@ def test_delta_plan_skips_moments_below_the_digit_sum(rng, spec, text, steps):
         assert sum((w * o**d for o, w in table), spec.zero) == spec.zero
     assert check_delta_plan_references(f, flat, rng).is_zero()
 
+
+GF_61 = prime_field(2**61 - 1)
+# x^20 + x^3 + 1: an extension field past the table limit
+GF2_20 = parse_field_spec("2^20/1," + "0," * 16 + "1,0,0,1")
+
+
+def same_terms(got, want):
+    """The same terms in the same order, each coefficient an interned element
+    of `got`'s own spec where its spec interns."""
+    assert list(got._terms.items()) == list(want._terms.items())
+    spec = got.spec
+    for c in got._terms.values():
+        assert c.spec is spec
+        assert spec._tables is None or spec._box(c.coeffs) is c
+
+
+@given(st.data())
+def test_kept_step_tables_match_the_per_call_reference(data):
+    # `delta_plan` against the reference that builds every step table and
+    # sums every moment afresh in each call; one plan differences several
+    # polynomials in one order and then the other, the kept tables cleared
+    # before each, so rows one polynomial fills serve the next. `delta`
+    # shifts by one offset through the same rows
+    spec = data.draw(st.sampled_from([GF2, GF7, GF31, GF8, GF27, GF_61, GF2_20]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(1, 3))
+    variables = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    cap = min(4, spec.m * (spec.p - 1))
+    term = {v: data.draw(st.integers(1, cap)) for v in variables}
+    steps = None  # the default steps
+    if data.draw(st.booleans()):
+        # a small pool, so that both repeated and distinct steps occur
+        pool = data.draw(
+            st.lists(
+                st.integers(1, spec.order - 1), min_size=1, max_size=3, unique=True
+            )
+        )
+        steps = [
+            spec.from_index(data.draw(st.sampled_from(pool)))
+            for _ in range(sum(term.values()))
+        ]
+    plan = DiffPlan.make(spec, term, steps)
+    polys = [
+        random_poly(spec, n, data.draw(st.integers(0, 12)), 8, rng=rng)
+        for _ in range(3)
+    ]
+    for order in (polys, polys[::-1]):
+        diff_module._kept_table.cache_clear()
+        for f in order:
+            same_terms(delta_plan(f, plan), oracles.delta_plan(f, plan))
+    f = polys[0]
+    a = [rng.choice((spec.zero, spec.random_element(rng))) for _ in range(n)]
+    a[variables[0]] = spec.random_element(rng, nonzero=True)
+    shift = {i: ([(ai, spec.one)], 0) for i, ai in enumerate(a) if ai}
+    same_terms(delta(f, a), oracles._apply_tables(f, shift) - f)
+
+
+def test_equal_plans_share_one_step_table(monkeypatch):
+    # the symbolic sibling of `test_equal_plans_share_one_grid_entry`: a
+    # second `delta_plan` under an equal plan, also one over a twin field
+    # spec, builds no step table, moment or row, and neither does the grid
+    # of that plan; its coefficients are still elements of its own spec
+    twin = ExtFieldSpec(3, 3, GF27.modulus)
+    steps = [GF27.from_index(5), GF27.from_index(5), GF27.generator, GF27.one]
+    first = DiffPlan.make(GF27, {0: 3, 2: 1}, steps)
+    second = DiffPlan.make(twin, {2: 1, 0: 3}, [twin.element(h) for h in steps])
+    text = "x1^5*x2^3 + 2*x1^14 + x2^26*x3 + x1^3*x3^4 + x1^25*x3^9"
+    f, g = parse_poly(text, GF27, n=3), parse_poly(text, twin, n=3)
+    diff_module._kept_table.cache_clear()
+    diff_module._grid_entries.cache_clear()
+    want = delta_plan(f, first)
+    assert not want.is_zero()
+    built = []
+    step_table, build_row = diff_module._step_table, diff_module.StepTable._build_row
+    monkeypatch.setattr(
+        diff_module, "_step_table", lambda *args: built.append(args) or step_table(*args)
+    )
+    monkeypatch.setattr(
+        diff_module.StepTable,
+        "_build_row",
+        lambda table, e: built.append(e) or build_row(table, e),
+    )
+    same_terms(delta_plan(f, first), want)
+    same_terms(delta_plan(g, second), want)
+    diff_module._grid_entries(second)
+    assert built == []
+    info = diff_module._kept_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_fields_above_the_table_limit_keep_no_step_table(monkeypatch):
+    # past the table limit nothing bounds the exponents a call asks for, so
+    # each `delta_plan` builds its own step tables and keeps none
+    spec = GF_BIG
+    f = parse_poly("x1^40 + 3*x1^30*x2 + x2^7", spec)
+    plan = DiffPlan.make(spec, {0: 3, 1: 2})
+    diff_module._kept_table.cache_clear()
+    built = []
+    step_table = diff_module._step_table
+    monkeypatch.setattr(
+        diff_module, "_step_table", lambda *args: built.append(args) or step_table(*args)
+    )
+    first = delta_plan(f, plan)
+    same_terms(delta_plan(f, plan), first)
+    assert len(built) == 4
+    assert diff_module._kept_table.cache_info().currsize == 0
 
 # -- plans: validation and parsing --------------------------------------------
 
