@@ -215,7 +215,6 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
     return _apply_tables(f, shift) - f
 
 
-@lru_cache(maxsize=1024)
 def _binomial_row(e: int, p: int) -> tuple[tuple[int, int, int], ...]:
     """The triples (j, C(e, j) mod p, S_p(j)) with a nonzero binomial, in
     increasing j, by Lucas: the product of one row per base-p digit d of e,
@@ -308,8 +307,7 @@ def _apply_tables(f: MultiPoly, tables: Mapping[int, StepTable]) -> MultiPoly:
     """Sum w * f(x + o*e_i) over each table's pairs (o, w), every variable
     at once: x_i^e becomes the row of e in variable i's table. A table
     kept across calls (`_plan_table`) hands later calls its rows as they
-    stand; a coefficient of f times a row entry is an element of f's spec
-    even where the table was built over an equal but distinct spec."""
+    stand."""
     out: dict[Monomial, FieldElement] = {}
     for mono, coeff in f._terms.items():
         # x_i^e -> sum over k of C(e, k) M_i(e - k) x_i^k; the monomials of
@@ -336,7 +334,7 @@ def delta_plan(f: MultiPoly, plan: DiffPlan) -> MultiPoly:
     with those steps, the grid's included; above the table limit they
     live for one call.
     """
-    if plan.spec != f.spec:
+    if plan.spec is not f.spec:
         raise DiffError("plan and polynomial fields differ")
     for var in plan.variables:
         if var >= f.n:
@@ -388,9 +386,12 @@ def _plan_table(spec: FieldSpec, steps: tuple[FieldElement, ...]) -> StepTable:
     """The `StepTable` of one plan variable's steps. Over a field with log
     tables it is built once per (spec, steps) and kept with its moments
     and rows: elements are interned there and exponents lie below
-    q <= LOG_TABLE_LIMIT, so a table holds at most q moments and q rows.
-    Above the limit nothing bounds the exponents a call may ask for, so
-    each call builds its own table and drops it."""
+    q <= LOG_TABLE_LIMIT, so a table holds at most q moments and q rows,
+    but not small rows: x^e's has up to prod(d + 1) entries over the
+    base-p digits d of e, all q rows up to q((p + 1)/2)^m, so q(q + 1)/2
+    over GF(p) (8.4 million at GF(4093)). Above the limit nothing bounds
+    the exponents a call may ask for, so each call builds its own table
+    and drops it."""
     if spec._tables is None:
         return StepTable(spec, _step_table(spec, steps), len(steps))
     return _kept_table(spec, steps)

@@ -23,14 +23,17 @@ the only polynomial product: the tables are built on it, and Rabin's
 irreducibility test runs on it and on `eliminate`, the one elimination
 step, in the quotient ring the modulus defines.
 
-Specs and elements are immutable after construction and safe to share
-between any number of threads.
+There is one spec object per field: `PrimeFieldSpec` and `ExtFieldSpec`
+register each field they build under its normalised arguments (the modulus
+reduced mod p), a repeat construction is one lookup with no primality or
+irreducibility test, and specs compare and hash by identity. Specs and
+elements are immutable and safe to share between threads; registration
+inserts with `dict.setdefault`, so racing threads get one object.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from struct import Struct, calcsize
 from sys import byteorder
 from typing import Iterable, Iterator, Sequence
@@ -177,6 +180,11 @@ def _coords_pow(mul, one: tuple, a: tuple, e: int) -> tuple:
     return acc
 
 
+# the one spec of each field, keyed by its normalised arguments: p for
+# GF(p), (p, m, modulus reduced mod p) for GF(p^m)
+_SPECS: dict = {}
+
+
 def _small_prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -296,23 +304,20 @@ class FieldSpec:
     negation shifts the log by log(-1). `_rows` lists each g^i's packed
     coordinate row by log, and `_sum_rows` turns a sum of rows back into an
     element. `element`, `from_index` and every arithmetic result return the
-    interned object. Larger fields compute on coordinates.
+    interned object, looked up by coordinates in `_tables`; that is None in
+    larger fields, which compute on coordinates.
     """
 
     p: int
     m: int
     order: int
-    # the (index, elems) pair of a table field: coordinates to interned
-    # element, and the doubled list of elements by log; None above the limit
-    _tables: tuple[dict, list] | None = None
+    _tables: dict | None = None
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (embedded constant), coordinate sequence, or element."""
         if isinstance(value, FieldElement):
             if value.spec is not self:
-                if value.spec != self:
-                    raise FieldError("element belongs to a different field")
-                return self._box(value.coeffs)
+                raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, int):
             return self._box((value % self.p,) + (0,) * (self.m - 1))
@@ -327,7 +332,7 @@ class FieldSpec:
         tables = self._tables
         if tables is None:
             return FieldElement(self, coords)
-        return tables[0][coords]
+        return tables[coords]
 
     @property
     def zero(self) -> "FieldElement":
@@ -395,7 +400,7 @@ class FieldSpec:
         self._row_codec = SlotCodec(self.m, (1 << 64) - 1)
         self._rows = self._row_codec.pack(powers)
         self._minus = index[(p - 1,) + zero[1:]].log
-        self._tables = (index, self._elems)
+        self._tables = index
         self._zero, self._one = index[zero], units[0]
 
     def _sum_rows(self, total: int) -> "FieldElement":
@@ -467,13 +472,16 @@ class PrimeFieldSpec(FieldSpec):
     # GF(p) as GF(p)[x]/(x); `_convolve` never reduces by it
     _mod_asc = (0, 1)
 
-    def __init__(self, p: int):
-        _check_prime(p)
-        self.p = p
-        self.m = 1
-        self.order = p
-        self._hash = hash(("prime", p))
-        self._build_tables()
+    def __new__(cls, p: int):
+        spec = _SPECS.get(p) if type(p) is int else None
+        if spec is None:
+            _check_prime(p)
+            spec = object.__new__(cls)
+            spec.p = spec.order = p
+            spec.m = 1
+            spec._build_tables()
+            spec = _SPECS.setdefault(p, spec)
+        return spec
 
     @property
     def text(self) -> str:
@@ -481,12 +489,6 @@ class PrimeFieldSpec(FieldSpec):
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeFieldSpec) and other.p == self.p
-
-    def __hash__(self):
-        return self._hash
 
     def _mul_coords(self, a, b):
         return (a[0] * b[0] % self.p,)
@@ -513,7 +515,13 @@ class ExtFieldSpec(FieldSpec):
     checked by Rabin's test in GF(p)[x]/(modulus), on the same product.
     """
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int]):
+    def __new__(cls, p: int, m: int, modulus: Sequence[int]):
+        # a lookup of plain ints cannot raise, and finds only a valid field
+        if type(p) is int is type(m) and p > 1 and isinstance(modulus, (tuple, list)):
+            mod = tuple([c % p if type(c) is int else None for c in modulus])
+            spec = _SPECS.get((p, m, mod))
+            if spec is not None:
+                return spec
         _check_prime(p)
         if m < 1:
             raise FieldError("extension degree must be >= 1")
@@ -521,20 +529,21 @@ class ExtFieldSpec(FieldSpec):
         # at least 2^(bit_length - 1), which bounds m before p^m is formed
         if m * (p.bit_length() - 1) > 64 or p**m > 1 << 64:
             raise FieldError(f"GF({p}^{m}) has more than 2^64 elements")
-        mod_desc = [int(c) % p for c in modulus]
+        mod_desc = tuple([int(c) % p for c in modulus])
         if len(mod_desc) != m + 1:
             raise FieldError(f"modulus must have degree {m}")
         if mod_desc[0] != 1:
             raise FieldError("modulus must be monic")
-        self.p = p
-        self.m = m
-        self._mod_asc = tuple(reversed(mod_desc))
-        if not self._is_irreducible():
-            raise FieldError(f"modulus {tuple(mod_desc)} is reducible over GF({p})")
-        self.order = p**m
-        self.modulus = tuple(mod_desc)
-        self._hash = hash(("ext", p, m, self.modulus))
-        self._build_tables()
+        spec = object.__new__(cls)
+        spec.p = p
+        spec.m = m
+        spec._mod_asc = tuple(reversed(mod_desc))
+        if not spec._is_irreducible():
+            raise FieldError(f"modulus {mod_desc} is reducible over GF({p})")
+        spec.order = p**m
+        spec.modulus = mod_desc
+        spec._build_tables()
+        return _SPECS.setdefault((p, m, mod_desc), spec)
 
     @property
     def text(self) -> str:
@@ -552,17 +561,6 @@ class ExtFieldSpec(FieldSpec):
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtFieldSpec)
-            and other.p == self.p
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def _is_irreducible(self) -> bool:
         """Rabin's test (SIAM J. Comput. 9, 1980) in GF(p)[x]/(modulus).
@@ -601,13 +599,11 @@ class FieldElement:
     `log` is the discrete log of an interned element (see `FieldSpec`),
     which is every element of a table field, and None on an element of a
     field above the table limit, which computes on coordinates. A
-    difference is the sum with the negation. An operand of an equal but
-    distinct spec object, or an int, is first re-homed in this element's
-    spec. Equality reads the coordinates and the spec; the hash reads the
-    coordinates only, since equal elements have equal coordinates, so
-    elements of equal but distinct spec objects mix freely and a table
-    keyed by points hashes no spec. Each spec hashes a value computed once
-    in its constructor.
+    difference is the sum with the negation. An int operand is first made
+    an element of this element's spec; an element of another spec object,
+    which is another field, is refused. Equality reads the coordinates and
+    the spec; the hash reads the coordinates only, since equal elements
+    have equal coordinates, so a table keyed by points hashes no spec.
     """
 
     __slots__ = ("spec", "coeffs", "log")
@@ -620,11 +616,10 @@ class FieldElement:
     def _coerce(self, other):
         """other as an element of this spec (interned in a table field)."""
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
+            if other.spec is not self.spec:
                 raise FieldError("operands belong to different fields")
-        elif not isinstance(other, int):
-            return NotImplemented
-        return self.spec.element(other)
+            return other
+        return self.spec.element(other) if isinstance(other, int) else NotImplemented
 
     def __add__(self, other):
         spec = self.spec
@@ -710,9 +705,7 @@ class FieldElement:
             other = self.spec.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
-            other.spec is self.spec or other.spec == self.spec
-        )
+        return self.coeffs == other.coeffs and other.spec is self.spec
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -754,14 +747,8 @@ DEFAULT_MODULI = {
 }
 
 
-@lru_cache(maxsize=None)
 def prime_field(p: int) -> PrimeFieldSpec:
     return PrimeFieldSpec(p)
-
-
-@lru_cache(maxsize=None)
-def _ext_field_cached(p: int, m: int, modulus: tuple) -> ExtFieldSpec:
-    return ExtFieldSpec(p, m, modulus)
 
 
 def ext_field(p: int, m: int, modulus: Sequence[int] | None = None) -> ExtFieldSpec:
@@ -773,7 +760,7 @@ def ext_field(p: int, m: int, modulus: Sequence[int] | None = None) -> ExtFieldS
             raise FieldError(
                 f"no default modulus shipped for GF({p}^{m}); supply one"
             ) from None
-    return _ext_field_cached(p, m, tuple(int(c) for c in modulus))
+    return ExtFieldSpec(p, m, modulus)
 
 
 _SPEC_RE = re.compile(r"^(\d+)\^(\d+)/((?:\d+,)*\d+)$")
@@ -794,7 +781,7 @@ def parse_field_spec(text: str) -> FieldSpec:
     )
     if len(modulus) != m + 1:
         raise FieldError(f"field spec {text!r}: modulus must list {m + 1} coefficients")
-    return _ext_field_cached(p, m, tuple(modulus))
+    return ExtFieldSpec(p, m, modulus)
 
 
 _ATERM_RE = re.compile(r"^(?:(\d+)\*?)?(a)?(?:\^(\d+))?$")

@@ -162,7 +162,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (
-            self.spec == other.spec
+            self.spec is other.spec
             and self.n == other.n
             and self._terms == other._terms
         )
@@ -180,7 +180,7 @@ class MultiPoly:
     # arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly"):
-        if self.spec != other.spec or self.n != other.n:
+        if self.spec is not other.spec or self.n != other.n:
             raise PolyError("polynomials live in different rings")
 
     def __add__(self, other):
@@ -422,7 +422,7 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
                         # a fault inside a literal stands past its '('
                         at = pos if exc.position is None else pos + 1 + exc.position
                         raise _scan_error(text, at, spec, exc.reason) from None
-                    value = values[lit] = spec.element(value)
+                    values[lit] = value
                 coeff = value if coeff is None else coeff * value
             else:
                 try:
@@ -479,8 +479,7 @@ def parse_poly(text: str, spec: FieldSpec, n: int | None = None) -> MultiPoly:
 @lru_cache(maxsize=1024)
 def _coefficient(lit: str, spec: FieldSpec) -> FieldElement:
     """The element a coefficient factor names, an integer or a literal in
-    parentheses; FieldError if it names none. Kept across calls, keyed by
-    an equal spec, so a caller passes the result through `spec.element`."""
+    parentheses; FieldError if it names none. Kept across calls."""
     if lit[0] != "(":
         return spec.element(_integer(lit))
     return parse_element(lit[1:-1], spec)

@@ -330,12 +330,13 @@ def test_grid_size_counts_probes():
 
 def test_equal_plans_share_one_grid_entry():
     # a plan's hash is computed at construction: two equal plans built
-    # separately, over twin field specs, find one cached grid
-    twin = ExtFieldSpec(3, 3, GF27.modulus)
+    # separately, the second over the field built again (which is the same
+    # spec object), find one cached grid
+    again = ExtFieldSpec(3, 3, GF27.modulus)
     steps = [GF27.from_index(5), GF27.from_index(5), GF27.generator, GF27.one]
     first = DiffPlan.make(GF27, {1: 3, 3: 1}, steps)
-    second = DiffPlan.make(twin, {3: 1, 1: 3}, [twin.element(h) for h in steps])
-    assert twin is not GF27 and first is not second
+    second = DiffPlan.make(again, {3: 1, 1: 3}, [again.from_index(5)] * 2 + steps[2:])
+    assert again is GF27 and first is not second
     assert first == second and hash(first) == hash(second)
     diff_module._grid_entries.cache_clear()
     entries = diff_module._grid_entries(first)
@@ -522,15 +523,16 @@ def test_kept_step_tables_match_the_per_call_reference(data):
 
 def test_equal_plans_share_one_step_table(monkeypatch):
     # the symbolic sibling of `test_equal_plans_share_one_grid_entry`: a
-    # second `delta_plan` under an equal plan, also one over a twin field
-    # spec, builds no step table, moment or row, and neither does the grid
-    # of that plan; its coefficients are still elements of its own spec
-    twin = ExtFieldSpec(3, 3, GF27.modulus)
+    # second `delta_plan` under an equal plan, also one built separately
+    # over the field built again (the same spec object), builds no step
+    # table, moment or row, and neither does the grid of that plan
+    again = ExtFieldSpec(3, 3, GF27.modulus)
     steps = [GF27.from_index(5), GF27.from_index(5), GF27.generator, GF27.one]
     first = DiffPlan.make(GF27, {0: 3, 2: 1}, steps)
-    second = DiffPlan.make(twin, {2: 1, 0: 3}, [twin.element(h) for h in steps])
+    second = DiffPlan.make(again, {2: 1, 0: 3}, [again.from_index(5)] * 2 + steps[2:])
+    assert again is GF27 and first is not second and first == second
     text = "x1^5*x2^3 + 2*x1^14 + x2^26*x3 + x1^3*x3^4 + x1^25*x3^9"
-    f, g = parse_poly(text, GF27, n=3), parse_poly(text, twin, n=3)
+    f, g = parse_poly(text, GF27, n=3), parse_poly(text, again, n=3)
     diff_module._kept_table.cache_clear()
     diff_module._grid_entries.cache_clear()
     want = delta_plan(f, first)

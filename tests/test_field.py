@@ -1,9 +1,13 @@
 import itertools
+import operator
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gfdelta.field as field_module
 from gfdelta.field import (
     LOG_TABLE_LIMIT,
     ExtFieldSpec,
@@ -175,6 +179,152 @@ def test_spec_text_round_trip():
         parse_field_spec("3^2")
     with pytest.raises(FieldError):
         parse_field_spec("3^2/1,2")
+
+
+_GF9_PATHS = [
+    lambda: ExtFieldSpec(3, 2, (1, 2, 2)),
+    lambda: ExtFieldSpec(3, 2, [4, -1, 5]),
+    lambda: ext_field(3, 2),
+    lambda: ext_field(3, 2, (1, 2, 2)),
+    lambda: ext_field(3, 2, [1, 5, 5]),
+    lambda: parse_field_spec("3^2/1,2,2"),
+    lambda: parse_field_spec("3^2/1,5,5"),
+    lambda: parse_field_spec("3^2/4,2,2"),
+    lambda: parse_field_spec(" 3^2/1,2,2\n"),
+]
+
+
+def test_every_construction_path_returns_one_spec(monkeypatch):
+    # one object per field, the modulus reduced mod p, whichever way it is
+    # built; its elements are one object per value through every path
+    gf31 = [PrimeFieldSpec, prime_field, lambda p: parse_field_spec(str(p))]
+    for specs in (
+        [build() for build in _GF9_PATHS],
+        [build(31) for build in gf31],
+        [build(2**61 - 1) for build in gf31],
+    ):
+        spec = specs[0]
+        assert all(other is spec for other in specs)
+        for other in specs:
+            assert other.zero is spec.zero and other.one is spec.one
+            assert other.element(7) == spec.element(7)
+        if spec.order <= LOG_TABLE_LIMIT:
+            elements = list(spec.elements())
+            for other in specs:
+                assert all(map(operator.is_, other.elements(), elements))
+    assert _GF9_PATHS[0]() is GF9 and GF9.modulus == (1, 2, 2)
+    assert prime_field(31) is GF31
+    # a degree-1 extension is not the prime field
+    assert ExtFieldSpec(31, 1, (1, 0)) is not GF31
+    assert ExtFieldSpec(31, 1, (1, 0)) is ExtFieldSpec(31, 1, (32, 31))
+    # whichever path builds the field first, the others find it
+    for first in _GF9_PATHS:
+        monkeypatch.setattr(field_module, "_SPECS", {})
+        spec = first()
+        assert spec is not GF9 and spec.modulus == (1, 2, 2)
+        assert all(build() is spec for build in _GF9_PATHS)
+
+
+def test_repeat_constructions_run_no_field_test(monkeypatch):
+    # a construction with the arguments of a field that exists is one
+    # lookup: no primality test and no irreducibility test
+    gf8192 = (2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1))
+    builds = [
+        lambda: PrimeFieldSpec(31),
+        lambda: prime_field(2**61 - 1),
+        lambda: PrimeFieldSpec(4099),
+        lambda: ExtFieldSpec(3, 3, (1, 0, 2, 1)),
+        lambda: ExtFieldSpec(3, 3, [4, 3, 5, 7]),
+        lambda: ext_field(2, 3),
+        lambda: ExtFieldSpec(*gf8192),
+        lambda: parse_field_spec("3^2/1,5,5"),
+        lambda: parse_field_spec("2^64/1," + "0," * 59 + "1,1,0,1,1"),
+    ]
+    first = [build() for build in builds]
+    calls = []
+    prime, irreducible = field_module.is_prime, ExtFieldSpec._is_irreducible
+    monkeypatch.setattr(
+        field_module, "is_prime", lambda n: calls.append(n) or prime(n)
+    )
+    monkeypatch.setattr(
+        ExtFieldSpec,
+        "_is_irreducible",
+        lambda spec: calls.append(spec) or irreducible(spec),
+    )
+    assert all(build() is spec for build, spec in zip(builds, first))
+    assert calls == []
+    # with the registry emptied, the same construction tests its field
+    monkeypatch.setattr(field_module, "_SPECS", {})
+    fresh = ExtFieldSpec(3, 3, (1, 0, 2, 1))
+    assert fresh is not first[3] and calls == [3, fresh]
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: PrimeFieldSpec(30), "30 is not prime"),
+        # range(2.0) raises TypeError inside Rabin's test
+        (lambda: ExtFieldSpec(3, 2.0, (1, 2, 2)), TypeError),
+        (lambda: prime_field(1), "1 is not prime"),
+        (lambda: PrimeFieldSpec(31.0), "31.0 is not prime"),
+        (lambda: prime_field(31.0), "31.0 is not prime"),
+        (lambda: PrimeFieldSpec(True), "True is not prime"),
+        (lambda: ExtFieldSpec(3.0, 2, (1, 2, 2)), "3.0 is not prime"),
+        (lambda: ext_field(3.0, 2, (1, 2, 2)), "3.0 is not prime"),
+        (lambda: ExtFieldSpec(9, 2, (1, 2, 2)), "9 is not prime"),
+        (lambda: ExtFieldSpec(2**89 - 1, 2, (1, 0, 1)), "machine word"),
+        (lambda: ExtFieldSpec(2, 2, (1, 0, 1)), "reducible"),
+        (lambda: ExtFieldSpec(3, 2, (2, 2, 2)), "monic"),
+        (lambda: ExtFieldSpec(3, 2, (1, 2)), "degree 2"),
+        (lambda: ExtFieldSpec(3, 2, (1, 1, 2, 2)), "degree 2"),
+        (lambda: ExtFieldSpec(3, 0, (1,)), "extension degree"),
+        (lambda: ExtFieldSpec(2, 65, (1,) + (0,) * 63 + (1, 1)), "2\\^64"),
+        (lambda: parse_field_spec("3^41/1," + "0," * 39 + "2,1"), "2\\^64"),
+    ],
+)
+def test_refused_constructions_register_nothing(build, error):
+    # GF(31) and GF(9) exist (the conftest builds them), and an argument
+    # refused without them is refused with them
+    registered = dict(field_module._SPECS)
+    assert GF31 in registered.values() and GF9 in registered.values()
+    kind, match = (FieldError, error) if isinstance(error, str) else (error, None)
+    with pytest.raises(kind, match=match):
+        build()
+    assert field_module._SPECS == registered
+    assert all(field_module._SPECS[key] is spec for key, spec in registered.items())
+
+
+def test_racing_constructions_get_one_spec(monkeypatch):
+    # threads that race to build one field each build it, and all of them
+    # get the one object registered first; a race is not certain to
+    # interleave, so it runs a few rounds, each on an empty registry
+    count = 8
+
+    def race():
+        monkeypatch.setattr(field_module, "_SPECS", {})
+        barrier = threading.Barrier(count)
+        got = []
+
+        def build():
+            barrier.wait(timeout=10)
+            got.append(ExtFieldSpec(3, 3, (1, 0, 2, 1)))
+
+        threads = [threading.Thread(target=build) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == count and all(spec is got[0] for spec in got)
+        assert list(field_module._SPECS.values()) == [got[0]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            race()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- arithmetic examples ----------------------------------------------------
@@ -413,8 +563,8 @@ def _table_fields():
     return specs + [ExtFieldSpec(7, 1, (1, 4))]
 
 
-def _twin(spec):
-    """A new spec object equal to spec."""
+def _built_again(spec):
+    """The spec that a construction with spec's own arguments returns."""
     if isinstance(spec, PrimeFieldSpec):
         return PrimeFieldSpec(spec.p)
     return ExtFieldSpec(spec.p, spec.m, spec.modulus)
@@ -428,9 +578,9 @@ def test_table_arithmetic_matches_coordinate_arithmetic(spec):
     one = spec.one.coeffs
     interned = [spec.element(c) for c in coords]
 
-    def same(result, expected, home=spec):
+    def same(result, expected):
         assert result.coeffs == expected
-        assert result is home.element(expected) and result.log is not None
+        assert result is spec.element(expected) and result.log is not None
 
     inverse = {
         a: next(b for b in coords if spec._convolve(a, b) == one) for a in coords[1:]
@@ -460,21 +610,11 @@ def test_table_arithmetic_matches_coordinate_arithmetic(spec):
         same(zero**e, zero.coeffs)
     with pytest.raises(FieldError):
         zero.inverse()
-    # elements of an equal but distinct spec object combine with either
-    # spec's into interned results of the left operand's spec
-    twin = _twin(spec)
-    assert twin is not spec and twin == spec
-    elements = [twin.element(c) for c in coords]
-    last = coords[-1]
-    for x, a in zip(elements, coords):
-        same(-x, tuple((-c) % p for c in a), twin)
-        for y in (elements[-1], interned[-1]):
-            same(x + y, tuple((c + d) % p for c, d in zip(a, last)), twin)
-            same(y + x, tuple((c + d) % p for c, d in zip(a, last)), y.spec)
-            same(x - y, tuple((c - d) % p for c, d in zip(a, last)), twin)
-            same(y - x, tuple((d - c) % p for c, d in zip(a, last)), y.spec)
-            same(x * y, spec._convolve(a, last), twin)
-            same(y * x, spec._convolve(a, last), y.spec)
+    # a construction with equal arguments is this spec, and hands out the
+    # same interned elements
+    again = _built_again(spec)
+    assert again is spec
+    assert all(again.element(c) is x for c, x in zip(coords, interned))
 
 
 def _handed_out(spec):
@@ -507,8 +647,13 @@ _GF8192 = ExtFieldSpec(2, 13, (1,) + (0,) * 8 + (1, 1, 0, 1, 1))
     _table_fields() + [PrimeFieldSpec(4093), PrimeFieldSpec(4099), _GF8192],
     ids=lambda spec: spec.text,
 )
-def test_fresh_specs_hand_out_interned_elements(spec):
-    spec = _twin(spec)  # nothing has computed in this spec object yet
+def test_fresh_specs_hand_out_interned_elements(spec, monkeypatch):
+    # with the registry emptied, the construction builds a new spec object
+    # in which nothing has computed yet
+    monkeypatch.setattr(field_module, "_SPECS", {})
+    fresh = _built_again(spec)
+    assert fresh is not spec and list(field_module._SPECS.values()) == [fresh]
+    spec = fresh
     tabled = spec.order <= LOG_TABLE_LIMIT
     for el in _handed_out(spec):
         assert el.spec is spec and (el.log is not None) == tabled
@@ -536,26 +681,24 @@ def test_interned_elements_are_shared():
     for x in spec.elements():
         for result in (x + a, x - a, x * a, -x, x**5, a / (x or a), x + 1, 2 * x):
             assert result is spec.element(result.coeffs)
-    other = _twin(spec).element((1, 2))
-    assert other is not before and other.spec is not spec
-    assert before == other and hash(before) == hash(other)
+    for again in (_built_again(spec), ExtFieldSpec(3, 2, [4, 5, 2]), ext_field(3, 2)):
+        assert again is spec and again.element((1, 2)) is before
 
 
 def test_equal_specs_and_int_operands_mix():
     shared = ext_field(3, 3)
-    twin = ExtFieldSpec(3, 3, shared.modulus)
-    assert twin is not shared and twin == shared
-    x, y = shared.from_index(14), twin.from_index(22)
-    assert x.log is not None and y.log is not None and y.spec is twin
+    again = ExtFieldSpec(3, 3, shared.modulus)
+    assert again is shared and again == shared and hash(again) == hash(shared)
+    x, y = shared.from_index(14), again.from_index(22)
+    assert x.log is not None and y.log is not None and y.spec is shared
     for a, b in [(x, y), (y, x)]:
         assert a + b == b + a == shared.element((0, 0, 0)) + x + y
         assert (a * b).coeffs == shared._convolve(x.coeffs, y.coeffs)
         assert a - b == -(b - a) and (a / b) * b == a
-        assert (a + b).spec is a.spec
-    assert twin.element(x).spec is twin and shared.element(y) is shared.from_index(22)
-    y2 = twin.from_index(22) ** 2  # in the twin's own tables
-    assert y2 == shared.from_index(22) ** 2 and y2.spec is twin
-    assert {shared.from_index(5): 1}[twin.from_index(5)] == 1
+        assert (a + b).spec is shared
+    assert again.element(x) is x and shared.element(y) is shared.from_index(22)
+    assert again.from_index(22) ** 2 is shared.from_index(22) ** 2
+    assert {shared.from_index(5): 1}[again.from_index(5)] == 1
     a = shared.generator
     assert a + 1 == 1 + a == shared.element((1, 1, 0))
     assert 2 * a == a * 2 == shared.element((0, 2, 0))
@@ -573,21 +716,23 @@ def test_equal_specs_and_int_operands_mix():
     ids=lambda spec: spec.text,
 )
 def test_equal_elements_of_distinct_equal_specs_hash_equal(spec):
-    # an element hashes its coordinates alone, and a spec a value fixed at
-    # construction, so a twin spec's elements find a table's keys
-    twin = _twin(spec)
-    assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+    # equal constructions are one spec object, so there are no distinct
+    # equal specs: an element of either construction is the same element
+    # (one object in a table field), hashed by its coordinates alone
+    again = _built_again(spec)
+    assert again is spec
     rng = random.Random(spec.order)
     indices = range(spec.order)
     if spec.order > 27:
         indices = rng.sample(indices, 50)
     table = {}
     for idx in indices:
-        el, other = spec.from_index(idx), twin.from_index(idx)
-        assert other.spec is twin and el == other
+        el, other = spec.from_index(idx), again.from_index(idx)
+        assert other.spec is spec and el == other
+        assert (el is other) == (spec.order <= LOG_TABLE_LIMIT)
         assert hash(el) == hash(other) == hash(el.coeffs)
         table[el] = idx
-    assert all(table[twin.from_index(idx)] == idx for idx in indices)
+    assert all(table[again.from_index(idx)] == idx for idx in indices)
 
 
 def test_equal_coordinates_of_unequal_fields_hash_equal_and_differ():

@@ -249,8 +249,7 @@ def test_parsed_coefficients_are_table_rows():
     # reads; the table's own tuples are found by identity, without
     # comparing coordinates
     f = parse_poly("(2*a^2+1)*x1 - (a)*x2 - 2 + x1^2 - -(a^2)*x2^2*2", GF27)
-    log, _ = GF27._tables
-    rows = {id(row) for row in log}
+    rows = {id(row) for row in GF27._tables}
     assert len(f) == 5 and all(id(c.coeffs) in rows for c in f._terms.values())
 
 
