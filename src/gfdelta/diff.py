@@ -7,8 +7,11 @@ engine serves both: `_step_table` builds each variable's offsets and weights
 into a `StepTable`, the grid sums them, and `delta_plan` rewrites every term
 in one pass through the same table's moments and binomial rows. Over a field
 with log tables a `StepTable` is kept per (field, steps) with the moments
-and rows filled so far, so equal plans, and the grid, read one table; above
-the table limit its moments live for one call. Shift operators commute, so
+and rows filled so far, rows up to `KEPT_ROW_ENTRIES` entries, so equal
+plans, and the grid, read one table; above the table limit its moments
+live for one call. The grid's points come from one `itertools.product` of
+shifted columns, and over a field with log tables its sum stays in the log
+domain, as `MultiPoly.evaluate`'s does. Shift operators commute, so
 the steps on one variable group into runs of equal steps, in any order. A
 run of r steps h needs at most r+1 probes, at offsets 0, h, ..., r*h with
 signed binomial weights (-1)^(r-j) C(r, j) mod p; runs of distinct steps,
@@ -23,9 +26,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from math import inf, prod
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinat import diff_coefficient, digits
 from .field import FieldElement, FieldSpec, basis_elements
@@ -49,7 +52,7 @@ class DiffPlan:
     Steps hold one nonzero element per application. Over GF(p) each variable
     supports at most p-1 applications; over GF(p^m) at most m(p-1), with the
     basis-block sequence as the default. The hash is computed once, at
-    construction, so a cache keyed by plans (`_grid_entries`) rehashes no
+    construction, so a cache keyed by plans (`_plan_grid`) rehashes no
     step.
     """
 
@@ -241,7 +244,9 @@ class StepTable:
     over it, and the symbolic route maps x_i^e to its row, the pairs
     (k, C(e, k) M(e - k)) with a nonzero product, through the moments
     M(d) = sum of w * o^d (0^0 = 1). Moments and rows are filled as rows
-    are asked for and kept on the table.
+    are asked for and kept on the table, rows of at most `room` entries in
+    all (no bound by default); a row past that is built afresh each time
+    it is asked for, from the moments the table keeps.
 
     r steps annihilate x^d wherever the base-p digit sum of d is below r
     (the bound `combinat.degree_after_diff` reads), so such a moment is
@@ -257,13 +262,14 @@ class StepTable:
     each exponent costs one square-and-multiply, and a sparse one, such as
     x^(2^19 + 1), one power per gap."""
 
-    __slots__ = ("spec", "offsets", "weights", "low", "moments", "rows")
+    __slots__ = ("spec", "offsets", "weights", "low", "moments", "rows", "room")
 
     def __init__(
         self,
         spec: FieldSpec,
         pairs: Sequence[tuple[FieldElement, FieldElement]],
         low: int,
+        room: float = inf,
     ):
         self.spec = spec
         self.offsets = tuple(o for o, _ in pairs)
@@ -271,13 +277,17 @@ class StepTable:
         self.low = low
         self.moments: dict[int, FieldElement] = {}
         self.rows: dict[int, tuple[tuple[int, FieldElement], ...]] = {}
+        self.room = room
 
     def row(self, e: int) -> tuple[tuple[int, FieldElement], ...]:
         """The pairs (k, C(e, k) M(e - k)) with a nonzero product, in
-        increasing k, built once per exponent."""
+        increasing k, built once per exponent while the table has room."""
         r = self.rows.get(e)
         if r is None:
-            r = self.rows[e] = self._build_row(e)
+            r = self._build_row(e)
+            if len(r) <= self.room:
+                self.rows[e] = r
+                self.room -= len(r)
         return r
 
     def _build_row(self, e: int) -> tuple[tuple[int, FieldElement], ...]:
@@ -377,52 +387,91 @@ def _step_table(
     return out
 
 
+# the most row entries a kept step table holds, over all its rows: the
+# 4,096 rows of GF(2^12) hold 3^12 = 531,441 in all, and those of GF(4093)
+# about 8.4 million, where the fields up to GF(3^3) hold at most 216
+KEPT_ROW_ENTRIES = 1 << 16
+
+
 @lru_cache(maxsize=1024)
 def _kept_table(spec: FieldSpec, steps: tuple[FieldElement, ...]) -> StepTable:
-    return StepTable(spec, _step_table(spec, steps), len(steps))
+    return StepTable(spec, _step_table(spec, steps), len(steps), KEPT_ROW_ENTRIES)
 
 
 def _plan_table(spec: FieldSpec, steps: tuple[FieldElement, ...]) -> StepTable:
     """The `StepTable` of one plan variable's steps. Over a field with log
     tables it is built once per (spec, steps) and kept with its moments
     and rows: elements are interned there and exponents lie below
-    q <= LOG_TABLE_LIMIT, so a table holds at most q moments and q rows,
-    but not small rows: x^e's has up to prod(d + 1) entries over the
-    base-p digits d of e, all q rows up to q((p + 1)/2)^m, so q(q + 1)/2
-    over GF(p) (8.4 million at GF(4093)). Above the limit nothing bounds
-    the exponents a call may ask for, so each call builds its own table
-    and drops it."""
+    q <= LOG_TABLE_LIMIT, so a table holds at most q moments. Its rows are
+    not small: x^e's has up to prod(d + 1) entries over the base-p digits
+    d of e, all q rows up to q((p + 1)/2)^m, so q(q + 1)/2 over GF(p)
+    (8.4 million at GF(4093)), and a kept table keeps rows of at most
+    `KEPT_ROW_ENTRIES` entries. Above the limit nothing bounds the
+    exponents a call may ask for, so each call builds its own table and
+    drops it."""
     if spec._tables is None:
         return StepTable(spec, _step_table(spec, steps), len(steps))
     return _kept_table(spec, steps)
 
 
+class PlanGrid(NamedTuple):
+    """The folded grid of a plan: each plan variable's offsets, in plan
+    order, and one weight per probe, in `itertools.product` order over
+    them, the product of the variables' table weights."""
+
+    offsets: tuple[tuple[FieldElement, ...], ...]
+    weights: tuple[FieldElement, ...]
+
+
 @lru_cache(maxsize=1024)
-def _grid_entries(
-    plan: DiffPlan,
-) -> tuple[tuple[tuple[FieldElement, ...], FieldElement], ...]:
-    """The folded grid of a plan, built once: per probe, the offsets of the
-    plan variables and the product of their table weights."""
+def _plan_grid(plan: DiffPlan) -> PlanGrid:
+    """The folded grid of a plan, built once."""
     spec = plan.spec
     tables = [_plan_table(spec, steps) for steps in plan.steps]
-    entries = []
-    for combo in itertools.product(*(zip(t.offsets, t.weights) for t in tables)):
+    weights = []
+    for combo in itertools.product(*(t.weights for t in tables)):
         weight = spec.one
-        for _, w in combo:
+        for w in combo:
             weight = weight * w
-        entries.append((tuple(off for off, _ in combo), weight))
-    return tuple(entries)
+        weights.append(weight)
+    return PlanGrid(tuple(t.offsets for t in tables), tuple(weights))
 
 
 def _base_point(plan: DiffPlan, base: Sequence[FieldElement]) -> list[FieldElement]:
     """The base as elements of the plan's field; DiffError if a plan
     variable lies outside it."""
     spec = plan.spec
-    base = [spec.element(v) for v in base]
+    base = [
+        v if v.__class__ is FieldElement and v.spec is spec else spec.element(v)
+        for v in base
+    ]
     for var in plan.variables:
         if var >= len(base):
             raise DiffError(f"plan variable x{var + 1} outside the base point")
     return base
+
+
+def _probe_points(
+    plan: DiffPlan, offsets: Sequence[Sequence[FieldElement]], base: list[FieldElement]
+) -> Iterator[tuple[FieldElement, ...]]:
+    """The grid's points at `base`, in the order of its weights: one
+    `itertools.product` over a column per coordinate, the shifted values
+    x_i + o of a plan variable or the one value of any other coordinate.
+    The product varies its last column fastest, as the grid varies its last
+    plan variable fastest, so when the plan's variables increase (as in
+    every plan `DiffPlan.make` builds) the columns stand in coordinate
+    order; otherwise the plan variables' columns come first, in plan order,
+    and each tuple is put back in coordinate order."""
+    variables = plan.variables
+    columns = [(x,) for x in base]
+    for var, offs in zip(variables, offsets):
+        x = base[var]
+        columns[var] = [x + o for o in offs]
+    if list(variables) == sorted(variables):
+        return itertools.product(*columns)
+    order = [*variables, *(i for i in range(len(base)) if i not in variables)]
+    points = itertools.product(*map(columns.__getitem__, order))
+    return map(itemgetter(*map(order.index, range(len(base)))), points)
 
 
 def grid_points(
@@ -430,14 +479,9 @@ def grid_points(
 ) -> list[tuple[tuple[FieldElement, ...], FieldElement]]:
     """Probe points of the planned difference at `base`, in a fixed order,
     each with its folded weight."""
-    base = _base_point(plan, base)
-    points = []
-    for offsets, weight in _grid_entries(plan):
-        point = base.copy()
-        for var, off in zip(plan.variables, offsets):
-            point[var] = point[var] + off
-        points.append((tuple(point), weight))
-    return points
+    grid = _plan_grid(plan)
+    points = _probe_points(plan, grid.offsets, _base_point(plan, base))
+    return list(zip(points, grid.weights))
 
 
 class TermGrid(NamedTuple):
@@ -466,16 +510,33 @@ def blackbox_delta(
     bb: BlackBoxFn, plan: DiffPlan, base: Sequence[FieldElement]
 ) -> FieldElement:
     """Evaluate the planned difference of a black-box function at one point:
-    the points of `grid_points`, in its order, each built as it is probed."""
-    base = _base_point(plan, base)
-    variables = plan.variables
-    total = plan.spec.zero
-    for offsets, weight in _grid_entries(plan):
-        point = base.copy()
-        for var, off in zip(variables, offsets):
-            point[var] = point[var] + off
-        total = total + weight * bb(tuple(point))
-    return total
+    the points of `grid_points`, in its order, each built as it is probed.
+
+    An answer is taken as `weight * answer` takes it: an int is an element
+    of the plan's field, and an element of another field raises FieldError.
+    Over a field with log tables the sum stays in the log domain, as
+    `MultiPoly.evaluate`'s does: the log of each weighted answer is the sum
+    of two logs, which indexes the packed coordinate rows `FieldSpec._rows`,
+    one int adds the rows, and `FieldSpec._sum_rows` reads the element back
+    once. Above the table limit each answer is weighted and added as an
+    element."""
+    grid = _plan_grid(plan)
+    points = _probe_points(plan, grid.offsets, _base_point(plan, base))
+    spec = plan.spec
+    if spec._tables is None:
+        total = spec.zero
+        for point, weight in zip(points, grid.weights):
+            total = total + weight * bb(point)
+        return total
+    rows = spec._rows
+    total = 0
+    for point, weight in zip(points, grid.weights):
+        answer = bb(point)
+        if answer.__class__ is FieldElement and answer.spec is spec:
+            total += rows[weight.log + answer.log]
+        else:
+            total += rows[(weight * answer).log]
+    return spec._sum_rows(total)
 
 
 def inclusion_exclusion(

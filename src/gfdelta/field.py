@@ -26,8 +26,10 @@ step, in the quotient ring the modulus defines.
 There is one spec object per field: `PrimeFieldSpec` and `ExtFieldSpec`
 register each field they build under its normalised arguments (the modulus
 reduced mod p), a repeat construction is one lookup with no primality or
-irreducibility test, and specs compare and hash by identity. Specs and
-elements are immutable and safe to share between threads; registration
+irreducibility test, and specs compare and hash by identity. A spec
+reduces to its class and normalised arguments (`__reduce__`), so `copy`,
+`deepcopy` and a pickle round trip hand back the registered object. Specs
+and elements are immutable and safe to share between threads; registration
 inserts with `dict.setdefault`, so racing threads get one object.
 """
 
@@ -301,9 +303,10 @@ class FieldSpec:
     g^0..g^(q-2) twice, then 2(q-1)+1 zeros, so a product is `_elems[i + j]`
     and any sum of logs involving zero reads zero. A sum is g^i (1 + g^(j-i)),
     `_elems[i + _zech[j - i]]`, through the Zech table of log(1 + g^d); a
-    negation shifts the log by log(-1). `_rows` lists each g^i's packed
-    coordinate row by log, and `_sum_rows` turns a sum of rows back into an
-    element. `element`, `from_index` and every arithmetic result return the
+    negation shifts the log by log(-1). `_rows` lists each element's packed
+    coordinate row by log in the same layout as `_elems`, so the row of a
+    product is `_rows[i + j]`, and `_sum_rows` turns a sum of rows back into
+    an element. `element`, `from_index` and every arithmetic result return the
     interned object, looked up by coordinates in `_tables`; that is None in
     larger fields, which compute on coordinates.
     """
@@ -398,7 +401,8 @@ class FieldSpec:
         self._zech = zech
         # 8-byte lanes: a sum of rows is exact below 2^64 / p summands
         self._row_codec = SlotCodec(self.m, (1 << 64) - 1)
-        self._rows = self._row_codec.pack(powers)
+        rows = self._row_codec.pack(powers)
+        self._rows = rows * 2 + [0] * (2 * n + 1)
         self._minus = index[(p - 1,) + zero[1:]].log
         self._tables = index
         self._zero, self._one = index[zero], units[0]
@@ -483,6 +487,9 @@ class PrimeFieldSpec(FieldSpec):
             spec = _SPECS.setdefault(p, spec)
         return spec
 
+    def __reduce__(self):
+        return PrimeFieldSpec, (self.p,)
+
     @property
     def text(self) -> str:
         return str(self.p)
@@ -544,6 +551,9 @@ class ExtFieldSpec(FieldSpec):
         spec.modulus = mod_desc
         spec._build_tables()
         return _SPECS.setdefault((p, m, mod_desc), spec)
+
+    def __reduce__(self):
+        return ExtFieldSpec, (self.p, self.m, self.modulus)
 
     @property
     def text(self) -> str:

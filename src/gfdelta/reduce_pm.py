@@ -10,19 +10,23 @@ One GF(p^m) answer carries all m component answers, so in query terms the
 reduction is the paper's equivalence: differencing the components costs no
 black-box probes beyond those of the extension-field difference.
 
-The check runs at table speed: the basis changes are matrices built once
-per `ProjectionContext`, each projected answer is kept as one packed int of
-m lanes, so the m component sums at a point are one multiply-add per grid
-point, and its table of answers is keyed by points whose elements hash by
-their coordinates alone.
+The check runs at table speed. Over a field with log tables each
+`ProjectionContext` turns its basis-change matrices into tables on first
+use, so a basis change is one lookup; `verify_reduction` keeps its set-up
+per (field, basis, r, n) across calls; its extension side is the
+log-domain sum of `diff.blackbox_delta`; and each projected answer is kept
+as one packed int of m lanes, so the m component sums at a point are one
+multiply-add per grid point, each grid point found by a packed residue key
+that one big-integer sum shifts and reduces mod p.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diff import BlackBoxFn, DiffPlan, _term_grid, blackbox_delta
 from .field import (
@@ -48,7 +52,12 @@ class ProjectionContext:
     (x_{i,0}, ..., x_{i,m-1}), stored contiguously. Both basis changes are
     matrices built once, at construction: `_to_coords` takes polynomial-basis
     coordinates to this basis, and `_from_coords`, whose columns are the
-    basis vectors, takes them back."""
+    basis vectors, takes them back. Over a field with log tables both are
+    also tables, built from the matrices on the first `phi` or `phi_inv`
+    and kept on the context (`_lookup`): `phi` reads an element's
+    coordinates by its log, and `phi_inv` the element of reduced
+    coordinates by their tuple. Above the table limit each call multiplies
+    by the matrix."""
 
     spec: ExtFieldSpec
     basis: tuple[FieldElement, ...]
@@ -80,18 +89,45 @@ class ProjectionContext:
     def prime(self):
         return prime_field(self.spec.p)
 
-    def phi(self, el: FieldElement) -> tuple[int, ...]:
-        """Coordinates of an element in this basis."""
+    @cached_property
+    def _lookup(
+        self,
+    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], FieldElement]] | None:
+        """(coordinates by element log, element by coordinates) over a field
+        with log tables, else None. The first list has the layout of
+        `FieldSpec._elems`: the units by log, twice, then zero's at 2(q-1)."""
+        spec = self.spec
+        if spec._tables is None:
+            return None
+        units = spec._elems[: spec.order - 1]
+        coords = [self._phi_matrix(el) for el in units]
+        zero = (0,) * spec.m
+        by_coords = dict(zip(coords, units))
+        by_coords[zero] = spec.zero
+        return coords * 2 + [zero], by_coords
+
+    def _phi_matrix(self, el: FieldElement) -> tuple[int, ...]:
         p = self.spec.p
         coeffs = el.coeffs
         return tuple([sum(map(mul, row, coeffs)) % p for row in self._to_coords])
 
+    def phi(self, el: FieldElement) -> tuple[int, ...]:
+        """Coordinates of an element in this basis."""
+        lookup = self._lookup
+        if lookup is None:
+            return self._phi_matrix(el)
+        return lookup[0][el.log]
+
     def phi_inv(self, coords: Sequence[int]) -> FieldElement:
-        """The element with these coordinates in this basis."""
+        """The element with these coordinates in this basis; coordinates are
+        ints, read mod p, or elements of GF(p)."""
         spec = self.spec
         if len(coords) != spec.m:
             raise ReductionError("coordinate width mismatch")
         p = spec.p
+        lookup = self._lookup
+        if lookup is not None:
+            return lookup[1][tuple([int(c) % p for c in coords])]
         coords = list(map(int, coords))
         return spec._box(
             tuple([sum(map(mul, row, coords)) % p for row in self._from_coords])
@@ -125,6 +161,54 @@ class ReductionReport:
         return self.ok
 
 
+class _Answers(dict):
+    """A box's answers by point: a point not yet asked is asked once, on
+    first lookup, and counted in `probes`."""
+
+    def __init__(self, bb: BlackBoxFn):
+        super().__init__()
+        self.bb = bb
+        self.probes = 0
+
+    def __missing__(self, point: tuple[FieldElement, ...]) -> FieldElement:
+        value = self[point] = self.bb(point)
+        self.probes += 1
+        return value
+
+
+class _CheckSetup(NamedTuple):
+    """What a check reads that depends on (field, basis, r, n) alone."""
+
+    lhs_plan: DiffPlan  # r_i steps b_i on the first variable
+    keys: SlotCodec  # m*n residues, each slot with a top bit to spare
+    bias: int  # 2^top - p in every slot
+    tops: int  # 2^top in every slot
+    entries: tuple[tuple[int, int], ...]  # component grid: packed offsets, weight
+    codec: SlotCodec  # m lanes, each wide enough for a grid's sum
+
+
+@lru_cache(maxsize=256)
+def _check_setup(
+    spec: ExtFieldSpec, basis: tuple[FieldElement, ...], r: tuple[int, ...], n: int
+) -> _CheckSetup:
+    """The set-up of `verify_reduction` for one (field, basis, r, n), built
+    once: the extension-side plan, the component grid's residue offsets and
+    weights, and the packing of the m component sums."""
+    steps: list[FieldElement] = []
+    for b, ri in zip(basis, r):
+        steps.extend([b] * ri)
+    total = len(steps)
+    lhs_plan = DiffPlan.make(spec, {0: total} if total else {}, steps)
+    p, m = spec.p, spec.m
+    grid = _term_grid(prime_field(p), r + (0,) * (m * (n - 1)))
+    keys = SlotCodec(m * n, 2 * p - 1)
+    top = 1 << 8 * keys.width - 1
+    bias, tops = keys.pack([[top - p] * (m * n), [top] * (m * n)])
+    entries = tuple(zip(keys.pack(grid.residues), grid.weights))
+    codec = SlotCodec(m, len(entries) * (p - 1) ** 2)
+    return _CheckSetup(lhs_plan, keys, bias, tops, entries, codec)
+
+
 def verify_reduction(
     bb: BlackBoxFn,
     n: int,
@@ -150,35 +234,27 @@ def verify_reduction(
     as long as the answer, as one packed int of m lanes (`SlotCodec`),
     each wide enough for G(p-1)^2. A checked point's m component sums are
     then one multiply-add per grid point, weight times packed answer, read
-    back and reduced mod p once."""
+    back and reduced mod p once. The kept answers are keyed by the grid
+    point's m*n residues packed into one int, slots with a top bit to
+    spare: a grid point's key is the checked point's key plus the grid
+    offset's, with p taken off each slot that reaches p.
+
+    What depends on (field, basis, r, n) alone, the extension-side plan,
+    the component grid and the two codecs, is built once and kept
+    (`_check_setup`, bounded), so a repeated check builds none of it."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
         raise ReductionError(f"need {m} repetition counts in 0..{p - 1}")
     prime = ctx.prime
+    lhs_plan, keys, bias, tops, entries, codec = _check_setup(
+        spec, ctx.basis, tuple(r), n
+    )
+    shift = 8 * keys.width - 1
 
-    steps: list[FieldElement] = []
-    for b, ri in zip(ctx.basis, r):
-        steps.extend([b] * ri)
-    total = len(steps)
-    lhs_plan = DiffPlan.make(spec, {0: total} if total else {}, steps)
-
-    answers: dict[tuple[FieldElement, ...], FieldElement] = {}
-    probes = 0
-
-    def ask(point: tuple[FieldElement, ...]) -> FieldElement:
-        nonlocal probes
-        value = answers.get(point)
-        if value is None:
-            value = answers[point] = bb(point)
-            probes += 1
-        return value
-
-    # the component grid at the zero base, as residue offsets and weights
-    grid = _term_grid(prime, tuple(r) + (0,) * (m * (n - 1)))
-    entries = list(zip(grid.residues, grid.weights))
-    codec = SlotCodec(m, len(entries) * (p - 1) ** 2)
-    projected: dict[tuple[int, ...], int] = {}
+    answers = _Answers(bb)
+    ask = answers.__getitem__
+    projected: dict[int, int] = {}
 
     domain = p ** (m * n)
     if domain <= EXHAUSTIVE_LIMIT:
@@ -201,15 +277,20 @@ def verify_reduction(
         if not exhaustive:
             answers.clear()
             projected.clear()
-        ext_point = ctx.phi_inv_point(coords, n)
-        lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
         base = [int(c) for c in coords]
+        ext_point = ctx.phi_inv_point(base, n)
+        lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
+        [base_key] = keys.pack([base])
         sums = 0
-        for offsets, w in entries:
-            key = tuple([(c + o) % p for c, o in zip(base, offsets)])
+        for offset, w in entries:
+            # each slot of the sum holds c + o < 2p; adding 2^top - p sets
+            # its top bit exactly where c + o >= p, and p is taken off there
+            key = base_key + offset
+            key -= (((key + bias) & tops) >> shift) * p
             packed = projected.get(key)
             if packed is None:
-                [packed] = codec.pack([ctx.phi(ask(ctx.phi_inv_point(key, n)))])
+                point = ctx.phi_inv_point(keys.unpack(key), n)
+                [packed] = codec.pack([ctx.phi(ask(point))])
                 projected[key] = packed
             sums += w * packed
         for j, lane in enumerate(codec.unpack(sums)):
@@ -218,10 +299,12 @@ def verify_reduction(
                 mismatches.append((coords, j, lhs_coords[j], rhs_value))
                 if len(mismatches) >= MAX_MISMATCHES:
                     return ReductionReport(
-                        False, checked, exhaustive, mismatches, probes
+                        False, checked, exhaustive, mismatches, answers.probes
                     )
     assert checked == count
-    return ReductionReport(not mismatches, checked, exhaustive, mismatches, probes)
+    return ReductionReport(
+        not mismatches, checked, exhaustive, mismatches, answers.probes
+    )
 
 
 def component_degree_bound(f: MultiPoly, i: int) -> int:

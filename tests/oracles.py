@@ -11,10 +11,14 @@ ran before both went through the incremental `field.eliminate`
 (`row_reduce`, `gaussian_solve`), `online`'s leave-one-out loop over
 fresh solves (`suspects`), and the reduction check before it packed its
 component sums (`verify_reduction`, which reads `reduce_pm`'s limits at
-call time, so a test's patch of them reaches both), and the symbolic
-difference before its step tables kept their moments and rows across
-calls (`_apply_tables`, `delta_plan`), which builds every table and sums
-every moment afresh."""
+call time, so a test's patch of them reaches both; it differences by
+`grid_sum` and converts coordinates by the basis-change matrices,
+`phi_by_matrix` and `phi_inv_by_matrix`, as the check did before its
+tables), the symbolic difference before its step tables kept their
+moments and rows across calls (`_apply_tables`, `delta_plan`), which
+builds every table and sums every moment afresh, and the grid before it
+summed in the log domain and built its points by one product of columns
+(`grid_points`, `grid_sum`)."""
 
 from __future__ import annotations
 
@@ -42,10 +46,9 @@ from gfdelta.diff import (
     DiffError,
     DiffPlan,
     _binomial_row,
-    _grid_entries,
+    _plan_grid,
     _step_table,
     _term_grid,
-    blackbox_delta,
 )
 from gfdelta.field import FieldElement, FieldSpec
 from gfdelta.poly import Monomial, MultiPoly, PolyError, _merge, all_points
@@ -138,7 +141,7 @@ def grid_size(plan: DiffPlan) -> int:
     p^q * (r+1) probes: each full block of p-1 steps b_i spans all of
     GF(p)*b_i, and the last, partial block r+1 offsets.
     """
-    return len(_grid_entries(plan))
+    return len(_plan_grid(plan).weights)
 
 
 def ext_diff_constant(
@@ -345,6 +348,50 @@ def suspects(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     ]
 
 
+def grid_points(
+    plan: DiffPlan, base: Sequence[FieldElement]
+) -> list[tuple[tuple[FieldElement, ...], FieldElement]]:
+    """`diff.grid_points` built pair by pair: the product, in plan order,
+    of each plan variable's (offset, weight) pairs from `diff._step_table`,
+    each point the base with one variable shifted at a time and each weight
+    the product of its pairs' weights."""
+    spec = plan.spec
+    base = [spec.element(v) for v in base]
+    tables = [_step_table(spec, steps) for steps in plan.steps]
+    points = []
+    for combo in itertools.product(*tables):
+        point = list(base)
+        weight = spec.one
+        for var, (off, w) in zip(plan.variables, combo):
+            point[var] = point[var] + off
+            weight = weight * w
+        points.append((tuple(point), weight))
+    return points
+
+
+def grid_sum(bb: BlackBoxFn, plan: DiffPlan, base: Sequence[FieldElement]) -> FieldElement:
+    """`diff.blackbox_delta` in element arithmetic: weight * answer added
+    one point at a time over `grid_points`, probed in its order."""
+    total = plan.spec.zero
+    for point, weight in grid_points(plan, base):
+        total = total + weight * bb(point)
+    return total
+
+
+def phi_by_matrix(ctx: ProjectionContext, el: FieldElement) -> tuple[int, ...]:
+    """`ctx.phi` as one product by the matrix to the context's basis."""
+    p = ctx.spec.p
+    return tuple(sum(map(mul, row, el.coeffs)) % p for row in ctx._to_coords)
+
+
+def phi_inv_by_matrix(ctx: ProjectionContext, coords: Sequence[int]) -> FieldElement:
+    """`ctx.phi_inv` as one product by the matrix whose columns are the
+    basis vectors."""
+    spec = ctx.spec
+    coords = [int(c) for c in coords]
+    return spec.element([sum(map(mul, row, coords)) for row in ctx._from_coords])
+
+
 def verify_reduction(
     bb: BlackBoxFn,
     n: int,
@@ -353,7 +400,8 @@ def verify_reduction(
     seed: int = 0,
 ) -> ReductionReport:
     """`reduce_pm.verify_reduction` with its m component sums kept as a
-    list per grid point, rebuilt at each point."""
+    list per grid point, rebuilt at each point, its extension side summed
+    by `grid_sum` and its answers projected by `phi_by_matrix`."""
     spec = ctx.spec
     m, p = spec.m, spec.p
     if len(r) != m or any(not 0 <= ri <= p - 1 for ri in r):
@@ -403,14 +451,15 @@ def verify_reduction(
             answers.clear()
             projected.clear()
         ext_point = ctx.phi_inv_point(coords, n)
-        lhs_coords = ctx.phi(blackbox_delta(ask, lhs_plan, ext_point))
+        lhs_coords = phi_by_matrix(ctx, grid_sum(ask, lhs_plan, ext_point))
         base = [int(c) for c in coords]
         sums = [0] * m
         for offsets, w in zip(grid.residues, grid.weights):
             key = tuple([(c + o) % p for c, o in zip(base, offsets)])
             vec = projected.get(key)
             if vec is None:
-                vec = projected[key] = ctx.phi(ask(ctx.phi_inv_point(key, n)))
+                answer = ask(ctx.phi_inv_point(key, n))
+                vec = projected[key] = phi_by_matrix(ctx, answer)
             sums = [s + w * v for s, v in zip(sums, vec)]
         for j in range(m):
             rhs_value = sums[j] % p

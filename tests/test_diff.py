@@ -27,6 +27,7 @@ from gfdelta.diff import (
 )
 from gfdelta.field import (
     ExtFieldSpec,
+    FieldError,
     basis_elements,
     ext_field,
     parse_field_spec,
@@ -338,10 +339,10 @@ def test_equal_plans_share_one_grid_entry():
     second = DiffPlan.make(again, {3: 1, 1: 3}, [again.from_index(5)] * 2 + steps[2:])
     assert again is GF27 and first is not second
     assert first == second and hash(first) == hash(second)
-    diff_module._grid_entries.cache_clear()
-    entries = diff_module._grid_entries(first)
-    assert diff_module._grid_entries(second) is entries
-    info = diff_module._grid_entries.cache_info()
+    diff_module._plan_grid.cache_clear()
+    entries = diff_module._plan_grid(first)
+    assert diff_module._plan_grid(second) is entries
+    info = diff_module._plan_grid.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
@@ -534,7 +535,7 @@ def test_equal_plans_share_one_step_table(monkeypatch):
     text = "x1^5*x2^3 + 2*x1^14 + x2^26*x3 + x1^3*x3^4 + x1^25*x3^9"
     f, g = parse_poly(text, GF27, n=3), parse_poly(text, again, n=3)
     diff_module._kept_table.cache_clear()
-    diff_module._grid_entries.cache_clear()
+    diff_module._plan_grid.cache_clear()
     want = delta_plan(f, first)
     assert not want.is_zero()
     built = []
@@ -549,7 +550,7 @@ def test_equal_plans_share_one_step_table(monkeypatch):
     )
     same_terms(delta_plan(f, first), want)
     same_terms(delta_plan(g, second), want)
-    diff_module._grid_entries(second)
+    diff_module._plan_grid(second)
     assert built == []
     info = diff_module._kept_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
@@ -571,6 +572,127 @@ def test_fields_above_the_table_limit_keep_no_step_table(monkeypatch):
     same_terms(delta_plan(f, plan), first)
     assert len(built) == 4
     assert diff_module._kept_table.cache_info().currsize == 0
+
+
+def test_kept_tables_keep_rows_up_to_their_room(monkeypatch):
+    # a kept table keeps rows of at most KEPT_ROW_ENTRIES entries in all;
+    # a row past that is built afresh from the kept moments on every call,
+    # and the differences stay those of the per-call reference
+    monkeypatch.setattr(diff_module, "KEPT_ROW_ENTRIES", 60)
+    diff_module._kept_table.cache_clear()
+    f = MultiPoly(GF31, 2, {(e, e % 3): GF31.one for e in range(31)})
+    plan = DiffPlan.make(GF31, {0: 2})
+    table = diff_module._plan_table(GF31, plan.steps[0])
+    first = delta_plan(f, plan)
+    same_terms(first, oracles.delta_plan(f, plan))
+    kept = sum(map(len, table.rows.values()))
+    assert 0 < kept <= 60 and table.room == 60 - kept
+    assert len(table.rows) < 31
+    rows, moments = dict(table.rows), dict(table.moments)
+    built = []
+    build_row = diff_module.StepTable._build_row
+    monkeypatch.setattr(
+        diff_module.StepTable,
+        "_build_row",
+        lambda table, e: built.append(e) or build_row(table, e),
+    )
+    same_terms(delta_plan(f, plan), first)
+    assert sorted(built) == [e for e in range(31) if e not in rows]
+    assert table.rows == rows and table.moments == moments
+
+
+@pytest.mark.parametrize("spec", [GF8, GF27], ids=repr)
+def test_small_extension_tables_keep_every_row(spec):
+    # the fields of the ext-duality benchmark: every row of every exponent
+    # below q, under every count of basis-block steps, fits in a kept table
+    for count in range(1, spec.m * (spec.p - 1) + 1):
+        diff_module._kept_table.cache_clear()
+        table = diff_module._plan_table(spec, basis_step_sequence(spec, count))
+        for e in range(spec.order):
+            table.row(e)
+        assert len(table.rows) == spec.order
+        assert table.room >= diff_module.KEPT_ROW_ENTRIES - 6**3
+
+
+# -- the log-domain grid sum ----------------------------------------------------
+
+
+GRID_SPECS = [GF2, GF5, GF31, GF4, GF8, GF9, GF27, GF_BIG]
+
+
+def answer_box(kind, spec, f, probed):
+    """A box that records each probe and answers f's value, zero, or an
+    int (negative, or past p) that depends on the point."""
+
+    def bb(point):
+        probed.append(point)
+        if kind == "zero":
+            return spec.zero
+        if kind == "int":
+            return sum(spec.index_of(x) * (7 * i + 3) for i, x in enumerate(point)) - 40
+        return f.evaluate(point)
+
+    return bb
+
+
+@given(st.data())
+def test_grid_sum_equals_the_element_sum(data):
+    # plans of 1-3 variables in any order, steps drawn from a small pool so
+    # that steps repeat; the probes, in order, are `grid_points`' points
+    spec = data.draw(st.sampled_from(GRID_SPECS), label="spec")
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(1, 3))
+    order = data.draw(st.permutations(range(n)))
+    variables = tuple(order[: data.draw(st.integers(1, n))])
+    pool = data.draw(
+        st.lists(st.integers(1, spec.order - 1), min_size=1, max_size=3, unique=True)
+    )
+    cap = min(3, spec.m * (spec.p - 1))
+    mults = tuple(data.draw(st.integers(1, cap)) for _ in variables)
+    steps = tuple(
+        tuple(spec.from_index(data.draw(st.sampled_from(pool))) for _ in range(m))
+        for m in mults
+    )
+    plan = DiffPlan(spec, variables, mults, steps)
+    base = tuple(
+        rng.choice((spec.random_element(rng), rng.randrange(-50, 50)))
+        for _ in range(n)
+    )
+    kind = data.draw(st.sampled_from(["poly", "zero", "int"]))
+    f = random_poly(spec, n, data.draw(st.integers(0, 8)), 6, rng=rng)
+    probed, ref_probed = [], []
+    value = blackbox_delta(answer_box(kind, spec, f, probed), plan, base)
+    want = oracles.grid_sum(answer_box(kind, spec, f, ref_probed), plan, base)
+    assert value == want and value.spec is spec
+    if spec._tables is not None:
+        assert value is want
+    points = grid_points(plan, base)
+    assert points == oracles.grid_points(plan, base)
+    assert probed == ref_probed == [point for point, _ in points]
+    if kind == "zero":
+        assert value == spec.zero
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=repr)
+def test_grid_sum_refuses_answers_of_another_field(spec):
+    # an answer is taken as weight * answer takes it: an element of another
+    # field raises FieldError at the probe that answers it
+    other = GF9 if spec is not GF9 else GF8
+    plan = DiffPlan.make(spec, {0: 1, 1: 1})
+    base = (spec.one, spec.zero)
+    answers = iter([spec.one, 3, other.one])
+    probed = []
+
+    def bb(point):
+        probed.append(point)
+        return next(answers)
+
+    with pytest.raises(FieldError, match="different fields"):
+        blackbox_delta(bb, plan, base)
+    assert probed == [point for point, _ in grid_points(plan, base)][:3]
+    with pytest.raises(FieldError, match="different fields"):
+        oracles.grid_sum(lambda point: other.one, plan, base)
+
 
 # -- plans: validation and parsing --------------------------------------------
 

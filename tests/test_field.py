@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 import random
 import sys
 import threading
@@ -292,6 +294,28 @@ def test_refused_constructions_register_nothing(build, error):
         build()
     assert field_module._SPECS == registered
     assert all(field_module._SPECS[key] is spec for key, spec in registered.items())
+
+
+@pytest.mark.parametrize(
+    "spec", [GF31, GF27, prime_field(10**9 + 7)], ids=repr
+)
+def test_copies_and_pickles_are_the_registered_spec(spec, monkeypatch):
+    # a spec reduces to its class and normalised arguments, so copying or
+    # unpickling it is a construction, which finds the registered object
+    assert copy.copy(spec) is spec
+    assert copy.deepcopy(spec) is spec
+    assert pickle.loads(pickle.dumps(spec)) is spec
+    # and so within what holds it
+    f = parse_poly("x1^3 + 2*x1*x2 + 1", spec)
+    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin.spec is spec and twin == f
+    # with the registry emptied, an unpickled spec is built and registered
+    data = pickle.dumps(spec)
+    monkeypatch.setattr(field_module, "_SPECS", {})
+    fresh = pickle.loads(data)
+    assert fresh is not spec and fresh.text == spec.text
+    assert list(field_module._SPECS.values()) == [fresh]
+    assert copy.copy(fresh) is fresh and pickle.loads(data) is fresh
 
 
 def test_racing_constructions_get_one_spec(monkeypatch):

@@ -15,6 +15,7 @@ from gfdelta.reduce_pm import (
 )
 
 import oracles
+from gfdelta import reduce_pm
 from conftest import GF4, GF8, GF9, GF27
 from oracles import interpolate, project_blackbox, term, variable
 
@@ -85,6 +86,90 @@ def test_phi_and_phi_inv_are_inverse_and_additive_everywhere(spec, drawn):
         w = tuple((a + b) % p for a, b in zip(u, v))
         assert ctx.phi(x + y) == w
         assert ctx.phi_inv(w) == x + y
+
+
+GF4096 = ExtFieldSpec(2, 12, (1,) + (0,) * 5 + (1, 0, 1, 0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF27, GF4096], ids=repr)
+@pytest.mark.parametrize("drawn", [False, True], ids=["polynomial", "drawn"])
+def test_tabled_basis_changes_equal_the_matrix_products(spec, drawn):
+    # over a table field phi reads coordinates by log and phi_inv elements
+    # by coordinates, tables built on first use; both must agree with the
+    # basis-change matrices, and the coordinates with the basis itself
+    ctx = ProjectionContext.for_spec(spec)
+    if drawn:
+        ctx = _drawn_basis(spec, random.Random(spec.order + 1))
+    assert "_lookup" not in vars(ctx)
+    p, m = spec.p, spec.m
+    for el in spec.elements():
+        coords = ctx.phi(el)
+        assert coords == oracles.phi_by_matrix(ctx, el)
+        assert ctx.phi_inv(coords) is oracles.phi_inv_by_matrix(ctx, coords) is el
+        total = spec.zero
+        for c, b in zip(coords, ctx.basis):
+            total = total + c * b
+        assert total is el
+        # ints out of range, negative ints and GF(p) elements read mod p
+        shifted = [c + (i - 2) * p for i, c in enumerate(coords)]
+        assert ctx.phi_inv(shifted) is el
+        assert ctx.phi_inv([ctx.prime.element(c) for c in coords]) is el
+    assert vars(ctx)["_lookup"] is not None
+    for width in (m - 1, m + 1):
+        with pytest.raises(ReductionError, match="coordinate width"):
+            ctx.phi_inv([0] * width)
+
+
+def test_basis_changes_past_the_table_limit_are_matrix_products():
+    p = 2**31 - 1
+    spec = ExtFieldSpec(p, 2, (1, 0, 1))
+    rng = random.Random(6)
+    for ctx in (ProjectionContext.for_spec(spec), _drawn_basis(spec, rng)):
+        for _ in range(50):
+            el = spec.random_element(rng)
+            coords = ctx.phi(el)
+            assert coords == oracles.phi_by_matrix(ctx, el)
+            assert ctx.phi_inv(coords) == el
+            assert ctx.phi_inv([c - 3 * p for c in coords]) == el
+        assert ctx._lookup is None
+        with pytest.raises(ReductionError, match="coordinate width"):
+            ctx.phi_inv([1, 2, 3])
+
+
+def test_contexts_share_a_setup_only_with_their_basis():
+    # the check's set-up (extension plan, component grid, codecs) is kept
+    # per (field, basis, r, n): a second context with the same basis finds
+    # it, one with another basis builds its own, and so does another r or n
+    reduce_pm._check_setup.cache_clear()
+    rng = random.Random(8)
+    polynomial = ProjectionContext.for_spec(GF9)
+    again = ProjectionContext.for_spec(GF9)
+    drawn = _drawn_basis(GF9, rng)
+    assert again is not polynomial and drawn.basis != polynomial.basis
+    polys = {n: random_poly(GF9, n, 8, 5, rng=rng) for n in (1, 2)}
+    reports = []
+    for ctx, r, n in [
+        (polynomial, (2, 1), 1),
+        (again, (2, 1), 1),
+        (drawn, (2, 1), 1),
+        (polynomial, (2, 1), 1),
+        (polynomial, (1, 1), 1),
+        (polynomial, (2, 1), 2),
+    ]:
+        bb = wrap(polys[n])
+        report = verify_reduction(bb, n, r, ctx)
+        assert vars(report) == vars(oracles.verify_reduction(bb, n, r, ctx))
+        reports.append(report)
+    info = reduce_pm._check_setup.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 4)
+    assert all(report.ok for report in reports)
+    for ctx in (polynomial, drawn):
+        b0, b1 = ctx.basis
+        setup = reduce_pm._check_setup(GF9, ctx.basis, (2, 1), 1)
+        assert setup.lhs_plan.steps == ((b0, b0, b1),)
+    # each context builds its own tables
+    assert polynomial._lookup is not drawn._lookup
+    assert polynomial._lookup[0] != drawn._lookup[0]
 
 
 def test_point_flattening_round_trips():
