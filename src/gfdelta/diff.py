@@ -221,14 +221,21 @@ def delta(f: MultiPoly, a: Sequence[FieldElement]) -> MultiPoly:
 def _binomial_row(e: int, p: int) -> tuple[tuple[int, int, int], ...]:
     """The triples (j, C(e, j) mod p, S_p(j)) with a nonzero binomial, in
     increasing j, by Lucas: the product of one row per base-p digit d of e,
-    each built as C(d, j+1) = C(d, j) * (d - j) / (j + 1) mod p, in O(d)
-    steps. Each digit of such a j is at most e's, so e - j subtracts digit
-    by digit and S_p(e - j) = S_p(e) - S_p(j)."""
+    each built from factorials as C(d, j) = d! / (j! (d - j)!) mod p in
+    O(d) steps, with one modular inverse per digit, that of d! (nonzero,
+    as d < p), and the inverses of the smaller factorials down from it.
+    Each digit of such a j is at most e's, so e - j subtracts digit by
+    digit and S_p(e - j) = S_p(e) - S_p(j)."""
     row, place = [(0, 1, 0)], 1
     for d in digits(e, p):
-        digit = [1]
-        for j in range(d):
-            digit.append(digit[-1] * (d - j) * pow(j + 1, -1, p) % p)
+        factorials = [1]
+        for j in range(1, d + 1):
+            factorials.append(factorials[-1] * j % p)
+        inverses = [pow(factorials[d], -1, p)]  # 1/d!, 1/(d-1)!, ..., 1/0!
+        for j in range(d, 0, -1):
+            inverses.append(inverses[-1] * j % p)
+        top = factorials[d]
+        digit = [top * inverses[d - j] * inverses[j] % p for j in range(d + 1)]
         row = [
             (k + j * place, c * w % p, s + j)
             for j, w in enumerate(digit)

@@ -35,24 +35,33 @@ its box sums the per-point stage's answers through the shared fallback
    oracle keeps its term's weighted stage for all of the term's batches
    of secrets.
 2. secrets (the function the grid stage returns, called on a batch of
-   secret residue vectors): the planted kernel calls each kept public
-   monomial's compiled coefficient (`PlantedTarget._fold`, compiled when a
-   grid first keeps the monomial) once per secret. Weighted, it returns
-   sum of fold_g(secret) * c_g mod p, one residue per secret. Per point,
-   it sums coefficient times packed column, one big-integer multiply-add
-   per kept monomial; each slot then holds its point's unreduced sum, at
-   most len(live) * (p - 1)^2, and is read back and reduced mod p. The
-   slots are `field.SlotCodec`'s: the narrowest native unsigned item of 2,
-   4 or 8 bytes that holds that bound, or past 8 bytes ceil(bits / 8)
-   bytes, the codec `MultiPoly.evaluate` uses too. The toy cipher hands the
-   grid rows and each secret through its rounds compiled into a few
-   functions (`ToyCipher._chunks`). Each first derives, in straight-line
-   code, the secret-only constants its rounds inject (the first round's,
-   with the whitening folded in, and each later round's key injection),
-   then loops over the points and runs its rounds in local variables:
-   each quadratic step, reduced mod p, and each affine layer, one sum over
-   the nonzero mix entries. It returns one residue list per secret, one
-   residue per point.
+   secret residue vectors): the planted kernel splits each monomial's
+   coefficient once per target (`PlantedTarget._split`, on first kernel
+   use) into an affine residue row (c_1, ..., c_n_sec, c_0) mod p, from
+   its terms of secret degree at most 1, and a remainder, its terms of
+   secret degree 2 or more, the only part compiled (`PlantedTarget._fold`,
+   when a grid first keeps a monomial that has one); a monomial whose
+   coefficient is affine in the secret, as every planted anchor's is, is
+   never compiled. Weighted, the grid stage merges the kept monomials'
+   rows into one, the sum of c_g * row_g mod p, and the secret stage
+   answers each secret with one dot product plus the kept remainders,
+   (row . s + c_0 + sum of c_g * remainder_g(s)) mod p. Per point, it
+   reads each kept monomial's coefficient, (row_g . s + c_0 +
+   remainder_g(s)) mod p, the rows of all monomials at once from their
+   packed lanes, and sums coefficient times packed column, one
+   big-integer multiply-add per kept monomial; each slot then holds its
+   point's unreduced sum, at most len(live) * (p - 1)^2, and is read back
+   and reduced mod p. The slots are `field.SlotCodec`'s: the narrowest
+   native unsigned item of 2, 4 or 8 bytes that holds that bound, or past
+   8 bytes ceil(bits / 8) bytes, the codec `MultiPoly.evaluate` uses too.
+   The toy cipher hands the grid rows and each secret through its rounds
+   compiled into a few functions (`ToyCipher._chunks`). Each first
+   derives, in straight-line code, the secret-only constants its rounds
+   inject (the first round's, with the whitening folded in, and each later
+   round's key injection), then loops over the points and runs its rounds
+   in local variables: each quadratic step, reduced mod p, and each affine
+   layer, one sum over the nonzero mix entries. It returns one residue
+   list per secret, one residue per point.
 
 Generated code goes through one helper, `_compile`: its source holds only
 the target's own ints, and it runs with no builtins but the ones it calls.
@@ -87,7 +96,8 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from operator import ge, mul
+from itertools import repeat
+from operator import ge, mod, mul
 
 from .attack import BlackBox
 from .field import (
@@ -215,10 +225,13 @@ class PlantedConfig:
     seed: int
 
 
-# the most terms one compiled slice of a planted coefficient holds: compiling
+# a planted target's coefficients split by secret degree (`PlantedTarget._split`)
+Split = namedtuple("Split", "rows rests lanes unpack")
+
+# the most terms one compiled slice of a planted remainder holds: compiling
 # builds a syntax tree that grows with the source, and the largest loadable
 # target's 3,964-term group compiled whole raised peak RSS by about 9 MB;
-# every group of the benchmark's target fits in one slice
+# every remainder of the benchmark's target fits in one slice
 FOLD_TERMS = 256
 
 
@@ -255,29 +268,67 @@ class PlantedTarget(_Target):
                 group = groups[pub] = ([(i, e) for i, e in enumerate(pub) if e], [])
             group[1].append((c.coeffs[0], factors))
         self._groups = list(groups.values())
-        # each group's compiled coefficient, once a grid has made it live
+        # each group's compiled remainder, once a grid has made it live
         self._folds: list[Callable | None] = [None] * len(self._groups)
 
     @property
     def suggested_max_multiplicity(self) -> int:
         return self.config.total_degree - 1
 
-    def _fold(self, group: int) -> Callable:
-        """Group `group`'s coefficient mod p at a secret residue vector `s`,
-        compiled the first time a grid makes the group live and kept in
-        `_folds`.
+    @cached_property
+    def _split(self) -> Split:
+        """Each group's coefficient split by secret degree, in `_groups`
+        order, built once per target on first kernel use (not on loading):
 
-        Each slice of at most `FOLD_TERMS` terms is one compiled function,
-        `f(s)` returning `sum((c*s[j]*pow(s[k], e, p), ...)) % p`, whose
-        source holds only the target's own ints (its coefficients, secret
-        indices, exponents and p) and which sees no builtins but `pow` and
-        `sum`, so nothing outside the target reaches the compiler. The terms
-        are a tuple display, not a chain of `+`: the compiler recurses once
-        per `+`, and a chain of about 3,000 terms raises `RecursionError`. A
-        group of one slice is that function; a larger one, such as the
-        3,964-term group of the largest loadable target, is a compiled sum
-        of its slices' functions mod p. Loading a target compiles nothing,
-        and a group no grid makes live is never compiled."""
+        - `rows`: its affine residue row [c_1, ..., c_n_sec, c_0] mod p,
+          from its terms of secret degree at most 1 (c_j of s_j, c_0 the
+          constant);
+        - `rests`: its remainder, its terms of secret degree 2 or more,
+          which alone `_fold` compiles, so a group whose remainder is empty
+          is never compiled;
+        - `lanes`: the rows packed one slot per group by `unpack`'s codec,
+          one int per row entry, so that sum of s_j * lanes[j] + lanes[-1]
+          holds row . s + c_0 of every group at once, each slot at most
+          n_sec * (p - 1)^2 + p - 1.
+
+        A group's coefficient at a secret s is (row . s + c_0 +
+        remainder(s)) mod p. A group holds each secret monomial at most
+        once, so each row entry is one term's coefficient, a residue."""
+        p, n_sec = self.spec.p, self.n_sec
+        rows, rests = [], []
+        for _, parts in self._groups:
+            row, rest = [0] * (n_sec + 1), []
+            for c, factors in parts:
+                if not factors:
+                    row[-1] = c
+                elif len(factors) == 1 and factors[0][1] == 1:
+                    row[factors[0][0]] = c
+                else:
+                    rest.append((c, factors))
+            rows.append(row)
+            rests.append(rest)
+        codec = SlotCodec(len(rows), n_sec * (p - 1) ** 2 + p - 1)
+        return Split(rows, rests, codec.pack(zip(*rows)), codec.unpack)
+
+    def _fold(self, group: int) -> Callable:
+        """Group `group`'s remainder mod p at a secret residue vector `s`
+        (see `_split`), compiled the first time a grid makes the group live
+        and kept in `_folds`; the stages never ask for an empty remainder,
+        so a group whose terms are all affine in the secret is never
+        compiled.
+
+        Each slice of at most `FOLD_TERMS` remainder terms is one compiled
+        function, `f(s)` returning `sum((c*s[j]*pow(s[k], e, p), ...)) % p`,
+        whose source holds only the target's own ints (its coefficients,
+        secret indices, exponents and p) and which sees no builtins but
+        `pow` and `sum`, so nothing outside the target reaches the compiler.
+        The terms are a tuple display, not a chain of `+`: the compiler
+        recurses once per `+`, and a chain of about 3,000 terms raises
+        `RecursionError`. A remainder of one slice is that function; a
+        larger one, such as the 3,899 terms of secret degree 2 or more in
+        the 3,964-term group of the largest loadable target, is a compiled
+        sum of its slices' functions mod p. Loading a target compiles
+        nothing, and a group no grid makes live is never compiled."""
         p = self.spec.p
 
         def term(c: int, factors) -> str:
@@ -289,7 +340,7 @@ class PlantedTarget(_Target):
                 ]
             )
 
-        _, parts = self._groups[group]
+        parts = self._split.rests[group]
         slices = []
         for start in range(0, len(parts), FOLD_TERMS):
             terms = ", ".join(term(c, f) for c, f in parts[start : start + FOLD_TERMS])
@@ -333,11 +384,16 @@ class PlantedTarget(_Target):
         per point with compiled code (`_tabulate`), keeps the monomials that
         are nonzero at some point, and packs each one's column of residues
         into one int, a fixed-width slot per point (Kronecker substitution).
-        The secret stage calls only those monomials' compiled coefficients
-        (`_fold`), once per secret of its batch, and sums coefficient times
-        packed column, one big-integer multiply-add per live monomial. A
+        The secret stage reads each live monomial's coefficient at each
+        secret of its batch from the group's split (`_split`), (row . s +
+        c_0 + remainder(s)) mod p: row . s + c_0 of every group at once
+        from the packed lanes, one multiply-add per secret coordinate (the
+        coordinates reduced mod p first, so that no lane slot overflows),
+        plus the compiled remainder (`_fold`) of each live group that has
+        one. It then sums coefficient times packed column, one big-integer
+        multiply-add per live monomial. A coefficient is a residue, so a
         slot then holds its point's value before the reduction mod p, at
-        most len(live) * (p - 1)^2, so no slot carries into the next; each
+        most len(live) * (p - 1)^2, and no slot carries into the next; each
         is read back and reduced mod p, one residue list per secret, one
         residue per point.
 
@@ -346,21 +402,28 @@ class PlantedTarget(_Target):
         that holds the bound, or past 8 bytes (from p of about 2^29 with 64
         live monomials) slots of ceil(bits / 8) bytes."""
         p = self.spec.p
-        live, columns = [], []
+        _, rests, lanes, unpack_rows = self._split
+        live, folds, columns = [], [], []
         for group, column in enumerate(zip(*self._tabulate(points))):
             if any(column):
-                live.append(self._folds[group] or self._fold(group))
+                if rests[group]:
+                    fold = self._folds[group] or self._fold(group)
+                    folds.append((len(live), fold))
+                live.append(group)
                 columns.append(column)
         slots = SlotCodec(len(points), len(live) * (p - 1) ** 2)
-        terms = list(zip(live, slots.pack(columns)))
+        packed = slots.pack(columns)
         unpack = slots.unpack
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[list[int]]:
             answers = []
             for secret in secrets:
-                acc = 0
-                for fold, column in terms:
-                    acc += fold(secret) * column
+                reduced = [v % p for v in secret]
+                affine = unpack_rows(sum(map(mul, lanes, reduced)) + lanes[-1])
+                coefficients = list(map(affine.__getitem__, live))
+                for index, fold in folds:
+                    coefficients[index] += fold(secret)
+                acc = sum(map(mul, map(mod, coefficients, repeat(p)), packed))
                 answers.append([v % p for v in unpack(acc)])
             return answers
 
@@ -375,19 +438,37 @@ class PlantedTarget(_Target):
         monomial x^e the term's difference annihilates, by the paper's
         degree result every group with some e_i below the term's
         multiplicity m_i (a public outside the term, zero at every point,
-        included). The secret stage calls each remaining group's compiled
-        coefficient (`_fold`) once per secret of its batch and returns sum
-        of fold_g(secret) * c_g mod p, one residue per secret, with no
-        slots to pack or read back."""
+        included). The remaining groups' affine rows (`_split`) merge into
+        one, the sum of c_g * row_g mod p, and their remainders' compiled
+        functions (`_fold`) are kept with c_g, so the secret stage answers
+        each secret of its batch with one dot product plus the remainders,
+        (row . s + c_0 + sum of c_g * remainder_g(s)) mod p, one residue
+        per secret, with no slots to pack or read back. A grid whose
+        remaining groups are all affine calls no compiled code, and one
+        with no remaining group answers 0 for every secret."""
         p = self.spec.p
-        terms = []
+        rows, rests, _, _ = self._split
+        scales, picked, folds = [], [], []
         for group, column in enumerate(zip(*self._tabulate(points))):
             c = sum(map(mul, weights, column)) % p
             if c:
-                terms.append((self._folds[group] or self._fold(group), c))
+                scales.append(c)
+                picked.append(rows[group])
+                if rests[group]:
+                    folds.append((self._folds[group] or self._fold(group), c))
+        if not picked:
+            return lambda secrets: [0] * len(secrets)
+        row = [sum(map(mul, scales, column)) % p for column in zip(*picked)]
+        c0 = row[-1]
+        if not folds:
+            return lambda secrets: [(sum(map(mul, row, s)) + c0) % p for s in secrets]
 
         def at_secrets(secrets: Sequence[Sequence[int]]) -> list[int]:
-            return [sum([fold(s) * c for fold, c in terms]) % p for s in secrets]
+            return [
+                (sum(map(mul, row, s)) + c0 + sum([fold(s) * c for fold, c in folds]))
+                % p
+                for s in secrets
+            ]
 
         return at_secrets
 

@@ -274,6 +274,8 @@ def test_binomial_rows_match_lucas_residues():
     rng = random.Random(3)
     for e in [0, 1] + [rng.randrange(3000) for _ in range(3)]:
         assert _binomial_row(e, 10**9 + 7) == lucas(e, 10**9 + 7)
+    # one digit of p - 1, where every factorial up to (p - 1)! is inverted
+    assert _binomial_row(4092, 4093) == lucas(4092, 4093)
 
 
 @given(st.data())

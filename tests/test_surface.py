@@ -39,13 +39,13 @@ KEPT = {
     "diff.delta": "the north star names it as the symbolic route's API",
     "targets.save_target": "the target-file writer stays next to KINDS and "
     "load_target, so one module knows the format",
-    "reduce_pm.component_degree_bound": "the GF(p^m) reduction attack "
-    "(ROADMAP item 15) gives it a caller",
+    "reduce_pm.component_degree_bound": "the symbolic GF(p^m) reduction "
+    "(ROADMAP item 19) gives it a caller",
     "poly.MultiPoly.degrees": "component_degree_bound reads a polynomial's "
-    "digit-sum degrees from it (ROADMAP item 15)",
-    "poly.PolyDegrees": "what MultiPoly.degrees returns (ROADMAP item 15)",
+    "digit-sum degrees from it (ROADMAP item 19)",
+    "poly.PolyDegrees": "what MultiPoly.degrees returns (ROADMAP item 19)",
     "combinat.digit_sum": "S_p(e), the digit-sum degree that "
-    "MultiPoly.degrees reports per variable (ROADMAP item 15)",
+    "MultiPoly.degrees reports per variable (ROADMAP item 19)",
 }
 
 # defaulted parameters kept with no call that sets them by name, each for

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import random
@@ -184,6 +185,30 @@ def _small_planted(p, data):
     )
 
 
+def secret_degree(factors):
+    return sum(e for _, e in factors)
+
+
+def split_coefficient(target, group, secret):
+    """A group's coefficient at a secret as the kernel reads it from the
+    group's split, (row . s + c_0 + remainder(s)) mod p, after checking the
+    split against the group's terms: the remainder holds exactly its terms
+    of secret degree 2 or more, in order, and its compiled function (for
+    a remainder that is not empty) agrees with the loop over them."""
+    p = target.spec.p
+    parts = target._groups[group][1]
+    row, rest = target._split.rows[group], target._split.rests[group]
+    assert rest == [(c, f) for c, f in parts if secret_degree(f) >= 2]
+    assert len(row) == target.n_sec + 1 and all(0 <= v < p for v in row)
+    remainder = target._fold(group)(secret) if rest else 0
+    assert remainder == reference_fold(rest, secret, p)
+    return (sum(map(mul, row, secret)) + row[-1] + remainder) % p
+
+
+def split_coefficients(target, secret):
+    return [split_coefficient(target, g, secret) for g in range(len(target._groups))]
+
+
 @given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
 def test_compiled_coefficients_match_the_loop_fold(p, data):
     target = _small_planted(p, data)
@@ -193,24 +218,121 @@ def test_compiled_coefficients_match_the_loop_fold(p, data):
         st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=4)
     )
     for secret in secrets:
-        assert [target._fold(g)(secret) for g in range(len(target._groups))] == [
+        assert split_coefficients(target, secret) == [
             reference_fold(parts, secret, p) for _, parts in target._groups
         ]
 
 
 @pytest.mark.parametrize("slice_terms", [1, 2, 5])
 def test_a_group_larger_than_one_slice_matches_the_loop_fold(monkeypatch, slice_terms):
-    # a group of more than FOLD_TERMS terms compiles as a sum of slices
+    # a remainder of more than FOLD_TERMS terms compiles as a sum of slices
+    # (80 extra terms give a remainder of 11 terms, 40 only one of 9)
     monkeypatch.setattr(targets, "FOLD_TERMS", slice_terms)
-    target = make_planted(31, 3, 4, 5, 40, seed=3)
-    assert max(len(parts) for _, parts in target._groups) > 2 * slice_terms
+    target = make_planted(31, 3, 4, 5, 80, seed=3)
+    assert max(map(len, target._split.rests)) > 2 * slice_terms
     rng = random.Random(slice_terms)
     secrets = [tuple(rng.randrange(31) for _ in range(4)) for _ in range(3)]
     secrets += [(0, 1, 0, 30), (0, 0, 0, 0)]
     for secret in secrets:
-        assert [target._fold(g)(secret) for g in range(len(target._groups))] == [
+        assert split_coefficients(target, secret) == [
             reference_fold(parts, secret, 31) for _, parts in target._groups
         ]
+
+
+def compiled_term_degrees(source):
+    """The secret degree of each term of a generated remainder's tuple
+    display, `sum((c*s[j]*pow(s[k], e, p), ...)) % p`: one per `s[j]` read
+    bare, e per `pow(s[k], e, p)`; [] for the sum of a remainder's slices."""
+    degrees = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Tuple):
+            for term in node.elts:
+                nodes = list(ast.walk(term))
+                powers = [n for n in nodes if isinstance(n, ast.Call)]
+                reads = sum(isinstance(n, ast.Subscript) for n in nodes)
+                degrees.append(
+                    reads - len(powers) + sum(c.args[1].value for c in powers)
+                )
+    return degrees
+
+
+# secrets of the hand-built planted targets: over GF(2), 9 secrets have
+# 2^9 - 10 = 502 monomials of secret degree 2 or more, past FOLD_TERMS
+HAND_SECRETS = 9
+
+
+@given(p=st.sampled_from([2, 3, 31, 2**61 - 1]), data=st.data())
+@settings(max_examples=25)
+def test_split_stages_match_symbolic_with_mixed_and_sliced_remainders(p, data):
+    # a drawn planted target, widened to 9 secrets, plus two hand-built
+    # groups: one mixing a constant, affine terms and terms of secret degree
+    # 2 or more, and one whose remainder is past FOLD_TERMS; the weighted
+    # stage is the weighted sum of the per-point stage, the per-point stage
+    # is the symbolic polynomial, and every compiled term has secret degree
+    # 2 or more
+    base = _small_planted(p, data)
+    spec, n_pub, n_sec = base.spec, base.n_pub, HAND_SECRETS
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    pad = (0,) * (n_sec - base.n_sec)
+    terms = [(mono + pad, c) for mono, c in base.poly._terms.items()]
+    exponents = st.tuples(*[st.integers(0, min(p - 1, 3))] * n_pub)
+    mixed, big = data.draw(st.lists(exponents, min_size=2, max_size=2, unique=True))
+    nonlinear = [
+        sec
+        for sec in itertools.islice(product(range(min(p, 3)), repeat=n_sec), 2000)
+        if sum(sec) >= 2
+    ]
+    unit = [tuple(int(i == j) for i in range(n_sec)) for j in range(n_sec)]
+    parts = {
+        mixed: [(0,) * n_sec] + rng.sample(unit, 3) + rng.sample(nonlinear, 3),
+        big: rng.sample(unit, 2) + nonlinear[: FOLD_TERMS + 32],
+    }
+    for pub, secs in parts.items():
+        terms += [(pub + sec, rng.randrange(1, p)) for sec in secs]
+    config = dataclasses.replace(base.config, n_sec=n_sec)
+    poly = MultiPoly(spec, n_pub + n_sec, terms)
+    key = base.key + (spec.zero,) * len(pad)
+    target = PlantedTarget(config, poly, key, base.planted_terms)
+    assert max(map(len, target._split.rests)) > FOLD_TERMS
+
+    sources = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            targets,
+            "_compile",
+            lambda source, names: sources.append(source) or _compile(source, names),
+        )
+        bb = target.blackbox()
+        multiplicity = st.integers(0, min(2, p - 1))
+        term = data.draw(st.tuples(*[multiplicity] * n_pub))
+        grid = _term_grid(spec, term)
+        # the all-ones point makes every group live
+        publics = st.tuples(*[st.integers(0, p - 1)] * n_pub)
+        drawn = [(1,) * n_pub] + data.draw(st.lists(publics, max_size=6))
+        drawn = list(dict.fromkeys(drawn))
+        weights = [rng.randrange(p) for _ in drawn]
+        residue = st.one_of(st.just(0), st.integers(0, p - 1))
+        secrets = data.draw(
+            st.lists(st.tuples(*[residue] * n_sec), min_size=1, max_size=3)
+        )
+        for points, w in [(grid.residues, grid.weights), (drawn, weights)]:
+            values = bb.stage(points)(secrets)
+            assert bb.stage_sum(points, w)(secrets) == [
+                sum(map(mul, w, row)) % p for row in values
+            ]
+            assert values == [
+                [
+                    int(poly.evaluate([spec.element(v) for v in pt + secret]))
+                    for pt in points
+                ]
+                for secret in secrets
+            ]
+    # the remainders' sources, not the grid stage's table
+    remainders = [source for source in sources if source.startswith("def f(s):")]
+    degrees = [d for source in remainders for d in compiled_term_degrees(source)]
+    assert degrees and min(degrees) >= 2
+    # the big remainder compiled in slices, which one compiled sum adds
+    assert any("f1(s)" in source for source in remainders)
 
 
 def reference_table(target, points):
@@ -420,8 +542,16 @@ def test_a_group_is_compiled_when_a_grid_first_makes_it_live(p, data):
         data.draw(st.integers(0, 12)),
         seed=data.draw(st.integers(0, 10**6)),
     )
+    # only a group's remainder, its terms of secret degree 2 or more, is
+    # compiled: at the first grid that makes the group live, and never for
+    # a group whose terms are all affine in the secret
     assert target._folds == [None] * len(target._groups)
-    assert "_tabulate" not in vars(target)
+    assert "_tabulate" not in vars(target) and "_split" not in vars(target)
+    nonlinear = {
+        g
+        for g, (_, parts) in enumerate(target._groups)
+        if any(secret_degree(f) >= 2 for _, f in parts)
+    }
     residues = st.tuples(*[st.integers(0, p - 1)] * n_pub)
     live = set()
     for _ in range(3):
@@ -432,7 +562,7 @@ def test_a_group_is_compiled_when_a_grid_first_makes_it_live(p, data):
             for g, (factors, _) in enumerate(target._groups)
             if any(all(pt[i] for i, _ in factors) for pt in points)
         }
-        assert {g for g, f in enumerate(target._folds) if f} == live
+        assert {g for g, f in enumerate(target._folds) if f} == live & nonlinear
 
 
 def test_generated_code_sees_no_other_builtins():
@@ -462,12 +592,18 @@ def test_largest_planted_target_compiles_and_agrees_with_symbolic():
 
     got = target.blackbox().stage(points)(secrets)
     assert got == [[symbolic(pt, s) for pt in points] for s in secrets]
-    # the big group compiles in slices, which bound the compiler's memory
+    # the big group's remainder, its 3,899 terms of secret degree 2 or
+    # more, compiles in slices, which bound the compiler's memory
     big = max(range(len(target._groups)), key=lambda g: len(target._groups[g][1]))
+    rest = target._split.rests[big]
+    assert len(rest) == 3899
     fold = target._folds[big]
-    assert len(fold.__globals__) == 1 + -(-3964 // FOLD_TERMS)
+    assert len(fold.__globals__) == 1 + -(-3899 // FOLD_TERMS)
     for secret in secrets:
-        assert fold(secret) == reference_fold(target._groups[big][1], secret, 31)
+        assert fold(secret) == reference_fold(rest, secret, 31)
+        assert split_coefficient(target, big, secret) == reference_fold(
+            target._groups[big][1], secret, 31
+        )
 
 
 def test_compiled_code_is_freed_with_its_target():
@@ -971,18 +1107,30 @@ def test_the_planted_weighted_stage_folds_only_the_nonvanishing_groups():
     # over the benchmark's planted target (p = 31, 5 publics, 12 secrets,
     # degree 6, 60 extra terms, seed 2) and the 95 terms its seed-2 search
     # tries, 521 group columns are nonzero at some grid point, but only 63
-    # have a nonzero weighted sum: the weighted stage calls those groups'
-    # coefficients alone and answers as the per-point stage does
+    # have a nonzero weighted sum: the weighted stage merges those groups'
+    # affine rows alone, once per grid, calls the compiled remainders of
+    # those among them that have one alone, once per secret, and answers
+    # as the per-point stage does
     target = make_planted(31, 5, 12, 6, 60, seed=2)
     assert preprocess(target.blackbox(), 10**6, 5, seed=2).terms_tried == 95
-    calls = []
+    calls, merged = [], []
+    split = target._split
+    rests = split.rests
     for group in range(len(target._groups)):
-        fold = target._folds[group] or target._fold(group)
-        target._folds[group] = lambda s, g=group, f=fold: calls.append(g) or f(s)
+        if rests[group]:
+            fold = target._folds[group] or target._fold(group)
+            target._folds[group] = lambda s, g=group, f=fold: calls.append(g) or f(s)
+
+    class Rows(list):
+        def __getitem__(self, group):
+            merged.append(group)
+            return super().__getitem__(group)
+
+    target._split = split._replace(rows=Rows(split.rows))
     bb = target.blackbox()
     rng = random.Random(0)
     secrets = [(0,) * 12, tuple(rng.randrange(31) for _ in range(12))]
-    live = nonvanishing = 0
+    live = nonvanishing = folded = 0
     for term in itertools.islice(candidate_terms(5, 31, 5), 95):
         points, weights = _term_grid(target.spec, term)
         sums = [
@@ -990,15 +1138,41 @@ def test_the_planted_weighted_stage_folds_only_the_nonvanishing_groups():
             for column in zip(*target._tabulate(points))
         ]
         live += sum(map(any, zip(*target._tabulate(points))))
-        nonvanishing += sum(map(bool, sums))
-        del calls[:]
+        kept = [g for g, c in enumerate(sums) if c]
+        nonvanishing += len(kept)
+        folded += sum(1 for g in kept if rests[g])
+        del calls[:], merged[:]
         got = bb.stage_sum(points, weights)(secrets)
-        assert sorted(calls) == sorted(2 * [g for g, c in enumerate(sums) if c])
+        assert merged == kept
+        assert sorted(calls) == sorted(2 * [g for g in kept if rests[g]])
         assert got == [
             sum(map(mul, weights, values)) % 31
             for values in bb.stage(points)(secrets)
         ]
-    assert (live, nonvanishing) == (521, 63)
+    assert (live, nonvanishing, folded) == (521, 63, 19)
+
+
+def test_a_fresh_benchmark_target_compiles_only_its_nonlinear_remainders(tmp_path):
+    # the benchmark loads its planted target afresh for every pass, as every
+    # attack-pre call does: of its 31 groups 15 are affine in the secret
+    # (the 12 anchors and 3 others), so one preprocess compiles the grid
+    # stage's table and the 16 remainders, 17 compiles where compiling
+    # every live group whole took 32
+    path = tmp_path / "planted.target"
+    save_target(path, make_planted(31, 5, 12, 6, 60, seed=2))
+    target = load_target(path)
+    sources = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            targets,
+            "_compile",
+            lambda source, names: sources.append(source) or _compile(source, names),
+        )
+        result = preprocess(target.blackbox(), 10**6, 5, seed=2)
+    assert result.terms_tried == 95
+    assert sum(not rest for rest in target._split.rests) == 15
+    assert len(sources) == 17
+    assert sum(map(bool, target._folds)) == 16
 
 
 # -- description files ----------------------------------------------------------------
